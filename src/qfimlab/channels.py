@@ -4,6 +4,13 @@ All channels act linearly on arbitrary square matrices (not only density
 matrices), which is what derivative propagation and superoperator
 materialization require. Channels are immutable after construction and safe
 to apply concurrently.
+
+Each channel class implements one batched kernel, ``_apply_batch``, that
+overwrites a ``(k, d, d)`` complex stack with the channel applied to every
+matrix in it, using a same-shape scratch buffer instead of allocating.
+Circuit propagation calls it through :meth:`Channel.apply_batch`;
+:meth:`Channel.apply` wraps a single matrix in a stack of one and returns a
+new array.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import DimensionMismatchError, TooLargeError
-from .linalg import I2, X, Z, dag, insert_qubit, kron, n_qubits_of, partial_trace
+from .linalg import I2, X, Z, dag, kron, n_qubits_of
 
 # Dense d^2 x d^2 materialization is a desk-scale diagnostic only.
 SUPEROP_MAX_QUBITS = 5
@@ -66,6 +73,21 @@ class PauliString:
         return kron(*(_XZ_SINGLE[(a, b)] for a, b in zip(self.alpha, self.beta)))
 
 
+def _pauli_action(s: PauliString, p: float) -> tuple[tuple[int, ...], float | np.ndarray]:
+    """Flipped tensor axes and weight ``p s_k s_l`` of ``rho -> p P rho P†``.
+
+    The weight is a scalar when ``beta`` is zero, else an array of shape
+    ``(2,) * 2n`` that broadcasts against a matrix viewed as a tensor.
+    """
+    n = s.n_qubits
+    axes = tuple(j for j in range(n) if s.alpha[j])
+    axes += tuple(n + j for j in axes)
+    if not any(s.beta):
+        return axes, p
+    signs = kron(*(np.array([1.0, -1.0 if b else 1.0]) for b in s.beta)).real
+    return axes, (p * np.outer(signs, signs)).reshape((2,) * (2 * n))
+
+
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v)) % 2
 
@@ -80,14 +102,35 @@ class Channel:
         return 2**self.n_qubits
 
     def apply(self, mat: np.ndarray) -> np.ndarray:
-        """Apply the channel's linear extension to a square matrix."""
+        """Apply the channel's linear extension to a square matrix.
+
+        Returns a new array; ``mat`` is never modified.
+        """
         if mat.shape != (self.dim, self.dim):
             raise DimensionMismatchError(
                 f"channel on {self.n_qubits} qubits cannot act on shape {mat.shape}"
             )
-        return self._apply(mat)
+        stack = np.array(mat, dtype=complex)[None]
+        self._apply_batch(stack, np.empty_like(stack))
+        return stack[0]
 
-    def _apply(self, mat: np.ndarray) -> np.ndarray:
+    def apply_batch(self, stack: np.ndarray, scratch: np.ndarray) -> None:
+        """Apply the channel in place to every matrix of a ``(k, d, d)`` stack.
+
+        ``stack`` must be a C-contiguous complex array; ``scratch`` is a
+        buffer of the same shape and dtype whose contents are overwritten.
+        """
+        if stack.shape[1:] != (self.dim, self.dim) or scratch.shape != stack.shape:
+            raise DimensionMismatchError(
+                f"channel on {self.n_qubits} qubits cannot act on stack {stack.shape} "
+                f"with scratch {scratch.shape}"
+            )
+        for buf in (stack, scratch):
+            if buf.dtype != complex or not buf.flags.c_contiguous:
+                raise ValueError("stack and scratch must be C-contiguous complex arrays")
+        self._apply_batch(stack, scratch)
+
+    def _apply_batch(self, stack: np.ndarray, scratch: np.ndarray) -> None:
         raise NotImplementedError
 
 
@@ -100,8 +143,9 @@ class UnitaryChannel(Channel):
     def __post_init__(self):
         object.__setattr__(self, "n_qubits", n_qubits_of(self.u))
 
-    def _apply(self, mat: np.ndarray) -> np.ndarray:
-        return self.u @ mat @ dag(self.u)
+    def _apply_batch(self, stack: np.ndarray, scratch: np.ndarray) -> None:
+        np.matmul(self.u, stack, out=scratch)
+        np.matmul(scratch, dag(self.u), out=stack)
 
 
 class PauliChannel(Channel):
@@ -110,6 +154,11 @@ class PauliChannel(Channel):
     ``terms`` is a sparse list of ``(PauliString, probability)`` pairs. The
     probabilities must be nonnegative and sum to 1 within 1e-12; they are
     renormalized to machine precision at construction.
+
+    Each string acts as an index permutation with signs:
+    ``(P rho P†)_kl = s_k s_l rho_{k^alpha, l^alpha}`` with
+    ``s_k = (-1)^(beta . k)``, i.e. a flip of the qubit axes where ``alpha``
+    is set, times a sign pattern where ``beta`` is set.
     """
 
     def __init__(self, terms: Sequence[tuple[PauliString, float]]):
@@ -128,13 +177,16 @@ class PauliChannel(Channel):
         self.terms: tuple[tuple[PauliString, float], ...] = tuple(
             (s, float(p) / total) for (s, _), p in zip(terms, probs)
         )
-        self._mats = tuple(s.materialize() for s, _ in self.terms)
+        self._actions = tuple(_pauli_action(s, p) for s, p in self.terms)
 
-    def _apply(self, mat: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(mat, dtype=complex)
-        for (_, p), pm in zip(self.terms, self._mats):
-            out += p * (pm @ mat @ dag(pm))
-        return out
+    def _apply_batch(self, stack: np.ndarray, scratch: np.ndarray) -> None:
+        np.copyto(scratch, stack)
+        stack.fill(0.0)
+        shape = (len(stack),) + (2,) * (2 * self.n_qubits)
+        # one matrix at a time keeps each product's temporary at d x d
+        for out, src in zip(stack.reshape(shape), scratch.reshape(shape)):
+            for axes, weight in self._actions:
+                out += weight * (np.flip(src, axes) if axes else src)
 
     def transfer_coefficient(self, target: PauliString) -> float:
         """Eigenvalue of the channel on the Pauli operator ``target``.
@@ -163,9 +215,11 @@ class GlobalDepolarizing(Channel):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"depolarizing probability {self.p} outside [0, 1]")
 
-    def _apply(self, mat: np.ndarray) -> np.ndarray:
+    def _apply_batch(self, stack: np.ndarray, scratch: np.ndarray) -> None:
         d = self.dim
-        return (1.0 - self.p) * mat + self.p * (np.trace(mat) / d) * np.eye(d)
+        shift = self.p * (np.trace(stack, axis1=1, axis2=2) / d)
+        stack *= 1.0 - self.p
+        stack.reshape(len(stack), d * d)[:, :: d + 1] += shift[:, None]
 
 
 @dataclass(frozen=True)
@@ -173,7 +227,13 @@ class LocalDepolarizing(Channel):
     """Per-qubit depolarizing noise, applied qubit by qubit.
 
     Qubit ``j`` undergoes ``rho -> (1-p_j) rho + p_j I_j/2 (x) Tr_j[rho]``
-    (the partial-trace form, equivalent to the 4-term Kraus mixture).
+    (the partial-trace form, equivalent to the 4-term Kraus mixture). Split
+    into 2x2 blocks ``B_ab`` by the row bit ``a`` and column bit ``b`` of
+    qubit ``j``, this scales ``B_01`` and ``B_10`` by ``1-p_j`` and moves
+    ``p_j/2 (B_11 - B_00)`` from ``B_11`` to ``B_00``. The batched kernel
+    does the scaling for all qubits at once, as an elementwise product with
+    ``(x)_j [[1, 1-p_j], [1-p_j, 1]]``, and the moves in place on a reshaped
+    view, one matrix at a time so that the per-qubit passes stay in cache.
     """
 
     probs: tuple[float, ...]
@@ -184,20 +244,30 @@ class LocalDepolarizing(Channel):
             raise ValueError(f"depolarizing probabilities {probs} outside [0, 1]")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "n_qubits", len(probs))
+        coherence = np.ones((1, 1))
+        for p in probs:
+            coherence = np.kron(coherence, [[1.0, 1.0 - p], [1.0 - p, 1.0]])
+        object.__setattr__(self, "_coherence", coherence)
 
     @classmethod
     def uniform(cls, n_qubits: int, p: float) -> "LocalDepolarizing":
         return cls((float(p),) * n_qubits)
 
-    def _apply(self, mat: np.ndarray) -> np.ndarray:
-        out = mat
-        for j, p in enumerate(self.probs):
-            if p == 0.0:
-                continue
-            reduced = partial_trace(out, [j])
-            out = (1.0 - p) * out + p * insert_qubit(reduced, j, I2 / 2)
-        # value semantics: never hand back the caller's array
-        return out.copy() if out is mat else out
+    def _apply_batch(self, stack: np.ndarray, scratch: np.ndarray) -> None:
+        n, d = self.n_qubits, self.dim
+        for mat, buf in zip(stack, scratch):
+            mat *= self._coherence
+            moved_all = buf.reshape(-1)[: d * d // 4]
+            for j, p in enumerate(self.probs):
+                if p == 0.0:
+                    continue
+                lo, hi = 2**j, 2 ** (n - j - 1)
+                t = mat.reshape(lo, 2, hi, lo, 2, hi)
+                moved = moved_all.reshape(lo, hi, lo, hi)
+                np.subtract(t[:, 1, :, :, 1, :], t[:, 0, :, :, 0, :], out=moved)
+                moved *= p / 2.0
+                t[:, 0, :, :, 0, :] += moved
+                t[:, 1, :, :, 1, :] -= moved
 
 
 class CompositeChannel(Channel):
@@ -218,10 +288,9 @@ class CompositeChannel(Channel):
                 flat.append(ch)
         self.steps: tuple[Channel, ...] = tuple(flat)
 
-    def _apply(self, mat: np.ndarray) -> np.ndarray:
+    def _apply_batch(self, stack: np.ndarray, scratch: np.ndarray) -> None:
         for ch in self.steps:
-            mat = ch.apply(mat)
-        return mat
+            ch._apply_batch(stack, scratch)
 
 
 def identity_channel(n_qubits: int) -> PauliChannel:

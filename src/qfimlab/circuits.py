@@ -7,11 +7,25 @@ gate ``m``). ``None`` in a slot means "no noise" and is skipped, so a circuit
 with all-``None`` slots runs the identical operation sequence as a noiseless
 one.
 
-Derivatives of the output state are computed analytically: differentiating
-gate ``i`` inserts the commutator ``-i [H_i, .]`` right after that gate, and
-the result is pushed through the remaining (linear) gates and channels. The
-central finite difference ``derivative_fd`` exists as an independent test
-oracle only.
+Gates never form the ``d x d`` unitary of a structured generator.
+:func:`build_circuit` reads each generator's structure from its matrix and
+stores a gate kernel for it:
+
+- :class:`DiagonalKernel` (e.g. ``sum_j Z_j Z_{j+1}``): the gate multiplies
+  ``rho`` elementwise by ``phi phi^H`` with ``phi = exp(-i theta h)``;
+- :class:`ProductKernel` (the same single-qubit term on every qubit, e.g.
+  ``sum_j X_j``): ``exp(-i theta H) = u^(x)n`` is applied as two
+  half-register Kronecker factors;
+- :class:`DenseKernel` (anything else): ``U`` is rebuilt from the
+  generator's eigendecomposition and applied by two dense products.
+
+Derivatives of the output state are computed analytically in forward mode.
+Differentiating gate ``i`` inserts the commutator ``-i [H_i, .]`` right after
+that gate; :func:`evolve_with_derivatives` carries the state and all pending
+derivatives as one ``(k, d, d)`` stack, appends ``-i [H_m, rho_m]`` when gate
+``m`` is passed, and sends the whole stack through every later slot and gate
+at once. The central finite difference ``derivative_fd`` exists as an
+independent test oracle only.
 """
 
 from __future__ import annotations
@@ -37,6 +51,139 @@ from .linalg import (
     kron,
 )
 
+# A generator counts as structured when it matches the structured form to
+# within a few ulps of its largest entry.
+STRUCTURE_ULPS = 8
+
+
+class DiagonalKernel:
+    """Gate kernel of a diagonal generator ``diag(h)``."""
+
+    def __init__(self, h: np.ndarray):
+        self.h = np.asarray(h, dtype=float)
+
+    def conjugate(self, stack: np.ndarray, theta: float, scratch: np.ndarray) -> None:
+        """``stack <- U stack U†`` in place, as ``stack * phi phi^H``."""
+        phase = np.exp(-1j * theta * self.h)
+        stack *= np.outer(phase, phase.conj())
+
+    def commutator(self, rho: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """``out <- -i [H, rho]``, i.e. ``-i (h_k - h_l) rho_kl``."""
+        np.multiply(rho, -1j * np.subtract.outer(self.h, self.h), out=out)
+
+    def apply_vectors(self, vecs: np.ndarray, theta: float) -> np.ndarray:
+        """``U v`` for every vector along the last axis of ``vecs``."""
+        return np.exp(-1j * theta * self.h) * vecs
+
+
+class ProductKernel:
+    """Gate kernel of ``H = sum_j a_j``: one 2x2 term ``a`` on every qubit.
+
+    ``exp(-i theta H) = u^(x)n`` with ``u = exp(-i theta a)`` is applied as
+    ``A (x) B`` with ``A = u^(x)(n//2)`` and ``B`` the other half, which costs
+    ``d^2 (dim A + dim B)`` per matrix instead of ``d^3``.
+    """
+
+    def __init__(self, a: np.ndarray, n_qubits: int):
+        self.eig = hermitian_eig(a)
+        self.n_a = n_qubits // 2
+        self.n_b = n_qubits - self.n_a
+        vecs = self.eig.vectors
+        self._basis = (_kron_power(vecs, self.n_a), _kron_power(vecs, self.n_b))
+        # spectrum of H: sum of the term's eigenvalue picked by each qubit's bit
+        spec = np.zeros(1)
+        for _ in range(n_qubits):
+            spec = np.add.outer(spec, self.eig.values).ravel()
+        self._spectrum = spec
+
+    def _factors(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
+        u = herm_exp_from_eig(self.eig, theta)
+        return _kron_power(u, self.n_a), _kron_power(u, self.n_b)
+
+    def conjugate(self, stack: np.ndarray, theta: float, scratch: np.ndarray) -> None:
+        """``stack <- U stack U†`` in place."""
+        _kron_conjugate(stack, *self._factors(theta), scratch)
+
+    def commutator(self, rho: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """``out <- -i [H, rho]``, computed in the product eigenbasis ``W``."""
+        w_a, w_b = self._basis
+        np.copyto(out, rho)
+        _kron_conjugate(out[None], dag(w_a), dag(w_b), scratch[None])
+        out *= -1j * np.subtract.outer(self._spectrum, self._spectrum)
+        _kron_conjugate(out[None], w_a, w_b, scratch[None])
+
+    def apply_vectors(self, vecs: np.ndarray, theta: float) -> np.ndarray:
+        """``U v`` for every vector along the last axis of ``vecs``."""
+        a, b = self._factors(theta)
+        t = vecs.reshape(-1, len(a), len(b))
+        return (a @ t @ b.T).reshape(vecs.shape)
+
+
+class DenseKernel:
+    """Gate kernel of an unstructured generator, via its eigendecomposition."""
+
+    def __init__(self, h: np.ndarray, eig: EigenDecomposition):
+        self.h = h
+        self.eig = eig
+
+    def conjugate(self, stack: np.ndarray, theta: float, scratch: np.ndarray) -> None:
+        """``stack <- U stack U†`` in place, by two dense products."""
+        u = herm_exp_from_eig(self.eig, theta)
+        np.matmul(u, stack, out=scratch)
+        np.matmul(scratch, dag(u), out=stack)
+
+    def commutator(self, rho: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """``out <- -i [H, rho]``."""
+        np.matmul(self.h, rho, out=out)
+        np.matmul(rho, self.h, out=scratch)
+        out -= scratch
+        out *= -1j
+
+    def apply_vectors(self, vecs: np.ndarray, theta: float) -> np.ndarray:
+        """``U v`` for every vector along the last axis of ``vecs``."""
+        return vecs @ herm_exp_from_eig(self.eig, theta).T
+
+
+GateKernel = DiagonalKernel | ProductKernel | DenseKernel
+
+
+def _kron_power(u: np.ndarray, n: int) -> np.ndarray:
+    return kron(*([u] * n)) if n else np.ones((1, 1), dtype=complex)
+
+
+def _kron_conjugate(stack: np.ndarray, a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> None:
+    """``stack <- (a (x) b) stack (a (x) b)†`` in place, for a ``(k, d, d)`` stack.
+
+    Each factor acts on its own axis of the reshaped stack, so the four
+    products are batched matmuls with ``dim a`` or ``dim b`` inner size.
+    """
+    k, d, _ = stack.shape
+    da, db = len(a), len(b)
+    np.matmul(a, stack.reshape(k, da, db * d), out=scratch.reshape(k, da, db * d))
+    np.matmul(b, scratch.reshape(k * da, db, d), out=stack.reshape(k * da, db, d))
+    np.matmul(stack.reshape(k * d * da, db), dag(b), out=scratch.reshape(k * d * da, db))
+    np.matmul(a.conj(), scratch.reshape(k * d, da, db), out=stack.reshape(k * d, da, db))
+
+
+def gate_kernel(h: np.ndarray, n_qubits: int) -> GateKernel:
+    """Pick the gate kernel for a validated Hermitian traceless generator.
+
+    Diagonal when every nonzero entry is on the diagonal; a product when
+    ``n_qubits >= 2`` and ``h`` equals ``sum_j a_j`` for the 2x2 term
+    ``a = Tr_{qubits 1..n-1}[h] / 2^(n-1)`` to within a few ulps; dense
+    otherwise.
+    """
+    if np.count_nonzero(h) == np.count_nonzero(np.diagonal(h)):
+        return DiagonalKernel(np.diagonal(h).real)
+    if n_qubits >= 2:
+        half = 2 ** (n_qubits - 1)
+        a = np.trace(h.reshape(2, half, 2, half), axis1=1, axis2=3) / half
+        gap = h - sum(embed_single_qubit(a, j, n_qubits) for j in range(n_qubits))
+        tol = STRUCTURE_ULPS * np.finfo(float).eps * float(np.max(np.abs(h)))
+        if float(np.max(np.abs(gap))) <= tol:
+            return ProductKernel(a, n_qubits)
+    return DenseKernel(h, hermitian_eig(h))
+
 
 @dataclass(frozen=True, eq=False)
 class NoisyCircuit:
@@ -49,13 +196,15 @@ class NoisyCircuit:
         noise_slots: length M+1; ``noise_slots[m]`` acts before gate ``m``
             (0-based) and ``noise_slots[M]`` acts after the last gate.
             Entries are :class:`~qfimlab.channels.Channel` or ``None``.
+        kernels: one gate kernel per generator, chosen by
+            :func:`gate_kernel`.
     """
 
     n_qubits: int
     generators: tuple[np.ndarray, ...]
     layers: tuple[int, ...]
     noise_slots: tuple[Channel | None, ...]
-    _gen_eigs: tuple[EigenDecomposition, ...]
+    kernels: tuple[GateKernel, ...]
 
     @property
     def n_params(self) -> int:
@@ -72,6 +221,21 @@ class NoisyCircuit:
     def with_uniform_noise(self, channel: Channel | None) -> "NoisyCircuit":
         """Copy with the same channel in every one of the M+1 slots."""
         return self.with_noise([channel] * (self.n_params + 1))
+
+    def gate_step(self, m: int, angle: float, mat: np.ndarray) -> np.ndarray:
+        """``U mat U†`` for gate ``m`` at an arbitrary ``angle``, as a new array.
+
+        Runs the same kernel as evolution; ``mat`` is not modified.
+        """
+        if not 0 <= m < self.n_params:
+            raise IndexError(f"gate index {m} out of range for M={self.n_params}")
+        if mat.shape != (self.dim, self.dim):
+            raise DimensionMismatchError(
+                f"matrix shape {mat.shape} does not match circuit dimension {self.dim}"
+            )
+        stack = np.array(mat, dtype=complex)[None]
+        self.kernels[self.layers[m]].conjugate(stack, float(angle), np.empty_like(stack))
+        return stack[0]
 
 
 def build_circuit(n_qubits, generators, layers, noise_slots=None) -> NoisyCircuit:
@@ -103,8 +267,8 @@ def build_circuit(n_qubits, generators, layers, noise_slots=None) -> NoisyCircui
                 raise DimensionMismatchError(
                     f"noise channel on {s.n_qubits} qubits in a {n_qubits}-qubit circuit"
                 )
-    eigs = tuple(hermitian_eig(g) for g in gens)
-    return NoisyCircuit(n_qubits, gens, layers, slots, eigs)
+    kernels = tuple(gate_kernel(g, n_qubits) for g in gens)
+    return NoisyCircuit(n_qubits, gens, layers, slots, kernels)
 
 
 def _check_args(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -118,24 +282,27 @@ def _check_args(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> np
     return theta
 
 
-def _gate(circuit: NoisyCircuit, m: int, theta_m: float) -> np.ndarray:
-    return herm_exp_from_eig(circuit._gen_eigs[circuit.layers[m]], theta_m)
-
-
-def _apply_slot(circuit: NoisyCircuit, m: int, mat: np.ndarray) -> np.ndarray:
+def _apply_slot(circuit: NoisyCircuit, m: int, stack: np.ndarray, scratch: np.ndarray) -> None:
     ch = circuit.noise_slots[m]
-    return mat if ch is None else ch.apply(mat)
+    if ch is not None:
+        ch.apply_batch(stack, scratch)
+
+
+def _step(circuit: NoisyCircuit, m: int, theta_m: float, stack: np.ndarray, scratch: np.ndarray):
+    """Noise slot ``m`` then gate ``m``, in place on the whole stack."""
+    _apply_slot(circuit, m, stack, scratch)
+    circuit.kernels[circuit.layers[m]].conjugate(stack, theta_m, scratch)
 
 
 def evolve(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Output state ``N_{M+1} ∘ C^M_{θ_M} ∘ N_M ∘ ... ∘ C^1_{θ_1} ∘ N_1 (rho)``."""
     theta = _check_args(circuit, theta, rho)
-    out = rho
+    stack = np.array(rho, dtype=complex)[None]
+    scratch = np.empty_like(stack)
     for m in range(circuit.n_params):
-        out = _apply_slot(circuit, m, out)
-        u = _gate(circuit, m, theta[m])
-        out = u @ out @ dag(u)
-    return _apply_slot(circuit, circuit.n_params, out)
+        _step(circuit, m, theta[m], stack, scratch)
+    _apply_slot(circuit, circuit.n_params, stack, scratch)
+    return stack[0]
 
 
 def derivative(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray, i: int) -> np.ndarray:
@@ -153,39 +320,45 @@ def evolve_with_derivatives(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Output state together with analytic derivatives for the given indices.
 
-    One forward pass stores the state right after each gate; each derivative
-    starts from the commutator inserted there and is propagated through the
-    tail of the circuit. Defaults to all M derivatives.
+    Forward mode: one ``(k, d, d)`` stack holds the state in row 0 and one
+    row per requested derivative. When gate ``m`` has been applied and
+    ``theta_m`` is requested, ``-i [H_m, rho_m]`` of the post-gate state is
+    appended as a new row; every later slot and gate then acts on all rows
+    at once, in place. No gate unitary or intermediate state is stored: the
+    memory is the stack, ``(K + 1) 16 d^2`` bytes for ``K`` distinct
+    indices (``(M + 1) 16 d^2`` for all of them), plus one scratch buffer of
+    the same size.
+
+    ``indices`` defaults to all M parameters and may be unsorted or repeat
+    entries; derivatives come back in the order asked for. The returned
+    arrays share no memory with ``rho`` or with each other.
     """
     theta = _check_args(circuit, theta, rho)
     m_tot = circuit.n_params
-    if indices is None:
-        indices = range(m_tot)
-    indices = list(indices)
-
-    after_gate: list[np.ndarray] = []
-    out = rho
-    gates: list[np.ndarray] = []
-    for m in range(m_tot):
-        out = _apply_slot(circuit, m, out)
-        u = _gate(circuit, m, theta[m])
-        gates.append(u)
-        out = u @ out @ dag(u)
-        after_gate.append(out)
-    out = _apply_slot(circuit, m_tot, out)
-
-    derivs: list[np.ndarray] = []
+    indices = list(range(m_tot)) if indices is None else [int(i) for i in indices]
     for i in indices:
         if not 0 <= i < m_tot:
             raise IndexError(f"parameter index {i} out of range for M={m_tot}")
-        h = circuit.generators[circuit.layers[i]]
-        d = -1j * (h @ after_gate[i] - after_gate[i] @ h)
-        for m in range(i + 1, m_tot):
-            d = _apply_slot(circuit, m, d)
-            d = gates[m] @ d @ dag(gates[m])
-        d = _apply_slot(circuit, m_tot, d)
-        derivs.append(d)
-    return out, derivs
+    row_of = {i: r for r, i in enumerate(sorted(set(indices)), start=1)}
+
+    stack = np.empty((len(row_of) + 1, circuit.dim, circuit.dim), dtype=complex)
+    scratch = np.empty_like(stack)
+    stack[0] = rho
+    k = 1
+    for m in range(m_tot):
+        _step(circuit, m, theta[m], stack[:k], scratch[:k])
+        if m in row_of:
+            circuit.kernels[circuit.layers[m]].commutator(stack[0], stack[k], scratch[k])
+            k += 1
+    _apply_slot(circuit, m_tot, stack, scratch)
+
+    derivs: list[np.ndarray] = []
+    handed_out: set[int] = set()
+    for i in indices:
+        r = row_of[i]
+        derivs.append(stack[r].copy() if r in handed_out else stack[r])
+        handed_out.add(r)
+    return stack[0], derivs
 
 
 def derivative_fd(
@@ -324,7 +497,7 @@ def evolve_statevector(circuit: NoisyCircuit, theta: np.ndarray, psi: np.ndarray
     theta = np.asarray(theta, dtype=float)
     out = psi
     for m in range(circuit.n_params):
-        out = _gate(circuit, m, theta[m]) @ out
+        out = circuit.kernels[circuit.layers[m]].apply_vectors(out, theta[m])
     return out
 
 
@@ -334,24 +507,15 @@ def statevector_derivatives(
     """Final state vector and its exact parameter derivatives.
 
     ``d|psi>/d theta_i`` inserts ``-i H_i`` after gate ``i`` and applies the
-    remaining gates.
+    remaining gates; as in :func:`evolve_with_derivatives`, the state and the
+    pending derivatives travel forward as one stack.
     """
     _require_noiseless(circuit)
     theta = np.asarray(theta, dtype=float)
     m_tot = circuit.n_params
-    after_gate = []
-    out = psi
-    gates = []
+    rows = np.empty((m_tot + 1, len(psi)), dtype=complex)
+    rows[0] = psi
     for m in range(m_tot):
-        u = _gate(circuit, m, theta[m])
-        gates.append(u)
-        out = u @ out
-        after_gate.append(out)
-    derivs = []
-    for i in range(m_tot):
-        h = circuit.generators[circuit.layers[i]]
-        v = -1j * (h @ after_gate[i])
-        for m in range(i + 1, m_tot):
-            v = gates[m] @ v
-        derivs.append(v)
-    return out, derivs
+        rows[: m + 1] = circuit.kernels[circuit.layers[m]].apply_vectors(rows[: m + 1], theta[m])
+        rows[m + 1] = -1j * (circuit.generators[circuit.layers[m]] @ rows[0])
+    return rows[0], list(rows[1:])

@@ -41,7 +41,7 @@ from .circuits import (
 )
 from .dla import dla_dimension, lie_closure, pauli_expansion
 from .exceptions import ConfigError
-from .linalg import dag, herm_exp_from_eig, purity
+from .linalg import purity
 from .qfim import TAU_RANK_ABS, TAU_RANK_REL, qfim_of_circuit
 
 CSV_SCHEMA_VERSION = 1
@@ -402,8 +402,8 @@ def run_trajectory(config: ExperimentConfig, workers: int | None = None) -> str:
             ch = circuit.noise_slots[m]
             state = state if ch is None else ch.apply(state)
             for s in range(steps + 1):
-                emit(_partial_gate_state(circuit, m, theta[m] * s / steps, state), m + 1, s, label, rows)
-            state = _partial_gate_state(circuit, m, theta[m], state)
+                emit(circuit.gate_step(m, theta[m] * s / steps, state), m + 1, s, label, rows)
+            state = circuit.gate_step(m, theta[m], state)
         ch = circuit.noise_slots[m_tot]
         state = state if ch is None else ch.apply(state)
         emit(state, m_tot + 1, 0, label, rows)
@@ -420,11 +420,6 @@ def run_trajectory(config: ExperimentConfig, workers: int | None = None) -> str:
     groups = _map_tasks(label_rows, list(TOY_THETAS.items()), workers)
     rows = [row for group in groups for row in group]
     return emit_table(config, TRAJECTORY_COLUMNS, rows)
-
-
-def _partial_gate_state(circuit: NoisyCircuit, m: int, angle: float, state: np.ndarray):
-    u = herm_exp_from_eig(circuit._gen_eigs[circuit.layers[m]], angle)
-    return u @ state @ dag(u)
 
 
 EIG_VS_P_COLUMNS = ("label", "p", "eig_index", "eigenvalue", "rank")

@@ -118,6 +118,28 @@ def qfim_pure(
     return report_from_matrix(f, tau_abs, tau_rel)
 
 
+def _weighted_gram(
+    vecs: np.ndarray, derivs: Sequence[np.ndarray], weights: np.ndarray
+) -> np.ndarray:
+    """``F_ij = sum_{mu nu} w_{mu nu} Re[A_i,mu nu conj(A_j,mu nu)]``, ``A_i = V† d_i V``.
+
+    Assembled as one Gram product ``F = Re(Y Y^H)`` with rows
+    ``Y_i = sqrt(w) * A_i`` written into a single ``(M, d^2)`` array; the
+    product runs on the real view of ``Y`` (``Re(y z^*) = Re y Re z +
+    Im y Im z``), so no conjugated copy of ``Y`` is made. Weights must be
+    nonnegative.
+    """
+    m, d = len(derivs), len(vecs)
+    y = np.empty((m, d, d), dtype=complex)
+    vh = dag(vecs)
+    root_w = np.sqrt(weights)
+    for i, dv in enumerate(derivs):
+        np.matmul(vh @ dv, vecs, out=y[i])
+        y[i] *= root_w
+    flat = y.reshape(m, d * d).view(float)
+    return flat @ flat.T
+
+
 def qfim_mixed(
     rho: np.ndarray,
     derivs: Sequence[np.ndarray],
@@ -130,14 +152,7 @@ def qfim_mixed(
     pair_sum = evals[:, None] + evals[None, :]
     safe = np.where(pair_sum > tau_spec, pair_sum, 1.0)
     weights = np.where(pair_sum > tau_spec, 2.0 / safe, 0.0)
-    in_basis = [dag(vecs) @ dv @ vecs for dv in derivs]
-    m = len(derivs)
-    f = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            val = float(np.sum(weights * (in_basis[i] * np.conj(in_basis[j])).real))
-            f[i, j] = f[j, i] = val
-    return report_from_matrix(f, tau_abs, tau_rel)
+    return report_from_matrix(_weighted_gram(vecs, derivs, weights), tau_abs, tau_rel)
 
 
 def qfim_of_circuit(
@@ -176,14 +191,7 @@ def noisy_qfim_closed_form_global_depol(
     denom = x * (evals[:, None] + evals[None, :]) + 2.0 * (1.0 - x) / d
     safe = np.where(denom > tau_spec, denom, 1.0)
     weights = np.where(denom > tau_spec, 2.0 * x * x / safe, 0.0)
-    in_basis = [dag(vecs) @ dv @ vecs for dv in derivs_noiseless]
-    m = len(derivs_noiseless)
-    f = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            val = float(np.sum(weights * (in_basis[i] * np.conj(in_basis[j])).real))
-            f[i, j] = f[j, i] = val
-    return f
+    return _weighted_gram(vecs, derivs_noiseless, weights)
 
 
 def classical_fim(

@@ -76,7 +76,10 @@ def _random_pauli_channel(rng, n, max_weight=0.3, n_terms=2, strict=False):
         for _ in range(n_terms)
     ]
     w = rng.uniform(0, max_weight, n_terms)
-    return PauliChannel([(PauliString.identity(n), 1 - w.sum())] + list(zip(strs, w)))
+    if w.sum() > 1.0:
+        # n_terms * max_weight may exceed 1; keep the draws, rescale to a valid mixture
+        w = w / w.sum()
+    return PauliChannel([(PauliString.identity(n), max(1 - w.sum(), 0.0))] + list(zip(strs, w)))
 
 
 def _product_depolarizing_pauli_channel(rng, n):

@@ -343,6 +343,20 @@ class TestVerifyRunner:
         assert payload["config_sha256"]
         assert all("margin" in c for c in payload["checks"])
 
+    def test_heavy_pauli_weights_at_70_trials(self):
+        # at 70 trials the seed-42 stream of the Pauli-diagonality check draws
+        # three weights summing past 1; the sampler must still build a channel
+        cfg = parse_config(
+            {
+                "experiment": "verify",
+                "theta": {"seed": 42},
+                "options": {"trials": 70, "entropy_trials": 10, "delta_trials": 5,
+                            "decomposition_trials": 3},
+            }
+        )
+        _, ok = run_verify(cfg)
+        assert ok
+
     def test_strict_fixed_point_mode(self):
         # opt-in: restricts sampled Pauli channels to strictly contracting
         # ones (every non-identity transfer coefficient inside (-1, 1))

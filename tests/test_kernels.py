@@ -1,0 +1,282 @@
+"""Structured gate kernels, batched channels, forward-mode stacks, Gram QFIM.
+
+Each fast kernel is checked against the dense or loop form it replaced,
+which is kept here as the oracle.
+"""
+
+import numpy as np
+import pytest
+
+from qfimlab.channels import (
+    CompositeChannel,
+    GlobalDepolarizing,
+    LocalDepolarizing,
+    PauliChannel,
+    PauliString,
+    UnitaryChannel,
+    bit_flip,
+    superoperator,
+)
+from qfimlab.circuits import (
+    DenseKernel,
+    DiagonalKernel,
+    ProductKernel,
+    build_circuit,
+    evolve_with_derivatives,
+    hva_tfim,
+    hva_tfim_generators,
+)
+from qfimlab.exceptions import DimensionMismatchError
+from qfimlab.linalg import (
+    I2,
+    X,
+    Z,
+    dag,
+    embed_single_qubit,
+    herm_exp,
+    insert_qubit,
+    partial_trace,
+)
+from qfimlab.qfim import noisy_qfim_closed_form_global_depol, qfim_mixed
+from qfimlab.rand import random_density_matrix, random_hermitian, random_unitary
+
+
+def random_matrix(d, rng):
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+def random_stack(k, d, rng):
+    return rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+
+
+def uniform_sum(a, n):
+    return sum(embed_single_qubit(a, j, n) for j in range(n))
+
+
+def kernel_of(h, n):
+    return build_circuit(n, [h], [0]).kernels[0]
+
+
+class TestGateKernels:
+    @pytest.mark.parametrize(
+        "make, kind",
+        [
+            (lambda rng: hva_tfim_generators(3)[0], DiagonalKernel),
+            (lambda rng: np.diag(rng.normal(size=8)).astype(complex), DiagonalKernel),
+            (lambda rng: hva_tfim_generators(3)[1], ProductKernel),
+            (lambda rng: uniform_sum(random_hermitian(2, rng, traceless=True), 3), ProductKernel),
+            (lambda rng: random_hermitian(8, rng, traceless=True), DenseKernel),
+            (lambda rng: embed_single_qubit(X, 0, 3) + embed_single_qubit(Z, 2, 3), DenseKernel),
+        ],
+    )
+    def test_kernel_matches_dense_conjugation(self, rng, make, kind):
+        h = make(rng)
+        h = h - np.trace(h) / 8 * np.eye(8)
+        kernel = kernel_of(h, 3)
+        assert isinstance(kernel, kind)
+        stack = random_stack(3, 8, rng)
+        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+        for theta in (0.0, 0.37, -2.9):
+            u = herm_exp(h, theta)
+            got = stack.copy()
+            kernel.conjugate(got, theta, np.empty_like(got))
+            assert np.max(np.abs(got - u @ stack @ dag(u))) <= 1e-12
+            assert np.max(np.abs(kernel.apply_vectors(psi, theta) - u @ psi)) <= 1e-12
+        rho = random_matrix(8, rng)
+        out, scratch = np.empty_like(rho), np.empty_like(rho)
+        kernel.commutator(rho, out, scratch)
+        assert np.max(np.abs(out + 1j * (h @ rho - rho @ h))) <= 1e-12
+
+    def test_diagonal_shifted_generator_is_diagonal(self, rng):
+        h = np.diag(rng.normal(size=4)).astype(complex)
+        assert isinstance(kernel_of(h - np.trace(h) / 4 * np.eye(4), 2), DiagonalKernel)
+
+    def test_different_single_qubit_terms_fall_back_to_dense(self, rng):
+        n = 3
+        terms = [random_hermitian(2, rng, traceless=True) for _ in range(n)]
+        h = sum(embed_single_qubit(a, j, n) for j, a in enumerate(terms))
+        assert isinstance(kernel_of(h, n), DenseKernel)
+        nearly = uniform_sum(X, n) + 1e-6 * embed_single_qubit(Z, 1, n)
+        assert isinstance(kernel_of(nearly, n), DenseKernel)
+
+    def test_single_qubit_x_is_dense_and_tfim_is_structured(self):
+        assert isinstance(kernel_of(X / 2, 1), DenseKernel)
+        assert isinstance(kernel_of(Z / 2, 1), DiagonalKernel)
+        kinds = [type(k) for k in hva_tfim(4, 1).kernels]
+        assert kinds == [DiagonalKernel, ProductKernel]
+
+    def test_odd_register_product_split(self, rng):
+        a = random_hermitian(2, rng, traceless=True)
+        for n in (2, 3, 5):
+            h = uniform_sum(a, n)
+            kernel = kernel_of(h, n)
+            assert isinstance(kernel, ProductKernel)
+            rho = random_matrix(2**n, rng)
+            u = herm_exp(h, 1.3)
+            got = rho[None].copy()
+            kernel.conjugate(got, 1.3, np.empty_like(got))
+            assert np.max(np.abs(got[0] - u @ rho @ dag(u))) <= 1e-12
+
+    def test_gate_step_matches_dense_and_keeps_input(self, rng):
+        h0, h1 = hva_tfim_generators(3)
+        gens = [h0, h1, random_hermitian(8, rng, traceless=True)]
+        circ = build_circuit(3, gens, [0, 1, 2])
+        rho = random_density_matrix(8, rng)
+        before = rho.copy()
+        for m, h in enumerate(gens):
+            u = herm_exp(h, 0.8)
+            out = circ.gate_step(m, 0.8, rho)
+            assert np.max(np.abs(out - u @ rho @ dag(u))) <= 1e-12
+            assert not np.shares_memory(out, rho)
+        np.testing.assert_array_equal(rho, before)
+        with pytest.raises(IndexError):
+            circ.gate_step(3, 0.1, rho)
+
+
+def partial_trace_depol(probs, mat):
+    """The partial-trace form the batched local-depolarizing kernel replaced."""
+    out = mat
+    for j, p in enumerate(probs):
+        out = (1.0 - p) * out + p * insert_qubit(partial_trace(out, [j]), j, I2 / 2)
+    return out
+
+
+def superop_of(fn, d):
+    s = np.zeros((d * d, d * d), dtype=complex)
+    for k in range(d):
+        for l in range(d):
+            basis = np.zeros((d, d), dtype=complex)
+            basis[k, l] = 1.0
+            s[:, k + d * l] = fn(basis).T.reshape(-1)
+    return s
+
+
+def pauli_oracle(ch, mat):
+    return sum(p * (s.materialize() @ mat @ dag(s.materialize())) for s, p in ch.terms)
+
+
+class TestBatchedChannels:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_local_depol_matches_partial_trace_superoperator(self, rng, n):
+        probs = tuple(float(p) for p in rng.uniform(0.0, 0.9, n))
+        probs = (0.0,) + probs[1:] if n > 1 else probs
+        ch = LocalDepolarizing(probs)
+        oracle = superop_of(lambda m: partial_trace_depol(probs, m), 2**n)
+        assert np.max(np.abs(superoperator(ch) - oracle)) <= 1e-14
+        mat = random_matrix(2**n, rng)
+        assert np.max(np.abs(ch.apply(mat) - partial_trace_depol(probs, mat))) <= 1e-13
+
+    def test_pauli_channel_matches_materialized_strings(self, rng):
+        for n in (1, 2, 3):
+            strings = [PauliString(tuple(rng.integers(0, 2, n)), tuple(rng.integers(0, 2, n)))
+                       for _ in range(4)]
+            w = rng.uniform(0.0, 0.2, 4)
+            ch = PauliChannel([(PauliString.identity(n), 1 - w.sum())] + list(zip(strings, w)))
+            mat = random_matrix(2**n, rng)
+            assert np.max(np.abs(ch.apply(mat) - pauli_oracle(ch, mat))) <= 1e-13
+
+    def test_every_channel_class_batch_equals_apply(self, rng):
+        n, d = 2, 4
+        pauli = PauliChannel([
+            (PauliString.identity(n), 0.6),
+            (PauliString.single(n, 1, "Y"), 0.25),
+            (PauliString((1, 0), (1, 1)), 0.15),
+        ])
+        channels = [
+            UnitaryChannel(random_unitary(d, rng)),
+            pauli,
+            bit_flip(0.3, n, 1),
+            GlobalDepolarizing(n, 0.2),
+            LocalDepolarizing((0.1, 0.45)),
+            CompositeChannel([pauli, LocalDepolarizing((0.3, 0.0)), GlobalDepolarizing(n, 0.1)]),
+        ]
+        stack = random_stack(5, d, rng)
+        for ch in channels:
+            expected = np.stack([ch.apply(m) for m in stack])
+            got = stack.copy()
+            ch.apply_batch(got, np.empty_like(got))
+            assert np.max(np.abs(got - expected)) <= 1e-14, type(ch).__name__
+
+    def test_apply_never_mutates_or_returns_input(self, rng):
+        mat = random_matrix(4, rng)
+        before = mat.copy()
+        for ch in (PauliChannel([(PauliString.identity(2), 1.0)]), LocalDepolarizing((0.0, 0.0)),
+                   GlobalDepolarizing(2, 0.0), LocalDepolarizing((0.2, 0.3))):
+            out = ch.apply(mat)
+            assert not np.shares_memory(out, mat)
+            np.testing.assert_array_equal(mat, before)
+
+    def test_batch_rejects_bad_buffers(self):
+        ch = GlobalDepolarizing(1, 0.1)
+        stack = np.zeros((2, 2, 2), dtype=complex)
+        with pytest.raises(DimensionMismatchError):
+            ch.apply_batch(stack, np.zeros((1, 2, 2), dtype=complex))
+        with pytest.raises(ValueError, match="contiguous complex"):
+            ch.apply_batch(stack.real.copy(), np.zeros((2, 2, 2)))
+
+
+class TestForwardModeDerivatives:
+    def test_unsorted_duplicate_indices_match_single_calls(self, rng):
+        gens = [random_hermitian(4, rng, traceless=True), *hva_tfim_generators(2)]
+        circ = build_circuit(2, gens, [0, 1, 2, 0, 2]).with_uniform_noise(
+            LocalDepolarizing((0.05, 0.2))
+        )
+        theta = rng.uniform(0, 2 * np.pi, 5)
+        rho = random_density_matrix(4, rng)
+        before = rho.copy()
+        indices = [3, 1, 3, 0, 4, 1]
+        out, derivs = evolve_with_derivatives(circ, theta, rho, indices=indices)
+        for i, d in zip(indices, derivs):
+            out_i, (single,) = evolve_with_derivatives(circ, theta, rho, indices=[i])
+            np.testing.assert_array_equal(out_i, out)
+            assert np.max(np.abs(d - single)) <= 1e-14
+        arrays = [out, *derivs]
+        for a in range(len(arrays)):
+            assert not np.shares_memory(arrays[a], rho)
+            for b in range(a + 1, len(arrays)):
+                assert not np.shares_memory(arrays[a], arrays[b])
+        np.testing.assert_array_equal(rho, before)
+
+    def test_rejects_out_of_range_index(self, rng):
+        circ = hva_tfim(2, 1)
+        with pytest.raises(IndexError):
+            evolve_with_derivatives(circ, np.zeros(2), np.eye(4) / 4, indices=[0, 2])
+
+
+def loop_qfim(vecs, derivs, weights):
+    """The double loop the Gram kernel replaced."""
+    in_basis = [dag(vecs) @ dv @ vecs for dv in derivs]
+    m = len(derivs)
+    f = np.empty((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            f[i, j] = f[j, i] = float(np.sum(weights * (in_basis[i] * np.conj(in_basis[j])).real))
+    return f
+
+
+class TestGramQfim:
+    def test_mixed_matches_double_loop(self, rng):
+        circ = hva_tfim(3, 3).with_uniform_noise(LocalDepolarizing.uniform(3, 0.02))
+        theta = rng.uniform(0, 2 * np.pi, circ.n_params)
+        out, derivs = evolve_with_derivatives(circ, theta, random_density_matrix(8, rng))
+        evals, vecs = np.linalg.eigh((out + dag(out)) / 2)
+        pair = evals[:, None] + evals[None, :]
+        weights = np.where(pair > 1e-12, 2.0 / np.where(pair > 1e-12, pair, 1.0), 0.0)
+        expected = loop_qfim(vecs, derivs, weights)
+        got = qfim_mixed(out, derivs).matrix
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_closed_form_matches_double_loop(self, rng):
+        circ = hva_tfim(2, 2)
+        theta = rng.uniform(0, 2 * np.pi, circ.n_params)
+        psi = np.zeros(4, dtype=complex)
+        psi[0] = 1.0
+        out, derivs = evolve_with_derivatives(circ, theta, np.outer(psi, psi))
+        p, m_gates = 0.1, circ.n_params
+        x = (1 - p) ** (m_gates + 1)
+        evals, vecs = np.linalg.eigh((out + dag(out)) / 2)
+        denom = x * (evals[:, None] + evals[None, :]) + 2 * (1 - x) / 4
+        expected = loop_qfim(vecs, derivs, 2 * x * x / denom)
+        got = noisy_qfim_closed_form_global_depol(out, derivs, p, m_gates)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        np.testing.assert_array_equal(got, got.T)
