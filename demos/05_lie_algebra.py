@@ -7,7 +7,9 @@ expressiveness: the rank of the noiseless QFIM can never exceed the algebra
 dimension. For the Ising ansatz the raw matrix closure overcounts, because
 both generators commute with the spin-flip parity X^n and the reference
 state |+>^n lives in the even sector; the closure of the sector-restricted
-generators is the number that matters (3n/2 for even n).
+generators is the number that matters (3n/2 for even n). With the generators
+written as Pauli sums, one closure gives both numbers at any n: the sector
+algebra is the full one with each string Q identified with Q X^n.
 """
 
 import numpy as np
@@ -15,13 +17,15 @@ import numpy as np
 from qfimlab import (
     dla_dimension,
     hva_tfim,
+    hva_tfim_pauli_generators,
     lie_closure,
+    parity_sector_dimension,
     plus_state_density,
     qfim_of_circuit,
     rng_from_seed,
     toy_model,
 )
-from qfimlab.circuits import hva_parity_sector_generators, hva_tfim_generators
+from qfimlab.circuits import hva_parity_sector_generators
 from qfimlab.dla import pauli_expansion
 from qfimlab.linalg import X, Z
 
@@ -42,10 +46,10 @@ for element in basis.elements:
 
 banner("Ising ansatz: raw matrix closure vs parity-even sector closure")
 print("  n    raw closure   even-sector closure   3n/2")
-for n in (2, 4, 6):
-    full = dla_dimension(hva_tfim_generators(n))
-    sector = dla_dimension(hva_parity_sector_generators(n))
-    print(f"  {n}    {full:<13d} {sector:<21d} {3 * n // 2}")
+for n in (2, 4, 6, 8, 10, 12):
+    full = lie_closure(hva_tfim_pauli_generators(n))
+    sector = parity_sector_dimension(full)
+    print(f"  {n:<4d} {full.dim:<13d} {sector:<21d} {3 * n // 2}")
 
 banner("The sector dimension caps the noiseless QFIM rank")
 rng = rng_from_seed(5)

@@ -9,7 +9,8 @@ The package is organized as:
   noise, composition, superoperator/Choi materialization, CPTP checks.
 - ``circuits``: circuit assembly, noisy evolution, exact analytic state
   derivatives, the single-qubit toy model and the Ising-ansatz constructors.
-- ``dla``: Lie-closure computation and algebra dimensions.
+- ``dla``: Lie closure over dense matrices or sparse Pauli sums, and algebra
+  dimensions (the parity-sector dimension as a quotient of the full algebra).
 - ``qfim``: pure/mixed quantum Fisher information, ranks and capacity
   counts, classical Fisher information, distances and relative entropy.
 - ``experiments``: JSON-configured, seeded experiment harness with CSV/JSON
@@ -46,12 +47,13 @@ from .circuits import (
     evolve_with_derivatives,
     hva_tfim,
     hva_tfim_generators,
+    hva_tfim_pauli_generators,
     loss_linear,
     plus_state_density,
     statevector_derivatives,
     toy_model,
 )
-from .dla import LieBasis, dla_dimension, lie_closure
+from .dla import LieBasis, PauliSum, dla_dimension, lie_closure, parity_sector_dimension
 from .exceptions import (
     CapExceededError,
     ConfigError,

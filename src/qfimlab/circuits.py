@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel
+from .channels import Channel, PauliString
+from .dla import PauliSum
 from .exceptions import DimensionMismatchError
 from .linalg import (
     KET_PLUS,
@@ -424,21 +425,28 @@ TOY_THETAS = {
 }
 
 
-def hva_tfim_generators(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Transverse-field Ising generators with periodic boundary.
+def hva_tfim_pauli_generators(n_qubits: int) -> tuple[PauliSum, PauliSum]:
+    """Transverse-field Ising generators with periodic boundary, as Pauli sums.
 
     ``H0 = sum_i Z_i Z_{i+1}`` (indices mod n, so n = 2 double-counts the
-    single bond) and ``H1 = sum_i X_i``.
+    single bond) and ``H1 = sum_i X_i``. Lie closure runs on this form at
+    any n.
     """
     if n_qubits < 2:
         raise ValueError("the Ising ansatz needs at least 2 qubits")
-    h0 = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
-    for i in range(n_qubits):
-        js = [i, (i + 1) % n_qubits]
-        ops = [Z if q in js else np.eye(2) for q in range(n_qubits)]
-        h0 += kron(*ops)
-    h1 = sum(embed_single_qubit(X, i, n_qubits) for i in range(n_qubits))
-    return h0, h1
+    zero = (0,) * n_qubits
+    bonds = [
+        (1.0, PauliString(zero, tuple(int(q in (i, (i + 1) % n_qubits)) for q in range(n_qubits))))
+        for i in range(n_qubits)
+    ]
+    fields = [(1.0, PauliString.single(n_qubits, i, "X")) for i in range(n_qubits)]
+    return PauliSum.from_terms(bonds), PauliSum.from_terms(fields)
+
+
+def hva_tfim_generators(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hva_tfim_pauli_generators` as dense ``2^n x 2^n`` matrices."""
+    h0, h1 = hva_tfim_pauli_generators(n_qubits)
+    return h0.materialize(), h1.materialize()
 
 
 def hva_tfim(n_qubits: int, n_layers: int) -> NoisyCircuit:

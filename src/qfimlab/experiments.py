@@ -34,12 +34,12 @@ from .circuits import (
     NoisyCircuit,
     bloch_coords,
     evolve,
-    hva_parity_sector_generators,
     hva_tfim,
+    hva_tfim_pauli_generators,
     plus_state_density,
     toy_model,
 )
-from .dla import dla_dimension, lie_closure, pauli_expansion
+from .dla import PauliSum, lie_closure, parity_sector_dimension
 from .exceptions import ConfigError
 from .linalg import purity
 from .qfim import TAU_RANK_ABS, TAU_RANK_REL, qfim_of_circuit
@@ -184,6 +184,10 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
     options = raw.get("options", {})
     if options:
         _check_keys(options, f"options ({exp})", _OPTION_KEYS[exp])
+    if "max_dim" in options:
+        _positive_int(options["max_dim"], "options.max_dim")
+    if not isinstance(options.get("print_basis", False), bool):
+        raise ConfigError(f"options.print_basis must be true or false, got {options['print_basis']!r}")
 
     return ExperimentConfig(exp, circuit, noise, theta, sweep, tolerances, output, options, raw)
 
@@ -472,7 +476,7 @@ def run_spectrum(config: ExperimentConfig, workers: int | None = None) -> str:
     n = circuit.n_qubits
     theta = _theta_for(config, circuit.n_params)
     tau_abs, tau_rel = config.rank_tolerances
-    dim_g = dla_dimension(hva_parity_sector_generators(n))
+    dim_g = parity_sector_dimension(lie_closure(hva_tfim_pauli_generators(n)))
     noiseless = qfim_of_circuit(circuit, theta, rho, tau_abs, tau_rel)
 
     columns = ["n", "L", "M", "p", "eig_index", "eigenvalue", "rank", "rank_noiseless", "dim_g"]
@@ -573,9 +577,11 @@ def run_verify(config: ExperimentConfig, workers: int | None = None) -> tuple[st
 def run_dla(config: ExperimentConfig, workers: int | None = None) -> str:
     """Lie-algebra dimension report for the configured circuit.
 
-    For the Ising ansatz two numbers are reported: the closure of the raw
-    n-qubit generator matrices, and the closure restricted to the
-    parity-even sector that contains the ansatz's reference input state. The
+    The generators are Pauli sums, so no ``2^n`` matrix is formed. For the
+    Ising ansatz two numbers are reported: the closure of the raw n-qubit
+    generators (``dim_full_matrix``, the one closure ``max_dim`` caps), and
+    its restriction to the parity-even sector that contains the ansatz's
+    reference input state (``dim``, a quotient of the same closure). The
     published 3n/2 closed form counts the latter; see the package docs.
     """
     if not config.circuit:
@@ -583,32 +589,31 @@ def run_dla(config: ExperimentConfig, workers: int | None = None) -> str:
     max_dim = config.options.get("max_dim")
     if config.circuit["name"] == "toy":
         circuit, _ = toy_model()
-        basis = lie_closure(circuit.generators, max_dim=max_dim)
+        full = lie_closure([PauliSum.from_matrix(g) for g in circuit.generators], max_dim=max_dim)
         payload = {
             "circuit": "toy",
-            "dim": basis.dim,
+            "dim": full.dim,
             "expected": 3,
-            "match": basis.dim == 3,
+            "match": full.dim == 3,
         }
-        full_basis = basis
     else:
         n = int(config.circuit["n"])
-        h0, h1 = hva_parity_sector_generators(n)
-        sector = lie_closure([h0, h1], max_dim=max_dim)
-        full = lie_closure(hva_tfim(n, 1).generators, max_dim=max_dim)
+        full = lie_closure(hva_tfim_pauli_generators(n), max_dim=max_dim)
+        sector_dim = parity_sector_dimension(full)
         expected = 3 * n // 2 if n % 2 == 0 else None
         payload = {
             "circuit": f"hva_tfim(n={n})",
-            "dim": sector.dim,
+            "dim": sector_dim,
             "dim_full_matrix": full.dim,
             "expected": expected,
-            "match": None if expected is None else sector.dim == expected,
+            "match": None if expected is None else sector_dim == expected,
         }
-        full_basis = full
     if config.options.get("print_basis", False):
+        # Tr[P e] / 2^n for each basis element e scaled to Re Tr[e† e] = 1
+        scale = 2.0 ** (-full.elements[0].n_qubits / 2)
         payload["basis_pauli_expansion"] = [
-            {label: [c.real, c.imag] for label, c in pauli_expansion(e).items()}
-            for e in full_basis.elements
+            {label: [c.real * scale, c.imag * scale] for label, c in e.labels().items()}
+            for e in full.elements
         ]
     return report_to_json(config, payload)
 

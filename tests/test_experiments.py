@@ -8,7 +8,7 @@ import pytest
 from qfimlab.channels import GlobalDepolarizing, LocalDepolarizing, PauliChannel
 from qfimlab.circuits import TOY_THETAS, hva_parity_sector_generators, plus_state_density, hva_tfim, toy_model
 from qfimlab.dla import dla_dimension
-from qfimlab.exceptions import ConfigError
+from qfimlab.exceptions import CapExceededError, ConfigError
 from qfimlab.experiments import (
     channel_from_config,
     config_hash,
@@ -415,6 +415,31 @@ class TestDlaRunner:
         )
         payload = json.loads(run_dla(cfg))
         assert len(payload["basis_pauli_expansion"]) == 3
+
+
+class TestDlaOptions:
+    @pytest.mark.parametrize(
+        "options",
+        [{"max_dim": "3"}, {"max_dim": True}, {"max_dim": 0}, {"print_basis": "no"}],
+    )
+    def test_rejected_at_parse_time(self, options, tmp_path):
+        from qfimlab.cli import main
+
+        raw = {"experiment": "dla", "circuit": {"name": "toy"}, "options": options}
+        with pytest.raises(ConfigError, match=next(iter(options))):
+            parse_config(raw)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["dla", "--config", str(cfg_path)]) == 1
+
+    def test_max_dim_caps_the_full_closure(self):
+        cfg = parse_config(
+            {"experiment": "dla", "circuit": {"name": "hva_tfim", "n": 8, "L": 1},
+             "options": {"max_dim": 20}}
+        )
+        with pytest.raises(CapExceededError, match="dimension cap 20") as info:
+            run_dla(cfg)
+        assert info.value.partial_dim == 20
 
 
 class TestCli:
