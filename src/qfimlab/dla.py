@@ -170,6 +170,8 @@ class _PauliCoordinates:
     """Pauli sums, one coordinate per string, columns added as strings appear."""
 
     def __init__(self, gens):
+        # the checks below read terms one by one, so repeated strings are added up first
+        gens = [_merged(np.asarray(g.bits, np.uint8), np.asarray(g.coeffs, complex)) for g in gens]
         n = gens[0].n_qubits
         for k, g in enumerate(gens):
             if g.n_qubits != n:
@@ -280,27 +282,22 @@ def lie_closure(
     if cap < 1:
         raise ValueError("max_dim must be at least 1")
 
-    # Orthonormal real views in the first ``len(elements)`` rows of ``rows``;
-    # the capacity doubles when full, and widens when new strings appear.
+    # Orthonormal real views of the elements, one row each, widened with
+    # zeros when new strings appear.
     rows = np.zeros((0, 0))
     elements: list = []
 
     def try_add(v: np.ndarray) -> None:
         nonlocal rows
         r = np.array(v, dtype=complex).view(np.float64)
-        m = len(elements)
-        _project_out(r, rows[:m])
+        _project_out(r, rows)
         norm = float(np.linalg.norm(r))
         if norm <= tol:
             return
-        if m >= cap:
-            raise CapExceededError(f"Lie closure exceeded the dimension cap {cap}", partial_dim=m)
+        if len(elements) >= cap:
+            raise CapExceededError(f"Lie closure exceeded the dimension cap {cap}", partial_dim=len(elements))
         r /= norm
-        if m == rows.shape[0] or len(r) > rows.shape[1]:
-            grown = np.zeros((max(2 * m, 4), len(r)))
-            grown[:m, : rows.shape[1]] = rows[:m]
-            rows = grown
-        rows[m] = r
+        rows = np.vstack([np.pad(rows, ((0, 0), (0, len(r) - rows.shape[1]))), r])
         elements.append(coords.element(r.view(complex)))
 
     for g in coords.skew_gens:
@@ -318,7 +315,7 @@ def dla_dimension(generators, max_dim: int | None = None, tol: float = TAU_INDEP
     return lie_closure(generators, max_dim=max_dim, tol=tol).dim
 
 
-def parity_sector_dimension(basis: LieBasis, tol: float = TAU_INDEP) -> int:
+def parity_sector_dimension(basis: LieBasis) -> int:
     """Dimension of a Pauli-sum algebra restricted to the +1 eigenspace of ``P = X^{⊗n}``.
 
     Every element must commute with ``P``, that is, every string has an even
@@ -349,7 +346,7 @@ def parity_sector_dimension(basis: LieBasis, tol: float = TAU_INDEP) -> int:
     cols = [column.setdefault(key.tobytes(), len(column)) for key in np.packbits(bits[keep], axis=1)]
     quotient = np.zeros((len(elements), len(column)), dtype=complex)
     np.add.at(quotient, (owner[keep], cols), coeffs[keep])
-    return int(np.linalg.matrix_rank(np.hstack([quotient.real, quotient.imag]), tol=tol))
+    return int(np.linalg.matrix_rank(np.hstack([quotient.real, quotient.imag]), tol=TAU_INDEP))
 
 
 def pauli_expansion(op: np.ndarray, cutoff: float = 1e-10) -> dict[str, complex]:

@@ -182,8 +182,7 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
             raise ConfigError(f"output.format must be 'csv' or 'json', got {output.get('format')!r}")
 
     options = raw.get("options", {})
-    if options:
-        _check_keys(options, f"options ({exp})", _OPTION_KEYS[exp])
+    _check_keys(options, f"options ({exp})", _OPTION_KEYS[exp])
     if "max_dim" in options:
         _positive_int(options["max_dim"], "options.max_dim")
     if not isinstance(options.get("print_basis", False), bool):

@@ -432,6 +432,12 @@ class TestDlaOptions:
         cfg_path.write_text(json.dumps(raw))
         assert main(["dla", "--config", str(cfg_path)]) == 1
 
+    @pytest.mark.parametrize("options", [None, []])
+    def test_options_must_be_an_object(self, options):
+        for exp in ("dla", "eig_vs_p"):
+            with pytest.raises(ConfigError, match="must be an object"):
+                parse_config({"experiment": exp, "options": options})
+
     def test_max_dim_caps_the_full_closure(self):
         cfg = parse_config(
             {"experiment": "dla", "circuit": {"name": "hva_tfim", "n": 8, "L": 1},

@@ -20,7 +20,7 @@ from qfimlab.dla import (
     parity_sector_dimension,
     pauli_commutator,
 )
-from qfimlab.exceptions import CapExceededError, NotHermitianError
+from qfimlab.exceptions import NotHermitianError
 from qfimlab.experiments import parse_config, run_dla
 from qfimlab.linalg import commutator
 from qfimlab.rand import random_hermitian
@@ -76,10 +76,18 @@ class TestPauliClosure:
         gens = [random_hermitian(4, rng, traceless=True) for _ in range(2)]
         assert dla_dimension([PauliSum.from_matrix(g) for g in gens]) == dla_dimension(gens) == 15
 
-    def test_cap_exceeded_reports_partial(self):
-        with pytest.raises(CapExceededError) as info:
-            lie_closure(hva_tfim_pauli_generators(8), max_dim=20)
-        assert info.value.partial_dim == 20
+    def test_repeated_strings_add_up(self):
+        # ZZ + (I - I) + (iXI - iXI) is ZZ: traceless, Hermitian, one-dimensional closure
+        zz, ii, xi = [0, 0, 1, 1], [0, 0, 0, 0], [1, 0, 0, 0]
+        repeated = PauliSum(np.array([zz, ii, ii, xi, xi], dtype=np.uint8), np.array([1, 1, -1, 1j, -1j]))
+        merged = PauliSum(np.array([zz], dtype=np.uint8), np.array([1.0 + 0j]))
+        assert lie_closure([repeated]).dim == lie_closure([merged]).dim == 1
+        # with a second generator the closures agree element by element
+        x0 = PauliSum(np.array([xi], dtype=np.uint8), np.array([1.0 + 0j]))
+        got, want = lie_closure([repeated, x0]), lie_closure([merged, x0])
+        assert got.dim == want.dim == 3
+        for a, b in zip(got.elements, want.elements):
+            assert np.max(np.abs(a.materialize() - b.materialize())) <= 1e-12
 
     def test_rejects_bad_generators(self):
         z = PauliSum.from_matrix(np.diag([1.0, -1.0]))
