@@ -244,11 +244,7 @@ class LieBasis:
         return float(np.linalg.norm(r))
 
 
-def lie_closure(
-    generators,
-    max_dim: int | None = None,
-    tol: float = TAU_INDEP,
-) -> LieBasis:
+def lie_closure(generators, max_dim: int | None = None) -> LieBasis:
     """Orthonormal basis of the Lie algebra generated by ``i * generators``.
 
     Generators are Hermitian and traceless, and are either all dense
@@ -264,10 +260,10 @@ def lie_closure(
     commuted once, on the turn of the later one, whether that element was a
     generator or joined while earlier ones were processed; the loop ends when
     every element has had its turn. A rejected candidate had a residual of
-    at most ``tol`` against the basis at that time, and residuals only shrink
-    as the basis grows, so at the end every pairwise commutator lies in the
-    span within ``tol``: the span is closed, and no certificate pass is
-    needed.
+    at most ``TAU_INDEP`` against the basis at that time, and residuals only
+    shrink as the basis grows, so at the end every pairwise commutator lies
+    in the span within ``TAU_INDEP``: the span is closed, and no certificate
+    pass is needed.
     """
     gens = list(generators)
     if not gens:
@@ -292,7 +288,7 @@ def lie_closure(
         r = np.array(v, dtype=complex).view(np.float64)
         _project_out(r, rows)
         norm = float(np.linalg.norm(r))
-        if norm <= tol:
+        if norm <= TAU_INDEP:
             return
         if len(elements) >= cap:
             raise CapExceededError(f"Lie closure exceeded the dimension cap {cap}", partial_dim=len(elements))
@@ -310,9 +306,9 @@ def lie_closure(
     return LieBasis(tuple(elements))
 
 
-def dla_dimension(generators, max_dim: int | None = None, tol: float = TAU_INDEP) -> int:
+def dla_dimension(generators, max_dim: int | None = None) -> int:
     """Dimension of the dynamical Lie algebra; see :func:`lie_closure`."""
-    return lie_closure(generators, max_dim=max_dim, tol=tol).dim
+    return lie_closure(generators, max_dim=max_dim).dim
 
 
 def parity_sector_dimension(basis: LieBasis) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -70,10 +71,22 @@ def _positive_int(value, where: str) -> int:
     return value
 
 
+def _finite(value, where: str) -> float:
+    # the comparison is False for NaN and infinities, and safe for ints too large for a float
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    return value
+
+
 def _probability(value, where: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    v = float(value)
+    v = _finite(value, where)
     if not 0.0 <= v <= 1.0:
         raise ConfigError(f"{where} must lie in [0, 1], got {v}")
     return v
@@ -158,22 +171,26 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
         _check_keys(theta, "theta", {"seed", "values"})
         if "seed" in theta and "values" in theta:
             raise ConfigError("theta: give either 'seed' or 'values', not both")
-        if "seed" in theta and (isinstance(theta["seed"], bool) or not isinstance(theta["seed"], int)):
-            raise ConfigError("theta.seed must be an integer")
-        if "values" in theta and not all(isinstance(v, (int, float)) for v in theta["values"]):
-            raise ConfigError("theta.values must be a list of numbers")
+        seed = theta.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+            raise ConfigError(f"theta.seed must be an integer in [0, 2^64), got {seed!r}")
+        for v in _list(theta.get("values", []), "theta.values"):
+            _finite(v, "theta.values entries")
 
     sweep = raw.get("sweep", {})
     if sweep:
         _check_keys(sweep, "sweep", {"p", "L"})
-        for p in sweep.get("p", []):
+        for p in _list(sweep.get("p", []), "sweep.p"):
             _probability(p, "sweep.p entries")
-        for level in sweep.get("L", []):
+        for level in _list(sweep.get("L", []), "sweep.L"):
             _positive_int(level, "sweep.L entries")
 
     tolerances = raw.get("tolerances", {})
     if tolerances:
         _check_keys(tolerances, "tolerances", {"rank_abs", "rank_rel"})
+        for key, value in tolerances.items():
+            if _finite(value, f"tolerances.{key}") < 0:
+                raise ConfigError(f"tolerances.{key} must be nonnegative, got {value!r}")
 
     output = raw.get("output", {})
     if output:
@@ -183,10 +200,18 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
 
     options = raw.get("options", {})
     _check_keys(options, f"options ({exp})", _OPTION_KEYS[exp])
-    if "max_dim" in options:
-        _positive_int(options["max_dim"], "options.max_dim")
-    if not isinstance(options.get("print_basis", False), bool):
-        raise ConfigError(f"options.print_basis must be true or false, got {options['print_basis']!r}")
+    for key, value in options.items():
+        where = f"options.{key}"
+        if key in ("print_basis", "strict_pauli_fixed_point"):
+            if not isinstance(value, bool):
+                raise ConfigError(f"{where} must be true or false, got {value!r}")
+        elif key == "eigvec_span":
+            _finite(value, where)
+        elif key == "epsilons":
+            for e in _list(value, where):
+                _finite(e, f"{where} entries")
+        else:
+            _positive_int(value, where)
 
     return ExperimentConfig(exp, circuit, noise, theta, sweep, tolerances, output, options, raw)
 

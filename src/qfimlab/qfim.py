@@ -33,12 +33,12 @@ TAU_PROB = 1e-12
 
 @dataclass(frozen=True)
 class QfimReport:
-    """A QFIM with its spectrum, tolerance-based rank, and capacity counts.
+    """A QFIM with its spectrum and tolerance-based rank.
 
     ``eigenvalues`` are sorted descending. ``rank`` counts eigenvalues above
-    ``tau_abs + tau_rel * max(eigenvalues)``; ``d1`` equals the rank for a
-    single-state dataset, and ``d1_epsilon`` counts eigenvalues above the
-    explicit threshold ``epsilon`` (defaults to the rank threshold).
+    ``tau_abs + tau_rel * max(eigenvalues)``; for a single-state dataset it
+    is also the capacity count D1, and :func:`effective_dim_d1` gives D1 at
+    any other threshold.
     """
 
     matrix: np.ndarray
@@ -46,9 +46,6 @@ class QfimReport:
     rank: int
     tau_abs: float
     tau_rel: float
-    d1: int
-    d1_epsilon: int
-    epsilon: float
 
     def to_dict(self) -> dict:
         """JSON-ready payload (row-major matrix)."""
@@ -57,9 +54,6 @@ class QfimReport:
             "eigenvalues": [float(v) for v in self.eigenvalues],
             "rank": self.rank,
             "tolerance": {"abs": self.tau_abs, "rel": self.tau_rel},
-            "d1": self.d1,
-            "d1_epsilon": self.d1_epsilon,
-            "epsilon": self.epsilon,
         }
 
 
@@ -72,20 +66,13 @@ def report_from_matrix(
     matrix: np.ndarray,
     tau_abs: float = TAU_RANK_ABS,
     tau_rel: float = TAU_RANK_REL,
-    epsilon: float | None = None,
 ) -> QfimReport:
-    """Symmetrize, diagonalize, and attach rank/capacity data to a QFIM."""
+    """Symmetrize, diagonalize, and attach the spectrum and rank to a QFIM."""
     matrix = np.asarray(matrix, dtype=float)
     matrix = (matrix + matrix.T) / 2
     eigs = np.linalg.eigvalsh(matrix)[::-1]
     rank = rank_of_spectrum(eigs, tau_abs, tau_rel)
-    if epsilon is None:
-        eps = tau_abs + tau_rel * float(np.max(eigs, initial=0.0))
-        d1_eps = rank
-    else:
-        eps = float(epsilon)
-        d1_eps = int(np.sum(eigs > eps))
-    return QfimReport(matrix, eigs, rank, tau_abs, tau_rel, rank, d1_eps, eps)
+    return QfimReport(matrix, eigs, rank, tau_abs, tau_rel)
 
 
 def effective_dim_d1(report: QfimReport, epsilon: float | None = None) -> int:
@@ -145,13 +132,12 @@ def qfim_mixed(
     derivs: Sequence[np.ndarray],
     tau_abs: float = TAU_RANK_ABS,
     tau_rel: float = TAU_RANK_REL,
-    tau_spec: float = TAU_SPEC,
 ) -> QfimReport:
     """Mixed-state QFIM from the eigenbasis matrix-element form."""
     evals, vecs = hermitian_eig(rho)
     pair_sum = evals[:, None] + evals[None, :]
-    safe = np.where(pair_sum > tau_spec, pair_sum, 1.0)
-    weights = np.where(pair_sum > tau_spec, 2.0 / safe, 0.0)
+    safe = np.where(pair_sum > TAU_SPEC, pair_sum, 1.0)
+    weights = np.where(pair_sum > TAU_SPEC, 2.0 / safe, 0.0)
     return report_from_matrix(_weighted_gram(vecs, derivs, weights), tau_abs, tau_rel)
 
 
@@ -172,7 +158,6 @@ def noisy_qfim_closed_form_global_depol(
     derivs_noiseless: Sequence[np.ndarray],
     p: float,
     n_gates: int,
-    tau_spec: float = TAU_SPEC,
 ) -> np.ndarray:
     """Closed-form QFIM under uniform global depolarizing slots.
 
@@ -189,8 +174,8 @@ def noisy_qfim_closed_form_global_depol(
     x = (1.0 - p) ** (n_gates + 1)
     evals, vecs = hermitian_eig(rho_noiseless)
     denom = x * (evals[:, None] + evals[None, :]) + 2.0 * (1.0 - x) / d
-    safe = np.where(denom > tau_spec, denom, 1.0)
-    weights = np.where(denom > tau_spec, 2.0 * x * x / safe, 0.0)
+    safe = np.where(denom > TAU_SPEC, denom, 1.0)
+    weights = np.where(denom > TAU_SPEC, 2.0 * x * x / safe, 0.0)
     return _weighted_gram(vecs, derivs_noiseless, weights)
 
 
@@ -249,12 +234,12 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(evals)))
 
 
-def relative_entropy_to_mixed(rho: np.ndarray, tau_spec: float = TAU_SPEC) -> float:
+def relative_entropy_to_mixed(rho: np.ndarray) -> float:
     """``S(rho || I/d) = Tr[rho ln rho] + ln d`` in nats.
 
     Eigenvalues below the spectral floor contribute zero (x ln x -> 0).
     """
     d = rho.shape[0]
     evals = np.linalg.eigvalsh((rho + dag(rho)) / 2)
-    pos = evals[evals > tau_spec]
+    pos = evals[evals > TAU_SPEC]
     return float(np.sum(pos * np.log(pos)) + np.log(d))

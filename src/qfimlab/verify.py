@@ -103,7 +103,7 @@ def _product_depolarizing_pauli_channel(rng, n):
     return PauliChannel(terms)
 
 
-def _assert_strict_contraction(ch: PauliChannel, slack: float = 1e-12) -> None:
+def _assert_strict_contraction(ch: PauliChannel) -> None:
     """Opt-in check that every non-identity transfer coefficient is inside (-1, 1).
 
     Required when an experiment asserts the maximally mixed state is the
@@ -117,7 +117,7 @@ def _assert_strict_contraction(ch: PauliChannel, slack: float = 1e-12) -> None:
             if not any(alpha) and not any(beta):
                 continue
             c = ch.transfer_coefficient(PauliString(alpha, beta))
-            if abs(c) >= 1.0 - slack:
+            if abs(c) >= 1.0 - 1e-12:
                 raise ValueError(
                     f"transfer coefficient {c} for string {alpha}/{beta} violates the "
                     f"strict (-1, 1) fixed-point assumption"
@@ -139,10 +139,10 @@ def _check(name, passed, margin, tolerance, details=""):
 # ---------------------------------------------------------------------------
 
 
-def check_qfim_axioms(rng, trials, tau_abs, tau_rel):
+def check_qfim_axioms(rng, trials, tau_abs, tau_rel, m_range=(2, 6)):
     worst = {"symmetry": 0.0, "psd": 0.0, "convexity": 0.0, "unitary": 0.0, "monotone": 0.0}
     for _ in range(trials):
-        circ = _random_circuit(rng)
+        circ = _random_circuit(rng, m_range=m_range)
         n, d = circ.n_qubits, circ.dim
         p = float(rng.uniform(0.0, 0.3))
         noisy = circ.with_uniform_noise(LocalDepolarizing.uniform(n, p))
@@ -270,13 +270,13 @@ def check_global_depol_eigenvalue_bound(rng, trials, tau_abs, tau_rel):
     ]
 
 
-def check_quadratic_form_bound(rng, trials, delta_trials, strict):
+def check_quadratic_form_bound(rng, trials, delta_trials, strict, pauli_weight=0.3):
     worst = -np.inf
     for _ in range(trials):
         circ = _random_circuit(rng, herm_scale=0.5)
         n, d, m = circ.n_qubits, circ.dim, circ.n_params
         p = float(rng.uniform(0.03, 0.25))
-        pauli = _random_pauli_channel(rng, n, strict=strict)
+        pauli = _random_pauli_channel(rng, n, max_weight=pauli_weight, strict=strict)
         slot = CompositeChannel([pauli, LocalDepolarizing.uniform(n, p)])
         noisy = circ.with_uniform_noise(slot)
         theta = rng.uniform(0, 2 * np.pi, m)
@@ -299,7 +299,7 @@ def check_quadratic_form_bound(rng, trials, delta_trials, strict):
     ]
 
 
-def check_entropy_contractions(rng, trials, strict):
+def check_entropy_contractions(rng, trials, strict, pauli_weight=0.3):
     worst_combined = -np.inf
     worst_depol = -np.inf
     worst_reversed = -np.inf
@@ -309,7 +309,7 @@ def check_entropy_contractions(rng, trials, strict):
         rho = random_density_matrix(d, rng, rank=int(rng.integers(1, d + 1)))
         p = float(rng.uniform(0.01, 0.6))
         depol = LocalDepolarizing.uniform(n, p)
-        pauli = _random_pauli_channel(rng, n, strict=strict)
+        pauli = _random_pauli_channel(rng, n, max_weight=pauli_weight, strict=strict)
         s0 = relative_entropy_to_mixed(rho)
         worst_combined = max(
             worst_combined,
@@ -529,10 +529,10 @@ def check_derivative_oracle(rng, trials):
     ]
 
 
-def check_loss_flattening(rng, trials):
+def check_loss_flattening(rng, trials, n_max=3):
     worst = 0.0
     for _ in range(trials):
-        circ = _random_circuit(rng, m_range=(1, 5))
+        circ = _random_circuit(rng, n_max=n_max, m_range=(1, 5))
         n, d, m = circ.n_qubits, circ.dim, circ.n_params
         theta = rng.uniform(0, 2 * np.pi, m)
         rho = random_density_matrix(d, rng)

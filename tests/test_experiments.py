@@ -448,6 +448,39 @@ class TestDlaOptions:
         assert info.value.partial_dim == 20
 
 
+_TOY = {"circuit": {"name": "toy"}, "noise": {"model": "bit_flip", "p": 0.1}}
+_ISING = {"circuit": {"name": "hva_tfim", "n": 2, "L": 1},
+          "noise": {"model": "global_depolarizing", "p": 0.1}, "sweep": {"p": [0.1]}}
+
+
+@pytest.mark.parametrize(
+    "raw,field",
+    [
+        ({"experiment": "eig_vs_p", **_TOY, "sweep": {"p": [0.1]},
+          "tolerances": {"rank_abs": "x"}}, "rank_abs"),
+        ({"experiment": "eig_vs_p", **_TOY, "sweep": {"p": 0.1}}, "sweep.p"),
+        ({"experiment": "scaling", **_ISING, "options": {"samples": 0}}, "samples"),
+        ({"experiment": "spectrum", **_ISING, "options": {"epsilons": ["a"]}}, "epsilons"),
+        ({"experiment": "spectrum", **_ISING, "theta": {"values": [float("nan"), 0.1]}},
+         "theta.values"),
+        ({"experiment": "trajectory", **_TOY, "options": {"eigvec_steps": 0}}, "eigvec_steps"),
+        ({"experiment": "trajectory", **_TOY, "options": {"steps_per_gate": 0}}, "steps_per_gate"),
+        ({"experiment": "verify", "options": {"trials": "x"}}, "trials"),
+        ({"experiment": "verify", "options": {"trials": 0}}, "trials"),
+        ({"experiment": "verify", "tolerances": {"rank_rel": 10**400}}, "rank_rel"),
+        ({"experiment": "verify", "theta": {"seed": -1}}, "theta.seed"),
+    ],
+)
+def test_malformed_input_rejected_at_parse_time(raw, field, tmp_path):
+    from qfimlab.cli import main
+
+    with pytest.raises(ConfigError, match=field):
+        parse_config(raw)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main([raw["experiment"], "--config", str(cfg_path)]) == 1
+
+
 class TestCli:
     def test_end_to_end(self, tmp_path):
         from qfimlab.cli import main

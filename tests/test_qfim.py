@@ -172,7 +172,7 @@ class TestEffectiveDimension:
     def test_default_equals_rank(self):
         circ, rho = toy_model()
         report = qfim_of_circuit(circ, TOY_THETAS["theta3"], rho)
-        assert report.d1 == report.rank == 2
+        assert report.rank == 2
         assert effective_dim_d1(report) == 2
 
     def test_epsilon_above_spectrum(self):
