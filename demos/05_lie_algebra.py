@@ -15,6 +15,7 @@ algebra is the full one with each string Q identified with Q X^n.
 import numpy as np
 
 from qfimlab import (
+    PauliSum,
     dla_dimension,
     hva_tfim,
     hva_tfim_pauli_generators,
@@ -26,7 +27,6 @@ from qfimlab import (
     toy_model,
 )
 from qfimlab.circuits import hva_parity_sector_generators
-from qfimlab.dla import pauli_expansion
 from qfimlab.linalg import X, Z
 
 
@@ -41,7 +41,8 @@ circ, _ = toy_model()
 basis = lie_closure(circ.generators)
 print("  toy closure basis, expanded over Pauli strings:")
 for element in basis.elements:
-    terms = ", ".join(f"{c.imag:+.3f}i {label}" for label, c in pauli_expansion(element).items())
+    labels = PauliSum.from_matrix(element, 1e-10).labels()
+    terms = ", ".join(f"{c.imag:+.3f}i {label}" for label, c in labels.items())
     print(f"    {terms}")
 
 banner("Ising ansatz: raw matrix closure vs parity-even sector closure")

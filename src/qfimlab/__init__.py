@@ -12,7 +12,9 @@ The package is organized as:
 - ``dla``: Lie closure over dense matrices or sparse Pauli sums, and algebra
   dimensions (the parity-sector dimension as a quotient of the full algebra).
 - ``qfim``: pure/mixed quantum Fisher information, ranks and capacity
-  counts, classical Fisher information, distances and relative entropy.
+  counts, distances and relative entropy.
+- ``rand``: seeded Philox substreams (one per task), the bounded task map,
+  and random operators and states.
 - ``experiments``: JSON-configured, seeded experiment harness with CSV/JSON
   emission, plus the numerical verification suite (``verify``).
 """
@@ -43,7 +45,6 @@ from .circuits import (
     derivative,
     derivative_fd,
     evolve,
-    evolve_statevector,
     evolve_with_derivatives,
     hva_tfim,
     hva_tfim_generators,
@@ -57,7 +58,6 @@ from .dla import LieBasis, PauliSum, dla_dimension, lie_closure, parity_sector_d
 from .exceptions import (
     CapExceededError,
     ConfigError,
-    DegenerateDistributionError,
     DimensionMismatchError,
     NotHermitianError,
     QfimlabError,
@@ -79,7 +79,6 @@ from .linalg import (
 from .qfim import (
     QfimReport,
     bures_distance,
-    classical_fim,
     effective_dim_d1,
     noisy_qfim_closed_form_global_depol,
     qfim_mixed,

@@ -357,10 +357,6 @@ def _vec(mat: np.ndarray) -> np.ndarray:
     return mat.T.reshape(-1)
 
 
-def _unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return v.reshape(d, d).T
-
-
 def superoperator(ch: Channel, max_qubits: int = SUPEROP_MAX_QUBITS) -> np.ndarray:
     """Dense d^2 x d^2 matrix of the channel under column stacking.
 
@@ -381,18 +377,14 @@ def superoperator(ch: Channel, max_qubits: int = SUPEROP_MAX_QUBITS) -> np.ndarr
 
 
 def choi_matrix(ch: Channel, max_qubits: int = SUPEROP_MAX_QUBITS) -> np.ndarray:
-    """Unnormalized Choi matrix ``sum_kl |k><l| (x) ch(|k><l|)`` (trace d)."""
-    if ch.n_qubits > max_qubits:
-        raise TooLargeError(f"Choi matrix capped at {max_qubits} qubits, got {ch.n_qubits}")
+    """Unnormalized Choi matrix ``sum_kl |k><l| (x) ch(|k><l|)`` (trace d).
+
+    A reindexing of :func:`superoperator`: ``S[a + d b, k + d l]`` is the
+    Choi entry ``C[k d + a, l d + b]``.
+    """
     d = ch.dim
-    c = np.zeros((d * d, d * d), dtype=complex)
-    basis = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            basis[k, l] = 1.0
-            c += np.kron(basis, ch.apply(basis))
-            basis[k, l] = 0.0
-    return c
+    s = superoperator(ch, max_qubits)
+    return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
 @dataclass(frozen=True)

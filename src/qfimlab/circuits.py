@@ -215,13 +215,10 @@ class NoisyCircuit:
     def dim(self) -> int:
         return 2**self.n_qubits
 
-    def with_noise(self, slots) -> "NoisyCircuit":
-        """Copy of this circuit with the given noise slots (length M+1)."""
-        return build_circuit(self.n_qubits, self.generators, self.layers, slots)
-
     def with_uniform_noise(self, channel: Channel | None) -> "NoisyCircuit":
         """Copy with the same channel in every one of the M+1 slots."""
-        return self.with_noise([channel] * (self.n_params + 1))
+        slots = [channel] * (self.n_params + 1)
+        return build_circuit(self.n_qubits, self.generators, self.layers, slots)
 
     def gate_step(self, m: int, angle: float, mat: np.ndarray) -> np.ndarray:
         """``U mat U†`` for gate ``m`` at an arbitrary ``angle``, as a new array.
@@ -494,21 +491,6 @@ def hva_parity_sector_generators(n_qubits: int) -> tuple[np.ndarray, np.ndarray]
 # ---------------------------------------------------------------------------
 
 
-def _require_noiseless(circuit: NoisyCircuit) -> None:
-    if any(s is not None for s in circuit.noise_slots):
-        raise ValueError("statevector evolution requires a circuit with no noise slots")
-
-
-def evolve_statevector(circuit: NoisyCircuit, theta: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Apply the gate sequence to a state vector (noiseless circuits only)."""
-    _require_noiseless(circuit)
-    theta = np.asarray(theta, dtype=float)
-    out = psi
-    for m in range(circuit.n_params):
-        out = circuit.kernels[circuit.layers[m]].apply_vectors(out, theta[m])
-    return out
-
-
 def statevector_derivatives(
     circuit: NoisyCircuit, theta: np.ndarray, psi: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -518,7 +500,8 @@ def statevector_derivatives(
     remaining gates; as in :func:`evolve_with_derivatives`, the state and the
     pending derivatives travel forward as one stack.
     """
-    _require_noiseless(circuit)
+    if any(s is not None for s in circuit.noise_slots):
+        raise ValueError("statevector evolution requires a circuit with no noise slots")
     theta = np.asarray(theta, dtype=float)
     m_tot = circuit.n_params
     rows = np.empty((m_tot + 1, len(psi)), dtype=complex)

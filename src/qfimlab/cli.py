@@ -51,8 +51,7 @@ def main(argv=None) -> int:
 
     try:
         config = parse_config(raw, args.experiment)
-        runner = RUNNERS[config.experiment]
-        result = runner(config, workers=args.workers)
+        text = RUNNERS[config.experiment](config, workers=args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -62,22 +61,20 @@ def main(argv=None) -> int:
 
     failed = False
     if config.experiment == "verify":
-        text, all_passed = result
-        failed = not all_passed
-        for check in json.loads(text)["checks"]:
+        payload = json.loads(text)
+        failed = not payload["all_passed"]
+        for check in payload["checks"]:
             status = "PASS" if check["passed"] else "FAIL"
             print(f"[{status}] {check['name']}: margin={check['margin']:.3e} "
                   f"tol={check['tolerance']}")
-    else:
-        text = result
-        if config.experiment == "dla":
-            payload = json.loads(text)
-            line = f"dim = {payload['dim']}"
-            if "dim_full_matrix" in payload:
-                line += f" (unrestricted matrix closure: {payload['dim_full_matrix']})"
-            if payload.get("expected") is not None:
-                line += f"; expected {payload['expected']}: {'ok' if payload['match'] else 'MISMATCH'}"
-            print(line)
+    elif config.experiment == "dla":
+        payload = json.loads(text)
+        line = f"dim = {payload['dim']}"
+        if "dim_full_matrix" in payload:
+            line += f" (unrestricted matrix closure: {payload['dim_full_matrix']})"
+        if payload.get("expected") is not None:
+            line += f"; expected {payload['expected']}: {'ok' if payload['match'] else 'MISMATCH'}"
+        print(line)
 
     out_path = args.out or config.output.get("path")
     if out_path:

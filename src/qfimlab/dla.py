@@ -343,12 +343,3 @@ def parity_sector_dimension(basis: LieBasis) -> int:
     quotient = np.zeros((len(elements), len(column)), dtype=complex)
     np.add.at(quotient, (owner[keep], cols), coeffs[keep])
     return int(np.linalg.matrix_rank(np.hstack([quotient.real, quotient.imag]), tol=TAU_INDEP))
-
-
-def pauli_expansion(op: np.ndarray, cutoff: float = 1e-10) -> dict[str, complex]:
-    """Expand a matrix over the n-qubit Pauli basis; drops tiny coefficients.
-
-    Keys are strings like ``"XIZ"``; the coefficient of ``P`` is
-    ``Tr[P op] / d``. Only meaningful when the matrix side is a power of two.
-    """
-    return PauliSum.from_matrix(op, cutoff).labels()

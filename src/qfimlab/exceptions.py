@@ -28,9 +28,5 @@ class CapExceededError(QfimlabError, RuntimeError):
         self.partial_dim = partial_dim
 
 
-class DegenerateDistributionError(QfimlabError, ValueError):
-    """A measurement distribution has no outcome above the probability floor."""
-
-
 class ConfigError(QfimlabError, ValueError):
     """An experiment configuration failed schema validation."""

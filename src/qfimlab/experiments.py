@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -43,7 +42,8 @@ from .circuits import (
 from .dla import PauliSum, lie_closure, parity_sector_dimension
 from .exceptions import ConfigError
 from .linalg import purity
-from .qfim import TAU_RANK_ABS, TAU_RANK_REL, qfim_of_circuit
+from .qfim import TAU_RANK_ABS, TAU_RANK_REL, effective_dim_d1, qfim_of_circuit
+from .rand import map_tasks, subkey_rng
 
 CSV_SCHEMA_VERSION = 1
 EXPERIMENTS = ("trajectory", "eig_vs_p", "spectrum", "scaling", "verify", "dla")
@@ -165,12 +165,16 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
 
     noise = raw.get("noise", {"model": "none"})
     _validate_noise(noise, "noise")
+    if exp == "scaling" and isinstance(noise.get("p"), list):
+        raise ConfigError("scaling needs one noise.p (the L sweep runs at it), not a list")
 
     theta = raw.get("theta", {})
     if theta:
         _check_keys(theta, "theta", {"seed", "values"})
         if "seed" in theta and "values" in theta:
             raise ConfigError("theta: give either 'seed' or 'values', not both")
+        if "values" in theta and exp != "spectrum":
+            raise ConfigError(f"theta.values is read only by spectrum, not by {exp}")
         seed = theta.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
             raise ConfigError(f"theta.seed must be an integer in [0, 2^64), got {seed!r}")
@@ -244,6 +248,12 @@ def _validate_noise(noise: dict, where: str) -> None:
             raise ConfigError(f"{where}.terms must be a nonempty list")
         for t in terms:
             _check_keys(t, f"{where}.terms entry", {"alpha", "beta", "prob"}, {"alpha", "beta", "prob"})
+            for key in ("alpha", "beta"):
+                bits = _list(t[key], f"{where}.terms {key}")
+                if any(isinstance(b, bool) or b not in (0, 1) for b in bits):
+                    raise ConfigError(f"{where}.terms {key} entries must be 0 or 1, got {bits!r}")
+            if len(t["alpha"]) != len(t["beta"]):
+                raise ConfigError(f"{where}.terms alpha and beta must have equal length")
             _probability(t["prob"], f"{where}.terms prob")
     elif model == "composite":
         channels = noise.get("channels", None)
@@ -297,24 +307,6 @@ def circuit_from_config(circuit: dict) -> tuple[NoisyCircuit, np.ndarray]:
         return toy_model()
     n = int(circuit["n"])
     return hva_tfim(n, int(circuit["L"])), plus_state_density(n)
-
-
-def subkey_rng(seed: int, *indices: int) -> np.random.Generator:
-    """Philox stream for one task, keyed by the base seed and coordinates.
-
-    The Philox4x64 key is ``[seed, packed]`` where ``packed`` stacks up to
-    three coordinate indices in 20-bit fields (most significant first). This
-    fixed layout is part of the reproducibility contract.
-    """
-    if len(indices) > 3:
-        raise ValueError("at most three coordinate indices fit in the subkey")
-    packed = 0
-    for idx in indices:
-        if not 0 <= idx < 2**20:
-            raise ValueError(f"coordinate index {idx} outside [0, 2^20)")
-        packed = (packed << 20) | idx
-    key = np.array([seed, packed], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _theta_for(config: ExperimentConfig, m: int, default_seed: int = 0) -> np.ndarray:
@@ -380,14 +372,6 @@ def report_to_json(config: ExperimentConfig, payload: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _map_tasks(fn: Callable, args: Sequence, workers: int | None):
-    """Run tasks (optionally in threads); results keep submission order."""
-    if workers is None or workers <= 1 or len(args) <= 1:
-        return [fn(a) for a in args]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args))
-
-
 # ---------------------------------------------------------------------------
 # Runners
 # ---------------------------------------------------------------------------
@@ -445,7 +429,7 @@ def run_trajectory(config: ExperimentConfig, workers: int | None = None) -> str:
                 emit(evolve(circuit, theta + t * v, rho), k, s, f"{label}/eig{k}", rows)
         return rows
 
-    groups = _map_tasks(label_rows, list(TOY_THETAS.items()), workers)
+    groups = map_tasks(label_rows, list(TOY_THETAS.items()), workers)
     rows = [row for group in groups for row in group]
     return emit_table(config, TRAJECTORY_COLUMNS, rows)
 
@@ -478,7 +462,7 @@ def run_eig_vs_p(config: ExperimentConfig, workers: int | None = None) -> str:
     tasks = [
         (label, theta, float(p)) for label, theta in TOY_THETAS.items() for p in grid
     ]
-    groups = _map_tasks(one_point, tasks, workers)
+    groups = map_tasks(one_point, tasks, workers)
     return emit_table(config, EIG_VS_P_COLUMNS, [r for g in groups for r in g])
 
 
@@ -512,14 +496,14 @@ def run_spectrum(config: ExperimentConfig, workers: int | None = None) -> str:
         else:
             noisy = circuit.with_uniform_noise(channel_from_config({**config.noise, "p": p}, n))
             report = qfim_of_circuit(noisy, theta, rho, tau_abs, tau_rel)
-        counts = [int(np.sum(report.eigenvalues > e)) for e in epsilons]
+        counts = [effective_dim_d1(report, e) for e in epsilons]
         return [
             (n, int(config.circuit["L"]), circuit.n_params, float(p), k, float(lam),
              report.rank, noiseless.rank, dim_g, *counts)
             for k, lam in enumerate(report.eigenvalues)
         ]
 
-    groups = _map_tasks(one_p, [float(p) for p in grid], workers)
+    groups = map_tasks(one_p, [float(p) for p in grid], workers)
     return emit_table(config, columns, [r for g in groups for r in g])
 
 
@@ -575,12 +559,12 @@ def run_scaling(config: ExperimentConfig, workers: int | None = None) -> str:
             float(np.mean(eigs)), float(np.std(eigs)),
         )
 
-    rows = _map_tasks(one_coord, tasks, workers)
+    rows = map_tasks(one_coord, tasks, workers)
     return emit_table(config, SCALING_COLUMNS, rows)
 
 
-def run_verify(config: ExperimentConfig, workers: int | None = None) -> tuple[str, bool]:
-    """Numerical certificate suite; returns (JSON report, all_passed)."""
+def run_verify(config: ExperimentConfig, workers: int | None = None) -> str:
+    """Numerical certificate suite as a JSON report with an ``all_passed`` flag."""
     seed = int(config.theta.get("seed", 42))
     results = verify_mod.run_suite(
         seed=seed,
@@ -593,9 +577,8 @@ def run_verify(config: ExperimentConfig, workers: int | None = None) -> tuple[st
         tau_rel=config.rank_tolerances[1],
         workers=workers,
     )
-    all_passed = all(c["passed"] for c in results)
-    payload = {"seed": seed, "checks": results, "all_passed": all_passed}
-    return report_to_json(config, payload), all_passed
+    payload = {"seed": seed, "checks": results, "all_passed": all(c["passed"] for c in results)}
+    return report_to_json(config, payload)
 
 
 def run_dla(config: ExperimentConfig, workers: int | None = None) -> str:

@@ -21,7 +21,6 @@ from .exceptions import DimensionMismatchError, NotHermitianError
 # Numerical tolerances (double-precision headroom at d <= 1024).
 TAU_HERM = 1e-9
 TAU_UNIT = 1e-9
-TAU_EIG = 1e-9
 TAU_TRACE = 1e-9
 TAU_PSD = 1e-9
 # Spectral floor: eigenvalue pairs below this are treated as zero.

@@ -23,12 +23,11 @@ from typing import Sequence
 import numpy as np
 
 from .circuits import NoisyCircuit, evolve_with_derivatives
-from .exceptions import DegenerateDistributionError, DimensionMismatchError
+from .exceptions import DimensionMismatchError
 from .linalg import TAU_SPEC, dag, hermitian_eig
 
 TAU_RANK_ABS = 1e-12
 TAU_RANK_REL = 1e-10
-TAU_PROB = 1e-12
 
 
 @dataclass(frozen=True)
@@ -47,20 +46,6 @@ class QfimReport:
     tau_abs: float
     tau_rel: float
 
-    def to_dict(self) -> dict:
-        """JSON-ready payload (row-major matrix)."""
-        return {
-            "matrix": [[float(v) for v in row] for row in self.matrix],
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "rank": self.rank,
-            "tolerance": {"abs": self.tau_abs, "rel": self.tau_rel},
-        }
-
-
-def rank_of_spectrum(eigenvalues: np.ndarray, tau_abs: float, tau_rel: float) -> int:
-    lam_max = float(np.max(eigenvalues, initial=0.0))
-    return int(np.sum(eigenvalues > tau_abs + tau_rel * lam_max))
-
 
 def report_from_matrix(
     matrix: np.ndarray,
@@ -71,7 +56,8 @@ def report_from_matrix(
     matrix = np.asarray(matrix, dtype=float)
     matrix = (matrix + matrix.T) / 2
     eigs = np.linalg.eigvalsh(matrix)[::-1]
-    rank = rank_of_spectrum(eigs, tau_abs, tau_rel)
+    lam_max = float(np.max(eigs, initial=0.0))
+    rank = int(np.sum(eigs > tau_abs + tau_rel * lam_max))
     return QfimReport(matrix, eigs, rank, tau_abs, tau_rel)
 
 
@@ -177,27 +163,6 @@ def noisy_qfim_closed_form_global_depol(
     safe = np.where(denom > TAU_SPEC, denom, 1.0)
     weights = np.where(denom > TAU_SPEC, 2.0 * x * x / safe, 0.0)
     return _weighted_gram(vecs, derivs_noiseless, weights)
-
-
-def classical_fim(
-    circuit: NoisyCircuit,
-    theta: np.ndarray,
-    rho: np.ndarray,
-    tau_prob: float = TAU_PROB,
-) -> np.ndarray:
-    """Fisher information of the computational-basis outcome distribution.
-
-    ``I_ij = sum_y (d_i p_y)(d_j p_y) / p_y`` over outcomes with
-    ``p_y > tau_prob``.
-    """
-    out, derivs = evolve_with_derivatives(circuit, theta, rho)
-    probs = np.diagonal(out).real
-    grads = np.stack([np.diagonal(dv).real for dv in derivs])
-    mask = probs > tau_prob
-    if not np.any(mask):
-        raise DegenerateDistributionError("all outcome probabilities below the floor")
-    g = grads[:, mask] / np.sqrt(probs[mask])
-    return g @ g.T
 
 
 # ---------------------------------------------------------------------------

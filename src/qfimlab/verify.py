@@ -42,17 +42,15 @@ from .qfim import (
     relative_entropy_to_mixed,
 )
 from .rand import (
+    map_tasks,
     random_density_matrix,
     random_hermitian,
     random_statevector,
     random_unitary,
+    subkey_rng,
 )
 
 LN2 = float(np.log(2.0))
-
-
-def _subrng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
 def _random_circuit(rng, n_max=3, m_range=(2, 6), herm_scale=None):
@@ -139,7 +137,7 @@ def _check(name, passed, margin, tolerance, details=""):
 # ---------------------------------------------------------------------------
 
 
-def check_qfim_axioms(rng, trials, tau_abs, tau_rel, m_range=(2, 6)):
+def check_qfim_axioms(rng, trials, m_range=(2, 6)):
     worst = {"symmetry": 0.0, "psd": 0.0, "convexity": 0.0, "unitary": 0.0, "monotone": 0.0}
     for _ in range(trials):
         circ = _random_circuit(rng, m_range=m_range)
@@ -252,7 +250,7 @@ def check_global_depol_rank(rng, trials, tau_abs, tau_rel):
     ]
 
 
-def check_global_depol_eigenvalue_bound(rng, trials, tau_abs, tau_rel):
+def check_global_depol_eigenvalue_bound(rng, trials):
     worst = -np.inf
     for circ, rho, theta, p in _theorem_instances(rng, trials):
         lam0 = qfim_of_circuit(circ, theta, rho).eigenvalues[0]
@@ -565,10 +563,10 @@ def run_suite(
 ) -> list[dict]:
     """Run every check on independent substreams of ``seed``; returns results."""
     jobs = [
-        lambda r: check_qfim_axioms(r, max(trials, 50), tau_abs, tau_rel),
+        lambda r: check_qfim_axioms(r, max(trials, 50)),
         lambda r: check_theorem_terminal_rank(r, trials, tau_abs, tau_rel),
         lambda r: check_global_depol_rank(r, max(trials, 20), tau_abs, tau_rel),
-        lambda r: check_global_depol_eigenvalue_bound(r, max(trials, 20), tau_abs, tau_rel),
+        lambda r: check_global_depol_eigenvalue_bound(r, max(trials, 20)),
         lambda r: check_quadratic_form_bound(
             r, trials, delta_trials, strict_pauli_fixed_point
         ),
@@ -584,13 +582,7 @@ def run_suite(
 
     def run_job(item):
         index, job = item
-        return job(_subrng(seed, index))
+        return job(subkey_rng(seed, index))
 
-    if workers is None or workers <= 1:
-        groups = [run_job(item) for item in enumerate(jobs)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(run_job, enumerate(jobs)))
+    groups = map_tasks(run_job, list(enumerate(jobs)), workers)
     return [result for group in groups for result in group]

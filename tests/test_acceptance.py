@@ -44,11 +44,7 @@ from qfimlab.qfim import (
     noisy_qfim_closed_form_global_depol,
     qfim_of_circuit,
 )
-from qfimlab.rand import random_density_matrix, random_hermitian
-
-
-def _rng(tag: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([42, tag], dtype=np.uint64)))
+from qfimlab.rand import random_density_matrix, random_hermitian, subkey_rng
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> bool:
@@ -102,7 +98,7 @@ def test_criterion_02_dla_dimensions():
 
 
 def test_criterion_03_closed_form_matches_simulation():
-    rng = _rng(3)
+    rng = subkey_rng(42, 3)
     n, m = 2, 4
     gens = [random_hermitian(4, rng, traceless=True) for _ in range(2)]
     circ = build_circuit(n, gens, [0, 1, 0, 1])
@@ -127,43 +123,43 @@ def _certify(num: int, description: str, results: list[dict], detail: str) -> No
 
 
 def test_criterion_04_global_depol_rank_invariance():
-    (res,) = verify.check_global_depol_rank(_rng(4), 24, TAU_RANK_ABS, TAU_RANK_REL)
+    (res,) = verify.check_global_depol_rank(subkey_rng(42, 4), 24, TAU_RANK_ABS, TAU_RANK_REL)
     _certify(4, "interleaved global depolarization never changes rank", [res],
              f"{int(res['margin'])}/24 mismatches")
 
 
 def test_criterion_05_global_depol_eigenvalue_bound():
-    (res,) = verify.check_global_depol_eigenvalue_bound(_rng(5), 24, TAU_RANK_ABS, TAU_RANK_REL)
+    (res,) = verify.check_global_depol_eigenvalue_bound(subkey_rng(42, 5), 24)
     _certify(5, "noisy eigenvalues below (1-p)^(M+1) x noiseless maximum", [res],
              f"worst excess {res['margin']:.2e}")
 
 
 def test_criterion_06_quadratic_form_entropy_bound():
-    (res,) = verify.check_quadratic_form_bound(_rng(6), 12, 100, False, pauli_weight=0.15)
+    (res,) = verify.check_quadratic_form_bound(subkey_rng(42, 6), 12, 100, False, pauli_weight=0.15)
     _certify(6, "quadratic form bounded by 8 ln2 (1-p)^(2(M+1)) S(rho||I/d)", [res],
              f"worst lhs-rhs {res['margin']:.2e}")
 
 
 def test_criterion_07_entropy_contraction():
-    res = verify.check_entropy_contractions(_rng(7), 100, False, pauli_weight=0.15)[0]
+    res = verify.check_entropy_contractions(subkey_rng(42, 7), 100, False, pauli_weight=0.15)[0]
     _certify(7, "relative entropy contracts by (1-p)^2 per noise layer", [res],
              f"worst excess {res['margin']:.2e}")
 
 
 def test_criterion_08_qfim_axiom_suite():
-    results = verify.check_qfim_axioms(_rng(8), 50, TAU_RANK_ABS, TAU_RANK_REL, m_range=(2, 5))
+    results = verify.check_qfim_axioms(subkey_rng(42, 8), 50, m_range=(2, 5))
     worst = ", ".join(f"{r['name'].removeprefix('qfim_axiom_')}={r['margin']:.1e}" for r in results)
     _certify(8, "QFIM axioms 1-5 over 50 random instances", results, worst)
 
 
 def test_criterion_09_derivative_oracle():
-    res = verify.check_derivative_oracle(_rng(9), 50)[0]
+    res = verify.check_derivative_oracle(subkey_rng(42, 9), 50)[0]
     _certify(9, "analytic derivative vs central difference at h=1e-5", [res],
              f"worst entry gap {res['margin']:.2e}")
 
 
 def test_criterion_10_loss_flattening():
-    (res,) = verify.check_loss_flattening(_rng(10), 25, n_max=2)
+    (res,) = verify.check_loss_flattening(subkey_rng(42, 10), 25, n_max=2)
     _certify(10, "noisy linear loss equals (1-p)^(M+1) x noiseless (traceless obs)", [res],
              f"worst gap {res['margin']:.2e}")
 
@@ -249,7 +245,7 @@ def test_criterion_12_scaling_slope_and_runtime():
 
 
 def test_criterion_13_per_qubit_depol_decomposition():
-    rng = _rng(13)
+    rng = subkey_rng(42, 13)
     worst = 0.0
     for _ in range(20):
         probs = rng.uniform(0.05, 0.8, 2)

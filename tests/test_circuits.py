@@ -11,7 +11,6 @@ from qfimlab.circuits import (
     derivative,
     derivative_fd,
     evolve,
-    evolve_statevector,
     evolve_with_derivatives,
     hva_parity_sector_generators,
     hva_tfim,
@@ -255,7 +254,7 @@ class TestStatevectorPath:
         theta = rng.uniform(0, 2 * np.pi, 3)
         psi0 = np.zeros(4, dtype=complex)
         psi0[0] = 1
-        psi = evolve_statevector(circ, theta, psi0)
+        psi = statevector_derivatives(circ, theta, psi0)[0]
         rho = evolve(circ, theta, np.outer(psi0, psi0.conj()))
         np.testing.assert_allclose(np.outer(psi, psi.conj()), rho, atol=1e-12)
 
@@ -272,4 +271,4 @@ class TestStatevectorPath:
         circ, _ = toy_model()
         noisy = circ.with_uniform_noise(bit_flip(0.1))
         with pytest.raises(ValueError, match="noise"):
-            evolve_statevector(noisy, np.zeros(4), KET_PLUS)
+            statevector_derivatives(noisy, np.zeros(4), KET_PLUS)

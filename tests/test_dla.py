@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qfimlab.circuits import hva_parity_sector_generators, hva_tfim_generators, toy_model
-from qfimlab.dla import dla_dimension, lie_closure, pauli_expansion
+from qfimlab.dla import PauliSum, dla_dimension, lie_closure
 from qfimlab.exceptions import CapExceededError
 from qfimlab.linalg import X, Y, Z, commutator, frobenius_inner
 from qfimlab.rand import random_hermitian, random_unitary
@@ -82,12 +82,12 @@ class TestIsingAnsatzDimensions:
 
 class TestPauliExpansion:
     def test_single_pauli(self):
-        coeffs = pauli_expansion(np.asarray(Y, dtype=complex))
+        coeffs = PauliSum.from_matrix(np.asarray(Y, dtype=complex), 1e-10).labels()
         assert set(coeffs) == {"Y"}
         assert coeffs["Y"] == pytest.approx(1.0)
 
     def test_ising_coupling(self):
         h0, _ = hva_tfim_generators(2)
-        coeffs = pauli_expansion(h0)
+        coeffs = PauliSum.from_matrix(h0, 1e-10).labels()
         assert set(coeffs) == {"ZZ"}
         assert coeffs["ZZ"] == pytest.approx(2.0)

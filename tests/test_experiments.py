@@ -336,9 +336,7 @@ class TestVerifyRunner:
                             "decomposition_trials": 5},
             }
         )
-        text, ok = run_verify(cfg)
-        assert ok
-        payload = json.loads(text)
+        payload = json.loads(run_verify(cfg))
         assert payload["all_passed"]
         assert payload["config_sha256"]
         assert all("margin" in c for c in payload["checks"])
@@ -354,8 +352,7 @@ class TestVerifyRunner:
                             "decomposition_trials": 3},
             }
         )
-        _, ok = run_verify(cfg)
-        assert ok
+        assert json.loads(run_verify(cfg))["all_passed"]
 
     def test_strict_fixed_point_mode(self):
         # opt-in: restricts sampled Pauli channels to strictly contracting
@@ -368,8 +365,20 @@ class TestVerifyRunner:
                             "decomposition_trials": 3, "strict_pauli_fixed_point": True},
             }
         )
-        _, ok = run_verify(cfg)
-        assert ok
+        assert json.loads(run_verify(cfg))["all_passed"]
+
+    def test_worker_count_leaves_report_unchanged(self):
+        # each check runs on its own [seed, index] substream, and the rows keep
+        # the check order whether the checks run in one thread or in three
+        cfg = parse_config(
+            {
+                "experiment": "verify",
+                "theta": {"seed": 42},
+                "options": {"trials": 3, "entropy_trials": 5, "delta_trials": 3,
+                            "decomposition_trials": 2},
+            }
+        )
+        assert run_verify(cfg, workers=1) == run_verify(cfg, workers=3)
 
     def test_adversarial_rank_tolerance_reported(self):
         cfg = parse_config(
@@ -381,12 +390,11 @@ class TestVerifyRunner:
                             "decomposition_trials": 3},
             }
         )
-        text, ok = run_verify(cfg)
-        payload = json.loads(text)
+        payload = json.loads(run_verify(cfg))
         rank_checks = [
             c for c in payload["checks"] if "rank" in c["name"] and not c["passed"]
         ]
-        if not ok:
+        if not payload["all_passed"]:
             assert any("tau_rel=0.01" in c["details"] for c in rank_checks)
 
 
@@ -453,6 +461,11 @@ _ISING = {"circuit": {"name": "hva_tfim", "n": 2, "L": 1},
           "noise": {"model": "global_depolarizing", "p": 0.1}, "sweep": {"p": [0.1]}}
 
 
+def _pauli_term(alpha, beta):
+    return {"experiment": "trajectory", "circuit": {"name": "toy"},
+            "noise": {"model": "pauli", "terms": [{"alpha": alpha, "beta": beta, "prob": 0.1}]}}
+
+
 @pytest.mark.parametrize(
     "raw,field",
     [
@@ -469,6 +482,18 @@ _ISING = {"circuit": {"name": "hva_tfim", "n": 2, "L": 1},
         ({"experiment": "verify", "options": {"trials": 0}}, "trials"),
         ({"experiment": "verify", "tolerances": {"rank_rel": 10**400}}, "rank_rel"),
         ({"experiment": "verify", "theta": {"seed": -1}}, "theta.seed"),
+        ({"experiment": "scaling", **_ISING, "sweep": {"L": [1]},
+          "noise": {"model": "local_depolarizing", "p": [0.1, 0.1]}}, "noise.p"),
+        (_pauli_term([2], [0]), "alpha"),
+        (_pauli_term([0], ["x"]), "beta"),
+        (_pauli_term([1, 0], [0]), "equal length"),
+        ({"experiment": "scaling", **_ISING, "theta": {"values": [0.1, 0.2]}}, "theta.values"),
+        ({"experiment": "trajectory", **_TOY, "theta": {"values": [0.1] * 4}}, "theta.values"),
+        ({"experiment": "eig_vs_p", **_TOY, "sweep": {"p": [0.1]},
+          "theta": {"values": [0.1] * 4}}, "theta.values"),
+        ({"experiment": "verify", "theta": {"values": [0.1]}}, "theta.values"),
+        ({"experiment": "dla", "circuit": {"name": "toy"}, "theta": {"values": [0.1]}},
+         "theta.values"),
     ],
 )
 def test_malformed_input_rejected_at_parse_time(raw, field, tmp_path):

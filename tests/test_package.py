@@ -1,5 +1,6 @@
 """Package-level properties."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -21,3 +22,21 @@ def test_import_loads_no_third_party_module_besides_numpy():
     top_level = {name.split(".")[0] for name in out.split()}
     assert "qfimlab" in top_level
     assert top_level - set(sys.stdlib_module_names) - {"qfimlab", "numpy"} == set()
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    # perfbench imports these names and its tracer patches them; resolve them
+    # without Tracer.install, which would patch qfimlab for the whole process
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    importlib.import_module("checks")
+    child = importlib.import_module("child")
+    tracer = importlib.import_module("tracer")
+    for name in (*tracer.TIMED, "dla.commutator"):
+        module, _, path = name.partition(".")
+        obj = importlib.import_module(f"qfimlab.{module}")
+        for attr in path.split("."):
+            obj = getattr(obj, attr)
+        assert callable(obj), name
+    for workload in sorted(child.WORKLOADS.glob("*.json")):
+        config = child.load_config(workload.stem, 42)
+        assert config.experiment in qfimlab.experiments.RUNNERS

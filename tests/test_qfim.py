@@ -17,11 +17,9 @@ from qfimlab.circuits import (
     statevector_derivatives,
     toy_model,
 )
-from qfimlab.exceptions import DegenerateDistributionError
-from qfimlab.linalg import KET_0, KET_PLUS, X, Z, dag
+from qfimlab.linalg import KET_0, KET_PLUS, Z, dag
 from qfimlab.qfim import (
     bures_distance,
-    classical_fim,
     effective_dim_d1,
     noisy_qfim_closed_form_global_depol,
     qfim_mixed,
@@ -185,44 +183,6 @@ class TestEffectiveDimension:
         report = report_from_matrix(np.diag([1.0, 0.5, 1e-6, 1e-7]))
         assert report.rank == 4
         assert effective_dim_d1(report, epsilon=1e-3) == 2
-
-    def test_report_serialization(self):
-        report = report_from_matrix(np.diag([1.0, 0.0]))
-        payload = report.to_dict()
-        assert payload["rank"] == 1
-        assert payload["matrix"] == [[1.0, 0.0], [0.0, 0.0]]
-        assert payload["tolerance"]["abs"] == report.tau_abs
-
-
-class TestClassicalFim:
-    def test_phase_rotation_is_invisible(self, rng):
-        circ = build_circuit(1, [Z / 2], [0])
-        rho = np.outer(KET_0, KET_0.conj())
-        mat = classical_fim(circ, rng.uniform(0, 2 * np.pi, 1), rho)
-        np.testing.assert_allclose(mat, [[0.0]], atol=1e-12)
-
-    def test_x_rotation_at_equator(self):
-        # p0 = cos^2(theta/2): at theta = pi/2 the information is 1
-        circ = build_circuit(1, [X / 2], [0])
-        rho = np.outer(KET_0, KET_0.conj())
-        mat = classical_fim(circ, np.array([np.pi / 2]), rho)
-        np.testing.assert_allclose(mat, [[1.0]], atol=1e-12)
-
-    def test_quantum_dominates_classical_rank(self, rng):
-        circ, rho = toy_model()
-        for _ in range(10):
-            p = float(rng.uniform(0.02, 0.3))
-            noisy = circ.with_uniform_noise(bit_flip(p))
-            theta = rng.uniform(0, 2 * np.pi, 4)
-            quantum = qfim_of_circuit(noisy, theta, rho)
-            classical = report_from_matrix(classical_fim(noisy, theta, rho))
-            assert quantum.rank >= classical.rank
-
-    def test_degenerate_distribution_error(self):
-        circ = build_circuit(1, [Z / 2], [0])
-        rho = np.outer(KET_0, KET_0.conj())
-        with pytest.raises(DegenerateDistributionError):
-            classical_fim(circ, np.zeros(1), rho, tau_prob=2.0)
 
 
 class TestDistances:
