@@ -11,7 +11,8 @@ The package is organized as:
   derivatives, the single-qubit toy model and the Ising-ansatz constructors.
 - ``dla``: Lie closure over dense matrices or sparse Pauli sums, and algebra
   dimensions (the parity-sector dimension as a quotient of the full algebra).
-- ``qfim``: pure/mixed quantum Fisher information, ranks and capacity
+- ``qfim``: pure/mixed quantum Fisher information (and, for a pure input
+  under global depolarizing noise, from state vectors alone), ranks and capacity
   counts, distances and relative entropy.
 - ``rand``: seeded Philox substreams (one per task), the bounded task map,
   and random operators and states.
@@ -51,6 +52,7 @@ from .circuits import (
     hva_tfim_pauli_generators,
     loss_linear,
     plus_state_density,
+    plus_state_vector,
     statevector_derivatives,
     toy_model,
 )
@@ -81,6 +83,7 @@ from .qfim import (
     bures_distance,
     effective_dim_d1,
     noisy_qfim_closed_form_global_depol,
+    qfim_global_depol,
     qfim_mixed,
     qfim_of_circuit,
     qfim_pure,

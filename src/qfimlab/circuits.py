@@ -30,7 +30,7 @@ independent test oracle only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,20 +86,17 @@ class ProductKernel:
     """
 
     def __init__(self, a: np.ndarray, n_qubits: int):
-        self.eig = hermitian_eig(a)
-        self.n_a = n_qubits // 2
-        self.n_b = n_qubits - self.n_a
-        vecs = self.eig.vectors
-        self._basis = (_kron_power(vecs, self.n_a), _kron_power(vecs, self.n_b))
-        # spectrum of H: sum of the term's eigenvalue picked by each qubit's bit
-        spec = np.zeros(1)
-        for _ in range(n_qubits):
-            spec = np.add.outer(spec, self.eig.values).ravel()
-        self._spectrum = spec
+        eig = hermitian_eig(a)
+        halves = (n_qubits // 2, n_qubits - n_qubits // 2)
+        self._basis = tuple(_kron_power(eig.vectors, k) for k in halves)
+        self._half_spectra = tuple(_spectrum_power(eig.values, k) for k in halves)
+        self._spectrum = _spectrum_power(eig.values, n_qubits)
 
     def _factors(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        u = herm_exp_from_eig(self.eig, theta)
-        return _kron_power(u, self.n_a), _kron_power(u, self.n_b)
+        """``A = W_a e^(-i theta s_a) W_a^H`` and ``B`` likewise, from the cached bases."""
+        return tuple(
+            (w * np.exp(-1j * theta * s)) @ dag(w) for w, s in zip(self._basis, self._half_spectra)
+        )
 
     def conjugate(self, stack: np.ndarray, theta: float, scratch: np.ndarray) -> None:
         """``stack <- U stack U†`` in place."""
@@ -150,6 +147,15 @@ GateKernel = DiagonalKernel | ProductKernel | DenseKernel
 
 def _kron_power(u: np.ndarray, n: int) -> np.ndarray:
     return kron(*([u] * n)) if n else np.ones((1, 1), dtype=complex)
+
+
+def _spectrum_power(values: np.ndarray, n: int) -> np.ndarray:
+    """Spectrum of ``sum_j a_j`` on ``n`` qubits in the basis ``W^(x)n``: the sum
+    of the eigenvalue of ``a`` that each qubit's bit picks."""
+    spec = np.zeros(1)
+    for _ in range(n):
+        spec = np.add.outer(spec, values).ravel()
+    return spec
 
 
 def _kron_conjugate(stack: np.ndarray, a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> None:
@@ -216,9 +222,12 @@ class NoisyCircuit:
         return 2**self.n_qubits
 
     def with_uniform_noise(self, channel: Channel | None) -> "NoisyCircuit":
-        """Copy with the same channel in every one of the M+1 slots."""
-        slots = [channel] * (self.n_params + 1)
-        return build_circuit(self.n_qubits, self.generators, self.layers, slots)
+        """Copy with the same channel in every one of the M+1 slots.
+
+        The copy shares the generators and gate kernels of this circuit.
+        """
+        _check_slot(channel, self.n_qubits)
+        return replace(self, noise_slots=(channel,) * (self.n_params + 1))
 
     def gate_step(self, m: int, angle: float, mat: np.ndarray) -> np.ndarray:
         """``U mat U†`` for gate ``m`` at an arbitrary ``angle``, as a new array.
@@ -261,12 +270,16 @@ def build_circuit(n_qubits, generators, layers, noise_slots=None) -> NoisyCircui
         if len(slots) != m + 1:
             raise ValueError(f"expected {m + 1} noise slots for {m} gates, got {len(slots)}")
         for s in slots:
-            if s is not None and s.n_qubits != n_qubits:
-                raise DimensionMismatchError(
-                    f"noise channel on {s.n_qubits} qubits in a {n_qubits}-qubit circuit"
-                )
+            _check_slot(s, n_qubits)
     kernels = tuple(gate_kernel(g, n_qubits) for g in gens)
     return NoisyCircuit(n_qubits, gens, layers, slots, kernels)
+
+
+def _check_slot(channel: Channel | None, n_qubits: int) -> None:
+    if channel is not None and channel.n_qubits != n_qubits:
+        raise DimensionMismatchError(
+            f"noise channel on {channel.n_qubits} qubits in a {n_qubits}-qubit circuit"
+        )
 
 
 def _check_args(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -454,9 +467,14 @@ def hva_tfim(n_qubits: int, n_layers: int) -> NoisyCircuit:
     return build_circuit(n_qubits, [h0, h1], [0, 1] * n_layers)
 
 
+def plus_state_vector(n_qubits: int) -> np.ndarray:
+    """``|+> ^ (x) n``, the default input for the Ising ansatz."""
+    return kron(*([KET_PLUS.reshape(2, 1)] * n_qubits)).reshape(-1)
+
+
 def plus_state_density(n_qubits: int) -> np.ndarray:
-    """``|+><+| ^ (x) n``, the default input for the Ising ansatz."""
-    psi = kron(*([KET_PLUS.reshape(2, 1)] * n_qubits)).reshape(-1)
+    """``|+><+| ^ (x) n``, the outer product of :func:`plus_state_vector`."""
+    psi = plus_state_vector(n_qubits)
     return np.outer(psi, psi.conj())
 
 

@@ -37,12 +37,20 @@ from .circuits import (
     hva_tfim,
     hva_tfim_pauli_generators,
     plus_state_density,
+    plus_state_vector,
     toy_model,
 )
 from .dla import PauliSum, lie_closure, parity_sector_dimension
 from .exceptions import ConfigError
 from .linalg import purity
-from .qfim import TAU_RANK_ABS, TAU_RANK_REL, effective_dim_d1, qfim_of_circuit
+from .qfim import (
+    TAU_RANK_ABS,
+    TAU_RANK_REL,
+    QfimReport,
+    effective_dim_d1,
+    qfim_global_depol,
+    qfim_of_circuit,
+)
 from .rand import map_tasks, subkey_rng
 
 CSV_SCHEMA_VERSION = 1
@@ -165,8 +173,10 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
 
     noise = raw.get("noise", {"model": "none"})
     _validate_noise(noise, "noise")
-    if exp == "scaling" and isinstance(noise.get("p"), list):
-        raise ConfigError("scaling needs one noise.p (the L sweep runs at it), not a list")
+    if exp in ("spectrum", "eig_vs_p", "scaling") and isinstance(noise.get("p"), list):
+        raise ConfigError(
+            f"{exp} needs one number for noise.p, not a list: each sweep.p value replaces it"
+        )
 
     theta = raw.get("theta", {})
     if theta:
@@ -466,6 +476,24 @@ def run_eig_vs_p(config: ExperimentConfig, workers: int | None = None) -> str:
     return emit_table(config, EIG_VS_P_COLUMNS, [r for g in groups for r in g])
 
 
+def _ising_qfim(
+    circuit: NoisyCircuit, noise: dict, p: float, tau_abs: float, tau_rel: float
+) -> Callable[[np.ndarray], QfimReport]:
+    """``theta -> QFIM`` of the noiseless Ising-ansatz ``circuit`` on ``|+>^n``
+    with the ``noise`` model at probability ``p`` in every slot.
+
+    Noiseless and global depolarizing slots take the statevector path
+    (:func:`qfim_global_depol`); any other noise evolves ``d x d`` states.
+    """
+    n = circuit.n_qubits
+    if p == 0.0 or noise["model"] == "global_depolarizing":
+        psi = plus_state_vector(n)
+        return lambda theta: qfim_global_depol(circuit, theta, psi, p, tau_abs, tau_rel)
+    noisy = circuit.with_uniform_noise(channel_from_config({**noise, "p": p}, n))
+    rho = plus_state_density(n)
+    return lambda theta: qfim_of_circuit(noisy, theta, rho, tau_abs, tau_rel)
+
+
 def run_spectrum(config: ExperimentConfig, workers: int | None = None) -> str:
     """Full QFIM spectrum of the Ising ansatz at fixed theta across noise levels.
 
@@ -480,22 +508,18 @@ def run_spectrum(config: ExperimentConfig, workers: int | None = None) -> str:
     if config.noise["model"] not in ("global_depolarizing", "local_depolarizing"):
         raise ConfigError("spectrum needs global_depolarizing or local_depolarizing noise")
     epsilons = [float(e) for e in config.options.get("epsilons", [])]
-    circuit, rho = circuit_from_config(config.circuit)
+    circuit, _ = circuit_from_config(config.circuit)
     n = circuit.n_qubits
     theta = _theta_for(config, circuit.n_params)
     tau_abs, tau_rel = config.rank_tolerances
     dim_g = parity_sector_dimension(lie_closure(hva_tfim_pauli_generators(n)))
-    noiseless = qfim_of_circuit(circuit, theta, rho, tau_abs, tau_rel)
+    noiseless = _ising_qfim(circuit, config.noise, 0.0, tau_abs, tau_rel)(theta)
 
     columns = ["n", "L", "M", "p", "eig_index", "eigenvalue", "rank", "rank_noiseless", "dim_g"]
     columns += [f"d1_eps_{e:g}" for e in epsilons]
 
     def one_p(p):
-        if p == 0.0:
-            report = noiseless
-        else:
-            noisy = circuit.with_uniform_noise(channel_from_config({**config.noise, "p": p}, n))
-            report = qfim_of_circuit(noisy, theta, rho, tau_abs, tau_rel)
+        report = _ising_qfim(circuit, config.noise, p, tau_abs, tau_rel)(theta)
         counts = [effective_dim_d1(report, e) for e in epsilons]
         return [
             (n, int(config.circuit["L"]), circuit.n_params, float(p), k, float(lam),
@@ -527,7 +551,6 @@ def run_scaling(config: ExperimentConfig, workers: int | None = None) -> str:
     samples = int(config.options.get("samples", 10))
     n = int(config.circuit["n"])
     seed = int(config.theta.get("seed", 0))
-    rho = plus_state_density(n)
     tau_abs, tau_rel = config.rank_tolerances
 
     tasks = []
@@ -541,14 +564,13 @@ def run_scaling(config: ExperimentConfig, workers: int | None = None) -> str:
     def one_coord(task):
         kind, idx, level, p = task
         circuit = hva_tfim(n, level)
-        slot = None if p == 0.0 else channel_from_config({**config.noise, "p": p}, n)
-        noisy = circuit.with_uniform_noise(slot)
+        qfim = _ising_qfim(circuit, config.noise, p, tau_abs, tau_rel)
         kind_id = 1 if kind == "L" else 2
         entries, eigs = [], []
         for s in range(samples):
             rng = subkey_rng(seed, kind_id, idx, s)
             theta = rng.uniform(0.0, 2.0 * np.pi, circuit.n_params)
-            report = qfim_of_circuit(noisy, theta, rho, tau_abs, tau_rel)
+            report = qfim(theta)
             entries.append(np.abs(report.matrix).ravel())
             eigs.append(report.eigenvalues)
         entries = np.concatenate(entries)

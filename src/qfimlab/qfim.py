@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import NoisyCircuit, evolve_with_derivatives
+from .circuits import NoisyCircuit, evolve_with_derivatives, statevector_derivatives
 from .exceptions import DimensionMismatchError
 from .linalg import TAU_SPEC, dag, hermitian_eig
 
@@ -78,17 +78,21 @@ def qfim_pure(
 
     ``F_ij = 4 Re[<d_i psi|d_j psi> - <d_i psi|psi><psi|d_j psi>]``.
     """
+    return report_from_matrix(_fubini_study(state, derivs), tau_abs, tau_rel)
+
+
+def _fubini_study(state: np.ndarray, derivs: Sequence[np.ndarray]) -> np.ndarray:
+    """The matrix of :func:`qfim_pure`, as one Gram product ``F = 4 Re(Y Y^H)``.
+
+    Rows are ``Y_i = d_i psi - psi <psi|d_i psi>``; the product runs on the
+    real view of ``Y``, as in :func:`_weighted_gram`.
+    """
     nrm = float(np.linalg.norm(state))
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"state norm {nrm} deviates from 1 beyond 1e-9")
-    m = len(derivs)
-    overlaps = np.array([np.vdot(state, dv) for dv in derivs])
-    f = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            val = 4.0 * (np.vdot(derivs[i], derivs[j]) - np.conj(overlaps[i]) * overlaps[j]).real
-            f[i, j] = f[j, i] = val
-    return report_from_matrix(f, tau_abs, tau_rel)
+    dpsi = np.asarray(derivs, dtype=complex).reshape(len(derivs), len(state))
+    flat = (dpsi - np.outer(dpsi @ state.conj(), state)).view(float)
+    return 4.0 * (flat @ flat.T)
 
 
 def _weighted_gram(
@@ -139,6 +143,37 @@ def qfim_of_circuit(
     return qfim_mixed(out, derivs, tau_abs, tau_rel)
 
 
+def _global_depol_survival(p: float, n_gates: int) -> float:
+    """``x = (1-p)^(M+1)``: the weight of the noiseless state after the M+1
+    global depolarizing slots, which commute with every gate."""
+    return (1.0 - p) ** (n_gates + 1)
+
+
+def qfim_global_depol(
+    circuit: NoisyCircuit,
+    theta: np.ndarray,
+    psi: np.ndarray,
+    p: float,
+    tau_abs: float = TAU_RANK_ABS,
+    tau_rel: float = TAU_RANK_REL,
+) -> QfimReport:
+    """QFIM of the pure input ``psi`` with ``GlobalDepolarizing(p)`` in every slot.
+
+    ``circuit`` is the noiseless circuit. The noisy output is
+    ``x |psi><psi| + (1-x) I/d`` with ``x = (1-p)^(M+1)``, so the QFIM is the
+    Fubini-Study QFIM of the noiseless output scaled by
+    ``x^2 / (x + 2 (1-x)/d)``: 1 at ``p = 0``, 0 at ``p = 1``. Only state
+    vectors are formed; :func:`qfim_of_circuit` on the noisy circuit and
+    ``|psi><psi|`` gives the same matrix through ``d x d`` states.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"depolarizing probability {p} outside [0, 1]")
+    x = _global_depol_survival(p, circuit.n_params)
+    scale = x * x / (x + 2.0 * (1.0 - x) / circuit.dim)
+    pure = _fubini_study(*statevector_derivatives(circuit, theta, psi))
+    return report_from_matrix(scale * pure, tau_abs, tau_rel)
+
+
 def noisy_qfim_closed_form_global_depol(
     rho_noiseless: np.ndarray,
     derivs_noiseless: Sequence[np.ndarray],
@@ -157,7 +192,7 @@ def noisy_qfim_closed_form_global_depol(
     Returns the raw matrix; wrap with :func:`report_from_matrix` if needed.
     """
     d = rho_noiseless.shape[0]
-    x = (1.0 - p) ** (n_gates + 1)
+    x = _global_depol_survival(p, n_gates)
     evals, vecs = hermitian_eig(rho_noiseless)
     denom = x * (evals[:, None] + evals[None, :]) + 2.0 * (1.0 - x) / d
     safe = np.where(denom > TAU_SPEC, denom, 1.0)

@@ -46,6 +46,8 @@ class TestBuildCircuit:
     def test_validates_noise_qubit_count(self):
         with pytest.raises(DimensionMismatchError):
             build_circuit(1, [Z], [0], noise_slots=[bit_flip(0.1, 2), None])
+        with pytest.raises(DimensionMismatchError):
+            build_circuit(1, [Z], [0]).with_uniform_noise(bit_flip(0.1, 2))
 
 
 class TestEvolve:

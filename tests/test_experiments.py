@@ -494,6 +494,10 @@ def _pauli_term(alpha, beta):
         ({"experiment": "verify", "theta": {"values": [0.1]}}, "theta.values"),
         ({"experiment": "dla", "circuit": {"name": "toy"}, "theta": {"values": [0.1]}},
          "theta.values"),
+        ({"experiment": "spectrum", **_ISING,
+          "noise": {"model": "local_depolarizing", "p": [0.3, 0.9]}}, "noise.p"),
+        ({"experiment": "eig_vs_p", **_TOY, "sweep": {"p": [0.1]},
+          "noise": {"model": "local_depolarizing", "p": [0.7]}}, "noise.p"),
     ],
 )
 def test_malformed_input_rejected_at_parse_time(raw, field, tmp_path):

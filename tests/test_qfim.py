@@ -14,14 +14,19 @@ from qfimlab.circuits import (
     build_circuit,
     evolve,
     evolve_with_derivatives,
+    hva_tfim,
+    plus_state_density,
+    plus_state_vector,
     statevector_derivatives,
     toy_model,
 )
 from qfimlab.linalg import KET_0, KET_PLUS, Z, dag
 from qfimlab.qfim import (
+    TAU_RANK_ABS,
     bures_distance,
     effective_dim_d1,
     noisy_qfim_closed_form_global_depol,
+    qfim_global_depol,
     qfim_mixed,
     qfim_of_circuit,
     qfim_pure,
@@ -164,6 +169,22 @@ class TestClosedFormGlobalDepol:
         closed = noisy_qfim_closed_form_global_depol(out, ders, p, m)
         direct = qfim_of_circuit(circ.with_uniform_noise(GlobalDepolarizing(n, p)), theta, rho)
         assert np.max(np.abs(closed - direct.matrix)) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_global_depol_pure_path_matches_dense(rng, n):
+    circ = hva_tfim(n, 3)
+    theta = rng.uniform(0, 2 * np.pi, circ.n_params)
+    psi = plus_state_vector(n)
+    rho = plus_state_density(n)
+    for p in (0.0, 1e-3, 0.05, 0.3, 1.0):
+        fast = qfim_global_depol(circ, theta, psi, p)
+        noisy = circ.with_uniform_noise(GlobalDepolarizing(n, p))
+        dense = qfim_mixed(*evolve_with_derivatives(noisy, theta, rho))
+        # the floor covers p = 1, where both matrices are zero up to roundoff
+        scale = max(float(np.max(np.abs(dense.matrix))), TAU_RANK_ABS)
+        assert np.max(np.abs(fast.matrix - dense.matrix)) <= 1e-10 * scale
+        assert fast.rank == dense.rank
 
 
 class TestEffectiveDimension:
