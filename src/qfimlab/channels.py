@@ -357,14 +357,14 @@ def _vec(mat: np.ndarray) -> np.ndarray:
     return mat.T.reshape(-1)
 
 
-def superoperator(ch: Channel, max_qubits: int = SUPEROP_MAX_QUBITS) -> np.ndarray:
+def superoperator(ch: Channel) -> np.ndarray:
     """Dense d^2 x d^2 matrix of the channel under column stacking.
 
     Satisfies ``vec(ch.apply(rho)) == S @ vec(rho)``. Capped at
-    ``max_qubits`` because the output has ``16**n`` entries.
+    ``SUPEROP_MAX_QUBITS`` because the output has ``16**n`` entries.
     """
-    if ch.n_qubits > max_qubits:
-        raise TooLargeError(f"superoperator capped at {max_qubits} qubits, got {ch.n_qubits}")
+    if ch.n_qubits > SUPEROP_MAX_QUBITS:
+        raise TooLargeError(f"superoperator capped at {SUPEROP_MAX_QUBITS} qubits, got {ch.n_qubits}")
     d = ch.dim
     s = np.zeros((d * d, d * d), dtype=complex)
     basis = np.zeros((d, d), dtype=complex)
@@ -376,14 +376,14 @@ def superoperator(ch: Channel, max_qubits: int = SUPEROP_MAX_QUBITS) -> np.ndarr
     return s
 
 
-def choi_matrix(ch: Channel, max_qubits: int = SUPEROP_MAX_QUBITS) -> np.ndarray:
+def choi_matrix(ch: Channel) -> np.ndarray:
     """Unnormalized Choi matrix ``sum_kl |k><l| (x) ch(|k><l|)`` (trace d).
 
     A reindexing of :func:`superoperator`: ``S[a + d b, k + d l]`` is the
     Choi entry ``C[k d + a, l d + b]``.
     """
     d = ch.dim
-    s = superoperator(ch, max_qubits)
+    s = superoperator(ch)
     return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
@@ -403,17 +403,12 @@ class CptpReport:
         return self.trace_preserving and self.completely_positive
 
 
-def verify_cptp(
-    ch: Channel,
-    tp_atol: float = 1e-10,
-    cp_atol: float = 1e-9,
-    unital_atol: float = 1e-10,
-) -> CptpReport:
+def verify_cptp(ch: Channel) -> CptpReport:
     """Check trace preservation, complete positivity, and unitality.
 
-    Trace preservation is the superoperator-adjoint fixed-point test
-    ``S† vec(I) == vec(I)``; complete positivity is the minimum eigenvalue of
-    the Choi matrix; unitality applies the channel to the identity.
+    Trace preservation is the fixed-point test ``S† vec(I) == vec(I)`` within
+    1e-10; complete positivity, a Choi matrix minimum eigenvalue of at least
+    -1e-9; unitality, ``ch(I) == I`` within 1e-10.
     """
     d = ch.dim
     s = superoperator(ch)
@@ -423,10 +418,10 @@ def verify_cptp(
     min_eig = float(np.linalg.eigvalsh((c + dag(c)) / 2)[0])
     unital_dev = float(np.max(np.abs(ch.apply(np.eye(d, dtype=complex)) - np.eye(d))))
     return CptpReport(
-        trace_preserving=tp_dev <= tp_atol,
+        trace_preserving=tp_dev <= 1e-10,
         tp_deviation=tp_dev,
-        completely_positive=min_eig >= -cp_atol,
+        completely_positive=min_eig >= -1e-9,
         choi_min_eigenvalue=min_eig,
-        unital=unital_dev <= unital_atol,
+        unital=unital_dev <= 1e-10,
         unitality_deviation=unital_dev,
     )

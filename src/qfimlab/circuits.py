@@ -1,11 +1,10 @@
 """Parametrized circuits with interleaved noise, and their exact derivatives.
 
 A circuit is a sequence of gates ``exp(-i theta_m H_m)`` drawn from a fixed
-generator set, with a noise-channel slot before each gate and one final slot
-after the last gate (``M + 1`` slots for ``M`` gates; slot ``m`` acts before
-gate ``m``). ``None`` in a slot means "no noise" and is skipped, so a circuit
-with all-``None`` slots runs the identical operation sequence as a noiseless
-one.
+generator set, with one noise channel applied in ``M + 1`` slots: before each
+of the ``M`` gates and once after the last. A ``None`` channel means "no
+noise" and is skipped, so such a circuit runs the identical operation
+sequence as a noiseless one.
 
 Gates never form the ``d x d`` unitary of a structured generator.
 :func:`build_circuit` reads each generator's structure from its matrix and
@@ -39,7 +38,6 @@ from .dla import PauliSum
 from .exceptions import DimensionMismatchError
 from .linalg import (
     KET_PLUS,
-    TAU_HERM,
     X,
     Y,
     Z,
@@ -194,24 +192,23 @@ def gate_kernel(h: np.ndarray, n_qubits: int) -> GateKernel:
 
 @dataclass(frozen=True, eq=False)
 class NoisyCircuit:
-    """Gate list over a generator set, with M+1 noise slots.
+    """Gate list over a generator set, with one noise channel in M+1 slots.
 
     Fields:
         n_qubits: register size.
         generators: Hermitian traceless matrices (the gate generator set).
         layers: generator index for each of the M gates, in application order.
-        noise_slots: length M+1; ``noise_slots[m]`` acts before gate ``m``
-            (0-based) and ``noise_slots[M]`` acts after the last gate.
-            Entries are :class:`~qfimlab.channels.Channel` or ``None``.
         kernels: one gate kernel per generator, chosen by
             :func:`gate_kernel`.
+        noise: the :class:`~qfimlab.channels.Channel` applied before each
+            gate and once after the last, or ``None`` for no noise.
     """
 
     n_qubits: int
     generators: tuple[np.ndarray, ...]
     layers: tuple[int, ...]
-    noise_slots: tuple[Channel | None, ...]
     kernels: tuple[GateKernel, ...]
+    noise: Channel | None = None
 
     @property
     def n_params(self) -> int:
@@ -226,8 +223,11 @@ class NoisyCircuit:
 
         The copy shares the generators and gate kernels of this circuit.
         """
-        _check_slot(channel, self.n_qubits)
-        return replace(self, noise_slots=(channel,) * (self.n_params + 1))
+        if channel is not None and channel.n_qubits != self.n_qubits:
+            raise DimensionMismatchError(
+                f"noise channel on {channel.n_qubits} qubits in a {self.n_qubits}-qubit circuit"
+            )
+        return replace(self, noise=channel)
 
     def gate_step(self, m: int, angle: float, mat: np.ndarray) -> np.ndarray:
         """``U mat U†`` for gate ``m`` at an arbitrary ``angle``, as a new array.
@@ -245,41 +245,25 @@ class NoisyCircuit:
         return stack[0]
 
 
-def build_circuit(n_qubits, generators, layers, noise_slots=None) -> NoisyCircuit:
-    """Validate and assemble a :class:`NoisyCircuit`.
+def build_circuit(n_qubits, generators, layers) -> NoisyCircuit:
+    """Validate and assemble a noiseless :class:`NoisyCircuit`.
 
-    Generators must be Hermitian and traceless within 1e-9; noise slots must
-    match the register size and have length M+1.
+    Generators must be Hermitian and traceless within 1e-9. Add noise with
+    :meth:`NoisyCircuit.with_uniform_noise`.
     """
     d = 2**n_qubits
     gens = tuple(np.asarray(g, dtype=complex) for g in generators)
     for k, g in enumerate(gens):
         if g.shape != (d, d):
             raise DimensionMismatchError(f"generator {k} has shape {g.shape}, expected {(d, d)}")
-        check_hermitian(g, TAU_HERM, f"generator {k}")
+        check_hermitian(g, f"generator {k}")
         if abs(np.trace(g)) > 1e-9:
             raise ValueError(f"generator {k} has trace {np.trace(g):.3e}, expected traceless")
     layers = tuple(int(i) for i in layers)
     if any(not 0 <= i < len(gens) for i in layers):
         raise ValueError(f"layer indices {layers} outside generator set of size {len(gens)}")
-    m = len(layers)
-    if noise_slots is None:
-        slots: tuple[Channel | None, ...] = (None,) * (m + 1)
-    else:
-        slots = tuple(noise_slots)
-        if len(slots) != m + 1:
-            raise ValueError(f"expected {m + 1} noise slots for {m} gates, got {len(slots)}")
-        for s in slots:
-            _check_slot(s, n_qubits)
     kernels = tuple(gate_kernel(g, n_qubits) for g in gens)
-    return NoisyCircuit(n_qubits, gens, layers, slots, kernels)
-
-
-def _check_slot(channel: Channel | None, n_qubits: int) -> None:
-    if channel is not None and channel.n_qubits != n_qubits:
-        raise DimensionMismatchError(
-            f"noise channel on {channel.n_qubits} qubits in a {n_qubits}-qubit circuit"
-        )
+    return NoisyCircuit(n_qubits, gens, layers, kernels)
 
 
 def _check_args(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -293,15 +277,14 @@ def _check_args(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> np
     return theta
 
 
-def _apply_slot(circuit: NoisyCircuit, m: int, stack: np.ndarray, scratch: np.ndarray) -> None:
-    ch = circuit.noise_slots[m]
-    if ch is not None:
-        ch.apply_batch(stack, scratch)
+def _apply_slot(circuit: NoisyCircuit, stack: np.ndarray, scratch: np.ndarray) -> None:
+    if circuit.noise is not None:
+        circuit.noise.apply_batch(stack, scratch)
 
 
 def _step(circuit: NoisyCircuit, m: int, theta_m: float, stack: np.ndarray, scratch: np.ndarray):
     """Noise slot ``m`` then gate ``m``, in place on the whole stack."""
-    _apply_slot(circuit, m, stack, scratch)
+    _apply_slot(circuit, stack, scratch)
     circuit.kernels[circuit.layers[m]].conjugate(stack, theta_m, scratch)
 
 
@@ -312,7 +295,7 @@ def evolve(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> np.ndar
     scratch = np.empty_like(stack)
     for m in range(circuit.n_params):
         _step(circuit, m, theta[m], stack, scratch)
-    _apply_slot(circuit, circuit.n_params, stack, scratch)
+    _apply_slot(circuit, stack, scratch)
     return stack[0]
 
 
@@ -361,7 +344,7 @@ def evolve_with_derivatives(
         if m in row_of:
             circuit.kernels[circuit.layers[m]].commutator(stack[0], stack[k], scratch[k])
             k += 1
-    _apply_slot(circuit, m_tot, stack, scratch)
+    _apply_slot(circuit, stack, scratch)
 
     derivs: list[np.ndarray] = []
     handed_out: set[int] = set()
@@ -394,7 +377,7 @@ def loss_linear(
     circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray, obs: np.ndarray
 ) -> float:
     """Linear loss ``Tr[rho_out O]`` for a Hermitian observable ``O``."""
-    check_hermitian(obs, TAU_HERM, "observable")
+    check_hermitian(obs, "observable")
     out = evolve(circuit, theta, rho)
     return float(np.trace(out @ obs).real)
 
@@ -419,7 +402,7 @@ def toy_model() -> tuple[NoisyCircuit, np.ndarray]:
 
     Gates in application order are exp(-i th Z/2), exp(-i th X/2),
     exp(-i th Z/2), exp(-i th X/2); the input is 0.9 |+><+| + 0.1 I/2.
-    Noise slots default to identity.
+    The circuit is noiseless.
     """
     circuit = build_circuit(1, [Z / 2, X / 2], [0, 1, 0, 1])
     plus = np.outer(KET_PLUS, KET_PLUS.conj())
@@ -518,8 +501,8 @@ def statevector_derivatives(
     remaining gates; as in :func:`evolve_with_derivatives`, the state and the
     pending derivatives travel forward as one stack.
     """
-    if any(s is not None for s in circuit.noise_slots):
-        raise ValueError("statevector evolution requires a circuit with no noise slots")
+    if circuit.noise is not None:
+        raise ValueError("statevector evolution requires a noiseless circuit")
     theta = np.asarray(theta, dtype=float)
     m_tot = circuit.n_params
     rows = np.empty((m_tot + 1, len(psi)), dtype=complex)

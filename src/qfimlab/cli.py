@@ -1,7 +1,7 @@
 """Command-line entry point: ``qfimlab <experiment> --config file.json``.
 
-Exit codes: 0 on success, 1 on configuration errors, 2 when the verify
-suite reports a failed check.
+Exit codes: 0 on success, 1 on configuration errors and unreadable or
+unwritable files, 2 when the verify suite reports a failed check.
 """
 
 from __future__ import annotations
@@ -76,9 +76,13 @@ def main(argv=None) -> int:
             line += f"; expected {payload['expected']}: {'ok' if payload['match'] else 'MISMATCH'}"
         print(line)
 
-    out_path = args.out or config.output.get("path")
+    out_path = args.out or config.output["path"]
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 1
         print(f"wrote {out_path}")
     elif config.experiment not in ("verify", "dla"):
         sys.stdout.write(text)

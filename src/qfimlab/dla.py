@@ -149,7 +149,7 @@ class _MatrixCoordinates:
         for k, g in enumerate(gens):
             if g.shape != (d, d):
                 raise ValueError(f"generator {k} has shape {g.shape}, expected {(d, d)}")
-            check_hermitian(g, TAU_HERM, f"generator {k}")
+            check_hermitian(g, f"generator {k}")
             if abs(np.trace(g)) > 1e-9:
                 raise ValueError(f"generator {k} has trace {np.trace(g):.3e}, expected traceless")
         self.d = d

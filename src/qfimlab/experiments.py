@@ -1,12 +1,15 @@
 """JSON-configured experiment harness with seeded, reproducible emission.
 
 Configs are validated strictly (unknown keys are errors) before any
-computation. Randomness comes exclusively from numpy's counter-based Philox
-generator keyed by a 64-bit seed, with per-task subkeys derived from sweep
-coordinates, so identical config + seed reproduces byte-identical output.
-CSV files carry a versioned schema comment line and print floats with 17
-significant digits; JSON reports echo the config along with a SHA-256 hash
-of its canonical form.
+computation. What each experiment accepts (circuits, noise models, sweeps,
+options and their defaults) is stated once, in :data:`CONTRACTS`, and
+:func:`parse_config` is the only code that enforces it: a config that parses
+runs without a config error. Randomness comes exclusively from numpy's
+counter-based Philox generator keyed by a 64-bit seed, with per-task subkeys
+derived from sweep coordinates, so identical config + seed reproduces
+byte-identical output. CSV files carry a versioned schema comment line and
+print floats with 17 significant digits; JSON reports echo the config along
+with a SHA-256 hash of its canonical form.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,7 +57,39 @@ from .qfim import (
 from .rand import map_tasks, subkey_rng
 
 CSV_SCHEMA_VERSION = 1
-EXPERIMENTS = ("trajectory", "eig_vs_p", "spectrum", "scaling", "verify", "dla")
+
+
+class Contract(NamedTuple):
+    """What one experiment accepts. :func:`parse_config` is the only reader."""
+
+    circuits: tuple[str, ...]  # the circuits it runs on
+    default_circuit: str | None  # the circuit when the config names none
+    noise: tuple[str, ...]  # the noise models it accepts
+    sweeps: tuple[str, ...]  # it needs at least one of these nonempty
+    options: dict  # every option with its default; the default's type is the option's
+    seed: int = 0  # theta.seed when the config gives no theta
+
+
+NOISE_MODELS = ("none", "bit_flip", "global_depolarizing", "local_depolarizing", "pauli", "composite")
+_DEPOLARIZING = ("global_depolarizing", "local_depolarizing")
+
+CONTRACTS = {
+    "trajectory": Contract(
+        ("toy",), "toy", NOISE_MODELS, (),
+        {"steps_per_gate": 100, "eigvec_span": 1.0, "eigvec_steps": 100},
+    ),
+    "eig_vs_p": Contract(("toy",), "toy", ("bit_flip", *_DEPOLARIZING), ("p",), {}),
+    "spectrum": Contract(("hva_tfim",), None, _DEPOLARIZING, ("p",), {"epsilons": []}),
+    "scaling": Contract(("hva_tfim",), None, _DEPOLARIZING, ("L", "p"), {"samples": 10}),
+    "verify": Contract(
+        (), None, ("none",), (),
+        {"trials": 20, "entropy_trials": 100, "delta_trials": 100,
+         "decomposition_trials": 20, "strict_pauli_fixed_point": False},
+        seed=42,
+    ),
+    "dla": Contract(("toy", "hva_tfim"), None, ("none",), (), {"print_basis": False, "max_dim": None}),
+}
+EXPERIMENTS = tuple(CONTRACTS)
 
 
 # ---------------------------------------------------------------------------
@@ -100,49 +135,44 @@ def _probability(value, where: str) -> float:
     return v
 
 
+def _option(value, default, where: str):
+    """``value`` checked against the type of the option's ``default``."""
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ConfigError(f"{where} must be true or false, got {value!r}")
+        return value
+    if isinstance(default, float):
+        return _finite(value, where)
+    if isinstance(default, list):
+        return [_finite(v, f"{where} entries") for v in _list(value, where)]
+    return _positive_int(value, where)  # an int option, or a None default: a cap when given
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; see README for the JSON schema."""
+    """Validated experiment description, with every default filled in.
+
+    A config that :func:`parse_config` returns runs without a config error.
+    ``raw`` is the config as given, echoed by JSON reports.
+    """
 
     experiment: str
     circuit: dict
     noise: dict
     theta: dict
     sweep: dict
-    tolerances: dict
+    rank_tolerances: tuple[float, float]  # (tolerances.rank_abs, tolerances.rank_rel)
     output: dict
     options: dict
     raw: dict = field(repr=False)
 
-    @property
-    def rank_tolerances(self) -> tuple[float, float]:
-        return (
-            float(self.tolerances.get("rank_abs", TAU_RANK_ABS)),
-            float(self.tolerances.get("rank_rel", TAU_RANK_REL)),
-        )
-
-
-_OPTION_KEYS = {
-    "trajectory": {"steps_per_gate", "eigvec_span", "eigvec_steps"},
-    "eig_vs_p": set(),
-    "spectrum": {"epsilons"},
-    "scaling": {"samples"},
-    "verify": {
-        "trials",
-        "entropy_trials",
-        "delta_trials",
-        "decomposition_trials",
-        "strict_pauli_fixed_point",
-    },
-    "dla": {"print_basis", "max_dim"},
-}
-
 
 def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
-    """Validate a raw config dict; unknown fields anywhere are errors.
+    """Validate a raw config dict against the experiment's :data:`CONTRACTS` entry.
 
-    ``experiment`` (e.g. from the CLI subcommand) must agree with the
-    config's own ``experiment`` tag when both are present.
+    Unknown fields anywhere are errors. ``experiment`` (e.g. from the CLI
+    subcommand) must agree with the config's own ``experiment`` tag when both
+    are present. No circuit, channel or state is built here.
     """
     _check_keys(
         raw,
@@ -150,16 +180,17 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
         {"experiment", "circuit", "noise", "theta", "sweep", "tolerances", "output", "options"},
     )
     tag = raw.get("experiment")
-    if tag is None and experiment is None:
+    exp = tag or experiment
+    if exp is None:
         raise ConfigError("config has no 'experiment' tag and none was given")
-    if tag is not None and tag not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {tag!r}; expected one of {EXPERIMENTS}")
+    if exp not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {exp!r}; expected one of {EXPERIMENTS}")
     if tag is not None and experiment is not None and tag != experiment:
         raise ConfigError(f"config experiment {tag!r} does not match requested {experiment!r}")
-    exp = tag or experiment
+    contract = CONTRACTS[exp]
 
     circuit = raw.get("circuit", {})
-    if circuit:
+    if circuit != {}:
         _check_keys(circuit, "circuit", {"name", "n", "L"}, {"name"})
         if circuit["name"] not in ("toy", "hva_tfim"):
             raise ConfigError(f"unknown circuit {circuit['name']!r}; expected 'toy' or 'hva_tfim'")
@@ -170,67 +201,85 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
                 raise ConfigError("circuit.n must be at least 2 for hva_tfim")
         elif set(circuit) - {"name"}:
             raise ConfigError("the toy circuit takes no parameters")
+    if not circuit and contract.default_circuit:
+        circuit = {"name": contract.default_circuit}
 
-    noise = raw.get("noise", {"model": "none"})
-    _validate_noise(noise, "noise")
-    if exp in ("spectrum", "eig_vs_p", "scaling") and isinstance(noise.get("p"), list):
+    n_qubits = circuit.get("n", 1) if circuit else None
+    noise = _parse_noise(raw.get("noise", {"model": "none"}), "noise", n_qubits)
+    if "p" in contract.sweeps and isinstance(noise.get("p"), list):
         raise ConfigError(
             f"{exp} needs one number for noise.p, not a list: each sweep.p value replaces it"
         )
 
     theta = raw.get("theta", {})
-    if theta:
-        _check_keys(theta, "theta", {"seed", "values"})
-        if "seed" in theta and "values" in theta:
-            raise ConfigError("theta: give either 'seed' or 'values', not both")
-        if "values" in theta and exp != "spectrum":
-            raise ConfigError(f"theta.values is read only by spectrum, not by {exp}")
-        seed = theta.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-            raise ConfigError(f"theta.seed must be an integer in [0, 2^64), got {seed!r}")
-        for v in _list(theta.get("values", []), "theta.values"):
-            _finite(v, "theta.values entries")
+    _check_keys(theta, "theta", {"seed", "values"})
+    if "seed" in theta and "values" in theta:
+        raise ConfigError("theta: give either 'seed' or 'values', not both")
+    if "values" in theta and exp != "spectrum":
+        raise ConfigError(f"theta.values is read only by spectrum, not by {exp}")
+    seed = theta.get("seed", contract.seed)
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ConfigError(f"theta.seed must be an integer in [0, 2^64), got {seed!r}")
+    if "values" in theta:
+        values = _list(theta["values"], "theta.values")
+        theta = {"values": [_finite(v, "theta.values entries") for v in values]}
+    else:
+        theta = {"seed": seed}
 
     sweep = raw.get("sweep", {})
-    if sweep:
-        _check_keys(sweep, "sweep", {"p", "L"})
-        for p in _list(sweep.get("p", []), "sweep.p"):
-            _probability(p, "sweep.p entries")
-        for level in _list(sweep.get("L", []), "sweep.L"):
-            _positive_int(level, "sweep.L entries")
+    _check_keys(sweep, "sweep", {"p", "L"})
+    sweep = {
+        "p": [_probability(p, "sweep.p entries") for p in _list(sweep.get("p", []), "sweep.p")],
+        "L": [_positive_int(v, "sweep.L entries") for v in _list(sweep.get("L", []), "sweep.L")],
+    }
 
     tolerances = raw.get("tolerances", {})
-    if tolerances:
-        _check_keys(tolerances, "tolerances", {"rank_abs", "rank_rel"})
-        for key, value in tolerances.items():
-            if _finite(value, f"tolerances.{key}") < 0:
-                raise ConfigError(f"tolerances.{key} must be nonnegative, got {value!r}")
+    _check_keys(tolerances, "tolerances", {"rank_abs", "rank_rel"})
+    for key, value in tolerances.items():
+        if _finite(value, f"tolerances.{key}") < 0:
+            raise ConfigError(f"tolerances.{key} must be nonnegative, got {value!r}")
+    rank_tolerances = (
+        float(tolerances.get("rank_abs", TAU_RANK_ABS)), float(tolerances.get("rank_rel", TAU_RANK_REL))
+    )
 
     output = raw.get("output", {})
-    if output:
-        _check_keys(output, "output", {"path", "format"})
-        if output.get("format", "csv") not in ("csv", "json"):
-            raise ConfigError(f"output.format must be 'csv' or 'json', got {output.get('format')!r}")
+    _check_keys(output, "output", {"path", "format"})
+    output = {"path": None, "format": "csv"} | output
+    if output["format"] not in ("csv", "json"):
+        raise ConfigError(f"output.format must be 'csv' or 'json', got {output['format']!r}")
+    if output["path"] is not None and not isinstance(output["path"], str):
+        raise ConfigError(f"output.path must be a string, got {output['path']!r}")
 
     options = raw.get("options", {})
-    _check_keys(options, f"options ({exp})", _OPTION_KEYS[exp])
-    for key, value in options.items():
-        where = f"options.{key}"
-        if key in ("print_basis", "strict_pauli_fixed_point"):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{where} must be true or false, got {value!r}")
-        elif key == "eigvec_span":
-            _finite(value, where)
-        elif key == "epsilons":
-            for e in _list(value, where):
-                _finite(e, f"{where} entries")
-        else:
-            _positive_int(value, where)
+    _check_keys(options, f"options ({exp})", set(contract.options))
+    options = contract.options | {
+        key: _option(value, contract.options[key], f"options.{key}") for key, value in options.items()
+    }
 
-    return ExperimentConfig(exp, circuit, noise, theta, sweep, tolerances, output, options, raw)
+    # the contract's rules that span sections
+    if circuit.get("name") not in contract.circuits and (circuit or contract.circuits):
+        allowed = " or ".join(map(repr, contract.circuits)) or "no circuit"
+        got = repr(circuit["name"]) if circuit else "none"
+        raise ConfigError(f"circuit: {exp} runs on {allowed}, got {got}")
+    if noise["model"] not in contract.noise:
+        raise ConfigError(f"noise.model: {exp} accepts {contract.noise}, got {noise['model']!r}")
+    unread = [key for key, values in sweep.items() if values and key not in contract.sweeps]
+    if unread:
+        raise ConfigError(f"sweep.{unread[0]} is not read by {exp}")
+    if contract.sweeps and not any(sweep[key] for key in contract.sweeps):
+        needed = " or ".join(f"sweep.{key}" for key in contract.sweeps)
+        raise ConfigError(f"{exp} needs a nonempty {needed}")
+    if "values" in theta and len(theta["values"]) != 2 * circuit["L"]:
+        m = 2 * circuit["L"]
+        raise ConfigError(f"theta.values needs 2L = {m} entries, got {len(theta['values'])}")
+    return ExperimentConfig(exp, circuit, noise, theta, sweep, rank_tolerances, output, options, raw)
 
 
-def _validate_noise(noise: dict, where: str) -> None:
+def _parse_noise(noise: dict, where: str, n_qubits: int | None) -> dict:
+    """A checked copy of a noise section, with every probability a float.
+
+    Qubit counts are checked against ``n_qubits`` unless it is None (no circuit).
+    """
     _check_keys(
         noise, where, {"model", "p", "terms", "channels", "placement"}, {"model"}
     )
@@ -240,22 +289,25 @@ def _validate_noise(noise: dict, where: str) -> None:
             f"the last) is supported"
         )
     model = noise["model"]
+    out = dict(noise)
     if model == "none":
         if set(noise) - {"model", "placement"}:
             raise ConfigError(f"{where}: model 'none' takes no parameters")
     elif model in ("bit_flip", "global_depolarizing"):
-        _probability(noise.get("p", None), f"{where}.p")
+        out["p"] = _probability(noise.get("p", None), f"{where}.p")
     elif model == "local_depolarizing":
         p = noise.get("p", None)
         if isinstance(p, list):
-            for v in p:
-                _probability(v, f"{where}.p entries")
+            out["p"] = [_probability(v, f"{where}.p entries") for v in p]
+            if n_qubits is not None and len(p) != n_qubits:
+                raise ConfigError(f"{where}.p needs one entry per qubit ({n_qubits}), got {len(p)}")
         else:
-            _probability(p, f"{where}.p")
+            out["p"] = _probability(p, f"{where}.p")
     elif model == "pauli":
         terms = noise.get("terms", None)
         if not isinstance(terms, list) or not terms:
             raise ConfigError(f"{where}.terms must be a nonempty list")
+        out["terms"] = []
         for t in terms:
             _check_keys(t, f"{where}.terms entry", {"alpha", "beta", "prob"}, {"alpha", "beta", "prob"})
             for key in ("alpha", "beta"):
@@ -264,70 +316,47 @@ def _validate_noise(noise: dict, where: str) -> None:
                     raise ConfigError(f"{where}.terms {key} entries must be 0 or 1, got {bits!r}")
             if len(t["alpha"]) != len(t["beta"]):
                 raise ConfigError(f"{where}.terms alpha and beta must have equal length")
-            _probability(t["prob"], f"{where}.terms prob")
+            if n_qubits is not None and len(t["alpha"]) != n_qubits:
+                raise ConfigError(
+                    f"{where}.terms: a term on {len(t['alpha'])} qubits, the circuit has {n_qubits}"
+                )
+            out["terms"].append({**t, "prob": _probability(t["prob"], f"{where}.terms prob")})
+        # the same sum, in the same order, that PauliChannel checks
+        total = float(np.array([t["prob"] for t in out["terms"]]).sum())
+        if abs(total - 1.0) > 1e-12:
+            raise ConfigError(f"{where}.terms: probabilities sum to {total}, expected 1")
     elif model == "composite":
         channels = noise.get("channels", None)
         if not isinstance(channels, list) or not channels:
             raise ConfigError(f"{where}.channels must be a nonempty list")
-        for sub in channels:
-            _validate_noise(sub, f"{where}.channels entry")
+        out["channels"] = [_parse_noise(sub, f"{where}.channels entry", n_qubits) for sub in channels]
+        if any(sub["model"] == "none" for sub in out["channels"]):
+            raise ConfigError(f"{where}.channels: model 'none' is not a channel to compose")
     else:
         raise ConfigError(f"unknown noise model {model!r}")
+    return out
 
 
 def channel_from_config(noise: dict, n_qubits: int) -> Channel | None:
-    """Build the per-slot channel described by a validated noise config."""
+    """Build the per-slot channel described by a parsed noise config."""
     model = noise["model"]
     if model == "none":
         return None
     if model == "bit_flip":
-        return bit_flip(float(noise["p"]), n_qubits, qubit=0)
+        return bit_flip(noise["p"], n_qubits, qubit=0)
     if model == "global_depolarizing":
-        return GlobalDepolarizing(n_qubits, float(noise["p"]))
+        return GlobalDepolarizing(n_qubits, noise["p"])
     if model == "local_depolarizing":
         p = noise["p"]
         if isinstance(p, list):
-            if len(p) != n_qubits:
-                raise ConfigError(
-                    f"local_depolarizing needs {n_qubits} probabilities, got {len(p)}"
-                )
-            return LocalDepolarizing(tuple(float(v) for v in p))
-        return LocalDepolarizing.uniform(n_qubits, float(p))
+            return LocalDepolarizing(tuple(p))
+        return LocalDepolarizing.uniform(n_qubits, p)
     if model == "pauli":
-        terms = []
-        for t in noise["terms"]:
-            s = PauliString(tuple(int(b) for b in t["alpha"]), tuple(int(b) for b in t["beta"]))
-            if s.n_qubits != n_qubits:
-                raise ConfigError(f"pauli term on {s.n_qubits} qubits in a {n_qubits}-qubit circuit")
-            terms.append((s, float(t["prob"])))
-        try:
-            return PauliChannel(terms)
-        except ValueError as exc:
-            raise ConfigError(f"invalid pauli channel: {exc}") from exc
-    if model == "composite":
-        return CompositeChannel([channel_from_config(sub, n_qubits) for sub in noise["channels"]])
-    raise ConfigError(f"unknown noise model {model!r}")
-
-
-def circuit_from_config(circuit: dict) -> tuple[NoisyCircuit, np.ndarray]:
-    """Instantiate the circuit and its default input state."""
-    if not circuit:
-        raise ConfigError("this experiment requires a 'circuit' section")
-    if circuit["name"] == "toy":
-        return toy_model()
-    n = int(circuit["n"])
-    return hva_tfim(n, int(circuit["L"])), plus_state_density(n)
-
-
-def _theta_for(config: ExperimentConfig, m: int, default_seed: int = 0) -> np.ndarray:
-    theta = config.theta
-    if "values" in theta:
-        values = np.asarray(theta["values"], dtype=float)
-        if values.shape != (m,):
-            raise ConfigError(f"theta.values has length {values.size}, circuit needs {m}")
-        return values
-    seed = int(theta.get("seed", default_seed))
-    return subkey_rng(seed, 0).uniform(0.0, 2.0 * np.pi, m)
+        return PauliChannel(
+            [(PauliString(tuple(t["alpha"]), tuple(t["beta"])), t["prob"]) for t in noise["terms"]]
+        )
+    # composite, the one model left
+    return CompositeChannel([channel_from_config(sub, n_qubits) for sub in noise["channels"]])
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +389,7 @@ def emit_table(
     config: ExperimentConfig, columns: Sequence[str], rows: Sequence[Sequence[Any]]
 ) -> str:
     """Render a result table as CSV (default) or JSON per ``output.format``."""
-    if config.output.get("format", "csv") == "json":
+    if config.output["format"] == "json":
         payload = {"columns": list(columns), "rows": [list(r) for r in rows]}
         return report_to_json(config, payload)
     return rows_to_csv(config.experiment, columns, rows)
@@ -401,14 +430,13 @@ def run_trajectory(config: ExperimentConfig, workers: int | None = None) -> str:
     and ``step`` scanning the perturbation ``t`` across
     ``[-eigvec_span, eigvec_span]``.
     """
-    if config.circuit and config.circuit.get("name") != "toy":
-        raise ConfigError("trajectory runs on the toy circuit")
-    steps = int(config.options.get("steps_per_gate", 100))
-    span = float(config.options.get("eigvec_span", 1.0))
-    eig_steps = int(config.options.get("eigvec_steps", 100))
+    steps, eig_steps = config.options["steps_per_gate"], config.options["eigvec_steps"]
+    span = config.options["eigvec_span"]
     base, rho = toy_model()
     circuit = base.with_uniform_noise(channel_from_config(config.noise, 1))
     tau_abs, tau_rel = config.rank_tolerances
+
+    noise = (lambda state: state) if circuit.noise is None else circuit.noise.apply
 
     def emit(state, gate_index, step, label, rows):
         x, y, z = bloch_coords(state)
@@ -421,14 +449,11 @@ def run_trajectory(config: ExperimentConfig, workers: int | None = None) -> str:
         state = rho
         m_tot = circuit.n_params
         for m in range(m_tot):
-            ch = circuit.noise_slots[m]
-            state = state if ch is None else ch.apply(state)
+            state = noise(state)
             for s in range(steps + 1):
                 emit(circuit.gate_step(m, theta[m] * s / steps, state), m + 1, s, label, rows)
             state = circuit.gate_step(m, theta[m], state)
-        ch = circuit.noise_slots[m_tot]
-        state = state if ch is None else ch.apply(state)
-        emit(state, m_tot + 1, 0, label, rows)
+        emit(noise(state), m_tot + 1, 0, label, rows)
 
         report = qfim_of_circuit(circuit, theta, rho, tau_abs, tau_rel)
         _, vecs = np.linalg.eigh(report.matrix)
@@ -449,29 +474,16 @@ EIG_VS_P_COLUMNS = ("label", "p", "eig_index", "eigenvalue", "rank")
 
 def run_eig_vs_p(config: ExperimentConfig, workers: int | None = None) -> str:
     """Toy-model QFIM spectrum on a noise-probability grid, per parameter point."""
-    if config.circuit and config.circuit.get("name") != "toy":
-        raise ConfigError("eig_vs_p runs on the toy circuit")
-    grid = config.sweep.get("p")
-    if not grid:
-        raise ConfigError("eig_vs_p needs sweep.p")
     base, rho = toy_model()
     tau_abs, tau_rel = config.rank_tolerances
-    noise_model = dict(config.noise)
-    if noise_model["model"] not in ("bit_flip", "global_depolarizing", "local_depolarizing"):
-        raise ConfigError("eig_vs_p needs a noise model parametrized by a single 'p'")
 
     def one_point(arg):
         label, theta, p = arg
-        noisy = base.with_uniform_noise(channel_from_config({**noise_model, "p": p}, 1))
+        noisy = base.with_uniform_noise(channel_from_config({**config.noise, "p": p}, 1))
         report = qfim_of_circuit(noisy, theta, rho, tau_abs, tau_rel)
-        return [
-            (label, float(p), k, float(lam), report.rank)
-            for k, lam in enumerate(report.eigenvalues)
-        ]
+        return [(label, p, k, float(lam), report.rank) for k, lam in enumerate(report.eigenvalues)]
 
-    tasks = [
-        (label, theta, float(p)) for label, theta in TOY_THETAS.items() for p in grid
-    ]
+    tasks = [(label, theta, p) for label, theta in TOY_THETAS.items() for p in config.sweep["p"]]
     groups = map_tasks(one_point, tasks, workers)
     return emit_table(config, EIG_VS_P_COLUMNS, [r for g in groups for r in g])
 
@@ -500,17 +512,13 @@ def run_spectrum(config: ExperimentConfig, workers: int | None = None) -> str:
     Emits the noiseless rank, the symmetric-sector algebra dimension, and one
     capacity column per configured epsilon.
     """
-    if not config.circuit or config.circuit.get("name") != "hva_tfim":
-        raise ConfigError("spectrum runs on the hva_tfim circuit")
-    grid = config.sweep.get("p")
-    if not grid:
-        raise ConfigError("spectrum needs sweep.p")
-    if config.noise["model"] not in ("global_depolarizing", "local_depolarizing"):
-        raise ConfigError("spectrum needs global_depolarizing or local_depolarizing noise")
-    epsilons = [float(e) for e in config.options.get("epsilons", [])]
-    circuit, _ = circuit_from_config(config.circuit)
-    n = circuit.n_qubits
-    theta = _theta_for(config, circuit.n_params)
+    epsilons = config.options["epsilons"]
+    n, layers = config.circuit["n"], config.circuit["L"]
+    circuit = hva_tfim(n, layers)
+    if "values" in config.theta:
+        theta = np.asarray(config.theta["values"])
+    else:
+        theta = subkey_rng(config.theta["seed"], 0).uniform(0.0, 2.0 * np.pi, circuit.n_params)
     tau_abs, tau_rel = config.rank_tolerances
     dim_g = parity_sector_dimension(lie_closure(hva_tfim_pauli_generators(n)))
     noiseless = _ising_qfim(circuit, config.noise, 0.0, tau_abs, tau_rel)(theta)
@@ -522,12 +530,12 @@ def run_spectrum(config: ExperimentConfig, workers: int | None = None) -> str:
         report = _ising_qfim(circuit, config.noise, p, tau_abs, tau_rel)(theta)
         counts = [effective_dim_d1(report, e) for e in epsilons]
         return [
-            (n, int(config.circuit["L"]), circuit.n_params, float(p), k, float(lam),
+            (n, layers, circuit.n_params, p, k, float(lam),
              report.rank, noiseless.rank, dim_g, *counts)
             for k, lam in enumerate(report.eigenvalues)
         ]
 
-    groups = map_tasks(one_p, [float(p) for p in grid], workers)
+    groups = map_tasks(one_p, config.sweep["p"], workers)
     return emit_table(config, columns, [r for g in groups for r in g])
 
 
@@ -544,26 +552,17 @@ def run_scaling(config: ExperimentConfig, workers: int | None = None) -> str:
     the circuit config's fixed L. Each coordinate averages over
     ``options.samples`` theta draws from per-coordinate Philox substreams.
     """
-    if not config.circuit or config.circuit.get("name") != "hva_tfim":
-        raise ConfigError("scaling runs on the hva_tfim circuit")
-    if config.noise["model"] not in ("global_depolarizing", "local_depolarizing"):
-        raise ConfigError("scaling needs global_depolarizing or local_depolarizing noise")
-    samples = int(config.options.get("samples", 10))
-    n = int(config.circuit["n"])
-    seed = int(config.theta.get("seed", 0))
+    samples, n, seed = config.options["samples"], config.circuit["n"], config.theta["seed"]
     tau_abs, tau_rel = config.rank_tolerances
-
-    tasks = []
-    for idx, level in enumerate(config.sweep.get("L", [])):
-        tasks.append(("L", idx, int(level), float(config.noise["p"])))
-    for idx, p in enumerate(config.sweep.get("p", [])):
-        tasks.append(("p", idx, int(config.circuit["L"]), float(p)))
-    if not tasks:
-        raise ConfigError("scaling needs sweep.L and/or sweep.p")
+    tasks = [("L", idx, level, config.noise["p"]) for idx, level in enumerate(config.sweep["L"])]
+    tasks += [("p", idx, config.circuit["L"], p) for idx, p in enumerate(config.sweep["p"])]
+    # every depth repeats the one-layer circuit, so all share its generators and kernels
+    base = hva_tfim(n, 1)
+    circuits = {level: replace(base, layers=base.layers * level) for level in {t[2] for t in tasks}}
 
     def one_coord(task):
         kind, idx, level, p = task
-        circuit = hva_tfim(n, level)
+        circuit = circuits[level]
         qfim = _ising_qfim(circuit, config.noise, p, tau_abs, tau_rel)
         kind_id = 1 if kind == "L" else 2
         entries, eigs = [], []
@@ -587,17 +586,10 @@ def run_scaling(config: ExperimentConfig, workers: int | None = None) -> str:
 
 def run_verify(config: ExperimentConfig, workers: int | None = None) -> str:
     """Numerical certificate suite as a JSON report with an ``all_passed`` flag."""
-    seed = int(config.theta.get("seed", 42))
+    seed = config.theta["seed"]
+    tau_abs, tau_rel = config.rank_tolerances
     results = verify_mod.run_suite(
-        seed=seed,
-        trials=int(config.options.get("trials", 20)),
-        entropy_trials=int(config.options.get("entropy_trials", 100)),
-        delta_trials=int(config.options.get("delta_trials", 100)),
-        decomposition_trials=int(config.options.get("decomposition_trials", 20)),
-        strict_pauli_fixed_point=bool(config.options.get("strict_pauli_fixed_point", False)),
-        tau_abs=config.rank_tolerances[0],
-        tau_rel=config.rank_tolerances[1],
-        workers=workers,
+        seed, **config.options, tau_abs=tau_abs, tau_rel=tau_rel, workers=workers
     )
     payload = {"seed": seed, "checks": results, "all_passed": all(c["passed"] for c in results)}
     return report_to_json(config, payload)
@@ -613,9 +605,7 @@ def run_dla(config: ExperimentConfig, workers: int | None = None) -> str:
     reference input state (``dim``, a quotient of the same closure). The
     published 3n/2 closed form counts the latter; see the package docs.
     """
-    if not config.circuit:
-        raise ConfigError("dla needs a circuit")
-    max_dim = config.options.get("max_dim")
+    max_dim = config.options["max_dim"]
     if config.circuit["name"] == "toy":
         circuit, _ = toy_model()
         full = lie_closure([PauliSum.from_matrix(g) for g in circuit.generators], max_dim=max_dim)
@@ -626,7 +616,7 @@ def run_dla(config: ExperimentConfig, workers: int | None = None) -> str:
             "match": full.dim == 3,
         }
     else:
-        n = int(config.circuit["n"])
+        n = config.circuit["n"]
         full = lie_closure(hva_tfim_pauli_generators(n), max_dim=max_dim)
         sector_dim = parity_sector_dimension(full)
         expected = 3 * n // 2 if n % 2 == 0 else None
@@ -637,7 +627,7 @@ def run_dla(config: ExperimentConfig, workers: int | None = None) -> str:
             "expected": expected,
             "match": None if expected is None else sector_dim == expected,
         }
-    if config.options.get("print_basis", False):
+    if config.options["print_basis"]:
         # Tr[P e] / 2^n for each basis element e scaled to Re Tr[e† e] = 1
         scale = 2.0 ** (-full.elements[0].n_qubits / 2)
         payload["basis_pauli_expansion"] = [

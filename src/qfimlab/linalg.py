@@ -30,7 +30,6 @@ I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
 KET_0 = np.array([1, 0], dtype=complex)
 KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
@@ -67,52 +66,53 @@ def n_qubits_of(mat: np.ndarray) -> int:
     return n
 
 
-def is_hermitian(a: np.ndarray, atol: float = TAU_HERM) -> bool:
-    """Max-entry check of ``A == A†``."""
-    return bool(np.max(np.abs(a - a.conj().T)) <= atol)
+def is_hermitian(a: np.ndarray) -> bool:
+    """Max-entry check of ``A == A†`` to within ``TAU_HERM``."""
+    return bool(np.max(np.abs(a - a.conj().T)) <= TAU_HERM)
 
 
-def is_unitary(a: np.ndarray, atol: float = TAU_UNIT) -> bool:
-    """Max-entry check of ``A†A == I``."""
+def is_unitary(a: np.ndarray) -> bool:
+    """Max-entry check of ``A†A == I`` to within ``TAU_UNIT``."""
     d = a.shape[0]
-    return bool(np.max(np.abs(a.conj().T @ a - np.eye(d))) <= atol)
+    return bool(np.max(np.abs(a.conj().T @ a - np.eye(d))) <= TAU_UNIT)
 
 
-def check_hermitian(a: np.ndarray, atol: float = TAU_HERM, name: str = "matrix") -> None:
+def check_hermitian(a: np.ndarray, name: str = "matrix") -> None:
+    """Raise ``NotHermitianError`` when ``A`` differs from ``A†`` by more than ``TAU_HERM``."""
     dev = float(np.max(np.abs(a - a.conj().T)))
-    if dev > atol:
-        raise NotHermitianError(f"{name} deviates from Hermiticity by {dev:.3e} (> {atol:.1e})")
+    if dev > TAU_HERM:
+        raise NotHermitianError(f"{name} deviates from Hermiticity by {dev:.3e} (> {TAU_HERM:.1e})")
 
 
-def check_density_matrix(rho: np.ndarray, atol: float = TAU_PSD) -> None:
+def check_density_matrix(rho: np.ndarray) -> None:
     """Validate Hermiticity, unit trace, and positive semidefiniteness.
 
-    Raises ``NotHermitianError`` or ``ValueError`` on violation. This runs an
-    eigendecomposition; use it at construction/test boundaries, not in loops.
+    Raises ``NotHermitianError`` or ``ValueError`` on violation (eigenvalues
+    down to ``-TAU_PSD`` pass). Runs an eigendecomposition: not for loops.
     """
-    check_hermitian(rho, TAU_HERM, "density matrix")
+    check_hermitian(rho, "density matrix")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TAU_TRACE:
         raise ValueError(f"density matrix trace {tr} deviates from 1 by more than {TAU_TRACE:.1e}")
     min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
-    if min_eig < -atol:
-        raise ValueError(f"density matrix has eigenvalue {min_eig:.3e} below -{atol:.1e}")
+    if min_eig < -TAU_PSD:
+        raise ValueError(f"density matrix has eigenvalue {min_eig:.3e} below -{TAU_PSD:.1e}")
 
 
-def hermitian_eig(a: np.ndarray, atol: float = TAU_HERM) -> EigenDecomposition:
+def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    The input is validated against ``atol`` and symmetrized before the solve,
-    so roundoff-level asymmetry cannot leak into the spectrum.
+    The input is validated against ``TAU_HERM`` and symmetrized before the
+    solve, so roundoff-level asymmetry cannot leak into the spectrum.
     """
-    check_hermitian(a, atol)
+    check_hermitian(a)
     values, vectors = np.linalg.eigh((a + a.conj().T) / 2)
     return EigenDecomposition(values, vectors)
 
 
-def herm_exp(h: np.ndarray, theta: float, atol: float = TAU_HERM) -> np.ndarray:
+def herm_exp(h: np.ndarray, theta: float) -> np.ndarray:
     """Unitary ``exp(-i * theta * h)`` for Hermitian ``h``, via eigendecomposition."""
-    values, vectors = hermitian_eig(h, atol)
+    values, vectors = hermitian_eig(h)
     phases = np.exp(-1j * theta * values)
     return (vectors * phases) @ vectors.conj().T
 

@@ -39,13 +39,7 @@ class TestBuildCircuit:
         with pytest.raises(ValueError, match="traceless"):
             build_circuit(1, [np.eye(2, dtype=complex)], [0])
 
-    def test_validates_slot_count(self):
-        with pytest.raises(ValueError, match="noise slots"):
-            build_circuit(1, [Z], [0, 0], noise_slots=[None, None])
-
     def test_validates_noise_qubit_count(self):
-        with pytest.raises(DimensionMismatchError):
-            build_circuit(1, [Z], [0], noise_slots=[bit_flip(0.1, 2), None])
         with pytest.raises(DimensionMismatchError):
             build_circuit(1, [Z], [0]).with_uniform_noise(bit_flip(0.1, 2))
 

@@ -1,6 +1,7 @@
 """Experiment harness: config validation, determinism, runner behavior, CLI."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -461,9 +462,12 @@ _ISING = {"circuit": {"name": "hva_tfim", "n": 2, "L": 1},
           "noise": {"model": "global_depolarizing", "p": 0.1}, "sweep": {"p": [0.1]}}
 
 
-def _pauli_term(alpha, beta):
+def _pauli_term(alpha, beta, prob=0.1):
     return {"experiment": "trajectory", "circuit": {"name": "toy"},
-            "noise": {"model": "pauli", "terms": [{"alpha": alpha, "beta": beta, "prob": 0.1}]}}
+            "noise": {"model": "pauli", "terms": [{"alpha": alpha, "beta": beta, "prob": prob}]}}
+
+
+_GLOBAL = {"noise": {"model": "global_depolarizing", "p": 0.1}, "sweep": {"p": [0.1]}}
 
 
 @pytest.mark.parametrize(
@@ -498,6 +502,33 @@ def _pauli_term(alpha, beta):
           "noise": {"model": "local_depolarizing", "p": [0.3, 0.9]}}, "noise.p"),
         ({"experiment": "eig_vs_p", **_TOY, "sweep": {"p": [0.1]},
           "noise": {"model": "local_depolarizing", "p": [0.7]}}, "noise.p"),
+        # the experiment's circuit, noise models, sweeps and theta.values length
+        ({"experiment": "spectrum", **_GLOBAL}, "circuit"),
+        ({"experiment": "scaling", **_GLOBAL}, "circuit"),
+        ({"experiment": "dla"}, "circuit"),
+        ({"experiment": "spectrum", **_GLOBAL, "circuit": {"name": "toy"}}, "circuit"),
+        ({"experiment": "trajectory", **_ISING}, "circuit"),
+        ({"experiment": "eig_vs_p", **_ISING}, "circuit"),
+        ({"experiment": "verify", "circuit": {"name": "toy"}}, "circuit"),
+        ({"experiment": "spectrum", **_ISING, "noise": {"model": "bit_flip", "p": 0.1}},
+         "noise.model"),
+        ({"experiment": "eig_vs_p", "sweep": {"p": [0.1]}}, "noise.model"),
+        ({"experiment": "dla", **_TOY}, "noise.model"),
+        ({"experiment": "eig_vs_p", **_TOY}, "sweep.p"),
+        ({"experiment": "scaling", **_ISING, "sweep": {"p": [], "L": []}}, "sweep.L or sweep.p"),
+        ({"experiment": "spectrum", **_ISING, "sweep": {"p": [0.1], "L": [2]}}, "sweep.L"),
+        ({"experiment": "spectrum", **_ISING, "theta": {"values": [0.1]}}, "theta.values"),
+        ({"experiment": "trajectory", **_TOY,
+          "noise": {"model": "local_depolarizing", "p": [0.1, 0.1]}}, "noise.p"),
+        (_pauli_term([0, 1], [0, 0], prob=1.0), "noise.terms"),
+        (_pauli_term([1], [0], prob=0.5), "sum to 0.5"),
+        ({"experiment": "trajectory", **_TOY, "noise": {"model": "composite", "channels": [
+            {"model": "bit_flip", "p": 0.1}, {"model": "none"}]}}, "noise.channels"),
+        # sections that are not objects, and an output path that is not a string
+        ({"experiment": "verify", "tolerances": None}, "tolerances"),
+        ({"experiment": "eig_vs_p", **_TOY, "sweep": None}, "sweep"),
+        ({"experiment": "eig_vs_p", **_TOY, "sweep": {"p": [0.1]}, "output": None}, "output"),
+        ({"experiment": "dla", "circuit": {"name": "toy"}, "output": {"path": 5}}, "output.path"),
     ],
 )
 def test_malformed_input_rejected_at_parse_time(raw, field, tmp_path):
@@ -508,6 +539,33 @@ def test_malformed_input_rejected_at_parse_time(raw, field, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
     assert main([raw["experiment"], "--config", str(cfg_path)]) == 1
+
+
+def test_verify_options_default_to_the_documented_values():
+    assert parse_config({"experiment": "verify"}).options == {
+        "trials": 20, "entropy_trials": 100, "delta_trials": 100,
+        "decomposition_trials": 20, "strict_pauli_fixed_point": False,
+    }
+
+
+def test_parsed_config_fills_defaults_without_touching_raw():
+    raw = {"experiment": "eig_vs_p", "noise": {"model": "bit_flip", "p": 0}, "sweep": {"p": [1]}}
+    cfg = parse_config(raw)
+    assert cfg.circuit == {"name": "toy"}
+    assert cfg.noise["p"] == 0.0 and isinstance(cfg.noise["p"], float)
+    assert cfg.sweep == {"p": [1.0], "L": []}
+    assert cfg.output == {"path": None, "format": "csv"}
+    assert raw == {"experiment": "eig_vs_p", "noise": {"model": "bit_flip", "p": 0},
+                   "sweep": {"p": [1]}}
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json")),
+    ids=lambda path: path.stem,
+)
+def test_shipped_demo_config_parses(path):
+    raw = json.loads(path.read_text())
+    assert parse_config(raw).experiment == raw["experiment"]
 
 
 class TestCli:
@@ -536,6 +594,15 @@ class TestCli:
         from qfimlab.cli import main
 
         assert main(["dla", "--config", "/nonexistent/cfg.json"]) == 1
+
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        from qfimlab.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "dla", "circuit": {"name": "toy"}}))
+        for out in (tmp_path / "missing" / "out.json", tmp_path):
+            assert main(["dla", "--config", str(cfg_path), "--out", str(out)]) == 1
+            assert "cannot write output" in capsys.readouterr().err
 
     def test_verify_exit_codes(self, tmp_path):
         from qfimlab.cli import main
