@@ -8,7 +8,8 @@ to apply concurrently.
 Each channel class implements one batched kernel, ``_apply_batch``, that
 overwrites a ``(k, d, d)`` complex stack with the channel applied to every
 matrix in it, using a same-shape scratch buffer instead of allocating.
-Circuit propagation calls it through :meth:`Channel.apply_batch`;
+Circuit propagation calls it directly on buffers it owns;
+:meth:`Channel.apply_batch` is the checked entry point for other callers, and
 :meth:`Channel.apply` wraps a single matrix in a stack of one and returns a
 new array.
 """

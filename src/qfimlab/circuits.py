@@ -20,11 +20,11 @@ stores a gate kernel for it:
 
 Derivatives of the output state are computed analytically in forward mode.
 Differentiating gate ``i`` inserts the commutator ``-i [H_i, .]`` right after
-that gate; :func:`evolve_with_derivatives` carries the state and all pending
-derivatives as one ``(k, d, d)`` stack, appends ``-i [H_m, rho_m]`` when gate
-``m`` is passed, and sends the whole stack through every later slot and gate
-at once. The central finite difference ``derivative_fd`` exists as an
-independent test oracle only.
+that gate; :func:`evolve_with_derivatives` carries the state and all M
+derivatives as rows of one ``(M + 1, d, d)`` stack, seeds row ``m + 1`` with
+``-i [H_m, rho_m]`` when gate ``m`` is passed, and sends the live rows through
+every later slot and gate at once. The central finite difference
+``derivative_fd`` exists as an independent test oracle only.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .linalg import (
     Y,
     Z,
     EigenDecomposition,
+    check_generator,
     check_hermitian,
     dag,
     embed_single_qubit,
@@ -248,17 +249,13 @@ class NoisyCircuit:
 def build_circuit(n_qubits, generators, layers) -> NoisyCircuit:
     """Validate and assemble a noiseless :class:`NoisyCircuit`.
 
-    Generators must be Hermitian and traceless within 1e-9. Add noise with
-    :meth:`NoisyCircuit.with_uniform_noise`.
+    Generators must pass :func:`~qfimlab.linalg.check_generator`. Add noise
+    with :meth:`NoisyCircuit.with_uniform_noise`.
     """
     d = 2**n_qubits
     gens = tuple(np.asarray(g, dtype=complex) for g in generators)
     for k, g in enumerate(gens):
-        if g.shape != (d, d):
-            raise DimensionMismatchError(f"generator {k} has shape {g.shape}, expected {(d, d)}")
-        check_hermitian(g, f"generator {k}")
-        if abs(np.trace(g)) > 1e-9:
-            raise ValueError(f"generator {k} has trace {np.trace(g):.3e}, expected traceless")
+        check_generator(g, d, f"generator {k}")
     layers = tuple(int(i) for i in layers)
     if any(not 0 <= i < len(gens) for i in layers):
         raise ValueError(f"layer indices {layers} outside generator set of size {len(gens)}")
@@ -266,20 +263,24 @@ def build_circuit(n_qubits, generators, layers) -> NoisyCircuit:
     return NoisyCircuit(n_qubits, gens, layers, kernels)
 
 
-def _check_args(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def _check_args(
+    circuit: NoisyCircuit, theta: np.ndarray, state: np.ndarray, ndim: int
+) -> np.ndarray:
+    """Check that ``state`` has shape ``(d,) * ndim``; return ``theta`` as ``(M,)`` floats."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (circuit.n_params,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({circuit.n_params},)")
-    if rho.shape != (circuit.dim, circuit.dim):
+    if state.shape != (circuit.dim,) * ndim:
         raise DimensionMismatchError(
-            f"state shape {rho.shape} does not match circuit dimension {circuit.dim}"
+            f"state shape {state.shape} does not match circuit dimension {circuit.dim}"
         )
     return theta
 
 
 def _apply_slot(circuit: NoisyCircuit, stack: np.ndarray, scratch: np.ndarray) -> None:
+    # the pass owns both buffers and with_uniform_noise checked the qubit count
     if circuit.noise is not None:
-        circuit.noise.apply_batch(stack, scratch)
+        circuit.noise._apply_batch(stack, scratch)
 
 
 def _step(circuit: NoisyCircuit, m: int, theta_m: float, stack: np.ndarray, scratch: np.ndarray):
@@ -290,7 +291,7 @@ def _step(circuit: NoisyCircuit, m: int, theta_m: float, stack: np.ndarray, scra
 
 def evolve(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Output state ``N_{M+1} ∘ C^M_{θ_M} ∘ N_M ∘ ... ∘ C^1_{θ_1} ∘ N_1 (rho)``."""
-    theta = _check_args(circuit, theta, rho)
+    theta = _check_args(circuit, theta, rho, 2)
     stack = np.array(rho, dtype=complex)[None]
     scratch = np.empty_like(stack)
     for m in range(circuit.n_params):
@@ -300,59 +301,37 @@ def evolve(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> np.ndar
 
 
 def derivative(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray, i: int) -> np.ndarray:
-    """Exact ``d(output state)/d(theta_i)``: Hermitian, traceless."""
+    """Exact ``d(output state)/d(theta_i)``: row ``i`` of :func:`evolve_with_derivatives`,
+    copied so that it does not keep the other M rows alive."""
     if not 0 <= i < circuit.n_params:
         raise IndexError(f"parameter index {i} out of range for M={circuit.n_params}")
-    return evolve_with_derivatives(circuit, theta, rho, indices=[i])[1][0]
+    return evolve_with_derivatives(circuit, theta, rho)[1][i].copy()
 
 
 def evolve_with_derivatives(
-    circuit: NoisyCircuit,
-    theta: np.ndarray,
-    rho: np.ndarray,
-    indices=None,
+    circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Output state together with analytic derivatives for the given indices.
+    """Output state together with its analytic derivatives in all M parameters.
 
-    Forward mode: one ``(k, d, d)`` stack holds the state in row 0 and one
-    row per requested derivative. When gate ``m`` has been applied and
-    ``theta_m`` is requested, ``-i [H_m, rho_m]`` of the post-gate state is
-    appended as a new row; every later slot and gate then acts on all rows
-    at once, in place. No gate unitary or intermediate state is stored: the
-    memory is the stack, ``(K + 1) 16 d^2`` bytes for ``K`` distinct
-    indices (``(M + 1) 16 d^2`` for all of them), plus one scratch buffer of
-    the same size.
+    Forward mode: one ``(M + 1, d, d)`` stack holds the state in row 0 and
+    ``d/d theta_m`` in row ``m + 1``. Right after gate ``m``, row ``m + 1``
+    is seeded with ``-i [H_m, rho_m]`` of the post-gate state; every later
+    slot and gate then acts on rows ``0..m + 1`` at once, in place. No gate
+    unitary or intermediate state is stored: the memory is the stack plus
+    one scratch buffer of the same size, ``2 (M + 1) 16 d^2`` bytes.
 
-    ``indices`` defaults to all M parameters and may be unsorted or repeat
-    entries; derivatives come back in the order asked for. The returned
-    arrays share no memory with ``rho`` or with each other.
+    The returned arrays are rows of that stack: they share no memory with
+    ``rho`` or with each other.
     """
-    theta = _check_args(circuit, theta, rho)
-    m_tot = circuit.n_params
-    indices = list(range(m_tot)) if indices is None else [int(i) for i in indices]
-    for i in indices:
-        if not 0 <= i < m_tot:
-            raise IndexError(f"parameter index {i} out of range for M={m_tot}")
-    row_of = {i: r for r, i in enumerate(sorted(set(indices)), start=1)}
-
-    stack = np.empty((len(row_of) + 1, circuit.dim, circuit.dim), dtype=complex)
+    theta = _check_args(circuit, theta, rho, 2)
+    stack = np.empty((circuit.n_params + 1, circuit.dim, circuit.dim), dtype=complex)
     scratch = np.empty_like(stack)
     stack[0] = rho
-    k = 1
-    for m in range(m_tot):
-        _step(circuit, m, theta[m], stack[:k], scratch[:k])
-        if m in row_of:
-            circuit.kernels[circuit.layers[m]].commutator(stack[0], stack[k], scratch[k])
-            k += 1
+    for m in range(circuit.n_params):
+        _step(circuit, m, theta[m], stack[: m + 1], scratch[: m + 1])
+        circuit.kernels[circuit.layers[m]].commutator(stack[0], stack[m + 1], scratch[m + 1])
     _apply_slot(circuit, stack, scratch)
-
-    derivs: list[np.ndarray] = []
-    handed_out: set[int] = set()
-    for i in indices:
-        r = row_of[i]
-        derivs.append(stack[r].copy() if r in handed_out else stack[r])
-        handed_out.add(r)
-    return stack[0], derivs
+    return stack[0], list(stack[1:])
 
 
 def derivative_fd(
@@ -472,19 +451,17 @@ def hva_parity_sector_generators(n_qubits: int) -> tuple[np.ndarray, np.ndarray]
     of the unrestricted matrices is larger (it also counts directions that
     act only on the odd sector or annihilate the reference state).
     """
-    h0, h1 = hva_tfim_generators(n_qubits)
     par = kron(*([X] * n_qubits))
     evals, vecs = np.linalg.eigh(par)
     v_even = vecs[:, evals > 0.5]
-    g0 = v_even.conj().T @ h0 @ v_even
-    g1 = v_even.conj().T @ h1 @ v_even
-    # restriction keeps Hermiticity; re-zero the trace against roundoff
-    d = g0.shape[0]
-    g0 = (g0 + g0.conj().T) / 2
-    g1 = (g1 + g1.conj().T) / 2
-    g0 -= np.trace(g0) / d * np.eye(d)
-    g1 -= np.trace(g1) / d * np.eye(d)
-    return g0, g1
+
+    def restrict(h):
+        # restriction keeps Hermiticity; re-zero the trace against roundoff
+        g = dag(v_even) @ h @ v_even
+        g = (g + dag(g)) / 2
+        return g - np.trace(g) / len(g) * np.eye(len(g))
+
+    return tuple(restrict(h) for h in hva_tfim_generators(n_qubits))
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +480,10 @@ def statevector_derivatives(
     """
     if circuit.noise is not None:
         raise ValueError("statevector evolution requires a noiseless circuit")
-    theta = np.asarray(theta, dtype=float)
-    m_tot = circuit.n_params
-    rows = np.empty((m_tot + 1, len(psi)), dtype=complex)
+    theta = _check_args(circuit, theta, psi, 1)
+    rows = np.empty((circuit.n_params + 1, circuit.dim), dtype=complex)
     rows[0] = psi
-    for m in range(m_tot):
+    for m in range(circuit.n_params):
         rows[: m + 1] = circuit.kernels[circuit.layers[m]].apply_vectors(rows[: m + 1], theta[m])
         rows[m + 1] = -1j * (circuit.generators[circuit.layers[m]] @ rows[0])
     return rows[0], list(rows[1:])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CapExceededError, DimensionMismatchError, NotHermitianError
-from .linalg import TAU_HERM, check_hermitian, commutator, kron, n_qubits_of
+from .linalg import TAU_HERM, TAU_TRACE, check_generator, commutator, kron, n_qubits_of
 
 # Residual-norm threshold separating new directions from roundoff.
 TAU_INDEP = 1e-8
@@ -147,11 +147,7 @@ class _MatrixCoordinates:
         gens = [np.asarray(g, dtype=complex) for g in gens]
         d = gens[0].shape[0]
         for k, g in enumerate(gens):
-            if g.shape != (d, d):
-                raise ValueError(f"generator {k} has shape {g.shape}, expected {(d, d)}")
-            check_hermitian(g, f"generator {k}")
-            if abs(np.trace(g)) > 1e-9:
-                raise ValueError(f"generator {k} has trace {np.trace(g):.3e}, expected traceless")
+            check_generator(g, d, f"generator {k}")
         self.d = d
         self.skew_gens = [1j * g for g in gens]
         self.max_dim = d * d
@@ -184,7 +180,7 @@ class _PauliCoordinates:
                     f"generator {k} deviates from Hermiticity by {dev:.3e} (> {TAU_HERM:.1e})"
                 )
             trace = g.coeffs[~g.bits.any(axis=1)]
-            if trace.size and abs(trace[0]) > 1e-9:
+            if trace.size and abs(trace[0]) > TAU_TRACE:
                 raise ValueError(f"generator {k} has identity coefficient {trace[0]:.3e}, expected traceless")
         self.skew_gens = [PauliSum(g.bits, 1j * g.coeffs) for g in gens]
         self.max_dim = 4**n

@@ -67,27 +67,31 @@ class Contract(NamedTuple):
     noise: tuple[str, ...]  # the noise models it accepts
     sweeps: tuple[str, ...]  # it needs at least one of these nonempty
     options: dict  # every option with its default; the default's type is the option's
+    formats: tuple[str, ...]  # the output formats it writes; the first is the default
     seed: int = 0  # theta.seed when the config gives no theta
 
 
 NOISE_MODELS = ("none", "bit_flip", "global_depolarizing", "local_depolarizing", "pauli", "composite")
 _DEPOLARIZING = ("global_depolarizing", "local_depolarizing")
+_TABLE = ("csv", "json")  # what emit_table writes
 
 CONTRACTS = {
     "trajectory": Contract(
         ("toy",), "toy", NOISE_MODELS, (),
-        {"steps_per_gate": 100, "eigvec_span": 1.0, "eigvec_steps": 100},
+        {"steps_per_gate": 100, "eigvec_span": 1.0, "eigvec_steps": 100}, _TABLE,
     ),
-    "eig_vs_p": Contract(("toy",), "toy", ("bit_flip", *_DEPOLARIZING), ("p",), {}),
-    "spectrum": Contract(("hva_tfim",), None, _DEPOLARIZING, ("p",), {"epsilons": []}),
-    "scaling": Contract(("hva_tfim",), None, _DEPOLARIZING, ("L", "p"), {"samples": 10}),
+    "eig_vs_p": Contract(("toy",), "toy", ("bit_flip", *_DEPOLARIZING), ("p",), {}, _TABLE),
+    "spectrum": Contract(("hva_tfim",), None, _DEPOLARIZING, ("p",), {"epsilons": []}, _TABLE),
+    "scaling": Contract(("hva_tfim",), None, _DEPOLARIZING, ("L", "p"), {"samples": 10}, _TABLE),
     "verify": Contract(
         (), None, ("none",), (),
         {"trials": 20, "entropy_trials": 100, "delta_trials": 100,
          "decomposition_trials": 20, "strict_pauli_fixed_point": False},
-        seed=42,
+        ("json",), seed=42,
     ),
-    "dla": Contract(("toy", "hva_tfim"), None, ("none",), (), {"print_basis": False, "max_dim": None}),
+    "dla": Contract(
+        ("toy", "hva_tfim"), None, ("none",), (), {"print_basis": False, "max_dim": None}, ("json",)
+    ),
 }
 EXPERIMENTS = tuple(CONTRACTS)
 
@@ -244,9 +248,10 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
 
     output = raw.get("output", {})
     _check_keys(output, "output", {"path", "format"})
-    output = {"path": None, "format": "csv"} | output
-    if output["format"] not in ("csv", "json"):
-        raise ConfigError(f"output.format must be 'csv' or 'json', got {output['format']!r}")
+    output = {"path": None, "format": contract.formats[0]} | output
+    if output["format"] not in contract.formats:
+        allowed = " or ".join(map(repr, contract.formats))
+        raise ConfigError(f"output.format: {exp} writes {allowed}, got {output['format']!r}")
     if output["path"] is not None and not isinstance(output["path"], str):
         raise ConfigError(f"output.path must be a string, got {output['path']!r}")
 

@@ -99,6 +99,17 @@ def check_density_matrix(rho: np.ndarray) -> None:
         raise ValueError(f"density matrix has eigenvalue {min_eig:.3e} below -{TAU_PSD:.1e}")
 
 
+def check_generator(g: np.ndarray, d: int, name: str) -> None:
+    """Raise unless the gate generator ``g`` has shape ``(d, d)`` (else
+    ``DimensionMismatchError``), and is Hermitian and traceless within
+    ``TAU_HERM`` and ``TAU_TRACE``."""
+    if g.shape != (d, d):
+        raise DimensionMismatchError(f"{name} has shape {g.shape}, expected {(d, d)}")
+    check_hermitian(g, name)
+    if abs(np.trace(g)) > TAU_TRACE:
+        raise ValueError(f"{name} has trace {np.trace(g):.3e}, expected traceless")
+
+
 def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 

@@ -33,6 +33,7 @@ from .circuits import (
     hva_tfim,
     loss_linear,
     plus_state_density,
+    statevector_derivatives,
     toy_model,
 )
 from .linalg import dag
@@ -381,13 +382,8 @@ def check_pure_mixed_consistency(rng, trials):
         d, m = circ.dim, circ.n_params
         theta = rng.uniform(0, 2 * np.pi, m)
         psi = random_statevector(d, rng)
-        rho = np.outer(psi, psi.conj())
-        out, ders = evolve_with_derivatives(circ, theta, rho)
-        f_mixed = qfim_mixed(out, ders).matrix
-        from .circuits import statevector_derivatives
-
-        out_psi, dpsi = statevector_derivatives(circ, theta, psi)
-        f_pure = qfim_pure(out_psi, dpsi).matrix
+        f_mixed = qfim_of_circuit(circ, theta, np.outer(psi, psi.conj())).matrix
+        f_pure = qfim_pure(*statevector_derivatives(circ, theta, psi)).matrix
         worst = max(worst, float(np.max(np.abs(f_mixed - f_pure))))
     return [
         _check("pure_mixed_qfim_consistency", worst, 1e-8,
@@ -435,7 +431,7 @@ def check_derivative_oracle(rng, trials):
         theta = rng.uniform(0, 2 * np.pi, m)
         rho = random_density_matrix(d, rng)
         i = int(rng.integers(0, m))
-        _, (dv,) = evolve_with_derivatives(noisy, theta, rho, indices=[i])
+        dv = evolve_with_derivatives(noisy, theta, rho)[1][i]
         fd = derivative_fd(noisy, theta, rho, i, 1e-5)
         worst = max(worst, float(np.max(np.abs(dv - fd))))
         worst_trace = max(worst_trace, abs(complex(np.trace(dv))))

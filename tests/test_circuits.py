@@ -16,6 +16,7 @@ from qfimlab.circuits import (
     hva_tfim,
     hva_tfim_generators,
     loss_linear,
+    plus_state_vector,
     statevector_derivatives,
     toy_model,
 )
@@ -268,3 +269,11 @@ class TestStatevectorPath:
         noisy = circ.with_uniform_noise(bit_flip(0.1))
         with pytest.raises(ValueError, match="noise"):
             statevector_derivatives(noisy, np.zeros(4), KET_PLUS)
+
+    def test_checks_theta_and_state_shapes(self):
+        circ = hva_tfim(3, 2)
+        psi = plus_state_vector(3)
+        with pytest.raises(ValueError, match="theta"):
+            statevector_derivatives(circ, np.zeros(7), psi)
+        with pytest.raises(DimensionMismatchError):
+            statevector_derivatives(circ, np.zeros(4), psi[:4])

@@ -427,20 +427,6 @@ class TestDlaRunner:
 
 
 class TestDlaOptions:
-    @pytest.mark.parametrize(
-        "options",
-        [{"max_dim": "3"}, {"max_dim": True}, {"max_dim": 0}, {"print_basis": "no"}],
-    )
-    def test_rejected_at_parse_time(self, options, tmp_path):
-        from qfimlab.cli import main
-
-        raw = {"experiment": "dla", "circuit": {"name": "toy"}, "options": options}
-        with pytest.raises(ConfigError, match=next(iter(options))):
-            parse_config(raw)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(raw))
-        assert main(["dla", "--config", str(cfg_path)]) == 1
-
     @pytest.mark.parametrize("options", [None, []])
     def test_options_must_be_an_object(self, options):
         for exp in ("dla", "eig_vs_p"):
@@ -529,6 +515,16 @@ _GLOBAL = {"noise": {"model": "global_depolarizing", "p": 0.1}, "sweep": {"p": [
         ({"experiment": "eig_vs_p", **_TOY, "sweep": None}, "sweep"),
         ({"experiment": "eig_vs_p", **_TOY, "sweep": {"p": [0.1]}, "output": None}, "output"),
         ({"experiment": "dla", "circuit": {"name": "toy"}, "output": {"path": 5}}, "output.path"),
+        # formats an experiment does not write
+        ({"experiment": "dla", "circuit": {"name": "hva_tfim", "n": 4, "L": 1},
+          "output": {"format": "csv"}}, "output.format"),
+        ({"experiment": "verify", "output": {"format": "csv"}}, "output.format"),
+        # dla options
+        ({"experiment": "dla", "circuit": {"name": "toy"}, "options": {"max_dim": "3"}}, "max_dim"),
+        ({"experiment": "dla", "circuit": {"name": "toy"}, "options": {"max_dim": True}}, "max_dim"),
+        ({"experiment": "dla", "circuit": {"name": "toy"}, "options": {"max_dim": 0}}, "max_dim"),
+        ({"experiment": "dla", "circuit": {"name": "toy"}, "options": {"print_basis": "no"}},
+         "print_basis"),
     ],
 )
 def test_malformed_input_rejected_at_parse_time(raw, field, tmp_path):

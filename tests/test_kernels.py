@@ -4,6 +4,8 @@ Each fast kernel is checked against the dense or loop form it replaced,
 which is kept here as the oracle.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from qfimlab.circuits import (
     evolve_with_derivatives,
     hva_tfim,
     hva_tfim_generators,
+    plus_state_density,
 )
 from qfimlab.exceptions import DimensionMismatchError
 from qfimlab.linalg import (
@@ -216,7 +219,7 @@ class TestBatchedChannels:
 
 
 class TestForwardModeDerivatives:
-    def test_unsorted_duplicate_indices_match_single_calls(self, rng):
+    def test_full_pass_contract(self, rng):
         gens = [random_hermitian(4, rng, traceless=True), *hva_tfim_generators(2)]
         circ = build_circuit(2, gens, [0, 1, 2, 0, 2]).with_uniform_noise(
             LocalDepolarizing((0.05, 0.2))
@@ -224,23 +227,26 @@ class TestForwardModeDerivatives:
         theta = rng.uniform(0, 2 * np.pi, 5)
         rho = random_density_matrix(4, rng)
         before = rho.copy()
-        indices = [3, 1, 3, 0, 4, 1]
-        out, derivs = evolve_with_derivatives(circ, theta, rho, indices=indices)
-        for i, d in zip(indices, derivs):
-            out_i, (single,) = evolve_with_derivatives(circ, theta, rho, indices=[i])
-            np.testing.assert_array_equal(out_i, out)
-            assert np.max(np.abs(d - single)) <= 1e-14
+        out, derivs = evolve_with_derivatives(circ, theta, rho)
+        np.testing.assert_array_equal(rho, before)
+        assert len(derivs) == circ.n_params
         arrays = [out, *derivs]
         for a in range(len(arrays)):
             assert not np.shares_memory(arrays[a], rho)
             for b in range(a + 1, len(arrays)):
                 assert not np.shares_memory(arrays[a], arrays[b])
-        np.testing.assert_array_equal(rho, before)
 
-    def test_rejects_out_of_range_index(self, rng):
-        circ = hva_tfim(2, 1)
-        with pytest.raises(IndexError):
-            evolve_with_derivatives(circ, np.zeros(2), np.eye(4) / 4, indices=[0, 2])
+        # the stack and its scratch buffer, 2 (M + 1) matrices, plus a few temporaries
+        big = hva_tfim(6, 5).with_uniform_noise(LocalDepolarizing.uniform(6, 0.05))
+        m, d = big.n_params, big.dim
+        theta, rho = rng.uniform(0, 2 * np.pi, m), plus_state_density(6)
+        tracemalloc.start()
+        try:
+            evolve_with_derivatives(big, theta, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * d * d * (2 * (m + 1) + 8)
 
 
 def loop_qfim(vecs, derivs, weights):
