@@ -235,6 +235,12 @@ class LocalDepolarizing(Channel):
     does the scaling for all qubits at once, as an elementwise product with
     ``(x)_j [[1, 1-p_j], [1-p_j, 1]]``, and the moves in place on a reshaped
     view, one matrix at a time so that the per-qubit passes stay in cache.
+
+    The kernel also takes a folded ``(k, d/2, d)`` stack: the top half rows
+    of matrices ``rho`` with ``rho == rho[::-1, ::-1]`` (the circuit pass
+    makes these). There qubit 0's ``B_11`` is ``B_00[::-1, ::-1]``, so its
+    move reads ``B_00`` against its own reverse; qubits ``1..n-1`` act within
+    the top rows as before.
     """
 
     probs: tuple[float, ...]
@@ -256,15 +262,23 @@ class LocalDepolarizing(Channel):
 
     def _apply_batch(self, stack: np.ndarray, scratch: np.ndarray) -> None:
         n, d = self.n_qubits, self.dim
+        rows = stack.shape[1]
         for mat, buf in zip(stack, scratch):
-            mat *= self._coherence
-            moved_all = buf.reshape(-1)[: d * d // 4]
+            mat *= self._coherence[:rows]
+            flat = buf.reshape(-1)
             for j, p in enumerate(self.probs):
                 if p == 0.0:
                     continue
+                if j == 0 and rows < d:
+                    b00 = mat[:, :rows]
+                    moved = flat[: rows * rows].reshape(rows, rows)
+                    np.subtract(b00[::-1, ::-1], b00, out=moved)
+                    moved *= p / 2.0
+                    b00 += moved
+                    continue
                 lo, hi = 2**j, 2 ** (n - j - 1)
-                t = mat.reshape(lo, 2, hi, lo, 2, hi)
-                moved = moved_all.reshape(lo, hi, lo, hi)
+                t = mat.reshape(lo * rows // d, 2, hi, lo, 2, hi)
+                moved = flat[: rows * d // 4].reshape(lo * rows // d, hi, lo, hi)
                 np.subtract(t[:, 1, :, :, 1, :], t[:, 0, :, :, 0, :], out=moved)
                 moved *= p / 2.0
                 t[:, 0, :, :, 0, :] += moved

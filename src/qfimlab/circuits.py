@@ -23,8 +23,21 @@ Differentiating gate ``i`` inserts the commutator ``-i [H_i, .]`` right after
 that gate; :func:`evolve_with_derivatives` carries the state and all M
 derivatives as rows of one ``(M + 1, d, d)`` stack, seeds row ``m + 1`` with
 ``-i [H_m, rho_m]`` when gate ``m`` is passed, and sends the live rows through
-every later slot and gate at once. The central finite difference
-``derivative_fd`` exists as an independent test oracle only.
+every later slot and gate at once. The stack and one scratch buffer take
+``2 (M + 1) 16 d^2`` bytes. The central finite difference ``derivative_fd``
+exists as an independent test oracle only.
+
+Parity folding. With ``P = X^(x)n``, when every gate kernel commutes with
+``P`` (a diagonal ``h`` equal to its own reverse, or a product term that
+commutes with ``X``), the noise is ``None`` or local depolarizing, and the
+input satisfies ``rho == rho[::-1, ::-1]``, every state and derivative of the
+pass keeps that symmetry (:func:`parity_folds`). :func:`parity_folded_pass`
+then carries only the top half rows, a ``(M + 1, d/2, d)`` stack: half the
+slot and gate work, and ``2 (M + 1) 16 d^2 / 2`` bytes. The Ising ansatz on
+``|+>^n`` under local depolarizing noise folds; the toy model, dense
+generators, Pauli, global-depolarizing and composite channels, and
+asymmetric inputs do not, and :func:`evolve_with_derivatives` is always the
+dense pass.
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import Channel, PauliString
+from .channels import Channel, LocalDepolarizing, PauliString
 from .dla import PauliSum
 from .exceptions import DimensionMismatchError
 from .linalg import (
@@ -57,19 +70,23 @@ STRUCTURE_ULPS = 8
 
 
 class DiagonalKernel:
-    """Gate kernel of a diagonal generator ``diag(h)``."""
+    """Gate kernel of a diagonal generator ``diag(h)``.
+
+    Commutes with ``P = X^(x)n`` when ``h`` is its own reverse.
+    """
 
     def __init__(self, h: np.ndarray):
         self.h = np.asarray(h, dtype=float)
+        self.parity_symmetric = bool(np.array_equal(self.h, self.h[::-1]))
 
     def conjugate(self, stack: np.ndarray, theta: float, scratch: np.ndarray) -> None:
-        """``stack <- U stack U†`` in place, as ``stack * phi phi^H``."""
+        """``stack <- U stack U†`` in place, as ``stack * phi phi^H`` (top rows when folded)."""
         phase = np.exp(-1j * theta * self.h)
-        stack *= np.outer(phase, phase.conj())
+        stack *= np.outer(phase[: stack.shape[1]], phase.conj())
 
     def commutator(self, rho: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """``out <- -i [H, rho]``, i.e. ``-i (h_k - h_l) rho_kl``."""
-        np.multiply(rho, -1j * np.subtract.outer(self.h, self.h), out=out)
+        """``out <- -i [H, rho]``, i.e. ``-i (h_k - h_l) rho_kl`` (top rows when folded)."""
+        np.multiply(rho, -1j * np.subtract.outer(self.h[: len(rho)], self.h), out=out)
 
     def apply_vectors(self, vecs: np.ndarray, theta: float) -> np.ndarray:
         """``U v`` for every vector along the last axis of ``vecs``."""
@@ -81,29 +98,67 @@ class ProductKernel:
 
     ``exp(-i theta H) = u^(x)n`` with ``u = exp(-i theta a)`` is applied as
     ``A (x) B`` with ``A = u^(x)(n//2)`` and ``B`` the other half, which costs
-    ``d^2 (dim A + dim B)`` per matrix instead of ``d^3``.
+    ``d^2 (dim A + dim B)`` per matrix instead of ``d^3``. Commutes with
+    ``P = X^(x)n`` when ``a`` commutes with ``X``.
     """
 
     def __init__(self, a: np.ndarray, n_qubits: int):
         eig = hermitian_eig(a)
-        halves = (n_qubits // 2, n_qubits - n_qubits // 2)
-        self._basis = tuple(_kron_power(eig.vectors, k) for k in halves)
-        self._half_spectra = tuple(_spectrum_power(eig.values, k) for k in halves)
+        self._a = a
+        self._n_qubits = n_qubits
+        self._halves = (n_qubits // 2, n_qubits - n_qubits // 2)
         self._spectrum = _spectrum_power(eig.values, n_qubits)
+        # u^(x)k for the two halves, the single qubit 0, and the first half without qubit 0
+        sizes = {*self._halves, 1, self._halves[0] - 1}
+        self._powers = {k: (_kron_power(eig.vectors, k), _spectrum_power(eig.values, k)) for k in sizes}
+        tol = STRUCTURE_ULPS * np.finfo(float).eps * float(np.max(np.abs(a)))
+        self.parity_symmetric = float(np.max(np.abs(a @ X - X @ a))) <= tol
+
+    def _power(self, theta: float, k: int) -> np.ndarray:
+        """``u^(x)k = W e^(-i theta s) W^H`` from the cached basis and spectrum."""
+        w, s = self._powers[k]
+        return (w * np.exp(-1j * theta * s)) @ dag(w)
 
     def _factors(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        """``A = W_a e^(-i theta s_a) W_a^H`` and ``B`` likewise, from the cached bases."""
-        return tuple(
-            (w * np.exp(-1j * theta * s)) @ dag(w) for w, s in zip(self._basis, self._half_spectra)
-        )
+        return tuple(self._power(theta, k) for k in self._halves)
 
     def conjugate(self, stack: np.ndarray, theta: float, scratch: np.ndarray) -> None:
-        """``stack <- U stack U†`` in place."""
-        _kron_conjugate(stack, *self._factors(theta), scratch)
+        """``stack <- U stack U†`` in place.
+
+        On a folded ``(k, d/2, d)`` stack the rows take ``u`` on qubits
+        ``1..n-1`` only; qubit 0 then mixes the top rows with the bottom
+        ones, which are the top rows reversed: ``top <- u00 R + u01 R[::-1, ::-1]``.
+        """
+        a, b = self._factors(theta)
+        if stack.shape[1] == stack.shape[2]:
+            _kron_conjugate(stack, a, b, scratch)
+            return
+        _kron_conjugate(stack, a, b, scratch, self._power(theta, self._halves[0] - 1))
+        u = self._power(theta, 1)
+        np.multiply(stack[:, ::-1, ::-1], u[0, 1], out=scratch)
+        stack *= u[0, 0]
+        stack += scratch
 
     def commutator(self, rho: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """``out <- -i [H, rho]``, computed in the product eigenbasis ``W``."""
-        w_a, w_b = self._basis
+        """``out <- -i [H, rho]``, computed in the product eigenbasis ``W``.
+
+        On the top rows of a P-symmetric matrix, ``a`` commutes with ``X``,
+        so ``a = a00 I + a01 X`` and ``[H, rho] = a01 sum_j [X_j, rho]``:
+        each ``X_j`` flips bit ``j`` of the row or column index, and on the
+        rows ``X_0`` reads the bottom rows, which are the top rows reversed.
+        """
+        rows, d = rho.shape
+        if rows < d:
+            n = self._n_qubits
+            t, o = rho.reshape((2,) * (2 * n - 1)), out.reshape((2,) * (2 * n - 1))
+            np.copyto(out, rho[::-1, ::-1])
+            for axis in range(n - 1):
+                o += np.flip(t, axis)
+            for axis in range(n - 1, 2 * n - 1):
+                o -= np.flip(t, axis)
+            out *= -1j * self._a[0, 1]
+            return
+        w_a, w_b = (self._powers[k][0] for k in self._halves)
         np.copyto(out, rho)
         _kron_conjugate(out[None], dag(w_a), dag(w_b), scratch[None])
         out *= -1j * np.subtract.outer(self._spectrum, self._spectrum)
@@ -118,6 +173,8 @@ class ProductKernel:
 
 class DenseKernel:
     """Gate kernel of an unstructured generator, via its eigendecomposition."""
+
+    parity_symmetric = False
 
     def __init__(self, h: np.ndarray, eig: EigenDecomposition):
         self.h = h
@@ -157,18 +214,22 @@ def _spectrum_power(values: np.ndarray, n: int) -> np.ndarray:
     return spec
 
 
-def _kron_conjugate(stack: np.ndarray, a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> None:
-    """``stack <- (a (x) b) stack (a (x) b)†`` in place, for a ``(k, d, d)`` stack.
+def _kron_conjugate(
+    stack: np.ndarray, a: np.ndarray, b: np.ndarray, scratch: np.ndarray, row_a: np.ndarray | None = None
+) -> None:
+    """``stack <- (row_a (x) b) stack (a (x) b)†`` in place, for a ``(k, r, d)`` stack.
 
+    ``row_a`` defaults to ``a``; a folded stack passes ``a`` without qubit 0.
     Each factor acts on its own axis of the reshaped stack, so the four
     products are batched matmuls with ``dim a`` or ``dim b`` inner size.
     """
-    k, d, _ = stack.shape
-    da, db = len(a), len(b)
-    np.matmul(a, stack.reshape(k, da, db * d), out=scratch.reshape(k, da, db * d))
-    np.matmul(b, scratch.reshape(k * da, db, d), out=stack.reshape(k * da, db, d))
-    np.matmul(stack.reshape(k * d * da, db), dag(b), out=scratch.reshape(k * d * da, db))
-    np.matmul(a.conj(), scratch.reshape(k * d, da, db), out=stack.reshape(k * d, da, db))
+    row_a = a if row_a is None else row_a
+    k, r, d = stack.shape
+    ra, da, db = len(row_a), len(a), len(b)
+    np.matmul(row_a, stack.reshape(k, ra, db * d), out=scratch.reshape(k, ra, db * d))
+    np.matmul(b, scratch.reshape(k * ra, db, d), out=stack.reshape(k * ra, db, d))
+    np.matmul(stack.reshape(k * r * da, db), dag(b), out=scratch.reshape(k * r * da, db))
+    np.matmul(a.conj(), scratch.reshape(k * r, da, db), out=stack.reshape(k * r, da, db))
 
 
 def gate_kernel(h: np.ndarray, n_qubits: int) -> GateKernel:
@@ -323,15 +384,54 @@ def evolve_with_derivatives(
     The returned arrays are rows of that stack: they share no memory with
     ``rho`` or with each other.
     """
+    stack = _forward_pass(circuit, theta, rho, circuit.dim)
+    return stack[0], list(stack[1:])
+
+
+def parity_folds(circuit: NoisyCircuit, rho: np.ndarray) -> bool:
+    """Whether the pass from ``rho`` can run on the top half rows only.
+
+    With ``P = X^(x)n``, this holds when every gate kernel commutes with
+    ``P`` (see the kernels' ``parity_symmetric``), the noise is ``None`` or
+    :class:`~qfimlab.channels.LocalDepolarizing` (covariant under Pauli
+    conjugation), and ``rho == P rho P``, i.e. ``rho == rho[::-1, ::-1]``
+    exactly. Then every state and derivative of the pass is P-symmetric
+    too, so its bottom half rows are its top half reversed.
+    """
+    return (
+        all(k.parity_symmetric for k in circuit.kernels)
+        and (circuit.noise is None or isinstance(circuit.noise, LocalDepolarizing))
+        and rho.shape == (circuit.dim, circuit.dim)
+        and np.array_equal(rho, rho[::-1, ::-1])
+    )
+
+
+def parity_folded_pass(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """:func:`evolve_with_derivatives` on the top half rows, for a circuit and
+    input that :func:`parity_folds` accepts.
+
+    Returns the ``(M + 1, d/2, d)`` stack of top rows; row ``r`` of the full
+    stack is ``concat(top[r], top[r][::-1, ::-1])``. Every slot and gate does
+    half the work, and the memory is ``2 (M + 1) 16 d^2 / 2`` bytes.
+    Raises ``ValueError`` when :func:`parity_folds` rejects the input.
+    """
+    if not parity_folds(circuit, rho):
+        raise ValueError("the circuit or input does not commute with the parity X^n")
+    return _forward_pass(circuit, theta, rho, circuit.dim // 2)
+
+
+def _forward_pass(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray, rows: int) -> np.ndarray:
+    """The ``(M + 1, rows, d)`` stack of output state and derivatives; ``rows``
+    is ``d``, or ``d/2`` for the top rows of a parity-folded pass."""
     theta = _check_args(circuit, theta, rho, 2)
-    stack = np.empty((circuit.n_params + 1, circuit.dim, circuit.dim), dtype=complex)
+    stack = np.empty((circuit.n_params + 1, rows, circuit.dim), dtype=complex)
     scratch = np.empty_like(stack)
-    stack[0] = rho
+    stack[0] = rho[:rows]
     for m in range(circuit.n_params):
         _step(circuit, m, theta[m], stack[: m + 1], scratch[: m + 1])
         circuit.kernels[circuit.layers[m]].commutator(stack[0], stack[m + 1], scratch[m + 1])
     _apply_slot(circuit, stack, scratch)
-    return stack[0], list(stack[1:])
+    return stack
 
 
 def derivative_fd(

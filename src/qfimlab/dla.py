@@ -208,15 +208,16 @@ class _PauliCoordinates:
 
 
 def _project_out(r: np.ndarray, rows: np.ndarray) -> None:
-    """Remove from ``r`` (in place) its projection on the orthonormal ``rows``.
+    """One Gram-Schmidt pass: remove from ``r`` (in place) its projection on
+    the orthonormal ``rows``.
 
     Both are real views of complex coefficient vectors, so a dot product is
     ``Re <a, b>``; ``rows`` may be narrower than ``r``, whose extra
-    coordinates it does not touch. Two passes for numerical orthogonality.
+    coordinates it does not touch. Callers run a second pass for numerical
+    orthogonality.
     """
     w = rows.shape[1]
-    for _ in range(2):
-        r[:w] -= (rows @ r[:w]) @ rows
+    r[:w] -= (rows @ r[:w]) @ rows
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,9 @@ class LieBasis:
         """
         r = np.array(mat, dtype=complex).ravel().view(np.float64)
         rows = np.array([np.asarray(e, dtype=complex).ravel() for e in self.elements])
-        _project_out(r, rows.reshape(self.dim, r.size // 2).view(np.float64))
+        rows = rows.reshape(self.dim, r.size // 2).view(np.float64)
+        _project_out(r, rows)
+        _project_out(r, rows)
         return float(np.linalg.norm(r))
 
 
@@ -282,6 +285,10 @@ def lie_closure(generators, max_dim: int | None = None) -> LieBasis:
     def try_add(v: np.ndarray) -> None:
         nonlocal rows
         r = np.array(v, dtype=complex).view(np.float64)
+        _project_out(r, rows)
+        # most candidates end here; a second pass could only shrink their residual
+        if float(np.linalg.norm(r)) <= TAU_INDEP:
+            return
         _project_out(r, rows)
         norm = float(np.linalg.norm(r))
         if norm <= TAU_INDEP:

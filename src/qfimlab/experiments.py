@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, NamedTuple, Sequence
@@ -176,7 +177,9 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
 
     Unknown fields anywhere are errors. ``experiment`` (e.g. from the CLI
     subcommand) must agree with the config's own ``experiment`` tag when both
-    are present. No circuit, channel or state is built here.
+    are present. No circuit, channel or state is built here; a ``spectrum``
+    or ``scaling`` run whose estimated memory exceeds the machine's physical
+    memory is refused here too, before anything is allocated.
     """
     _check_keys(
         raw,
@@ -277,7 +280,31 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
     if "values" in theta and len(theta["values"]) != 2 * circuit["L"]:
         m = 2 * circuit["L"]
         raise ConfigError(f"theta.values needs 2L = {m} entries, got {len(theta['values'])}")
+    if exp in ("spectrum", "scaling"):
+        need = _estimated_bytes(circuit, noise, sweep)
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise ConfigError(
+                f"{exp} at n={circuit['n']} needs about {need / 2**30:.3g} GiB, more than the "
+                f"{have / 2**30:.3g} GiB of physical memory"
+            )
     return ExperimentConfig(exp, circuit, noise, theta, sweep, rank_tolerances, output, options, raw)
+
+
+def _estimated_bytes(circuit: dict, noise: dict, sweep: dict) -> int:
+    """Bytes a spectrum or scaling run of the Ising ansatz holds at once.
+
+    The two dense generators, ``2 * 16 d^2``, plus the largest point at the
+    deepest circuit (``M = 2L``): a local-depolarizing point with ``p > 0``
+    runs the parity-folded pass, whose stack and scratch take
+    ``2 (M + 1) 16 d^2 / 2``; every other point keeps ``(M + 1)`` state
+    vectors, ``(M + 1) 16 d``.
+    """
+    d = 2 ** circuit["n"]
+    m = 2 * max([circuit["L"], *sweep["L"]])
+    points = sweep["p"] + ([noise["p"]] if sweep["L"] else [])  # the L sweep runs at noise.p
+    folded = noise["model"] == "local_depolarizing" and any(p > 0.0 for p in points)
+    return 2 * 16 * d * d + (m + 1) * 16 * d * (d if folded else 1)
 
 
 def _parse_noise(noise: dict, where: str, n_qubits: int | None) -> dict:

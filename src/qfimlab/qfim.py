@@ -10,6 +10,15 @@ eigenvalue sum falls below ``TAU_SPEC`` contribute nothing. Derivatives are
 expected to be exact (see ``circuits``); finite differences would pollute
 rank decisions near the tolerance.
 
+:func:`qfim_of_circuit` runs the dense pass (its stack and scratch take
+``2 (M + 1) 16 d^2`` bytes) and eigendecomposes the ``d x d`` output state,
+unless the circuit and input fold under the parity ``P = X^(x)n`` (see
+``circuits.parity_folds``). Then the pass holds only top half rows,
+``2 (M + 1) 16 d^2 / 2`` bytes, and the state and derivatives are block
+diagonal in the basis ``|k> +- |d-1-k>``: the QFIM is the sum of one
+weighted Gram product per ``d/2 x d/2`` block, a quarter of the ``eigh``
+and basis-change flops of the dense assembly.
+
 Numerical rank counts eigenvalues above ``tau_abs + tau_rel * lambda_max``;
 both knobs are explicit on every report because the small-noise regime makes
 this threshold the central reproducibility parameter.
@@ -22,7 +31,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import NoisyCircuit, evolve_with_derivatives, statevector_derivatives
+from .circuits import (
+    NoisyCircuit,
+    evolve_with_derivatives,
+    parity_folded_pass,
+    parity_folds,
+    statevector_derivatives,
+)
 from .exceptions import DimensionMismatchError
 from .linalg import TAU_SPEC, dag, hermitian_eig
 
@@ -106,15 +121,28 @@ def _weighted_gram(
     Im y Im z``), so no conjugated copy of ``Y`` is made. Weights must be
     nonnegative.
     """
-    m, d = len(derivs), len(vecs)
-    y = np.empty((m, d, d), dtype=complex)
+    d = len(vecs)
+    return _gram_in_place(vecs, np.array(derivs, dtype=complex).reshape(len(derivs), d, d), weights)
+
+
+def _gram_in_place(vecs: np.ndarray, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """:func:`_weighted_gram` of the derivatives in the ``(M, d, d)`` array ``y``,
+    which is overwritten with the rows ``Y_i``."""
+    m, d = len(y), len(vecs)
     vh = dag(vecs)
     root_w = np.sqrt(weights)
-    for i, dv in enumerate(derivs):
-        np.matmul(vh @ dv, vecs, out=y[i])
-        y[i] *= root_w
+    for yi in y:
+        np.matmul(vh @ yi, vecs, out=yi)
+        yi *= root_w
     flat = y.reshape(m, d * d).view(float)
     return flat @ flat.T
+
+
+def _mixed_weights(evals: np.ndarray) -> np.ndarray:
+    """``2 / (r_mu + r_nu)``, and 0 for pairs below the spectral floor."""
+    pair_sum = evals[:, None] + evals[None, :]
+    safe = np.where(pair_sum > TAU_SPEC, pair_sum, 1.0)
+    return np.where(pair_sum > TAU_SPEC, 2.0 / safe, 0.0)
 
 
 def qfim_mixed(
@@ -125,10 +153,26 @@ def qfim_mixed(
 ) -> QfimReport:
     """Mixed-state QFIM from the eigenbasis matrix-element form."""
     evals, vecs = hermitian_eig(rho)
-    pair_sum = evals[:, None] + evals[None, :]
-    safe = np.where(pair_sum > TAU_SPEC, pair_sum, 1.0)
-    weights = np.where(pair_sum > TAU_SPEC, 2.0 / safe, 0.0)
-    return report_from_matrix(_weighted_gram(vecs, derivs, weights), tau_abs, tau_rel)
+    return report_from_matrix(_weighted_gram(vecs, derivs, _mixed_weights(evals)), tau_abs, tau_rel)
+
+
+def _folded_qfim_matrix(top: np.ndarray) -> np.ndarray:
+    """Mixed-state QFIM from the ``(M + 1, d/2, d)`` stack of :func:`parity_folded_pass`.
+
+    In the basis ``(|k> +- |d-1-k>) / sqrt(2)``, ``k < d/2``, a P-symmetric
+    matrix is block diagonal, with blocks ``top[:, :d/2] +- top[:, d/2:][:, ::-1]``.
+    The state and every derivative share that structure, so no eigenvector
+    pair straddles the blocks and the QFIM is the sum of one weighted Gram
+    product per block, each from a ``d/2 x d/2`` eigendecomposition.
+    """
+    h = top.shape[1]
+    blocks = np.empty((len(top), h, h), dtype=complex)
+    f = np.zeros((len(top) - 1, len(top) - 1))
+    for combine in (np.add, np.subtract):
+        combine(top[:, :, :h], top[:, :, h:][:, :, ::-1], out=blocks)
+        evals, vecs = hermitian_eig(blocks[0])
+        f += _gram_in_place(vecs, blocks[1:], _mixed_weights(evals))
+    return f
 
 
 def qfim_of_circuit(
@@ -138,7 +182,16 @@ def qfim_of_circuit(
     tau_abs: float = TAU_RANK_ABS,
     tau_rel: float = TAU_RANK_REL,
 ) -> QfimReport:
-    """Evolve, differentiate analytically, and assemble the mixed-state QFIM."""
+    """Evolve, differentiate analytically, and assemble the mixed-state QFIM.
+
+    Takes the parity-folded pass and block assembly when
+    :func:`~qfimlab.circuits.parity_folds` accepts ``circuit`` and ``rho``,
+    and the dense pass with :func:`qfim_mixed` otherwise; both give the same
+    matrix up to roundoff.
+    """
+    if parity_folds(circuit, rho):
+        matrix = _folded_qfim_matrix(parity_folded_pass(circuit, theta, rho))
+        return report_from_matrix(matrix, tau_abs, tau_rel)
     out, derivs = evolve_with_derivatives(circuit, theta, rho)
     return qfim_mixed(out, derivs, tau_abs, tau_rel)
 

@@ -1,6 +1,7 @@
 """Experiment harness: config validation, determinism, runner behavior, CLI."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -101,26 +102,35 @@ class TestConfigValidation:
         assert config_hash(raw) == config_hash(json.loads(json.dumps(raw)))
 
 
-class TestDeterminism:
-    def test_byte_identical_reruns(self):
-        cfg = parse_config(
-            {
-                "experiment": "eig_vs_p",
-                "noise": {"model": "bit_flip", "p": 0.1},
-                "sweep": {"p": [0.001, 0.01, 0.1, 0.3]},
-            }
-        )
-        assert run_eig_vs_p(cfg) == run_eig_vs_p(cfg)
+DETERMINISM_CONFIGS = {
+    "eig_vs_p": (run_eig_vs_p, {
+        "experiment": "eig_vs_p",
+        "noise": {"model": "bit_flip", "p": 0.1},
+        "sweep": {"p": [0.001, 0.01, 0.1, 0.3]},
+    }),
+    # local depolarizing points take the parity-folded pass
+    "spectrum": (run_spectrum, {
+        "experiment": "spectrum",
+        "circuit": {"name": "hva_tfim", "n": 4, "L": 3},
+        "noise": {"model": "local_depolarizing", "p": 0.0},
+        "sweep": {"p": [0.01, 0.1]},
+    }),
+}
 
-    def test_workers_do_not_change_row_order(self):
-        cfg = parse_config(
-            {
-                "experiment": "eig_vs_p",
-                "noise": {"model": "bit_flip", "p": 0.1},
-                "sweep": {"p": [0.01, 0.05, 0.1, 0.2, 0.3]},
-            }
-        )
-        assert run_eig_vs_p(cfg, workers=4) == run_eig_vs_p(cfg, workers=1)
+
+class TestDeterminism:
+    @pytest.mark.parametrize("name", DETERMINISM_CONFIGS)
+    def test_byte_identical_reruns(self, name):
+        runner, raw = DETERMINISM_CONFIGS[name]
+        cfg = parse_config(raw)
+        assert runner(cfg) == runner(cfg)
+
+    @pytest.mark.parametrize("name", DETERMINISM_CONFIGS)
+    def test_workers_do_not_change_row_order(self, name):
+        runner, raw = DETERMINISM_CONFIGS[name]
+        sweep = {"eig_vs_p": [0.01, 0.05, 0.1, 0.2, 0.3], "spectrum": [0.01, 0.1]}[name]
+        cfg = parse_config({**raw, "sweep": {"p": sweep}})
+        assert runner(cfg, workers=4) == runner(cfg, workers=1)
 
     def test_seventeen_digit_floats(self):
         cfg = parse_config(
@@ -525,13 +535,24 @@ _GLOBAL = {"noise": {"model": "global_depolarizing", "p": 0.1}, "sweep": {"p": [
         ({"experiment": "dla", "circuit": {"name": "toy"}, "options": {"max_dim": 0}}, "max_dim"),
         ({"experiment": "dla", "circuit": {"name": "toy"}, "options": {"print_basis": "no"}},
          "print_basis"),
+        # runs larger than physical memory: the generators alone take 2^85 and 2^37 bytes
+        ({"experiment": "spectrum", "circuit": {"name": "hva_tfim", "n": 40, "L": 2},
+          "noise": {"model": "global_depolarizing", "p": 0.0}, "sweep": {"p": [0.01]}}, "memory"),
+        ({"experiment": "spectrum", "circuit": {"name": "hva_tfim", "n": 16, "L": 2},
+          "noise": {"model": "local_depolarizing", "p": 0.0}, "sweep": {"p": [0.01]}}, "memory"),
     ],
 )
 def test_malformed_input_rejected_at_parse_time(raw, field, tmp_path):
     from qfimlab.cli import main
 
-    with pytest.raises(ConfigError, match=field):
-        parse_config(raw)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=field):
+            parse_config(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
     assert main([raw["experiment"], "--config", str(cfg_path)]) == 1

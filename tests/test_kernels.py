@@ -27,7 +27,10 @@ from qfimlab.circuits import (
     evolve_with_derivatives,
     hva_tfim,
     hva_tfim_generators,
+    parity_folded_pass,
+    parity_folds,
     plus_state_density,
+    toy_model,
 )
 from qfimlab.exceptions import DimensionMismatchError
 from qfimlab.linalg import (
@@ -40,7 +43,7 @@ from qfimlab.linalg import (
     insert_qubit,
     partial_trace,
 )
-from qfimlab.qfim import noisy_qfim_closed_form_global_depol, qfim_mixed
+from qfimlab.qfim import noisy_qfim_closed_form_global_depol, qfim_mixed, qfim_of_circuit
 from qfimlab.rand import random_density_matrix, random_hermitian, random_unitary
 
 
@@ -247,6 +250,87 @@ class TestForwardModeDerivatives:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * d * d * (2 * (m + 1) + 8)
+
+
+def random_p_symmetric(d, rng):
+    mat = random_matrix(d, rng)
+    return mat + mat[::-1, ::-1]
+
+
+class TestParityFold:
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_folded_kernels_act_on_top_rows(self, rng, n):
+        d, h = 2**n, 2 ** (n - 1)
+        mats = np.stack([random_p_symmetric(d, rng) for _ in range(3)])
+        for kernel in hva_tfim(n, 1).kernels:
+            assert kernel.parity_symmetric
+            full, top = mats.copy(), mats[:, :h].copy()
+            kernel.conjugate(full, 0.73, np.empty_like(full))
+            kernel.conjugate(top, 0.73, np.empty_like(top))
+            assert np.max(np.abs(top - full[:, :h])) <= 1e-12
+            out_full, out_top = np.empty((d, d), complex), np.empty((h, d), complex)
+            kernel.commutator(mats[0], out_full, np.empty_like(out_full))
+            kernel.commutator(mats[0, :h].copy(), out_top, np.empty_like(out_top))
+            assert np.max(np.abs(out_top - out_full[:h])) <= 1e-12
+        probs = rng.uniform(0.1, 1.0, n)
+        probs[-1] = 0.0
+        ch = LocalDepolarizing(tuple(probs))
+        full, top = mats.copy(), mats[:, :h].copy()
+        ch._apply_batch(full, np.empty_like(full))
+        ch._apply_batch(top, np.empty_like(top))
+        assert np.max(np.abs(top - full[:, :h])) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_folded_qfim_matches_dense(self, rng, n):
+        probs = rng.uniform(0.0, 0.3, n)
+        zero, one = rng.choice(n, 2, replace=False)
+        probs[zero], probs[one] = 0.0, 1.0
+        circ = hva_tfim(n, 3).with_uniform_noise(LocalDepolarizing(tuple(probs)))
+        theta = rng.uniform(0, 2 * np.pi, circ.n_params)
+        rho = plus_state_density(n)
+        assert parity_folds(circ, rho)
+        out, derivs = evolve_with_derivatives(circ, theta, rho)
+        dense, h = np.stack([out, *derivs]), 2 ** (n - 1)
+        top = parity_folded_pass(circ, theta, rho)
+        assert np.max(np.abs(top - dense[:, :h])) <= 1e-13
+        assert np.max(np.abs(top[:, ::-1, ::-1] - dense[:, h:])) <= 1e-13
+        folded, expected = qfim_of_circuit(circ, theta, rho).matrix, qfim_mixed(out, derivs).matrix
+        assert np.max(np.abs(folded - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_folded_pass_holds_half_the_memory(self, rng):
+        # the (M + 1, d/2, d) stack and its scratch, plus a few d x d temporaries
+        circ = hva_tfim(6, 5).with_uniform_noise(LocalDepolarizing.uniform(6, 0.05))
+        m, d = circ.n_params, circ.dim
+        theta, rho = rng.uniform(0, 2 * np.pi, m), plus_state_density(6)
+        tracemalloc.start()
+        try:
+            parity_folded_pass(circ, theta, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * d * d * ((m + 1) + 4)
+
+    def test_fallbacks_take_the_dense_path(self, rng):
+        n = 3
+        tfim, plus = hva_tfim(n, 2), plus_state_density(n)
+        zero = np.zeros((8, 8), dtype=complex)
+        zero[0, 0] = 1.0
+        pauli = PauliChannel([(PauliString.identity(n), 0.9), (PauliString.single(n, 1, "Y"), 0.1)])
+        dense_gen = build_circuit(n, [random_hermitian(8, rng, traceless=True)], [0, 0])
+        cases = [
+            toy_model(),
+            (tfim.with_uniform_noise(pauli), plus),
+            (tfim.with_uniform_noise(GlobalDepolarizing(n, 0.1)), plus),
+            (tfim.with_uniform_noise(LocalDepolarizing.uniform(n, 0.1)), zero),
+            (dense_gen.with_uniform_noise(LocalDepolarizing.uniform(n, 0.1)), plus),
+        ]
+        for circ, rho in cases:
+            assert not parity_folds(circ, rho)
+            theta = rng.uniform(0, 2 * np.pi, circ.n_params)
+            with pytest.raises(ValueError, match="parity"):
+                parity_folded_pass(circ, theta, rho)
+            expected = qfim_mixed(*evolve_with_derivatives(circ, theta, rho)).matrix
+            np.testing.assert_array_equal(qfim_of_circuit(circ, theta, rho).matrix, expected)
 
 
 def loop_qfim(vecs, derivs, weights):
