@@ -6,6 +6,11 @@ of the ``M`` gates and once after the last. A ``None`` channel means "no
 noise" and is skipped, so such a circuit runs the identical operation
 sequence as a noiseless one.
 
+The passes run ``NoisyCircuit.slots``: local depolarizing noise commutes with
+a product gate, so the slot after one merges, exactly, into the slot before it
+(:func:`_slot_schedule`), and the Ising ansatz runs ``L + 1`` slots, not
+``2L + 1``. Other noise and gates keep all ``M + 1``, as do trajectory rows.
+
 Gates never form the ``d x d`` unitary of a structured generator.
 :func:`build_circuit` reads each generator's structure from its matrix and
 stores a gate kernel for it:
@@ -42,7 +47,7 @@ dense pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -264,6 +269,8 @@ class NoisyCircuit:
             :func:`gate_kernel`.
         noise: the :class:`~qfimlab.channels.Channel` applied before each
             gate and once after the last, or ``None`` for no noise.
+        slots: the M+1 channels (or ``None``) the passes run, computed on
+            construction (also by ``replace``) by :func:`_slot_schedule`.
     """
 
     n_qubits: int
@@ -271,6 +278,10 @@ class NoisyCircuit:
     layers: tuple[int, ...]
     kernels: tuple[GateKernel, ...]
     noise: Channel | None = None
+    slots: tuple[Channel | None, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "slots", _slot_schedule(self.noise, self.layers, self.kernels))
 
     @property
     def n_params(self) -> int:
@@ -307,6 +318,25 @@ class NoisyCircuit:
         return stack[0]
 
 
+def _slot_schedule(noise: Channel | None, layers, kernels) -> tuple[Channel | None, ...]:
+    """``noise`` in each of the ``M + 1`` slots, unless it is local depolarizing.
+
+    Each single-qubit depolarizing map commutes with every unitary on its
+    qubit, so with a :class:`ProductKernel` gate ``u^(x)n`` and with its
+    derivative seed ``ad_{sum_j a_j}``. The slot after such a gate then moves
+    in front of it and merges with the slot there, if that still holds
+    ``noise``: ``1 - (1 - p_j)^2 = 2 p_j - p_j^2`` per qubit, one channel
+    shared by all merged slots. Emptied slots are ``None``.
+    """
+    slots = [noise] * (len(layers) + 1)
+    if isinstance(noise, LocalDepolarizing):
+        merged = LocalDepolarizing(tuple(2.0 * p - p * p for p in noise.probs))
+        for m, layer in enumerate(layers):
+            if isinstance(kernels[layer], ProductKernel) and slots[m] is noise:
+                slots[m], slots[m + 1] = merged, None
+    return tuple(slots)
+
+
 def build_circuit(n_qubits, generators, layers) -> NoisyCircuit:
     """Validate and assemble a noiseless :class:`NoisyCircuit`.
 
@@ -338,26 +368,16 @@ def _check_args(
     return theta
 
 
-def _apply_slot(circuit: NoisyCircuit, stack: np.ndarray, scratch: np.ndarray) -> None:
-    # the pass owns both buffers and with_uniform_noise checked the qubit count
-    if circuit.noise is not None:
-        circuit.noise._apply_batch(stack, scratch)
-
-
-def _step(circuit: NoisyCircuit, m: int, theta_m: float, stack: np.ndarray, scratch: np.ndarray):
-    """Noise slot ``m`` then gate ``m``, in place on the whole stack."""
-    _apply_slot(circuit, stack, scratch)
-    circuit.kernels[circuit.layers[m]].conjugate(stack, theta_m, scratch)
-
-
 def evolve(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Output state ``N_{M+1} ∘ C^M_{θ_M} ∘ N_M ∘ ... ∘ C^1_{θ_1} ∘ N_1 (rho)``."""
     theta = _check_args(circuit, theta, rho, 2)
     stack = np.array(rho, dtype=complex)[None]
     scratch = np.empty_like(stack)
-    for m in range(circuit.n_params):
-        _step(circuit, m, theta[m], stack, scratch)
-    _apply_slot(circuit, stack, scratch)
+    for m, slot in enumerate(circuit.slots):
+        if slot is not None:
+            slot._apply_batch(stack, scratch)
+        if m < circuit.n_params:
+            circuit.kernels[circuit.layers[m]].conjugate(stack, theta[m], scratch)
     return stack[0]
 
 
@@ -427,10 +447,15 @@ def _forward_pass(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray, row
     stack = np.empty((circuit.n_params + 1, rows, circuit.dim), dtype=complex)
     scratch = np.empty_like(stack)
     stack[0] = rho[:rows]
-    for m in range(circuit.n_params):
-        _step(circuit, m, theta[m], stack[: m + 1], scratch[: m + 1])
-        circuit.kernels[circuit.layers[m]].commutator(stack[0], stack[m + 1], scratch[m + 1])
-    _apply_slot(circuit, stack, scratch)
+    for m, slot in enumerate(circuit.slots):
+        live, buf = stack[: m + 1], scratch[: m + 1]
+        # the pass owns both buffers and with_uniform_noise checked the qubit count
+        if slot is not None:
+            slot._apply_batch(live, buf)
+        if m < circuit.n_params:
+            kernel = circuit.kernels[circuit.layers[m]]
+            kernel.conjugate(live, theta[m], buf)
+            kernel.commutator(stack[0], stack[m + 1], scratch[m + 1])
     return stack
 
 

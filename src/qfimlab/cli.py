@@ -50,7 +50,7 @@ def main(argv=None) -> int:
         raw["theta"] = theta
 
     try:
-        config = parse_config(raw, args.experiment)
+        config = parse_config(raw, args.experiment, args.workers)
         text = RUNNERS[config.experiment](config, workers=args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -172,14 +172,15 @@ class ExperimentConfig:
     raw: dict = field(repr=False)
 
 
-def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
+def parse_config(raw: dict, experiment: str | None = None, workers: int | None = 1) -> ExperimentConfig:
     """Validate a raw config dict against the experiment's :data:`CONTRACTS` entry.
 
     Unknown fields anywhere are errors. ``experiment`` (e.g. from the CLI
     subcommand) must agree with the config's own ``experiment`` tag when both
     are present. No circuit, channel or state is built here; a ``spectrum``
     or ``scaling`` run whose estimated memory exceeds the machine's physical
-    memory is refused here too, before anything is allocated.
+    memory is refused here too, before anything is allocated; up to
+    ``workers`` points (``None`` is serial) are counted as held at once.
     """
     _check_keys(
         raw,
@@ -281,7 +282,7 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
         m = 2 * circuit["L"]
         raise ConfigError(f"theta.values needs 2L = {m} entries, got {len(theta['values'])}")
     if exp in ("spectrum", "scaling"):
-        need = _estimated_bytes(circuit, noise, sweep)
+        need = _estimated_bytes(circuit, noise, sweep, max(workers or 1, 1))
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
             raise ConfigError(
@@ -291,20 +292,22 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
     return ExperimentConfig(exp, circuit, noise, theta, sweep, rank_tolerances, output, options, raw)
 
 
-def _estimated_bytes(circuit: dict, noise: dict, sweep: dict) -> int:
+def _estimated_bytes(circuit: dict, noise: dict, sweep: dict, workers: int) -> int:
     """Bytes a spectrum or scaling run of the Ising ansatz holds at once.
 
-    The two dense generators, ``2 * 16 d^2``, plus the largest point at the
-    deepest circuit (``M = 2L``): a local-depolarizing point with ``p > 0``
+    The two dense generators, ``2 * 16 d^2``, once, plus the largest point at
+    the deepest circuit (``M = 2L``) once per point that runs at the same
+    time, ``min(workers, points)``: a local-depolarizing point with ``p > 0``
     runs the parity-folded pass, whose stack and scratch take
     ``2 (M + 1) 16 d^2 / 2``; every other point keeps ``(M + 1)`` state
     vectors, ``(M + 1) 16 d``.
     """
     d = 2 ** circuit["n"]
     m = 2 * max([circuit["L"], *sweep["L"]])
-    points = sweep["p"] + ([noise["p"]] if sweep["L"] else [])  # the L sweep runs at noise.p
+    points = sweep["p"] + [noise["p"]] * len(sweep["L"])  # the L sweep runs at noise.p
     folded = noise["model"] == "local_depolarizing" and any(p > 0.0 for p in points)
-    return 2 * 16 * d * d + (m + 1) * 16 * d * (d if folded else 1)
+    held = min(workers, len(points))
+    return 2 * 16 * d * d + held * (m + 1) * 16 * d * (d if folded else 1)
 
 
 def _parse_noise(noise: dict, where: str, n_qubits: int | None) -> dict:
@@ -457,7 +460,8 @@ def run_trajectory(config: ExperimentConfig, workers: int | None = None) -> str:
     Gate-by-gate rows: ``gate_index = 0, step = 0`` is the raw input;
     ``(m, s)`` for ``m in 1..M`` is the state after noise slot ``m`` and gate
     ``m`` at partial angle ``theta_m * s / steps``; ``(M+1, 0)`` is the state
-    after the final slot. Eigenvector rows are labelled
+    after the final slot (slot by slot, even where the passes merge slots).
+    Eigenvector rows are labelled
     ``<point>/eig<k>`` (k sorted by descending eigenvalue), ``gate_index = k``
     and ``step`` scanning the perturbation ``t`` across
     ``[-eigvec_span, eigvec_span]``.

@@ -1,6 +1,7 @@
 """Experiment harness: config validation, determinism, runner behavior, CLI."""
 
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -556,6 +557,28 @@ def test_malformed_input_rejected_at_parse_time(raw, field, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
     assert main([raw["experiment"], "--config", str(cfg_path)]) == 1
+
+
+def test_memory_check_counts_points_that_run_at_once(monkeypatch, tmp_path, capsys):
+    from qfimlab.cli import main
+
+    # 64 MiB: the n=8, L=10 folded point (21 * 16 d^2 = 21 MiB) fits once with the
+    # generators (2 MiB), but not four times
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**14}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    raw = {"experiment": "spectrum", "circuit": {"name": "hva_tfim", "n": 8, "L": 10},
+           "noise": {"model": "local_depolarizing", "p": 0.0},
+           "sweep": {"p": [1e-5, 1e-3, 0.08, 0.1]}}
+    for workers in (None, 1, 2):
+        assert parse_config(raw, workers=workers).experiment == "spectrum"
+    with pytest.raises(ConfigError, match="memory"):
+        parse_config(raw, workers=4)
+    # no more points run at once than there are points
+    assert parse_config({**raw, "sweep": {"p": [0.1]}}, workers=4).sweep["p"] == [0.1]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["spectrum", "--config", str(cfg_path), "--workers", "4"]) == 1
+    assert "memory" in capsys.readouterr().err
 
 
 def test_verify_options_default_to_the_documented_values():

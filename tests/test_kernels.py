@@ -5,6 +5,7 @@ which is kept here as the oracle.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qfimlab.circuits import (
     DiagonalKernel,
     ProductKernel,
     build_circuit,
+    evolve,
     evolve_with_derivatives,
     hva_tfim,
     hva_tfim_generators,
@@ -331,6 +333,98 @@ class TestParityFold:
                 parity_folded_pass(circ, theta, rho)
             expected = qfim_mixed(*evolve_with_derivatives(circ, theta, rho)).matrix
             np.testing.assert_array_equal(qfim_of_circuit(circ, theta, rho).matrix, expected)
+
+
+def assert_rows_close(got, expected, rel):
+    for g, e in zip(got, expected):
+        assert np.max(np.abs(g - e)) <= rel * np.max(np.abs(e))
+
+
+class TestSlotSchedule:
+    """Local depolarizing noise after a product gate merges into the slot before it.
+
+    The reference is the same channel wrapped in a ``CompositeChannel``, which
+    is never merged or folded.
+    """
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_merged_pass_matches_unmerged(self, rng, n):
+        d, h = 2**n, 2 ** (n - 1)
+        tfim = hva_tfim(n, 3)
+        theta = rng.uniform(0, 2 * np.pi, tfim.n_params)
+        plus, mixed = plus_state_density(n), random_density_matrix(d, rng)
+        assert not parity_folds(tfim, mixed)
+        for p in (1e-5, 1e-2, 0.3):
+            for ch in (LocalDepolarizing.uniform(n, p), LocalDepolarizing(tuple(rng.uniform(0, p, n)))):
+                circ = tfim.with_uniform_noise(ch)
+                ref = tfim.with_uniform_noise(CompositeChannel([ch]))
+                assert sum(s is not None for s in circ.slots) < len(ref.slots)
+                # folded path on |+>^n against the dense unmerged pass
+                ref_out, ref_derivs = evolve_with_derivatives(ref, theta, plus)
+                dense = np.stack([ref_out, *ref_derivs])
+                assert_rows_close(parity_folded_pass(circ, theta, plus), dense[:, :h], 1e-12)
+                expected = qfim_mixed(ref_out, ref_derivs).matrix
+                got = qfim_of_circuit(circ, theta, plus).matrix
+                assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+                # dense path on an input that is not P-symmetric
+                out, derivs = evolve_with_derivatives(circ, theta, mixed)
+                ref_out, ref_derivs = evolve_with_derivatives(ref, theta, mixed)
+                assert_rows_close([out, *derivs], [ref_out, *ref_derivs], 1e-12)
+                assert_rows_close([evolve(circ, theta, mixed)], [ref_out], 1e-12)
+                expected = qfim_mixed(ref_out, ref_derivs).matrix
+                got = qfim_mixed(out, derivs).matrix
+                assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n, layers", [(2, 1), (4, 3), (8, 10)])
+    def test_ising_ansatz_runs_l_plus_one_slots(self, n, layers):
+        p = 0.01
+        noise = LocalDepolarizing.uniform(n, p)
+        circ = hva_tfim(n, layers).with_uniform_noise(noise)
+        assert len(circ.slots) == circ.n_params + 1
+        live = [k for k, s in enumerate(circ.slots) if s is not None]
+        assert live == [0, *range(1, 2 * layers, 2)]
+        assert circ.slots[0] is noise
+        merged = circ.slots[1]
+        assert all(circ.slots[k] is merged for k in live[1:])
+        assert merged.probs == pytest.approx((1 - (1 - p) ** 2,) * n, rel=1e-12)
+
+    def test_other_channels_and_the_toy_model_keep_every_slot(self):
+        n = 3
+        tfim = hva_tfim(n, 2)
+        pauli = PauliChannel([(PauliString.identity(n), 0.9), (PauliString.single(n, 1, "Y"), 0.1)])
+        composite = CompositeChannel([LocalDepolarizing.uniform(n, 0.1)])
+        toy, _ = toy_model()
+        cases = [
+            tfim.with_uniform_noise(GlobalDepolarizing(n, 0.1)),
+            tfim.with_uniform_noise(pauli),
+            tfim.with_uniform_noise(composite),
+            toy.with_uniform_noise(bit_flip(0.1)),
+            toy.with_uniform_noise(LocalDepolarizing.uniform(1, 0.1)),
+        ]
+        for circ in cases:
+            assert circ.slots == (circ.noise,) * (circ.n_params + 1)
+        assert tfim.slots == (None,) * (tfim.n_params + 1)
+
+    def test_replace_recomputes_the_schedule(self):
+        noise = LocalDepolarizing.uniform(4, 0.05)
+        circ = hva_tfim(4, 1).with_uniform_noise(noise)
+        deeper = replace(circ, layers=circ.layers * 3)
+        assert len(deeper.slots) == 7
+        assert [s is not None for s in deeper.slots] == [True, True, False, True, False, True, False]
+        assert all(s is None for s in deeper.with_uniform_noise(None).slots)
+
+    def test_a_merged_slot_takes_no_second_merge(self, rng):
+        n, p = 3, 0.2
+        h0, h1 = hva_tfim_generators(n)
+        base = build_circuit(n, [h0, h1], [1, 1, 0, 1])
+        circ = base.with_uniform_noise(LocalDepolarizing.uniform(n, p))
+        merged = circ.slots[0]
+        assert circ.slots == (merged, None, circ.noise, merged, None)
+        theta, rho = rng.uniform(0, 2 * np.pi, 4), random_density_matrix(2**n, rng)
+        ref = base.with_uniform_noise(CompositeChannel([circ.noise]))
+        out, derivs = evolve_with_derivatives(circ, theta, rho)
+        ref_out, ref_derivs = evolve_with_derivatives(ref, theta, rho)
+        assert_rows_close([out, *derivs], [ref_out, *ref_derivs], 1e-12)
 
 
 def loop_qfim(vecs, derivs, weights):
