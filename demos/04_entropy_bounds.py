@@ -73,8 +73,9 @@ v = rng.standard_normal(m)
 v /= np.linalg.norm(v)
 quad = float(v @ rep.matrix @ v)
 print("  t        B(rho, rho_t)    B / t^2     v^T F v / 4")
-for t in (1e-2, 1e-3, 1e-4):
-    b = bures_distance(base, evolve(noisy, theta + t * v, rho))
+ts = np.array([1e-2, 1e-3, 1e-4])
+for t, out in zip(ts, evolve(noisy, theta + ts[:, None] * v, rho)):
+    b = bures_distance(base, out)
     print(f"  {t:<8g} {b:<16.3e} {b / t ** 2:<11.5f} {quad / 4:.5f}")
 print("""
 The fitted coefficient lands on v^T F v / 4, the standard second-order

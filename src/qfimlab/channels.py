@@ -184,10 +184,11 @@ class PauliChannel(Channel):
         np.copyto(scratch, stack)
         stack.fill(0.0)
         shape = (len(stack),) + (2,) * (2 * self.n_qubits)
-        # one matrix at a time keeps each product's temporary at d x d
-        for out, src in zip(stack.reshape(shape), scratch.reshape(shape)):
-            for axes, weight in self._actions:
-                out += weight * (np.flip(src, axes) if axes else src)
+        out, src = stack.reshape(shape), scratch.reshape(shape)
+        # each term's product is one stack-sized temporary: Pauli channels run
+        # at toy and verify sizes only, since no Ising experiment accepts them
+        for axes, weight in self._actions:
+            out += weight * (np.flip(src, tuple(a + 1 for a in axes)) if axes else src)
 
     def transfer_coefficient(self, target: PauliString) -> float:
         """Eigenvalue of the channel on the Pauli operator ``target``.

@@ -23,6 +23,11 @@ stores a gate kernel for it:
 - :class:`DenseKernel` (anything else): ``U`` is rebuilt from the
   generator's eigendecomposition and applied by two dense products.
 
+Batch axis: :func:`evolve` takes a ``(K, M)`` theta and
+:meth:`NoisyCircuit.gate_step` a ``(k,)`` array of angles, one stack row per
+angle row, each equal bit for bit to its single-state call. A
+:class:`ProductKernel` gate takes one scalar angle only (``ValueError`` else).
+
 Derivatives of the output state are computed analytically in forward mode.
 Differentiating gate ``i`` inserts the commutator ``-i [H_i, .]`` right after
 that gate; :func:`evolve_with_derivatives` carries the state and all M
@@ -84,10 +89,11 @@ class DiagonalKernel:
         self.h = np.asarray(h, dtype=float)
         self.parity_symmetric = bool(np.array_equal(self.h, self.h[::-1]))
 
-    def conjugate(self, stack: np.ndarray, theta: float, scratch: np.ndarray) -> None:
-        """``stack <- U stack U†`` in place, as ``stack * phi phi^H`` (top rows when folded)."""
-        phase = np.exp(-1j * theta * self.h)
-        stack *= np.outer(phase[: stack.shape[1]], phase.conj())
+    def conjugate(self, stack: np.ndarray, theta: float | np.ndarray, scratch: np.ndarray) -> None:
+        """``stack <- U stack U†`` in place, as ``stack * phi phi^H`` (top rows when folded);
+        a ``(k,)`` ``theta`` gives row ``r`` of the stack its own angle."""
+        phase = np.exp(np.multiply.outer(-1j * theta, self.h))
+        stack *= phase[..., : stack.shape[1], None] * phase.conj()[..., None, :]
 
     def commutator(self, rho: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
         """``out <- -i [H, rho]``, i.e. ``-i (h_k - h_l) rho_kl`` (top rows when folded)."""
@@ -128,12 +134,14 @@ class ProductKernel:
         return tuple(self._power(theta, k) for k in self._halves)
 
     def conjugate(self, stack: np.ndarray, theta: float, scratch: np.ndarray) -> None:
-        """``stack <- U stack U†`` in place.
+        """``stack <- U stack U†`` in place, at one scalar angle for the whole stack.
 
         On a folded ``(k, d/2, d)`` stack the rows take ``u`` on qubits
         ``1..n-1`` only; qubit 0 then mixes the top rows with the bottom
         ones, which are the top rows reversed: ``top <- u00 R + u01 R[::-1, ::-1]``.
         """
+        if np.ndim(theta):
+            raise ValueError("a product-kernel gate takes one scalar angle, not one per row")
         a, b = self._factors(theta)
         if stack.shape[1] == stack.shape[2]:
             _kron_conjugate(stack, a, b, scratch)
@@ -185,11 +193,12 @@ class DenseKernel:
         self.h = h
         self.eig = eig
 
-    def conjugate(self, stack: np.ndarray, theta: float, scratch: np.ndarray) -> None:
-        """``stack <- U stack U†`` in place, by two dense products."""
+    def conjugate(self, stack: np.ndarray, theta: float | np.ndarray, scratch: np.ndarray) -> None:
+        """``stack <- U stack U†`` in place, by two dense products; a ``(k,)``
+        ``theta`` gives row ``r`` of the stack its own angle."""
         u = herm_exp_from_eig(self.eig, theta)
         np.matmul(u, stack, out=scratch)
-        np.matmul(scratch, dag(u), out=stack)
+        np.matmul(scratch, u.swapaxes(-1, -2).conj(), out=stack)
 
     def commutator(self, rho: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
         """``out <- -i [H, rho]``."""
@@ -302,20 +311,25 @@ class NoisyCircuit:
             )
         return replace(self, noise=channel)
 
-    def gate_step(self, m: int, angle: float, mat: np.ndarray) -> np.ndarray:
+    def gate_step(self, m: int, angle: float | np.ndarray, mat: np.ndarray) -> np.ndarray:
         """``U mat U†`` for gate ``m`` at an arbitrary ``angle``, as a new array.
 
-        Runs the same kernel as evolution; ``mat`` is not modified.
+        ``mat`` is ``(d, d)``, or a ``(k, d, d)`` stack with one float or a
+        ``(k,)`` array of angles. Runs the same kernel as evolution; ``mat``
+        is not modified.
         """
         if not 0 <= m < self.n_params:
             raise IndexError(f"gate index {m} out of range for M={self.n_params}")
-        if mat.shape != (self.dim, self.dim):
+        if mat.shape[-2:] != (self.dim, self.dim) or mat.ndim not in (2, 3):
             raise DimensionMismatchError(
                 f"matrix shape {mat.shape} does not match circuit dimension {self.dim}"
             )
-        stack = np.array(mat, dtype=complex)[None]
-        self.kernels[self.layers[m]].conjugate(stack, float(angle), np.empty_like(stack))
-        return stack[0]
+        stack = np.array(mat, dtype=complex).reshape(-1, self.dim, self.dim)
+        angle = np.asarray(angle, dtype=float)
+        if angle.shape not in ((), stack.shape[:1]):
+            raise ValueError(f"angle has shape {angle.shape}, expected () or {stack.shape[:1]}")
+        self.kernels[self.layers[m]].conjugate(stack, angle, np.empty_like(stack))
+        return stack.reshape(mat.shape)
 
 
 def _slot_schedule(noise: Channel | None, layers, kernels) -> tuple[Channel | None, ...]:
@@ -355,12 +369,14 @@ def build_circuit(n_qubits, generators, layers) -> NoisyCircuit:
 
 
 def _check_args(
-    circuit: NoisyCircuit, theta: np.ndarray, state: np.ndarray, ndim: int
+    circuit: NoisyCircuit, theta: np.ndarray, state: np.ndarray, ndim: int, batched: bool = False
 ) -> np.ndarray:
-    """Check that ``state`` has shape ``(d,) * ndim``; return ``theta`` as ``(M,)`` floats."""
+    """Check that ``state`` has shape ``(d,) * ndim``; return ``theta`` as ``(M,)``
+    floats, or also as ``(K, M)`` floats when ``batched``."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (circuit.n_params,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({circuit.n_params},)")
+    if theta.shape[-1:] != (circuit.n_params,) or theta.ndim > 1 + batched:
+        shapes = "(M,) or (K, M)" if batched else "(M,)"
+        raise ValueError(f"theta has shape {theta.shape}, expected {shapes} with M={circuit.n_params}")
     if state.shape != (circuit.dim,) * ndim:
         raise DimensionMismatchError(
             f"state shape {state.shape} does not match circuit dimension {circuit.dim}"
@@ -369,16 +385,22 @@ def _check_args(
 
 
 def evolve(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Output state ``N_{M+1} ∘ C^M_{θ_M} ∘ N_M ∘ ... ∘ C^1_{θ_1} ∘ N_1 (rho)``."""
-    theta = _check_args(circuit, theta, rho, 2)
-    stack = np.array(rho, dtype=complex)[None]
+    """Output state ``N_{M+1} ∘ C^M_{θ_M} ∘ N_M ∘ ... ∘ C^1_{θ_1} ∘ N_1 (rho)``.
+
+    A ``(K, M)`` theta gives the ``(K, d, d)`` outputs in one pass over a
+    stack of K copies of ``rho``; row ``r`` equals the call with ``theta[r]``
+    bit for bit. A :class:`ProductKernel` gate takes ``(M,)`` only.
+    """
+    theta = _check_args(circuit, theta, rho, 2, batched=True)
+    stack = np.array(np.broadcast_to(rho, theta.shape[:-1] + rho.shape), dtype=complex, ndmin=3)
     scratch = np.empty_like(stack)
+    angles = theta.T  # row m: gate m's angle, or its K angles
     for m, slot in enumerate(circuit.slots):
         if slot is not None:
             slot._apply_batch(stack, scratch)
         if m < circuit.n_params:
-            circuit.kernels[circuit.layers[m]].conjugate(stack, theta[m], scratch)
-    return stack[0]
+            circuit.kernels[circuit.layers[m]].conjugate(stack, angles[m], scratch)
+    return stack if theta.ndim == 2 else stack[0]
 
 
 def derivative(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray, i: int) -> np.ndarray:
@@ -486,14 +508,13 @@ def loss_linear(
     return float(np.trace(out @ obs).real)
 
 
-def bloch_coords(rho: np.ndarray) -> tuple[float, float, float]:
-    """Single-qubit Bloch vector ``(Tr[rho X], Tr[rho Y], Tr[rho Z])``."""
-    if rho.shape != (2, 2):
-        raise DimensionMismatchError(f"Bloch coordinates need a 2x2 state, got {rho.shape}")
-    x = float(np.trace(rho @ X).real)
-    y = float(np.trace(rho @ Y).real)
-    z = float(np.trace(rho @ Z).real)
-    return x, y, z
+def bloch_coords(rho: np.ndarray) -> tuple[float, float, float] | tuple[np.ndarray, ...]:
+    """Single-qubit Bloch vector ``(Tr[rho X], Tr[rho Y], Tr[rho Z])``; on a
+    ``(k, 2, 2)`` stack, the three ``(k,)`` arrays of the rows' coordinates."""
+    if rho.shape[-2:] != (2, 2) or rho.ndim not in (2, 3):
+        raise DimensionMismatchError(f"Bloch coordinates need 2x2 states, got {rho.shape}")
+    coords = tuple(np.trace(rho.reshape(-1, 2, 2) @ p, axis1=1, axis2=2).real for p in (X, Y, Z))
+    return tuple(float(c[0]) for c in coords) if rho.ndim == 2 else coords
 
 
 # ---------------------------------------------------------------------------

@@ -399,24 +399,22 @@ def channel_from_config(noise: dict, n_qubits: int) -> Channel | None:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: Any) -> str:
+def _csv_cell(value: Any) -> str:
+    """A float with 17 digits, anything else as ``str``; a string that holds a
+    comma, quote or newline is quoted (a formatted number never does)."""
     if isinstance(value, float):
         return f"{value:.17g}"
-    return str(value)
+    text = str(value)
+    if isinstance(value, str) and any(c in text for c in ",\"\n"):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def rows_to_csv(experiment: str, columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     """Render rows with the versioned schema comment; floats get 17 digits."""
     lines = [f"# qfimlab csv schema={CSV_SCHEMA_VERSION} experiment={experiment}"]
     lines.append(",".join(columns))
-    for row in rows:
-        cells = []
-        for cell in row:
-            text = _fmt(cell)
-            if any(c in text for c in ",\"\n"):
-                text = '"' + text.replace('"', '""') + '"'
-            cells.append(text)
-        lines.append(",".join(cells))
+    lines.extend(",".join(map(_csv_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -465,6 +463,10 @@ def run_trajectory(config: ExperimentConfig, workers: int | None = None) -> str:
     ``<point>/eig<k>`` (k sorted by descending eigenvalue), ``gate_index = k``
     and ``step`` scanning the perturbation ``t`` across
     ``[-eigvec_span, eigvec_span]``.
+
+    Each gate's ``steps + 1`` partial angles run as one stacked
+    :meth:`~qfimlab.circuits.NoisyCircuit.gate_step`, and each eigenvector's
+    ``eigvec_steps + 1`` points as one batched :func:`evolve`.
     """
     steps, eig_steps = config.options["steps_per_gate"], config.options["eigvec_steps"]
     span = config.options["eigvec_span"]
@@ -473,31 +475,31 @@ def run_trajectory(config: ExperimentConfig, workers: int | None = None) -> str:
     tau_abs, tau_rel = config.rank_tolerances
 
     noise = (lambda state: state) if circuit.noise is None else circuit.noise.apply
+    s_gate = np.arange(steps + 1)
+    ts = -span + 2.0 * span * np.arange(eig_steps + 1) / eig_steps
 
-    def emit(state, gate_index, step, label, rows):
-        x, y, z = bloch_coords(state)
-        rows.append((gate_index, step, x, y, z, purity(state), label))
+    def path_rows(stack, gate_index, label) -> list:
+        """One row per state of ``stack``, its ``step`` the state's position."""
+        coords = zip(*(c.tolist() for c in (*bloch_coords(stack), purity(stack))))
+        return [(gate_index, s, *c, label) for s, c in enumerate(coords)]
 
     def label_rows(item) -> list:
         label, theta = item
-        rows: list = []
-        emit(rho, 0, 0, label, rows)
+        rows = path_rows(rho[None], 0, label)
         state = rho
         m_tot = circuit.n_params
         for m in range(m_tot):
             state = noise(state)
-            for s in range(steps + 1):
-                emit(circuit.gate_step(m, theta[m] * s / steps, state), m + 1, s, label, rows)
+            partial = np.repeat(state[None], steps + 1, axis=0)
+            rows += path_rows(circuit.gate_step(m, theta[m] * s_gate / steps, partial), m + 1, label)
             state = circuit.gate_step(m, theta[m], state)
-        emit(noise(state), m_tot + 1, 0, label, rows)
+        rows += path_rows(noise(state)[None], m_tot + 1, label)
 
         report = qfim_of_circuit(circuit, theta, rho, tau_abs, tau_rel)
         _, vecs = np.linalg.eigh(report.matrix)
         for k in range(circuit.n_params):
             v = vecs[:, circuit.n_params - 1 - k]  # descending eigenvalue order
-            for s in range(eig_steps + 1):
-                t = -span + 2.0 * span * s / eig_steps
-                emit(evolve(circuit, theta + t * v, rho), k, s, f"{label}/eig{k}", rows)
+            rows += path_rows(evolve(circuit, theta + ts[:, None] * v, rho), k, f"{label}/eig{k}")
         return rows
 
     groups = map_tasks(label_rows, list(TOY_THETAS.items()), workers)

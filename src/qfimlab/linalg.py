@@ -128,10 +128,11 @@ def herm_exp(h: np.ndarray, theta: float) -> np.ndarray:
     return (vectors * phases) @ vectors.conj().T
 
 
-def herm_exp_from_eig(eig: EigenDecomposition, theta: float) -> np.ndarray:
-    """Same as :func:`herm_exp` but reusing a precomputed eigendecomposition."""
-    phases = np.exp(-1j * theta * eig.values)
-    return (eig.vectors * phases) @ eig.vectors.conj().T
+def herm_exp_from_eig(eig: EigenDecomposition, theta: float | np.ndarray) -> np.ndarray:
+    """Same as :func:`herm_exp` but reusing a precomputed eigendecomposition;
+    a ``(k,)`` array of angles gives the ``(k, d, d)`` stack of unitaries."""
+    phases = np.exp(np.multiply.outer(-1j * theta, eig.values))
+    return (eig.vectors * phases[..., None, :]) @ eig.vectors.conj().T
 
 
 def partial_trace(rho: np.ndarray, drop: Sequence[int]) -> np.ndarray:
@@ -181,9 +182,12 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def purity(rho: np.ndarray) -> float:
-    """``Tr[rho^2]``."""
-    return float(np.vdot(rho, rho).real)
+def purity(rho: np.ndarray) -> float | np.ndarray:
+    """``Tr[rho^2]`` of a Hermitian ``(d, d)`` matrix, or the ``(k,)`` purities of a
+    ``(k, d, d)`` stack; each row is the ``vdot`` of its flattened entries."""
+    f = rho.reshape(-1, rho.shape[-1] ** 2)
+    out = (f.conj()[:, None, :] @ f[:, :, None])[:, 0, 0].real
+    return float(out[0]) if rho.ndim == 2 else out
 
 
 def embed_single_qubit(op2: np.ndarray, qubit: int, n: int) -> np.ndarray:

@@ -406,7 +406,7 @@ def check_bures_quadratic(rng, trials):
         if quad < 1e-6:
             continue
         ts = np.array([1e-2, 1e-3, 1e-4])
-        bs = np.array([bures_distance(base, evolve(noisy, theta + t * v, rho)) for t in ts])
+        bs = np.array([bures_distance(base, out) for out in evolve(noisy, theta + ts[:, None] * v, rho)])
         slope = float(np.polyfit(np.log(ts), np.log(bs), 1)[0])
         worst_exp = max(worst_exp, abs(slope - 2.0))
         constants.append(bs[1] / (1e-6 * quad))

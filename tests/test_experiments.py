@@ -9,13 +9,22 @@ import numpy as np
 import pytest
 
 from qfimlab.channels import GlobalDepolarizing, LocalDepolarizing, PauliChannel
-from qfimlab.circuits import TOY_THETAS, hva_parity_sector_generators, plus_state_density, hva_tfim, toy_model
+from qfimlab.circuits import (
+    TOY_THETAS,
+    evolve,
+    hva_parity_sector_generators,
+    hva_tfim,
+    plus_state_density,
+    toy_model,
+)
 from qfimlab.dla import dla_dimension
 from qfimlab.exceptions import CapExceededError, ConfigError
 from qfimlab.experiments import (
+    TRAJECTORY_COLUMNS,
     channel_from_config,
     config_hash,
     parse_config,
+    rows_to_csv,
     run_dla,
     run_eig_vs_p,
     run_scaling,
@@ -23,6 +32,7 @@ from qfimlab.experiments import (
     run_trajectory,
     run_verify,
 )
+from qfimlab.linalg import X, Y, Z
 from qfimlab.qfim import qfim_of_circuit
 
 
@@ -145,6 +155,55 @@ class TestDeterminism:
         assert rows[0][header.index("p")] == "0.10000000000000001"
 
 
+def reference_trajectory_rows(config):
+    """The per-state loop that ``run_trajectory`` batches: one ``gate_step``
+    or ``evolve`` call, and one Bloch vector and purity, per row."""
+    steps, eig_steps = config.options["steps_per_gate"], config.options["eigvec_steps"]
+    span = config.options["eigvec_span"]
+    base, rho = toy_model()
+    circuit = base.with_uniform_noise(channel_from_config(config.noise, 1))
+    noise = (lambda state: state) if circuit.noise is None else circuit.noise.apply
+    rows = []
+
+    def emit(state, gate_index, step, label):
+        x, y, z = (float(np.trace(state @ p).real) for p in (X, Y, Z))
+        rows.append((gate_index, step, x, y, z, float(np.vdot(state, state).real), label))
+
+    for label, theta in TOY_THETAS.items():
+        emit(rho, 0, 0, label)
+        state = rho
+        for m in range(circuit.n_params):
+            state = noise(state)
+            for s in range(steps + 1):
+                emit(circuit.gate_step(m, theta[m] * s / steps, state), m + 1, s, label)
+            state = circuit.gate_step(m, theta[m], state)
+        emit(noise(state), circuit.n_params + 1, 0, label)
+        report = qfim_of_circuit(circuit, theta, rho, *config.rank_tolerances)
+        _, vecs = np.linalg.eigh(report.matrix)
+        for k in range(circuit.n_params):
+            v = vecs[:, circuit.n_params - 1 - k]
+            for s in range(eig_steps + 1):
+                t = -span + 2.0 * span * s / eig_steps
+                emit(evolve(circuit, theta + t * v, rho), k, s, f"{label}/eig{k}")
+    return rows
+
+
+TOY_NOISE_CONFIGS = [
+    {"model": "none"},
+    {"model": "bit_flip", "p": 0.1},
+    {"model": "global_depolarizing", "p": 0.07},
+    {"model": "local_depolarizing", "p": 0.05},
+    {"model": "pauli", "terms": [
+        {"alpha": [0], "beta": [0], "prob": 0.8},
+        {"alpha": [1], "beta": [1], "prob": 0.15},
+        {"alpha": [0], "beta": [1], "prob": 0.05},
+    ]},
+    {"model": "composite", "channels": [
+        {"model": "bit_flip", "p": 0.1}, {"model": "local_depolarizing", "p": 0.05},
+    ]},
+]
+
+
 class TestTrajectory:
     def base_config(self, noise, **options):
         return parse_config(
@@ -191,6 +250,12 @@ class TestTrajectory:
             purities = [float(r[ip]) for r in rows if r[-1] == f"theta3/eig{k}"]
             ranges.append(max(purities) - min(purities))
         assert max(ranges) > 1e-4
+
+    @pytest.mark.parametrize("noise", TOY_NOISE_CONFIGS, ids=lambda n: n["model"])
+    def test_batched_rows_equal_the_per_state_loop_byte_for_byte(self, noise):
+        cfg = self.base_config(noise, steps_per_gate=20, eigvec_steps=10)
+        expected = rows_to_csv("trajectory", TRAJECTORY_COLUMNS, reference_trajectory_rows(cfg))
+        assert run_trajectory(cfg) == expected
 
     def test_gate_by_gate_rows_present(self):
         cfg = self.base_config({"model": "none"})

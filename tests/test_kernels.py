@@ -24,6 +24,7 @@ from qfimlab.circuits import (
     DenseKernel,
     DiagonalKernel,
     ProductKernel,
+    bloch_coords,
     build_circuit,
     evolve,
     evolve_with_derivatives,
@@ -44,6 +45,7 @@ from qfimlab.linalg import (
     herm_exp,
     insert_qubit,
     partial_trace,
+    purity,
 )
 from qfimlab.qfim import noisy_qfim_closed_form_global_depol, qfim_mixed, qfim_of_circuit
 from qfimlab.rand import random_density_matrix, random_hermitian, random_unitary
@@ -425,6 +427,79 @@ class TestSlotSchedule:
         out, derivs = evolve_with_derivatives(circ, theta, rho)
         ref_out, ref_derivs = evolve_with_derivatives(ref, theta, rho)
         assert_rows_close([out, *derivs], [ref_out, *ref_derivs], 1e-12)
+
+
+def toy_noise_channels():
+    """One channel of every noise model the trajectory experiment accepts."""
+    pauli = PauliChannel([
+        (PauliString.identity(1), 0.8),
+        (PauliString.single(1, 0, "Y"), 0.15),
+        (PauliString.single(1, 0, "Z"), 0.05),
+    ])
+    local = LocalDepolarizing.uniform(1, 0.05)
+    return [None, bit_flip(0.1), GlobalDepolarizing(1, 0.07), local, pauli,
+            CompositeChannel([bit_flip(0.1), local])]
+
+
+class TestBatchAxis:
+    """A ``(K, M)`` theta runs K states as rows of one stack; each row must
+    equal, bit for bit, the single-state call it replaces."""
+
+    @pytest.mark.parametrize("noise", toy_noise_channels())
+    def test_batched_evolve_equals_single_calls_on_the_toy_model(self, rng, noise):
+        base, rho = toy_model()
+        circ = base.with_uniform_noise(noise)
+        thetas = rng.uniform(-np.pi, np.pi, (7, circ.n_params))
+        got = evolve(circ, thetas, rho)
+        assert got.shape == (7, 2, 2)
+        np.testing.assert_array_equal(got, np.stack([evolve(circ, t, rho) for t in thetas]))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batched_evolve_equals_single_calls_on_dense_and_diagonal_gates(self, rng, n):
+        d = 2**n
+        gens = [random_hermitian(d, rng, traceless=True), hva_tfim_generators(n)[0]]
+        circ = build_circuit(n, gens, [0, 1, 1, 0])
+        assert [type(k) for k in circ.kernels] == [DenseKernel, DiagonalKernel]
+        pauli = PauliChannel([(PauliString.identity(n), 0.7), (PauliString.single(n, 1, "Y"), 0.3)])
+        rho = random_density_matrix(d, rng)
+        thetas = rng.uniform(-np.pi, np.pi, (5, circ.n_params))
+        for noise in (None, LocalDepolarizing(tuple(rng.uniform(0, 0.2, n))), pauli):
+            noisy = circ.with_uniform_noise(noise)
+            expected = np.stack([evolve(noisy, t, rho) for t in thetas])
+            np.testing.assert_array_equal(evolve(noisy, thetas, rho), expected)
+
+    def test_gate_step_takes_one_angle_per_row(self, rng):
+        circ, _ = toy_model()
+        stack = np.stack([random_density_matrix(2, rng) for _ in range(6)])
+        before = stack.copy()
+        angles = rng.uniform(-np.pi, np.pi, 6)
+        for m in range(circ.n_params):
+            expected = np.stack([circ.gate_step(m, a, mat) for a, mat in zip(angles, stack)])
+            np.testing.assert_array_equal(circ.gate_step(m, angles, stack), expected)
+        np.testing.assert_array_equal(stack, before)
+
+    def test_bloch_coords_and_purity_of_a_stack_match_each_row(self, rng):
+        stack = np.stack([random_density_matrix(2, rng) for _ in range(5)])
+        coords = bloch_coords(stack)
+        purities = purity(stack)
+        for r, mat in enumerate(stack):
+            assert bloch_coords(mat) == tuple(c[r] for c in coords)
+            assert purity(mat) == purities[r]
+        big = np.stack([random_density_matrix(8, rng) for _ in range(3)])
+        assert purity(big).tolist() == [purity(mat) for mat in big]
+
+    def test_malformed_batches_are_rejected(self, rng):
+        kernel = hva_tfim(3, 1).kernels[1]
+        assert isinstance(kernel, ProductKernel)
+        stack = random_stack(2, 8, rng)
+        with pytest.raises(ValueError, match="scalar angle"):
+            kernel.conjugate(stack, np.array([0.1, 0.2]), np.empty_like(stack))
+        circ, rho = toy_model()
+        for theta in (np.zeros((3, 5)), np.zeros((2, 3, 4))):
+            with pytest.raises(ValueError, match="theta"):
+                evolve(circ, theta, rho)
+        with pytest.raises(ValueError, match="angle"):
+            circ.gate_step(0, np.zeros((2, 1)), np.stack([rho, rho]))
 
 
 def loop_qfim(vecs, derivs, weights):
