@@ -17,6 +17,7 @@ new array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -234,14 +235,12 @@ class LocalDepolarizing(Channel):
     qubit ``j``, this scales ``B_01`` and ``B_10`` by ``1-p_j`` and moves
     ``p_j/2 (B_11 - B_00)`` from ``B_11`` to ``B_00``. The batched kernel
     does the scaling for all qubits at once, as an elementwise product with
-    ``(x)_j [[1, 1-p_j], [1-p_j, 1]]``, and the moves in place on a reshaped
-    view, one matrix at a time so that the per-qubit passes stay in cache.
+    the coherence mask ``(x)_j [[1, 1-p_j], [1-p_j, 1]]`` (built on first
+    use), and the moves in place on a reshaped view of the whole stack.
 
-    The kernel also takes a folded ``(k, d/2, d)`` stack: the top half rows
-    of matrices ``rho`` with ``rho == rho[::-1, ::-1]`` (the circuit pass
-    makes these). There qubit 0's ``B_11`` is ``B_00[::-1, ::-1]``, so its
-    move reads ``B_00`` against its own reverse; qubits ``1..n-1`` act within
-    the top rows as before.
+    The parity-folded circuit pass never calls the kernel: it applies the
+    channel in the Pauli frame, where it is diagonal (see
+    :func:`~qfimlab.circuits.parity_folded_pass`).
     """
 
     probs: tuple[float, ...]
@@ -252,38 +251,33 @@ class LocalDepolarizing(Channel):
             raise ValueError(f"depolarizing probabilities {probs} outside [0, 1]")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "n_qubits", len(probs))
-        coherence = np.ones((1, 1))
-        for p in probs:
-            coherence = np.kron(coherence, [[1.0, 1.0 - p], [1.0 - p, 1.0]])
-        object.__setattr__(self, "_coherence", coherence)
 
     @classmethod
     def uniform(cls, n_qubits: int, p: float) -> "LocalDepolarizing":
         return cls((float(p),) * n_qubits)
 
+    @cached_property
+    def _coherence(self) -> np.ndarray:
+        coherence = np.ones((1, 1))
+        for p in self.probs:
+            coherence = np.kron(coherence, [[1.0, 1.0 - p], [1.0 - p, 1.0]])
+        return coherence
+
     def _apply_batch(self, stack: np.ndarray, scratch: np.ndarray) -> None:
-        n, d = self.n_qubits, self.dim
-        rows = stack.shape[1]
-        for mat, buf in zip(stack, scratch):
-            mat *= self._coherence[:rows]
-            flat = buf.reshape(-1)
-            for j, p in enumerate(self.probs):
-                if p == 0.0:
-                    continue
-                if j == 0 and rows < d:
-                    b00 = mat[:, :rows]
-                    moved = flat[: rows * rows].reshape(rows, rows)
-                    np.subtract(b00[::-1, ::-1], b00, out=moved)
-                    moved *= p / 2.0
-                    b00 += moved
-                    continue
-                lo, hi = 2**j, 2 ** (n - j - 1)
-                t = mat.reshape(lo * rows // d, 2, hi, lo, 2, hi)
-                moved = flat[: rows * d // 4].reshape(lo * rows // d, hi, lo, hi)
-                np.subtract(t[:, 1, :, :, 1, :], t[:, 0, :, :, 0, :], out=moved)
-                moved *= p / 2.0
-                t[:, 0, :, :, 0, :] += moved
-                t[:, 1, :, :, 1, :] -= moved
+        n, k = self.n_qubits, len(stack)
+        stack *= self._coherence
+        flat = scratch.reshape(-1)
+        for j, p in enumerate(self.probs):
+            if p == 0.0:
+                continue
+            lo, hi = 2**j, 2 ** (n - j - 1)
+            # split axes only: a view of any stack, contiguous or not
+            t = stack.reshape(k, lo, 2, hi, lo, 2, hi)
+            moved = flat[: k * self.dim**2 // 4].reshape(k, lo, hi, lo, hi)
+            np.subtract(t[:, :, 1, :, :, 1], t[:, :, 0, :, :, 0], out=moved)
+            moved *= p / 2.0
+            t[:, :, 0, :, :, 0] += moved
+            t[:, :, 1, :, :, 1] -= moved
 
 
 class CompositeChannel(Channel):

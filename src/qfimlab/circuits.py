@@ -42,12 +42,14 @@ Parity folding. With ``P = X^(x)n``, when every gate kernel commutes with
 commutes with ``X``), the noise is ``None`` or local depolarizing, and the
 input satisfies ``rho == rho[::-1, ::-1]``, every state and derivative of the
 pass keeps that symmetry (:func:`parity_folds`). :func:`parity_folded_pass`
-then carries only the top half rows, a ``(M + 1, d/2, d)`` stack: half the
-slot and gate work, and ``2 (M + 1) 16 d^2 / 2`` bytes. The Ising ansatz on
-``|+>^n`` under local depolarizing noise folds; the toy model, dense
-generators, Pauli, global-depolarizing and composite channels, and
-asymmetric inputs do not, and :func:`evolve_with_derivatives` is always the
-dense pass.
+then carries only the top half rows, a ``(M + 1, d/2, d)`` stack of
+``2 (M + 1) 16 d^2 / 2`` bytes, in Walsh-Hadamard frames (:class:`_WalshFrames`)
+where each gate, derivative seed and noise slot is one elementwise product
+and the only matmuls are the real Hadamard transforms between frames. The
+Ising ansatz on ``|+>^n`` under local depolarizing noise folds; the toy
+model, dense generators, Pauli, global-depolarizing and composite channels,
+and asymmetric inputs do not, and :func:`evolve_with_derivatives` is always
+the dense pass.
 """
 
 from __future__ import annotations
@@ -90,14 +92,14 @@ class DiagonalKernel:
         self.parity_symmetric = bool(np.array_equal(self.h, self.h[::-1]))
 
     def conjugate(self, stack: np.ndarray, theta: float | np.ndarray, scratch: np.ndarray) -> None:
-        """``stack <- U stack U†`` in place, as ``stack * phi phi^H`` (top rows when folded);
-        a ``(k,)`` ``theta`` gives row ``r`` of the stack its own angle."""
+        """``stack <- U stack U†`` in place, as ``stack * phi phi^H``; a ``(k,)``
+        ``theta`` gives row ``r`` of the stack its own angle."""
         phase = np.exp(np.multiply.outer(-1j * theta, self.h))
-        stack *= phase[..., : stack.shape[1], None] * phase.conj()[..., None, :]
+        stack *= phase[..., None] * phase.conj()[..., None, :]
 
     def commutator(self, rho: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """``out <- -i [H, rho]``, i.e. ``-i (h_k - h_l) rho_kl`` (top rows when folded)."""
-        np.multiply(rho, -1j * np.subtract.outer(self.h[: len(rho)], self.h), out=out)
+        """``out <- -i [H, rho]``, i.e. ``-i (h_k - h_l) rho_kl``."""
+        np.multiply(rho, -1j * np.subtract.outer(self.h, self.h), out=out)
 
     def apply_vectors(self, vecs: np.ndarray, theta: float) -> np.ndarray:
         """``U v`` for every vector along the last axis of ``vecs``."""
@@ -110,18 +112,17 @@ class ProductKernel:
     ``exp(-i theta H) = u^(x)n`` with ``u = exp(-i theta a)`` is applied as
     ``A (x) B`` with ``A = u^(x)(n//2)`` and ``B`` the other half, which costs
     ``d^2 (dim A + dim B)`` per matrix instead of ``d^3``. Commutes with
-    ``P = X^(x)n`` when ``a`` commutes with ``X``.
+    ``P = X^(x)n`` when ``a`` commutes with ``X``, i.e. ``a = a00 I + a01 X``;
+    the parity-folded pass then reads ``a01`` only.
     """
 
     def __init__(self, a: np.ndarray, n_qubits: int):
         eig = hermitian_eig(a)
-        self._a = a
-        self._n_qubits = n_qubits
+        self.a = a
         self._halves = (n_qubits // 2, n_qubits - n_qubits // 2)
         self._spectrum = _spectrum_power(eig.values, n_qubits)
-        # u^(x)k for the two halves, the single qubit 0, and the first half without qubit 0
-        sizes = {*self._halves, 1, self._halves[0] - 1}
-        self._powers = {k: (_kron_power(eig.vectors, k), _spectrum_power(eig.values, k)) for k in sizes}
+        # u^(x)k for the two halves
+        self._powers = {k: (_kron_power(eig.vectors, k), _spectrum_power(eig.values, k)) for k in self._halves}
         tol = STRUCTURE_ULPS * np.finfo(float).eps * float(np.max(np.abs(a)))
         self.parity_symmetric = float(np.max(np.abs(a @ X - X @ a))) <= tol
 
@@ -134,43 +135,13 @@ class ProductKernel:
         return tuple(self._power(theta, k) for k in self._halves)
 
     def conjugate(self, stack: np.ndarray, theta: float, scratch: np.ndarray) -> None:
-        """``stack <- U stack U†`` in place, at one scalar angle for the whole stack.
-
-        On a folded ``(k, d/2, d)`` stack the rows take ``u`` on qubits
-        ``1..n-1`` only; qubit 0 then mixes the top rows with the bottom
-        ones, which are the top rows reversed: ``top <- u00 R + u01 R[::-1, ::-1]``.
-        """
+        """``stack <- U stack U†`` in place, at one scalar angle for the whole stack."""
         if np.ndim(theta):
             raise ValueError("a product-kernel gate takes one scalar angle, not one per row")
-        a, b = self._factors(theta)
-        if stack.shape[1] == stack.shape[2]:
-            _kron_conjugate(stack, a, b, scratch)
-            return
-        _kron_conjugate(stack, a, b, scratch, self._power(theta, self._halves[0] - 1))
-        u = self._power(theta, 1)
-        np.multiply(stack[:, ::-1, ::-1], u[0, 1], out=scratch)
-        stack *= u[0, 0]
-        stack += scratch
+        _kron_conjugate(stack, *self._factors(theta), scratch)
 
     def commutator(self, rho: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """``out <- -i [H, rho]``, computed in the product eigenbasis ``W``.
-
-        On the top rows of a P-symmetric matrix, ``a`` commutes with ``X``,
-        so ``a = a00 I + a01 X`` and ``[H, rho] = a01 sum_j [X_j, rho]``:
-        each ``X_j`` flips bit ``j`` of the row or column index, and on the
-        rows ``X_0`` reads the bottom rows, which are the top rows reversed.
-        """
-        rows, d = rho.shape
-        if rows < d:
-            n = self._n_qubits
-            t, o = rho.reshape((2,) * (2 * n - 1)), out.reshape((2,) * (2 * n - 1))
-            np.copyto(out, rho[::-1, ::-1])
-            for axis in range(n - 1):
-                o += np.flip(t, axis)
-            for axis in range(n - 1, 2 * n - 1):
-                o -= np.flip(t, axis)
-            out *= -1j * self._a[0, 1]
-            return
+        """``out <- -i [H, rho]``, computed in the product eigenbasis ``W``."""
         w_a, w_b = (self._powers[k][0] for k in self._halves)
         np.copyto(out, rho)
         _kron_conjugate(out[None], dag(w_a), dag(w_b), scratch[None])
@@ -228,22 +199,18 @@ def _spectrum_power(values: np.ndarray, n: int) -> np.ndarray:
     return spec
 
 
-def _kron_conjugate(
-    stack: np.ndarray, a: np.ndarray, b: np.ndarray, scratch: np.ndarray, row_a: np.ndarray | None = None
-) -> None:
-    """``stack <- (row_a (x) b) stack (a (x) b)†`` in place, for a ``(k, r, d)`` stack.
+def _kron_conjugate(stack: np.ndarray, a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> None:
+    """``stack <- (a (x) b) stack (a (x) b)†`` in place, for a ``(k, d, d)`` stack.
 
-    ``row_a`` defaults to ``a``; a folded stack passes ``a`` without qubit 0.
     Each factor acts on its own axis of the reshaped stack, so the four
     products are batched matmuls with ``dim a`` or ``dim b`` inner size.
     """
-    row_a = a if row_a is None else row_a
-    k, r, d = stack.shape
-    ra, da, db = len(row_a), len(a), len(b)
-    np.matmul(row_a, stack.reshape(k, ra, db * d), out=scratch.reshape(k, ra, db * d))
-    np.matmul(b, scratch.reshape(k * ra, db, d), out=stack.reshape(k * ra, db, d))
-    np.matmul(stack.reshape(k * r * da, db), dag(b), out=scratch.reshape(k * r * da, db))
-    np.matmul(a.conj(), scratch.reshape(k * r, da, db), out=stack.reshape(k * r, da, db))
+    k, d, _ = stack.shape
+    da, db = len(a), len(b)
+    np.matmul(a, stack.reshape(k, da, db * d), out=scratch.reshape(k, da, db * d))
+    np.matmul(b, scratch.reshape(k * da, db, d), out=stack.reshape(k * da, db, d))
+    np.matmul(stack.reshape(k * d * da, db), dag(b), out=scratch.reshape(k * d * da, db))
+    np.matmul(a.conj(), scratch.reshape(k * d, da, db), out=stack.reshape(k * d, da, db))
 
 
 def gate_kernel(h: np.ndarray, n_qubits: int) -> GateKernel:
@@ -426,7 +393,19 @@ def evolve_with_derivatives(
     The returned arrays are rows of that stack: they share no memory with
     ``rho`` or with each other.
     """
-    stack = _forward_pass(circuit, theta, rho, circuit.dim)
+    theta = _check_args(circuit, theta, rho, 2)
+    stack = np.empty((circuit.n_params + 1, circuit.dim, circuit.dim), dtype=complex)
+    scratch = np.empty_like(stack)
+    stack[0] = rho
+    for m, slot in enumerate(circuit.slots):
+        live, buf = stack[: m + 1], scratch[: m + 1]
+        # the pass owns both buffers and with_uniform_noise checked the qubit count
+        if slot is not None:
+            slot._apply_batch(live, buf)
+        if m < circuit.n_params:
+            kernel = circuit.kernels[circuit.layers[m]]
+            kernel.conjugate(live, theta[m], buf)
+            kernel.commutator(stack[0], stack[m + 1], scratch[m + 1])
     return stack[0], list(stack[1:])
 
 
@@ -453,32 +432,134 @@ def parity_folded_pass(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray
     input that :func:`parity_folds` accepts.
 
     Returns the ``(M + 1, d/2, d)`` stack of top rows; row ``r`` of the full
-    stack is ``concat(top[r], top[r][::-1, ::-1])``. Every slot and gate does
-    half the work, and the memory is ``2 (M + 1) 16 d^2 / 2`` bytes.
+    stack is ``concat(top[r], top[r][::-1, ::-1])``. The rows travel in the
+    frames of :class:`_WalshFrames`, where every gate, seed and noise slot
+    is one elementwise product; the memory is ``2 (M + 1) 16 d^2 / 2`` bytes.
     Raises ``ValueError`` when :func:`parity_folds` rejects the input.
     """
     if not parity_folds(circuit, rho):
         raise ValueError("the circuit or input does not commute with the parity X^n")
-    return _forward_pass(circuit, theta, rho, circuit.dim // 2)
-
-
-def _forward_pass(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray, rows: int) -> np.ndarray:
-    """The ``(M + 1, rows, d)`` stack of output state and derivatives; ``rows``
-    is ``d``, or ``d/2`` for the top rows of a parity-folded pass."""
     theta = _check_args(circuit, theta, rho, 2)
-    stack = np.empty((circuit.n_params + 1, rows, circuit.dim), dtype=complex)
+    h = circuit.dim // 2
+    frames = _WalshFrames(circuit)
+    stack = np.empty((circuit.n_params + 1, h, circuit.dim), dtype=complex)
     scratch = np.empty_like(stack)
-    stack[0] = rho[:rows]
+    frames.gather(rho[None, :h], stack[:1])
     for m, slot in enumerate(circuit.slots):
         live, buf = stack[: m + 1], scratch[: m + 1]
-        # the pass owns both buffers and with_uniform_noise checked the qubit count
         if slot is not None:
-            slot._apply_batch(live, buf)
+            frames.depolarize(live, buf, slot)
         if m < circuit.n_params:
+            # scratch row m + 1 is not live yet: it holds the gate's phase table
             kernel = circuit.kernels[circuit.layers[m]]
-            kernel.conjugate(live, theta[m], buf)
-            kernel.commutator(stack[0], stack[m + 1], scratch[m + 1])
-    return stack
+            frames.gate(live, buf, kernel, theta[m], stack[m + 1], scratch[m + 1])
+    frames.move(stack, scratch, 0)
+    frames.gather(stack, scratch)
+    return scratch
+
+
+def _hadamard(bits: int) -> np.ndarray:
+    """Orthonormal Walsh-Hadamard matrix ``([[1, 1], [1, -1]] / sqrt 2)^(x)bits``."""
+    mat = np.ones((1, 1))
+    for _ in range(bits):
+        mat = np.kron(mat, [[1.0, 1.0], [1.0, -1.0]])
+    return mat / np.sqrt(2.0) ** bits
+
+
+class _WalshFrames:
+    """The three frames of a parity-folded pass, and its tables for one circuit.
+
+    Row ``k < d/2`` of a P-symmetric matrix is stored as ``A[k, e] = rho[k, k ^ e]``
+    (frame 0, ``ek``). An orthonormal Walsh-Hadamard transform over the
+    ``n - 1`` stored bits ``b'`` of ``k`` gives frame 1 (``eb``), and one over
+    the ``n`` bits of ``e`` then gives frame 2 (``fb``). ``A[b', e]`` is the
+    weight of the Pauli string with X part ``e`` and Z part ``b``, where the
+    full ``b`` has ``b_0 = parity(b')`` (P-symmetry cancels odd ``|b|``). So:
+
+    - a diagonal gate is ``A *= phi_k conj(phi_(k^e))`` in ``ek``, with seed
+      ``-i (h_k - h_(k^e)) A``;
+    - local depolarizing is ``A *= prod_j (1 - p_j)^(b_j or e_j)`` in ``eb``;
+    - a product gate with ``a = a00 I + a01 X`` is ``A *= exp(2i theta a01 s)``
+      in ``fb``, with seed ``2i a01 s A``, where ``s = sum_j b_j (-1)^f_j``.
+
+    A transform is two real matmuls with half-register factors on the float
+    view of the stack; the factor on the innermost ``e`` bits is
+    ``kron(H, I_2)``, so the real and imaginary parts stay apart.
+    """
+
+    def __init__(self, circuit: NoisyCircuit):
+        n, h = circuit.n_qubits, circuit.dim // 2
+        k, e = np.arange(h, dtype=np.int32)[:, None], np.arange(2 * h, dtype=np.int32)
+        self._xor = k ^ e
+        parity = np.bitwise_count(k) & 1  # b_0 of the full Z part b
+        b = k | np.int32(h) * parity
+        self._s = np.bitwise_count(b).astype(np.int8) - 2 * np.bitwise_count(b & e).astype(np.int8)
+        self._decay = {}
+        for ch in {slot for slot in circuit.slots if slot is not None}:
+            # (1 - p_j)^(b_j or e_j) on qubits 1..n-1, times qubit 0's factor at b_0 = parity(b')
+            decay = np.ones((1, 1))
+            for p in ch.probs[1:]:
+                decay = np.kron(decay, [[1.0, 1.0 - p], [1.0 - p, 1.0 - p]])
+            q = 1.0 - ch.probs[0]
+            first = np.array([[1.0, q], [q, q]])[parity[:, 0]]
+            self._decay[ch] = (first[:, :, None] * decay[:, None, :]).reshape(h, 2 * h)
+        self._walsh = (
+            (_hadamard((n - 1) // 2), _hadamard(n - 1 - (n - 1) // 2)),
+            (_hadamard(n // 2), np.kron(_hadamard(n - n // 2), np.eye(2))),
+        )
+        self._n, self.frame = n, 0
+
+    def gather(self, src: np.ndarray, out: np.ndarray) -> None:
+        """``out[:, k, e] = src[:, k, k ^ e]``: into frame ``ek`` and out of it."""
+        for k, cols in enumerate(self._xor):
+            np.take(src[:, k], cols, axis=1, out=out[:, k], mode="clip")
+
+    def move(self, live: np.ndarray, buf: np.ndarray, frame: int) -> None:
+        """Transform ``live`` in place, one axis at a time, into ``frame``."""
+        k, r, c = live.shape
+        x, y = live.view(float), buf.view(float)
+        while self.frame != frame:
+            step = 1 if frame > self.frame else -1
+            edge = min(self.frame, self.frame + step)  # 0: the bits of k, 1: the bits of e
+            a, b = self._walsh[edge]
+            if edge == 0:
+                np.matmul(a, x.reshape(k, len(a), -1), out=y.reshape(k, len(a), -1))
+                np.matmul(b, y.reshape(k * len(a), len(b), 2 * c), out=x.reshape(k * len(a), len(b), 2 * c))
+            else:
+                np.matmul(x.reshape(-1, len(b)), b, out=y.reshape(-1, len(b)))
+                np.matmul(a, y.reshape(k * r, len(a), len(b)), out=x.reshape(k * r, len(a), len(b)))
+            self.frame += step
+
+    def depolarize(self, live: np.ndarray, buf: np.ndarray, channel: LocalDepolarizing) -> None:
+        """Apply a local depolarizing slot to ``live``, in frame ``eb``."""
+        self.move(live, buf, 1)
+        live *= self._decay[channel]
+
+    def gate(
+        self, live: np.ndarray, buf: np.ndarray, kernel: GateKernel, theta: float, seed: np.ndarray, work: np.ndarray
+    ) -> None:
+        """Conjugate ``live`` by the gate, then write its seed ``-i [H, live[0]]``
+        into ``seed``; ``work`` is one free ``(d/2, d)`` row of scratch."""
+        if isinstance(kernel, DiagonalKernel):
+            self.move(live, buf, 0)
+            h = len(self._xor)
+            phi = np.exp(-1j * theta * kernel.h)
+            np.take(phi.conj(), self._xor, out=work, mode="clip")
+            work *= phi[:h, None]
+            live *= work
+            # the phase is spent: its first half of bytes takes h_k - h_(k^e)
+            diff = work.reshape(-1).view(float)[: work.size].reshape(work.shape)
+            np.take(kernel.h, self._xor, out=diff, mode="clip")
+            np.subtract(kernel.h[:h, None], diff, out=diff)
+            np.multiply(live[0], diff, out=seed)
+            seed *= -1j
+        else:
+            self.move(live, buf, 2)
+            a01, n = kernel.a[0, 1].real, self._n
+            np.take(np.exp(2j * theta * a01 * np.r_[0 : n + 1, -n:0]), self._s, out=work, mode="wrap")
+            live *= work
+            np.multiply(live[0], self._s, out=seed)
+            seed *= 2j * a01
 
 
 def derivative_fd(

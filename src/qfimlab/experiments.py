@@ -565,7 +565,7 @@ def run_spectrum(config: ExperimentConfig, workers: int | None = None) -> str:
     columns += [f"d1_eps_{e:g}" for e in epsilons]
 
     def one_p(p):
-        report = _ising_qfim(circuit, config.noise, p, tau_abs, tau_rel)(theta)
+        report = noiseless if p == 0.0 else _ising_qfim(circuit, config.noise, p, tau_abs, tau_rel)(theta)
         counts = [effective_dim_d1(report, e) for e in epsilons]
         return [
             (n, layers, circuit.n_params, p, k, float(lam),

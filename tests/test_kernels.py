@@ -24,6 +24,7 @@ from qfimlab.circuits import (
     DenseKernel,
     DiagonalKernel,
     ProductKernel,
+    _WalshFrames,
     bloch_coords,
     build_circuit,
     evolve,
@@ -263,26 +264,63 @@ def random_p_symmetric(d, rng):
 
 class TestParityFold:
     @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_folded_kernels_act_on_top_rows(self, rng, n):
-        d, h = 2**n, 2 ** (n - 1)
-        mats = np.stack([random_p_symmetric(d, rng) for _ in range(3)])
-        for kernel in hva_tfim(n, 1).kernels:
-            assert kernel.parity_symmetric
-            full, top = mats.copy(), mats[:, :h].copy()
-            kernel.conjugate(full, 0.73, np.empty_like(full))
-            kernel.conjugate(top, 0.73, np.empty_like(top))
-            assert np.max(np.abs(top - full[:, :h])) <= 1e-12
-            out_full, out_top = np.empty((d, d), complex), np.empty((h, d), complex)
-            kernel.commutator(mats[0], out_full, np.empty_like(out_full))
-            kernel.commutator(mats[0, :h].copy(), out_top, np.empty_like(out_top))
-            assert np.max(np.abs(out_top - out_full[:h])) <= 1e-12
+    def test_frame_operations_match_dense_kernels(self, rng, n):
+        d, h, k = 2**n, 2 ** (n - 1), 3
+        mats = np.stack([random_p_symmetric(d, rng) for _ in range(k)])
         probs = rng.uniform(0.1, 1.0, n)
         probs[-1] = 0.0
         ch = LocalDepolarizing(tuple(probs))
-        full, top = mats.copy(), mats[:, :h].copy()
+        circ = hva_tfim(n, 1).with_uniform_noise(ch)
+        frames = _WalshFrames(circ)
+
+        def through_frames(op):
+            # rows 0..k-1 hold the stack in frame ek, row k takes a seed
+            stack = np.empty((k + 1, h, d), dtype=complex)
+            scratch = np.empty_like(stack)
+            frames.gather(mats[:, :h], stack[:k])
+            op(stack, scratch)
+            frames.move(stack, scratch, 0)
+            frames.gather(stack, scratch)
+            return scratch
+
+        for kernel in circ.kernels:
+            assert kernel.parity_symmetric
+            got = through_frames(
+                lambda st, sc: frames.gate(st[:k], sc[:k], kernel, 0.73, st[k], sc[k])
+            )
+            full = mats.copy()
+            kernel.conjugate(full, 0.73, np.empty_like(full))
+            seed = np.empty((d, d), dtype=complex)
+            kernel.commutator(full[0], seed, np.empty_like(seed))
+            assert np.max(np.abs(got[:k] - full[:, :h])) <= 1e-12
+            assert np.max(np.abs(got[k] - seed[:h])) <= 1e-12
+        got = through_frames(lambda st, sc: frames.depolarize(st[:k], sc[:k], ch))
+        full = mats.copy()
         ch._apply_batch(full, np.empty_like(full))
-        ch._apply_batch(top, np.empty_like(top))
-        assert np.max(np.abs(top - full[:, :h])) <= 1e-14
+        assert np.max(np.abs(got[:k] - full[:, :h])) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_frame_pass_matches_dense_pass_beyond_the_ising_ring(self, rng, n):
+        # all-to-all ZZ (zero at n = 1) and a scaled field, on a random P-symmetric input
+        d, h = 2**n, 2 ** (n - 1)
+        zz = [embed_single_qubit(Z, i, n) @ embed_single_qubit(Z, j, n) for i in range(n) for j in range(i)]
+        gens = [sum(zz, np.zeros((d, d)))]
+        if n >= 2:
+            gens.append(0.37 * sum(embed_single_qubit(X, j, n) for j in range(n)))
+        circ = build_circuit(n, gens, [0, 1, 1, 0, 1, 0] if n >= 2 else [0, 0])
+        sigma = random_density_matrix(d, rng)
+        rho = (sigma + sigma[::-1, ::-1]) / 2
+        probs = rng.uniform(0.0, 0.3, n)
+        probs[0] = 0.0
+        theta = rng.uniform(0, 2 * np.pi, circ.n_params)
+        for noise in (None, LocalDepolarizing(tuple(probs)), LocalDepolarizing.uniform(n, 0.05)):
+            noisy = circ.with_uniform_noise(noise)
+            assert parity_folds(noisy, rho)
+            out, derivs = evolve_with_derivatives(noisy, theta, rho)
+            top = parity_folded_pass(noisy, theta, rho)
+            assert np.max(np.abs(top - np.stack([out, *derivs])[:, :h])) <= 1e-13
+            folded, expected = qfim_of_circuit(noisy, theta, rho).matrix, qfim_mixed(out, derivs).matrix
+            assert np.max(np.abs(folded - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_folded_qfim_matches_dense(self, rng, n):
