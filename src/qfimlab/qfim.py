@@ -13,10 +13,11 @@ rank decisions near the tolerance.
 :func:`qfim_of_circuit` runs the dense pass (its stack and scratch take
 ``2 (M + 1) 16 d^2`` bytes) and eigendecomposes the ``d x d`` output state,
 unless the circuit and input fold under the parity ``P = X^(x)n`` (see
-``circuits.parity_folds``). Then the pass holds only top half rows,
-``2 (M + 1) 16 d^2 / 2`` bytes, and runs every gate and noise slot as an
-elementwise product in Walsh-Hadamard frames; it hands back the top rows
-in the usual layout, and the state and derivatives are block
+``circuits.parity_folds``). Then the pass holds only top half rows, at
+most ``2 (M + 1) 16 d^2 / 2`` bytes, runs every gate and noise slot as an
+elementwise product in Walsh-Hadamard frames, and keeps one entry per orbit
+of any qubit rotation the circuit and input respect; it hands back the top
+rows in the usual layout, and the state and derivatives are block
 diagonal in the basis ``|k> +- |d-1-k>``: the QFIM is the sum of one
 weighted Gram product per ``d/2 x d/2`` block, a quarter of the ``eigh``
 and basis-change flops of the dense assembly.

@@ -24,6 +24,7 @@ from qfimlab.circuits import (
     DenseKernel,
     DiagonalKernel,
     ProductKernel,
+    _rotation_step,
     _WalshFrames,
     bloch_coords,
     build_circuit,
@@ -262,6 +263,28 @@ def random_p_symmetric(d, rng):
     return mat + mat[::-1, ::-1]
 
 
+def assert_fold_matches_dense(circ, theta, rho):
+    """Folded rows to 1e-13 and the folded QFIM to 1e-12 relative, against the dense pass."""
+    assert parity_folds(circ, rho)
+    out, derivs = evolve_with_derivatives(circ, theta, rho)
+    top = parity_folded_pass(circ, theta, rho)
+    assert np.max(np.abs(top - np.stack([out, *derivs])[:, : len(rho) // 2])) <= 1e-13
+    folded, expected = qfim_of_circuit(circ, theta, rho).matrix, qfim_mixed(out, derivs).matrix
+    assert np.max(np.abs(folded - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def turned(mat, t, n):
+    """``mat`` with every qubit q moved to q + t mod n, on both sides."""
+    axes = list(np.roll(np.arange(n), t))
+    return mat.reshape((2,) * 2 * n).transpose(axes + [n + a for a in axes]).reshape(mat.shape)
+
+
+def ring_with_one_bond(n, weight):
+    zz = [embed_single_qubit(Z, j, n) @ embed_single_qubit(Z, (j + 1) % n, n) for j in range(n)]
+    zz[0] = weight * zz[0]
+    return build_circuit(n, [sum(zz), uniform_sum(X, n)], [0, 1] * 3)
+
+
 class TestParityFold:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_frame_operations_match_dense_kernels(self, rng, n):
@@ -271,30 +294,24 @@ class TestParityFold:
         probs[-1] = 0.0
         ch = LocalDepolarizing(tuple(probs))
         circ = hva_tfim(n, 1).with_uniform_noise(ch)
-        frames = _WalshFrames(circ)
+        frames = _WalshFrames(circ, mats[0], k + 1)
 
         def through_frames(op):
             # rows 0..k-1 hold the stack in frame ek, row k takes a seed
-            stack = np.empty((k + 1, h, d), dtype=complex)
-            scratch = np.empty_like(stack)
-            frames.gather(mats[:, :h], stack[:k])
-            op(stack, scratch)
-            frames.move(stack, scratch, 0)
-            frames.gather(stack, scratch)
-            return scratch
+            frames.enter(mats)
+            op()
+            return frames.unfold(k + 1)
 
         for kernel in circ.kernels:
             assert kernel.parity_symmetric
-            got = through_frames(
-                lambda st, sc: frames.gate(st[:k], sc[:k], kernel, 0.73, st[k], sc[k])
-            )
+            got = through_frames(lambda: frames.gate(k, kernel, 0.73))
             full = mats.copy()
             kernel.conjugate(full, 0.73, np.empty_like(full))
             seed = np.empty((d, d), dtype=complex)
             kernel.commutator(full[0], seed, np.empty_like(seed))
             assert np.max(np.abs(got[:k] - full[:, :h])) <= 1e-12
             assert np.max(np.abs(got[k] - seed[:h])) <= 1e-12
-        got = through_frames(lambda st, sc: frames.depolarize(st[:k], sc[:k], ch))
+        got = through_frames(lambda: frames.depolarize(k, ch))
         full = mats.copy()
         ch._apply_batch(full, np.empty_like(full))
         assert np.max(np.abs(got[:k] - full[:, :h])) <= 1e-14
@@ -373,6 +390,56 @@ class TestParityFold:
                 parity_folded_pass(circ, theta, rho)
             expected = qfim_mixed(*evolve_with_derivatives(circ, theta, rho)).matrix
             np.testing.assert_array_equal(qfim_of_circuit(circ, theta, rho).matrix, expected)
+
+    # one entry per orbit of the qubit rotation R^g that circuit, noise and input respect
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_uniform_noise_on_the_ring_folds_every_rotation(self, rng, n):
+        circ = hva_tfim(n, 3).with_uniform_noise(LocalDepolarizing.uniform(n, 0.07))
+        rho, theta = plus_state_density(n), rng.uniform(0, 2 * np.pi, circ.n_params)
+        assert _rotation_step(circ, rho) == 1
+        assert_fold_matches_dense(circ, theta, rho)
+        # a real-valued input takes the same pass
+        top = parity_folded_pass(circ, theta, rho).copy()
+        np.testing.assert_array_equal(parity_folded_pass(circ, theta, rho.real), top)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_alternating_noise_folds_every_second_rotation(self, rng, n):
+        circ = hva_tfim(n, 3).with_uniform_noise(LocalDepolarizing((0.02, 0.11) * (n // 2)))
+        rho = plus_state_density(n)
+        assert _rotation_step(circ, rho) == 2
+        assert_fold_matches_dense(circ, rng.uniform(0, 2 * np.pi, circ.n_params), rho)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_rotation_averaged_input_beyond_the_ring(self, rng, n):
+        # all-to-all ZZ and a scaled field; integer entries keep the average exactly invariant
+        d = 2**n
+        zz = [embed_single_qubit(Z, i, n) @ embed_single_qubit(Z, j, n) for i in range(n) for j in range(i)]
+        circ = build_circuit(n, [sum(zz), 0.37 * uniform_sum(X, n)], [0, 1, 1, 0, 1, 0])
+        a = rng.integers(-3, 4, (d, d)) + 1j * rng.integers(-3, 4, (d, d))
+        sigma = a @ a.conj().T
+        sigma = sigma + sigma[::-1, ::-1]
+        total = sum(turned(sigma, t, n) for t in range(n))
+        rho = total / np.trace(total).real
+        theta = rng.uniform(0, 2 * np.pi, circ.n_params)
+        for noise in (None, LocalDepolarizing.uniform(n, 0.05)):
+            noisy = circ.with_uniform_noise(noise)
+            assert _rotation_step(noisy, rho) == 1
+            assert_fold_matches_dense(noisy, theta, rho)
+
+    def test_broken_symmetries_fold_no_rotation(self, rng):
+        n = 6
+        tfim, plus = hva_tfim(n, 3), plus_state_density(n)
+        uniform = LocalDepolarizing.uniform(n, 0.05)
+        sigma = random_density_matrix(2**n, rng)
+        cases = [
+            (tfim.with_uniform_noise(LocalDepolarizing(tuple(rng.uniform(0, 0.2, n)))), plus),
+            (ring_with_one_bond(n, 1.5).with_uniform_noise(uniform), plus),
+            (tfim.with_uniform_noise(uniform), (sigma + sigma[::-1, ::-1]) / 2),
+        ]
+        for circ, rho in cases:
+            assert _rotation_step(circ, rho) == n
+            assert_fold_matches_dense(circ, rng.uniform(0, 2 * np.pi, circ.n_params), rho)
+        assert _rotation_step(ring_with_one_bond(n, 1.0).with_uniform_noise(uniform), plus) == 1
 
 
 def assert_rows_close(got, expected, rel):
@@ -505,6 +572,16 @@ class TestBatchAxis:
             noisy = circ.with_uniform_noise(noise)
             expected = np.stack([evolve(noisy, t, rho) for t in thetas])
             np.testing.assert_array_equal(evolve(noisy, thetas, rho), expected)
+
+    def test_batched_evolve_returns_a_c_contiguous_stack(self, rng):
+        # a kernel that merges axes by reshape would otherwise work on a silent copy
+        toy, toy_rho = toy_model()
+        gens = [random_hermitian(4, rng, traceless=True), hva_tfim_generators(2)[0]]
+        circ = build_circuit(2, gens, [0, 1, 0])
+        for c, rho in ((toy, toy_rho), (circ, random_density_matrix(4, rng))):
+            got = evolve(c, rng.uniform(-np.pi, np.pi, (3, c.n_params)), rho)
+            assert got.shape == (3, *rho.shape)
+            assert got.flags.c_contiguous
 
     def test_gate_step_takes_one_angle_per_row(self, rng):
         circ, _ = toy_model()
