@@ -50,7 +50,10 @@ qubit rotation ``R^g`` that the diagonal generators, the slot channels and
 the input respect exactly (:func:`_rotation_step`): ``g = 1`` for the Ising
 ring under uniform noise, which shrinks every transform and product 6.4x at
 n = 8, and ``g = n``, the plain fold, when nothing but the identity holds.
-Its stack and scratch take at most ``2 (M + 1) 16 d^2 / 2`` bytes. The Ising
+Its two buffers take at most ``2 (M + 1) 16 d^2 / 2`` bytes. The QFIM reads
+the rows out as one block per sector of the group ``<R^g> x <P>``
+(:func:`parity_folded_sectors`, :class:`_Sectors`), about ``d / (2n/g)``
+wide, with no ``(M + 1, d/2, d)`` array in between. The Ising
 ansatz on ``|+>^n`` under local depolarizing noise folds; the toy model,
 dense generators, Pauli, global-depolarizing and composite channels, and
 asymmetric inputs do not, and :func:`evolve_with_derivatives` is always
@@ -433,6 +436,22 @@ def parity_folds(circuit: NoisyCircuit, rho: np.ndarray) -> bool:
     )
 
 
+def _folded_frames(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> _WalshFrames:
+    """The frames after the parity-folded pass, rows ``0..M`` holding the state and
+    the M derivatives; ``ValueError`` when :func:`parity_folds` rejects the input."""
+    if not parity_folds(circuit, rho):
+        raise ValueError("the circuit or input does not commute with the parity X^n")
+    theta = _check_args(circuit, theta, rho, 2)
+    frames = _WalshFrames(circuit, rho, circuit.n_params + 1)
+    frames.enter(rho[None])
+    for m, slot in enumerate(circuit.slots):
+        if slot is not None:
+            frames.depolarize(m + 1, slot)
+        if m < circuit.n_params:
+            frames.gate(m + 1, circuit.kernels[circuit.layers[m]], theta[m])
+    return frames
+
+
 def parity_folded_pass(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """:func:`evolve_with_derivatives` on the top half rows, for a circuit and
     input that :func:`parity_folds` accepts.
@@ -442,24 +461,22 @@ def parity_folded_pass(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray
     frames of :class:`_WalshFrames`, where every gate, seed and noise slot
     is one elementwise product, with one entry per orbit of the qubit
     rotation ``R^g`` that the circuit and input respect
-    (:func:`_rotation_step`). The stack takes ``(M + 1) max(|E| d/2, |B| d)``
-    complex entries and its scratch, which is also the returned array,
-    ``(M + 1) d^2 / 2``; with no rotation (``g = n``) that is
-    ``2 (M + 1) 16 d^2 / 2`` bytes. Raises ``ValueError`` when
-    :func:`parity_folds` rejects the input.
+    (:func:`_rotation_step`). The stack and its spare buffer take
+    ``(M + 1) max(|E| d/2, |B| d, R^2 |G|)`` complex entries each, and the
+    returned array, allocated at the end, ``(M + 1) d^2 / 2``; with no
+    rotation (``g = n``) each is ``(M + 1) d^2 / 2`` entries. Raises
+    ``ValueError`` when :func:`parity_folds` rejects the input.
     """
-    if not parity_folds(circuit, rho):
-        raise ValueError("the circuit or input does not commute with the parity X^n")
-    theta = _check_args(circuit, theta, rho, 2)
-    rows = circuit.n_params + 1
-    frames = _WalshFrames(circuit, rho, rows)
-    frames.enter(rho[None])
-    for m, slot in enumerate(circuit.slots):
-        if slot is not None:
-            frames.depolarize(m + 1, slot)
-        if m < circuit.n_params:
-            frames.gate(m + 1, circuit.kernels[circuit.layers[m]], theta[m])
-    return frames.unfold(rows)
+    return _folded_frames(circuit, theta, rho).unfold(circuit.n_params + 1)
+
+
+def parity_folded_sectors(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> list[np.ndarray]:
+    """The pass of :func:`parity_folded_pass`, read out as one ``(M + 1, k, k)``
+    stack per sector of ``G = <R^g> x <P>`` (see :class:`_Sectors`): row 0 is
+    the output state's block, row ``m + 1`` that of ``d/d theta_m``. The
+    block sizes ``k`` sum to ``d``; no ``(M + 1, d/2, d)`` array is formed.
+    """
+    return _folded_frames(circuit, theta, rho).sectors(circuit.n_params + 1)
 
 
 def _rotate(x: np.ndarray, t: int | np.ndarray, n: int) -> np.ndarray:
@@ -509,6 +526,71 @@ def _hadamard(bits: int) -> np.ndarray:
     return mat / np.sqrt(2.0) ** bits
 
 
+class _Sectors:
+    """The symmetry sectors of ``G = <R^g> x <P>``, ``|G| = 2n/g``, on ``n`` qubits.
+
+    ``u = P^s R^(g t)`` sends the basis state ``x`` to ``R^(g t) x ^ s (d-1)``.
+    Each orbit of G is kept by its least member ``r < d/2``, the
+    representative (``R`` of them), and each character
+    ``chi(u) = (-1)^(c s) exp(2 pi i q t g/n)`` labels one sector. A
+    representative whose stabilizer ``S_r`` the character fixes gives the
+    unit vector ``|r, chi> = sum_u conj(chi(u)) |u r> / sqrt(|G| |S_r|)``, and
+    these ``d`` vectors are an orthonormal basis. A matrix ``A`` that commutes
+    with G is block diagonal in it, with
+
+        ``A_chi[r, r'] = sum_u conj(chi(u)) A[r, u r'] / sqrt(|S_r| |S_r'|)``
+
+    (Sandvik, arXiv 1101.3281, sec. 4). :meth:`blocks` takes the entries
+    ``A[r, u r']`` at ``r = reps``, ``u r' = act[r', u]`` and applies one
+    product with the ``(|G|, |G|)`` table ``conj(chi(u))``. At ``g = n``
+    this is ``{1, P}``: the representatives are all ``k < d/2`` and the two
+    sectors are the blocks of the basis ``|k> +- |d-1-k>``.
+    """
+
+    def __init__(self, n: int, g: int):
+        d, count = 2**n, n // g
+        turned = _rotate(np.arange(d), g * np.arange(count)[:, None], n)
+        images = np.concatenate([turned, turned ^ (d - 1)])  # row u = s count + t
+        self.reps = np.unique(images.min(axis=0))
+        self.act = images[:, self.reps].T
+        stab = self.act == self.reps[:, None]
+        # chi(u) = exp(i pi turn / count), u = s count + t and chi = c count + q
+        s, t = np.divmod(np.arange(2 * count), count)
+        turn = (2 * np.outer(t, t) + count * np.outer(s, s)) % (2 * count)
+        fixed = stab.astype(int) @ (turn != 0) == 0  # (R, |G|): chi is 1 on S_r
+        self._chars = np.exp(-1j * np.pi * turn / count)
+        order = np.sqrt(stab.sum(axis=1))
+        # 1 / sqrt(|S_r| |S_r'|), or None when every stabilizer is trivial (always at g = n)
+        self._scale = None if np.all(order == 1.0) else (1.0 / np.outer(order, order))[:, :, None]
+        reps = len(self.reps)
+        self.size = reps * reps * len(self._chars)
+        self._keep = []
+        for chi in range(len(self._chars)):
+            sel = np.flatnonzero(fixed[:, chi])
+            if len(sel):
+                self._keep.append(((sel[:, None] * reps + sel) * len(self._chars) + chi, len(sel)))
+
+    def blocks(self, x: np.ndarray, spare: np.ndarray) -> list[np.ndarray]:
+        """One ``(count, k, k)`` block stack per sector with ``k > 0``, from the
+        ``(count, size)`` entries ``x[:, (r R + r') |G| + u] = A[r, act[r', u]]``.
+
+        ``spare`` takes the sums over ``u`` (at least ``x.size`` entries), and
+        the blocks are written into ``x``'s memory, which must be contiguous.
+        """
+        count, reps, width = len(x), len(self.reps), len(self._chars)
+        if self._scale is not None:
+            x.reshape(count, reps, reps, width)[:] *= self._scale
+        y = spare[: x.size].reshape(-1, width)
+        np.matmul(x.reshape(-1, width), self._chars, out=y)
+        y, flat, start, blocks = y.reshape(count, -1), x.reshape(-1), 0, []
+        for take, k in self._keep:
+            blk = flat[start : start + count * k * k].reshape(count, k, k)
+            np.take(y, take, axis=1, out=blk, mode="clip")
+            blocks.append(blk)
+            start += blk.size
+        return blocks
+
+
 class _WalshFrames:
     """The frames and layouts of a parity-folded pass, with its tables and buffers.
 
@@ -544,10 +626,14 @@ class _WalshFrames:
     A transform is two real matmuls with half-register factors on the float
     view of the rows; the factor on the innermost ``e`` bits is
     ``kron(H, I_2)``, so the real and imaginary parts stay apart. The rows
-    start in the stack, ``rows * max(|E| d/2, |B| d)`` entries, and each
-    relayout gathers them into the other buffer, the ``(rows, d/2, d)``
-    scratch, or back; a transform borrows the buffer the rows are not in,
-    and the scratch ends holding the unfolded top rows.
+    live in one of two equal buffers of ``rows * max(|E| d/2, |B| d, R^2 |G|)``
+    entries; each relayout gathers them into the other, and a transform
+    borrows the buffer the rows are not in. There are two exits from layout
+    K: :meth:`unfold` gathers a new ``(count, d/2, d)`` array of top rows,
+    and :meth:`sectors` gathers ``A[r, u r']`` for the representatives of
+    :class:`_Sectors` into the spare buffer and turns them, in both buffers,
+    into one block stack per sector of ``G = <R^g> x <P>``. At ``g = n`` all
+    three sizes are ``d^2 / 2``.
     """
 
     def __init__(self, circuit: NoisyCircuit, rho: np.ndarray, rows: int):
@@ -570,12 +656,7 @@ class _WalshFrames:
             1: (_rotate(b[:, None], g * e_turn, n) & (h - 1)) * len(cols) + col,
             -1: np.searchsorted(b_rows, b_rep)[:, None] * d + _rotate(cols, g * b_turn[:, None], n),
         }
-        # top[k, l] = A_K[R^(g t_e) k, col_e] for e = k ^ l; a turned row past d/2
-        # reads its complement (P-symmetry)
-        turned = _rotate(k, g * np.arange(n // g)[:, None], n)
-        turned = np.where(turned < h, turned, turned ^ (d - 1)) * len(cols)
-        diff = k[:, None] ^ e
-        self._unfold = turned[e_turn[diff], k[:, None]] + col[diff]
+        self._g, self._e_turn, self._col, self._width = g, e_turn, col, len(cols)
         weight = np.bitwise_count(b[:, None] & e).astype(np.int8)
         self._s = np.bitwise_count(b)[:, None].astype(np.int8) - 2 * weight
         self._decay = {}
@@ -592,12 +673,21 @@ class _WalshFrames:
             (_hadamard(n // 2), np.kron(_hadamard(n - n // 2), np.eye(2))),
         )
         self._shapes = ((h, len(cols)), (len(b_rows), d))
-        # the stack first: allocated after the scratch, the rows and the phase
-        # table alias in cache (64.5 against 57.4 ms per n = 8, L = 10 pass at g = n)
-        stack = np.empty(rows * max(r * c for r, c in self._shapes), dtype=complex)
-        self._top = np.empty((rows, h, d), dtype=complex)
-        self._bufs = (stack, self._top.reshape(-1))
         self._n, self.frame, self._hold = n, 0, 0
+        self._sectors = _Sectors(n, g)
+        # A[r, u r'] at (r R + r') |G| + u
+        self._gather = self._index(self._sectors.reps[:, None, None], self._sectors.act).reshape(-1)
+        size = rows * max(self._sectors.size, *(r * c for r, c in self._shapes))
+        self._bufs = (np.empty(size, dtype=complex), np.empty(size, dtype=complex))
+
+    def _index(self, k: np.ndarray, l: np.ndarray) -> np.ndarray:
+        """Where layout K keeps ``top[k, l]``, ``k < d/2``: at ``A[R^(g t) k, rep(e)]``
+        for ``e = k ^ l`` and the turn ``R^(g t)`` that takes ``e`` to its
+        representative; a turned row at or past ``d/2`` reads its complement
+        (P-symmetry)."""
+        e, d = k ^ l, 2**self._n
+        turned = _rotate(k, self._g * self._e_turn[e], self._n)
+        return np.where(turned < d // 2, turned, turned ^ (d - 1)) * self._width + self._col[e]
 
     def _rows(self, count: int, spare: bool = False) -> np.ndarray:
         """The first ``count`` rows in the current layout: in the buffer that
@@ -612,11 +702,20 @@ class _WalshFrames:
         np.take(src, self._enter, axis=1, out=self._rows(len(mats)), mode="clip")
 
     def unfold(self, count: int) -> np.ndarray:
-        """Rows ``0..count-1`` as ``(count, d/2, d)`` top rows, in the scratch."""
+        """Rows ``0..count-1`` as a new ``(count, d/2, d)`` array of top rows."""
         self.move(count, 0)
         src = self._rows(count).reshape(count, -1)
-        np.take(src, self._unfold, axis=1, out=self._top[:count], mode="clip")
-        return self._top[:count]
+        d = 2**self._n
+        return np.take(src, self._index(np.arange(d // 2)[:, None], np.arange(d)), axis=1, mode="clip")
+
+    def sectors(self, count: int) -> list[np.ndarray]:
+        """Rows ``0..count-1`` as one ``(count, k, k)`` block stack per sector of
+        :class:`_Sectors`, written into the frames' buffers; the rows are spent."""
+        self.move(count, 0)
+        src = self._rows(count).reshape(count, -1)
+        x = self._bufs[self._hold ^ 1][: count * self._sectors.size].reshape(count, -1)
+        np.take(src, self._gather, axis=1, out=x, mode="clip")
+        return self._sectors.blocks(x, self._bufs[self._hold])
 
     def move(self, count: int, frame: int) -> None:
         """Bring rows ``0..count-1`` into ``frame``: 0 ``ek``, 1 ``eb(K)``, 2 ``eb(F)``, 3 ``fb``."""

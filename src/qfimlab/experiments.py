@@ -298,10 +298,11 @@ def _estimated_bytes(circuit: dict, noise: dict, sweep: dict, workers: int) -> i
     The two dense generators, ``2 * 16 d^2``, once, plus the largest point at
     the deepest circuit (``M = 2L``) once per point that runs at the same
     time, ``min(workers, points)``: a local-depolarizing point with ``p > 0``
-    runs the parity-folded pass, whose stack and scratch take at most
-    ``2 (M + 1) 16 d^2 / 2``, the bound for a circuit with no rotation
-    symmetry (less when the pass keeps one entry per rotation orbit); every
-    other point keeps ``(M + 1)`` state vectors, ``(M + 1) 16 d``.
+    runs the parity-folded pass, whose two buffers take at most
+    ``2 (M + 1) 16 d^2 / 2`` and then hold the QFIM's sector blocks, the
+    bound for a circuit with no rotation symmetry (less when the pass keeps
+    one entry per rotation orbit); every other point keeps ``(M + 1)``
+    state vectors, ``(M + 1) 16 d``.
     """
     d = 2 ** circuit["n"]
     m = 2 * max([circuit["L"], *sweep["L"]])

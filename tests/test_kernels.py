@@ -25,6 +25,7 @@ from qfimlab.circuits import (
     DiagonalKernel,
     ProductKernel,
     _rotation_step,
+    _Sectors,
     _WalshFrames,
     bloch_coords,
     build_circuit,
@@ -440,6 +441,69 @@ class TestParityFold:
             assert _rotation_step(circ, rho) == n
             assert_fold_matches_dense(circ, rng.uniform(0, 2 * np.pi, circ.n_params), rho)
         assert _rotation_step(ring_with_one_bond(n, 1.0).with_uniform_noise(uniform), plus) == 1
+
+
+class TestSectors:
+    """Blocks of the rotation x parity group ``G = <R^g> x <P>`` that the folded QFIM uses."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_blocks_keep_the_spectrum_of_an_invariant_matrix(self, rng, n):
+        d = 2**n
+        for g in sorted({1, 2, n} & {g for g in range(1, n + 1) if n % g == 0}):
+            # the average of a random Hermitian matrix over G commutes with G
+            a = random_hermitian(d, rng)
+            total = sum(turned(a, t, n) for t in range(0, n, g))
+            mat = (total + total[::-1, ::-1]) / (2 * n // g)
+            sectors = _Sectors(n, g)
+            x = mat[sectors.reps[:, None, None], sectors.act].reshape(1, -1)
+            blocks = sectors.blocks(x, np.empty(x.size, dtype=complex))
+            assert sum(len(b[0]) for b in blocks) == d
+            for b in blocks:
+                assert np.max(np.abs(b[0] - dag(b[0]))) <= 1e-12
+            spectra = np.sort(np.concatenate([np.linalg.eigvalsh(b[0]) for b in blocks]))
+            assert np.max(np.abs(spectra - np.linalg.eigvalsh(mat))) <= 1e-12
+
+    @pytest.mark.parametrize("n, x", [(2, 0b01), (4, 0b0101), (6, 0b010101)])
+    def test_states_that_p_times_a_rotation_fixes(self, n, x):
+        # R x is the complement of x, so P R fixes it; the projector onto x's
+        # orbit then has trace 1 in the |G| / |S_x| = |orbit| sectors that keep x
+        d, sectors = 2**n, _Sectors(n, 1)
+        row = np.flatnonzero(sectors.reps == x)[0]
+        assert np.any(sectors.act[row, n:] == x)
+        orbit = np.unique(sectors.act[row])
+        mat = np.zeros((d, d), dtype=complex)
+        mat[orbit, orbit] = 1.0
+        x_in = mat[sectors.reps[:, None, None], sectors.act].reshape(1, -1)
+        traces = [np.trace(b[0]).real for b in sectors.blocks(x_in, np.empty(x_in.size, dtype=complex))]
+        assert sum(t > 0.5 for t in traces) == len(orbit) < 2 * n
+        assert np.allclose(sorted(traces)[-len(orbit):], 1.0, atol=1e-14)
+        assert sum(traces) == pytest.approx(len(orbit), abs=1e-13)
+
+    def test_at_no_rotation_the_sectors_are_the_two_parity_blocks(self, rng):
+        n, d, h = 4, 16, 8
+        mat = random_p_symmetric(d, rng)
+        sectors = _Sectors(n, n)
+        x = mat[sectors.reps[:, None, None], sectors.act].reshape(1, -1)
+        even, odd = sectors.blocks(x, np.empty(x.size, dtype=complex))
+        np.testing.assert_array_equal(sectors.reps, np.arange(h))
+        np.testing.assert_allclose(even[0], mat[:h, :h] + mat[:h, h:][:, ::-1], atol=1e-14)
+        np.testing.assert_allclose(odd[0], mat[:h, :h] - mat[:h, h:][:, ::-1], atol=1e-14)
+
+    def test_folded_qfim_holds_less_than_the_top_rows(self, rng):
+        # the (M + 1, d/2, d) top rows are never formed: the pass keeps rotation
+        # orbits and the assembly reads its blocks straight from them
+        circ = hva_tfim(8, 5).with_uniform_noise(LocalDepolarizing.uniform(8, 0.05))
+        m, d = circ.n_params, circ.dim
+        theta, rho = rng.uniform(0, 2 * np.pi, m), plus_state_density(8)
+        assert _rotation_step(circ, rho) == 1
+        qfim_of_circuit(circ, theta, rho)
+        tracemalloc.start()
+        try:
+            qfim_of_circuit(circ, theta, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * (m + 1) * (d // 2) * d
 
 
 def assert_rows_close(got, expected, rel):
