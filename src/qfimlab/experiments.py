@@ -264,6 +264,10 @@ def parse_config(raw: dict, experiment: str | None = None, workers: int | None =
     options = contract.options | {
         key: _option(value, contract.options[key], f"options.{key}") for key, value in options.items()
     }
+    epsilons = options.get("epsilons", [])
+    labels = [_epsilon_column(e) for e in epsilons]
+    if np.signbit(epsilons).any() or len(set(labels)) < len(labels):
+        raise ConfigError(f"options.epsilons must be nonnegative with distinct columns, got {labels}")
 
     # the contract's rules that span sections
     if circuit.get("name") not in contract.circuits and (circuit or contract.circuits):
@@ -546,6 +550,11 @@ def _ising_qfim(
     return lambda theta: qfim_of_circuit(noisy, theta, rho, tau_abs, tau_rel)
 
 
+def _epsilon_column(epsilon: float) -> str:
+    """The spectrum column that counts eigenvalues above ``epsilon``."""
+    return f"d1_eps_{epsilon:g}"
+
+
 def run_spectrum(config: ExperimentConfig, workers: int | None = None) -> str:
     """Full QFIM spectrum of the Ising ansatz at fixed theta across noise levels.
 
@@ -564,7 +573,7 @@ def run_spectrum(config: ExperimentConfig, workers: int | None = None) -> str:
     noiseless = _ising_qfim(circuit, config.noise, 0.0, tau_abs, tau_rel)(theta)
 
     columns = ["n", "L", "M", "p", "eig_index", "eigenvalue", "rank", "rank_noiseless", "dim_g"]
-    columns += [f"d1_eps_{e:g}" for e in epsilons]
+    columns += [_epsilon_column(e) for e in epsilons]
 
     def one_p(p):
         report = noiseless if p == 0.0 else _ising_qfim(circuit, config.noise, p, tau_abs, tau_rel)(theta)

@@ -10,6 +10,14 @@ eigenvalue sum falls below ``TAU_SPEC`` contribute nothing. Derivatives are
 expected to be exact (see ``circuits``); finite differences would pollute
 rank decisions near the tolerance.
 
+One kernel, :func:`_block_qfim`, assembles every mixed-state QFIM from
+``(M + 1, k, k)`` blocks, the state's block in row 0 and the derivatives'
+after it: ``eigh`` of row 0, the other rows changed to its eigenbasis in
+place in groups of ``max(1, d^2 // k^2)`` (``d`` the sum of the block sizes,
+so the temporary is at most one ``d x d`` matrix), and one weighted Gram
+product per block. :func:`qfim_mixed` and the closed form pass one block of
+size ``d``, so it goes one row at a time; the folded path one per sector.
+
 :func:`qfim_of_circuit` runs the dense pass (its stack and scratch take
 ``2 (M + 1) 16 d^2`` bytes) and eigendecomposes the ``d x d`` output state,
 unless the circuit and input fold under the parity ``P = X^(x)n`` (see
@@ -107,7 +115,7 @@ def _fubini_study(state: np.ndarray, derivs: Sequence[np.ndarray]) -> np.ndarray
     """The matrix of :func:`qfim_pure`, as one Gram product ``F = 4 Re(Y Y^H)``.
 
     Rows are ``Y_i = d_i psi - psi <psi|d_i psi>``; the product runs on the
-    real view of ``Y``, as in :func:`_weighted_gram`.
+    real view of ``Y``, as in :func:`_block_qfim`.
     """
     nrm = float(np.linalg.norm(state))
     if abs(nrm - 1.0) > 1e-9:
@@ -117,42 +125,35 @@ def _fubini_study(state: np.ndarray, derivs: Sequence[np.ndarray]) -> np.ndarray
     return 4.0 * (flat @ flat.T)
 
 
-def _weighted_gram(
-    vecs: np.ndarray, derivs: Sequence[np.ndarray], weights: np.ndarray
-) -> np.ndarray:
-    """``F_ij = sum_{mu nu} w_{mu nu} Re[A_i,mu nu conj(A_j,mu nu)]``, ``A_i = V† d_i V``.
+def _mixed_weights(evals: np.ndarray, x: float, shift: float) -> np.ndarray:
+    """``2 x^2 / (x (r_mu + r_nu) + shift)``, and 0 for pairs below the spectral floor."""
+    denom = x * (evals[:, None] + evals[None, :]) + shift
+    safe = np.where(denom > TAU_SPEC, denom, 1.0)
+    return np.where(denom > TAU_SPEC, 2.0 * x * x / safe, 0.0)
 
-    Assembled as one Gram product ``F = Re(Y Y^H)`` with rows
-    ``Y_i = sqrt(w) * A_i`` written into a single ``(M, d^2)`` array; the
-    product runs on the real view of ``Y`` (``Re(y z^*) = Re y Re z +
-    Im y Im z``), so no conjugated copy of ``Y`` is made. Weights must be
-    nonnegative.
+
+def _block_qfim(blocks: Sequence[np.ndarray], x: float = 1.0, shift: float = 0.0) -> np.ndarray:
+    """``F = sum over blocks of Re(Y Y^H)``, ``Y_i = sqrt(w) * V† d_i V``.
+
+    Each ``(M + 1, k, k)`` block holds a state block in row 0, with
+    eigenvalues ``r`` and eigenvectors ``V``, and derivative blocks after it,
+    which are overwritten with the rows ``Y_i``. The pair weights are those of
+    :func:`_mixed_weights`, ``2 / (r_mu + r_nu)`` at the defaults. The product
+    runs on the real view of ``Y`` (``Re(y z^*) = Re y Re z + Im y Im z``), so
+    no conjugated copy is made.
     """
-    d = len(vecs)
-    return _gram_in_place(vecs, np.array(derivs, dtype=complex).reshape(len(derivs), d, d), weights)
-
-
-def _gram_in_place(
-    vecs: np.ndarray, y: np.ndarray, weights: np.ndarray, batched: bool = False
-) -> np.ndarray:
-    """:func:`_weighted_gram` of the derivatives in the ``(M, d, d)`` array ``y``,
-    which is overwritten with the rows ``Y_i``: row by row, so that the only
-    temporary is one ``d x d`` product, or, ``batched``, in one product over
-    the stack (for small blocks, where the per-row calls would dominate)."""
-    m, d = len(y), len(vecs)
-    vh = dag(vecs)
-    for rows in (y,) if batched else y:
-        np.matmul(vh @ rows, vecs, out=rows)
-    y *= np.sqrt(weights)
-    flat = y.reshape(m, d * d).view(float)
-    return flat @ flat.T
-
-
-def _mixed_weights(evals: np.ndarray) -> np.ndarray:
-    """``2 / (r_mu + r_nu)``, and 0 for pairs below the spectral floor."""
-    pair_sum = evals[:, None] + evals[None, :]
-    safe = np.where(pair_sum > TAU_SPEC, pair_sum, 1.0)
-    return np.where(pair_sum > TAU_SPEC, 2.0 / safe, 0.0)
+    d = sum(len(block[0]) for block in blocks)
+    f = np.zeros((len(blocks[0]) - 1,) * 2)
+    for block in blocks:
+        evals, vecs = hermitian_eig(block[0])
+        y, k = block[1:], len(vecs)
+        vh, step = dag(vecs), max(1, d * d // (k * k))
+        for rows in np.split(y, range(step, len(y), step)):
+            np.matmul(vh @ rows, vecs, out=rows)
+        y *= np.sqrt(_mixed_weights(evals, x, shift))
+        flat = y.reshape(len(y), k * k).view(float)
+        f += flat @ flat.T
+    return f
 
 
 def qfim_mixed(
@@ -162,24 +163,8 @@ def qfim_mixed(
     tau_rel: float = TAU_RANK_REL,
 ) -> QfimReport:
     """Mixed-state QFIM from the eigenbasis matrix-element form."""
-    evals, vecs = hermitian_eig(rho)
-    return report_from_matrix(_weighted_gram(vecs, derivs, _mixed_weights(evals)), tau_abs, tau_rel)
-
-
-def _folded_qfim_matrix(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Mixed-state QFIM from the sector blocks of :func:`parity_folded_sectors`.
-
-    Each ``(M + 1, k, k)`` stack holds the output state's block in row 0 and
-    the M derivatives' blocks after it. The state and every derivative are
-    block diagonal in the same orthonormal basis, so no eigenvector pair
-    straddles two sectors and the QFIM is the sum of one weighted Gram
-    product per sector, each from a ``k x k`` eigendecomposition.
-    """
-    f = np.zeros((len(blocks[0]) - 1,) * 2)
-    for block in blocks:
-        evals, vecs = hermitian_eig(block[0])
-        f += _gram_in_place(vecs, block[1:], _mixed_weights(evals), batched=True)
-    return f
+    block = np.array([rho, *derivs], dtype=complex)
+    return report_from_matrix(_block_qfim([block]), tau_abs, tau_rel)
 
 
 def qfim_of_circuit(
@@ -197,7 +182,7 @@ def qfim_of_circuit(
     matrix up to roundoff.
     """
     if parity_folds(circuit, rho):
-        matrix = _folded_qfim_matrix(parity_folded_sectors(circuit, theta, rho))
+        matrix = _block_qfim(parity_folded_sectors(circuit, theta, rho))
         return report_from_matrix(matrix, tau_abs, tau_rel)
     out, derivs = evolve_with_derivatives(circuit, theta, rho)
     return qfim_mixed(out, derivs, tau_abs, tau_rel)
@@ -251,13 +236,9 @@ def noisy_qfim_closed_form_global_depol(
 
     Returns the raw matrix; wrap with :func:`report_from_matrix` if needed.
     """
-    d = rho_noiseless.shape[0]
     x = _global_depol_survival(p, n_gates)
-    evals, vecs = hermitian_eig(rho_noiseless)
-    denom = x * (evals[:, None] + evals[None, :]) + 2.0 * (1.0 - x) / d
-    safe = np.where(denom > TAU_SPEC, denom, 1.0)
-    weights = np.where(denom > TAU_SPEC, 2.0 * x * x / safe, 0.0)
-    return _weighted_gram(vecs, derivs_noiseless, weights)
+    block = np.array([rho_noiseless, *derivs_noiseless], dtype=complex)
+    return _block_qfim([block], x, 2.0 * (1.0 - x) / len(rho_noiseless))
 
 
 # ---------------------------------------------------------------------------

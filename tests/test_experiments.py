@@ -606,6 +606,10 @@ _GLOBAL = {"noise": {"model": "global_depolarizing", "p": 0.1}, "sweep": {"p": [
           "noise": {"model": "global_depolarizing", "p": 0.0}, "sweep": {"p": [0.01]}}, "memory"),
         ({"experiment": "spectrum", "circuit": {"name": "hva_tfim", "n": 16, "L": 2},
           "noise": {"model": "local_depolarizing", "p": 0.0}, "sweep": {"p": [0.01]}}, "memory"),
+        # epsilons that would count every eigenvalue, or repeat a d1_eps column label
+        ({"experiment": "spectrum", **_ISING, "options": {"epsilons": [-1.0]}}, "epsilons"),
+        ({"experiment": "spectrum", **_ISING, "options": {"epsilons": [1e-6, 1.0000001e-6]}},
+         "epsilons"),
     ],
 )
 def test_malformed_input_rejected_at_parse_time(raw, field, tmp_path):

@@ -718,3 +718,18 @@ class TestGramQfim:
         got = noisy_qfim_closed_form_global_depol(out, derivs, p, m_gates)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
         np.testing.assert_array_equal(got, got.T)
+
+    def test_dense_block_changes_basis_one_row_at_a_time(self, rng):
+        # the (M + 1, d, d) block is the only stack held: its rows change basis in
+        # groups of d^2 // k^2 = 1, where a product over the stack would add M more
+        circ = hva_tfim(6, 10).with_uniform_noise(GlobalDepolarizing(6, 0.01))
+        m, d = circ.n_params, circ.dim
+        theta = rng.uniform(0, 2 * np.pi, m)
+        out, derivs = evolve_with_derivatives(circ, theta, plus_state_density(6))
+        tracemalloc.start()
+        try:
+            qfim_mixed(out, derivs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (m + 8) * 16 * d * d

@@ -141,6 +141,49 @@ class TestToyRankTable:
         ratio = lam3[1] / lam3[0]
         assert 50 < ratio < 200
 
+    def test_exact_certificate_at_the_third_point(self):
+        # the qubit QFIM F_ij = t_i.t_j + (r.t_i)(r.t_j) / (1 - |r|^2) from the Bloch
+        # vector r and tangents t_i = dr/dtheta_i, at 50 digits: the third eigenvalue
+        # vanishes at theta3 to that precision, and a 1e-3 nudge turns it on
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+
+        def rotate(axis, t, v):  # exp(-i t A/2) on the Bloch vector, A = Z or X
+            i, j = {"z": (0, 1), "x": (1, 2)}[axis]
+            w = list(v)
+            w[i], w[j] = mp.cos(t) * v[i] - mp.sin(t) * v[j], mp.sin(t) * v[i] + mp.cos(t) * v[j]
+            return w
+
+        def flip(v):  # bit flip at p = 0.1
+            return [v[0], v[1] * mp.mpf("0.8"), v[2] * mp.mpf("0.8")]
+
+        def qfim(theta):
+            r, tangents = [mp.mpf("0.9"), mp.zero, mp.zero], []
+            for axis, t in zip("zxzx", theta):
+                r = rotate(axis, t, flip(r))
+                tangents = [rotate(axis, t, flip(v)) for v in tangents]
+                tangents.append([-r[1], r[0], mp.zero] if axis == "z" else [mp.zero, -r[2], r[1]])
+            r, tangents = flip(r), [flip(v) for v in tangents]
+            dot = lambda a, b: sum(x * y for x, y in zip(a, b))
+            gap = 1 - dot(r, r)
+            return mp.matrix([[dot(a, b) + dot(r, a) * dot(r, b) / gap for b in tangents]
+                              for a in tangents])
+
+        def top_three(f):
+            return sorted(mp.eigsy(f, eigvals_only=True), reverse=True)[:3]
+
+        with mpmath.workdps(50):
+            theta3 = [mp.pi / 2, mp.pi / 4, mp.pi / 4, mp.pi / 4]
+            exact = qfim(theta3)
+            lam1, _, lam3 = top_three(exact)
+            assert lam3 / lam1 < 1e-40
+            lam1, _, lam3 = top_three(qfim([t + mp.mpf("1e-3") for t in theta3]))
+            assert lam3 / lam1 > 1e-9
+        circ, rho = toy_model()
+        noisy = circ.with_uniform_noise(bit_flip(0.1))
+        got = qfim_of_circuit(noisy, TOY_THETAS["theta3"], rho).matrix
+        np.testing.assert_allclose(np.array(exact.tolist(), dtype=float), got, atol=1e-12)
+
 
 class TestClosedFormGlobalDepol:
     def test_p_zero_reduces_to_noiseless(self, rng):
