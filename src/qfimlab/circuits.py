@@ -805,10 +805,18 @@ def loss_linear(
 
 def bloch_coords(rho: np.ndarray) -> tuple[float, float, float] | tuple[np.ndarray, ...]:
     """Single-qubit Bloch vector ``(Tr[rho X], Tr[rho Y], Tr[rho Z])``; on a
-    ``(k, 2, 2)`` stack, the three ``(k,)`` arrays of the rows' coordinates."""
+    ``(k, 2, 2)`` stack, the three ``(k,)`` arrays of the rows' coordinates.
+
+    The traces are read off the matrix entries: ``Re Tr[rho X] = Re(rho01 +
+    rho10)``, ``Re Tr[rho Y] = Im(rho10 - rho01)`` and ``Re Tr[rho Z] =
+    Re(rho00 - rho11)``. These are the sums that ``Tr[rho P]`` of the matrix
+    product rounds, bit for bit, down to the sign of a zero.
+    """
     if rho.shape[-2:] != (2, 2) or rho.ndim not in (2, 3):
         raise DimensionMismatchError(f"Bloch coordinates need 2x2 states, got {rho.shape}")
-    coords = tuple(np.trace(rho.reshape(-1, 2, 2) @ p, axis1=1, axis2=2).real for p in (X, Y, Z))
+    s = rho.reshape(-1, 2, 2)
+    a, b = s[:, 0, 1], s[:, 1, 0]
+    coords = ((a + b).real, (b - a).imag, (s[:, 0, 0] - s[:, 1, 1]).real)
     return tuple(float(c[0]) for c in coords) if rho.ndim == 2 else coords
 
 

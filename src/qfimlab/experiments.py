@@ -58,6 +58,11 @@ from .qfim import (
 from .rand import map_tasks, subkey_rng
 
 CSV_SCHEMA_VERSION = 1
+# The largest |options.eigvec_span| a trajectory accepts, in radians. Angles
+# this large still resolve about 1e-10 rad, and the grid 2 * span * k stays
+# finite for any step count that fits in memory; far larger spans overflow
+# it to inf, and the rows to NaN.
+MAX_EIGVEC_SPAN = 1e6
 
 
 class Contract(NamedTuple):
@@ -268,6 +273,11 @@ def parse_config(raw: dict, experiment: str | None = None, workers: int | None =
     labels = [_epsilon_column(e) for e in epsilons]
     if np.signbit(epsilons).any() or len(set(labels)) < len(labels):
         raise ConfigError(f"options.epsilons must be nonnegative with distinct columns, got {labels}")
+    if abs(options.get("eigvec_span", 0.0)) > MAX_EIGVEC_SPAN:
+        raise ConfigError(
+            f"options.eigvec_span must lie in [-{MAX_EIGVEC_SPAN:g}, {MAX_EIGVEC_SPAN:g}], "
+            f"got {options['eigvec_span']!r}"
+        )
 
     # the contract's rules that span sections
     if circuit.get("name") not in contract.circuits and (circuit or contract.circuits):
@@ -417,11 +427,31 @@ def _csv_cell(value: Any) -> str:
 
 
 def rows_to_csv(experiment: str, columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    """Render rows with the versioned schema comment; floats get 17 digits."""
+    """Render rows with the versioned schema comment, each cell as
+    :func:`_csv_cell` renders it.
+
+    Each row is formatted with one ``%`` by a format string built once per
+    row type signature: ``%.17g`` for a float, ``%s`` for anything else. A
+    line that holds a quote or a newline, or more commas than separators,
+    may have a cell that needs quoting, and is rendered again cell by cell.
+    """
     lines = [f"# qfimlab csv schema={CSV_SCHEMA_VERSION} experiment={experiment}"]
     lines.append(",".join(columns))
-    lines.extend(",".join(map(_csv_cell, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+    formats: dict[tuple[type, ...], str] = {}
+    for row in rows:
+        row = tuple(row)
+        # (*map(...),) sizes the tuple exactly; tuple(map(...)) shrinks a guessed
+        # size, and the shrunk tuples it frees pile up unused on a free list
+        types = (*map(type, row),)
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join("%.17g" if issubclass(t, float) else "%s" for t in types)
+        line = fmt % row
+        if '"' in line or "\n" in line or line.count(",") > len(row) - 1:
+            line = ",".join(map(_csv_cell, row))
+        lines.append(line)
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def emit_table(

@@ -21,7 +21,7 @@ from qfimlab.circuits import (
     toy_model,
 )
 from qfimlab.exceptions import DimensionMismatchError
-from qfimlab.linalg import KET_PLUS, X, Z, check_density_matrix, kron
+from qfimlab.linalg import KET_PLUS, X, Y, Z, check_density_matrix, kron
 from qfimlab.rand import random_density_matrix, random_hermitian
 
 
@@ -241,6 +241,37 @@ class TestBlochCoords:
     def test_dim_check(self):
         with pytest.raises(DimensionMismatchError):
             bloch_coords(np.eye(4, dtype=complex) / 4)
+
+    @staticmethod
+    def assert_traces_bit_for_bit(rho):
+        """``bloch_coords(rho)`` equals ``Tr[rho P].real`` in value and in the sign of zeros."""
+        for got, p in zip(bloch_coords(rho), (X, Y, Z)):
+            want = np.trace(rho.reshape(-1, 2, 2) @ p, axis1=1, axis2=2).real
+            got = np.atleast_1d(got)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_stacks_match_the_pauli_traces_bit_for_bit(self, rng):
+        for k in (1, 7, 64):
+            g = rng.standard_normal((k, 2, 2)) + 1j * rng.standard_normal((k, 2, 2))
+            self.assert_traces_bit_for_bit(g)
+            self.assert_traces_bit_for_bit(g.real)
+            self.assert_traces_bit_for_bit(g.real.astype(complex))
+            self.assert_traces_bit_for_bit(np.stack([random_density_matrix(2, rng) for _ in range(k)]))
+
+    def test_single_matrix_returns_floats_equal_to_the_traces(self, rng):
+        rho = random_density_matrix(2, rng)
+        coords = bloch_coords(rho)
+        assert all(type(c) is float for c in coords)
+        self.assert_traces_bit_for_bit(rho)
+
+    def test_real_toy_input_and_trajectory_states(self):
+        circuit, rho = toy_model()
+        assert not np.signbit(bloch_coords(rho)[1])  # y is +0, printed as 0
+        self.assert_traces_bit_for_bit(rho)
+        noisy = circuit.with_uniform_noise(bit_flip(0.1, 1, qubit=0))
+        ts = np.linspace(-1.0, 1.0, 21)
+        for theta in TOY_THETAS.values():
+            self.assert_traces_bit_for_bit(evolve(noisy, theta + ts[:, None], rho))
 
 
 class TestStatevectorPath:

@@ -20,7 +20,10 @@ from qfimlab.circuits import (
 from qfimlab.dla import dla_dimension
 from qfimlab.exceptions import CapExceededError, ConfigError
 from qfimlab.experiments import (
+    CSV_SCHEMA_VERSION,
+    MAX_EIGVEC_SPAN,
     TRAJECTORY_COLUMNS,
+    _csv_cell,
     channel_from_config,
     config_hash,
     parse_config,
@@ -610,6 +613,12 @@ _GLOBAL = {"noise": {"model": "global_depolarizing", "p": 0.1}, "sweep": {"p": [
         ({"experiment": "spectrum", **_ISING, "options": {"epsilons": [-1.0]}}, "epsilons"),
         ({"experiment": "spectrum", **_ISING, "options": {"epsilons": [1e-6, 1.0000001e-6]}},
          "epsilons"),
+        # spans whose grid 2 * span * k overflows to inf, which made every eigenvector row NaN
+        ({"experiment": "trajectory",
+          "options": {"eigvec_span": 1e308, "steps_per_gate": 2, "eigvec_steps": 2}}, "eigvec_span"),
+        ({"experiment": "trajectory",
+          "options": {"eigvec_span": 4.5e307, "steps_per_gate": 2, "eigvec_steps": 2}},
+         "eigvec_span"),
     ],
 )
 def test_malformed_input_rejected_at_parse_time(raw, field, tmp_path):
@@ -648,6 +657,31 @@ def test_memory_check_counts_points_that_run_at_once(monkeypatch, tmp_path, caps
     cfg_path.write_text(json.dumps(raw))
     assert main(["spectrum", "--config", str(cfg_path), "--workers", "4"]) == 1
     assert "memory" in capsys.readouterr().err
+
+
+def test_eigvec_span_cap_is_inclusive():
+    for span in (MAX_EIGVEC_SPAN, -MAX_EIGVEC_SPAN):
+        raw = {"experiment": "trajectory", "options": {"eigvec_span": span}}
+        assert parse_config(raw).options["eigvec_span"] == span
+
+
+def test_rows_to_csv_renders_every_cell_by_the_per_cell_rule():
+    columns = ("a", "b", "c", "d", "e", "f")
+    rows = [
+        (0.1, np.float64(1 / 3), -0.0, float("nan"), float("inf"), float("-inf")),
+        (1, np.int64(-7), True, None, "plain", np.float64(-0.0)),
+        # the same type signature as the row above, now with cells that need quoting
+        (2, np.int64(3), False, None, "a,b", np.float64(2.5)),
+        ['say "hi"', "ok", "100%", "%s %d", 7, 1e-300],  # a row given as a list
+        ["two\nlines", 1.0, 2, "y", False, 3],  # every column's type changes from the rows above
+        ((1, 2), "", 0, 0.0, "%", "z"),  # a tuple cell prints its comma, unquoted
+    ]
+    head = f"# qfimlab csv schema={CSV_SCHEMA_VERSION} experiment=demo\na,b,c,d,e,f\n"
+    expected = head + "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+    assert rows_to_csv("demo", columns, rows) == expected
+    assert expected.splitlines()[5:9] == ['"say ""hi""",ok,100%,%s %d,7,1e-300',
+                                          '"two', 'lines",1,2,y,False,3', '(1, 2),,0,0,%,z']
+    assert rows_to_csv("demo", columns, []) == head
 
 
 def test_verify_options_default_to_the_documented_values():

@@ -1,6 +1,7 @@
 """Package-level properties."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -40,3 +41,18 @@ def test_benchmark_hooks_resolve(monkeypatch):
     for workload in sorted(child.WORKLOADS.glob("*.json")):
         config = child.load_config(workload.stem, 42)
         assert config.experiment in qfimlab.experiments.RUNNERS
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    from qfimlab.experiments import parse_config, run_trajectory
+
+    root = Path(__file__).resolve().parents[1]
+    config = root / "demos" / "configs" / "trajectory_bitflip.json"
+    out = tmp_path / "trajectory.csv"
+    src = str(root / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run(
+        [sys.executable, "-m", "qfimlab", "trajectory", "--config", str(config), "--out", str(out)],
+        check=True, capture_output=True, env=env, timeout=120,
+    )
+    assert out.read_bytes() == run_trajectory(parse_config(json.loads(config.read_text()))).encode()
