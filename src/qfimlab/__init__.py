@@ -11,9 +11,10 @@ The package is organized as:
   derivatives, the single-qubit toy model and the Ising-ansatz constructors.
 - ``dla``: Lie closure over dense matrices or sparse Pauli sums, and algebra
   dimensions (the parity-sector dimension as a quotient of the full algebra).
-- ``qfim``: pure/mixed quantum Fisher information (and, for a pure input
-  under global depolarizing noise, from state vectors alone), ranks and capacity
-  counts, distances and relative entropy.
+- ``qfim``: pure/mixed quantum Fisher information through one entry point
+  that picks its route from the input (state vectors alone for a pure input
+  under no or global depolarizing noise), ranks and capacity counts,
+  distances and relative entropy.
 - ``rand``: seeded Philox substreams (one per task), the bounded task map,
   and random operators and states.
 - ``experiments``: JSON-configured, seeded experiment harness with CSV/JSON
@@ -83,7 +84,6 @@ from .qfim import (
     bures_distance,
     effective_dim_d1,
     noisy_qfim_closed_form_global_depol,
-    qfim_global_depol,
     qfim_mixed,
     qfim_of_circuit,
     qfim_pure,

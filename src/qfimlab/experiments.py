@@ -40,7 +40,6 @@ from .circuits import (
     evolve,
     hva_tfim,
     hva_tfim_pauli_generators,
-    plus_state_density,
     plus_state_vector,
     toy_model,
 )
@@ -50,19 +49,22 @@ from .linalg import purity
 from .qfim import (
     TAU_RANK_ABS,
     TAU_RANK_REL,
-    QfimReport,
     effective_dim_d1,
-    qfim_global_depol,
     qfim_of_circuit,
 )
 from .rand import map_tasks, subkey_rng
 
 CSV_SCHEMA_VERSION = 1
-# The largest |options.eigvec_span| a trajectory accepts, in radians. Angles
-# this large still resolve about 1e-10 rad, and the grid 2 * span * k stays
-# finite for any step count that fits in memory; far larger spans overflow
-# it to inf, and the rows to NaN.
+# The largest |angle| a config gives, in radians: every theta.values entry and
+# the trajectory's options.eigvec_span. Angles this large still resolve about
+# 1e-10 rad, and the products theta * h and 2 * span * k stay finite for any
+# size that fits in memory; far larger angles overflow them to inf, and the
+# eigenvalues or rows to NaN.
 MAX_EIGVEC_SPAN = 1e6
+# Peak bytes per trajectory row (the row tuples, the states behind them and
+# the output text), an upper bound for both formats: tracemalloc measured
+# 434-476 for CSV from 2,430 to 96,030 rows, and 1,108-1,115 for JSON.
+TRAJECTORY_ROW_BYTES = 1280
 
 
 class Contract(NamedTuple):
@@ -132,6 +134,13 @@ def _finite(value, where: str) -> float:
     return float(value)
 
 
+def _angle(value, where: str) -> float:
+    v = _finite(value, where)
+    if abs(v) > MAX_EIGVEC_SPAN:
+        raise ConfigError(f"{where} must lie in [-{MAX_EIGVEC_SPAN:g}, {MAX_EIGVEC_SPAN:g}], got {value!r}")
+    return v
+
+
 def _list(value, where: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be a list, got {value!r}")
@@ -182,10 +191,11 @@ def parse_config(raw: dict, experiment: str | None = None, workers: int | None =
 
     Unknown fields anywhere are errors. ``experiment`` (e.g. from the CLI
     subcommand) must agree with the config's own ``experiment`` tag when both
-    are present. No circuit, channel or state is built here; a ``spectrum``
-    or ``scaling`` run whose estimated memory exceeds the machine's physical
-    memory is refused here too, before anything is allocated; up to
-    ``workers`` points (``None`` is serial) are counted as held at once.
+    are present. No circuit, channel or state is built here; a ``spectrum``,
+    ``scaling`` or ``trajectory`` run whose estimated memory exceeds the
+    machine's physical memory is refused here too, before anything is
+    allocated; for ``spectrum`` and ``scaling``, up to ``workers`` points
+    (``None`` is serial) are counted as held at once.
     """
     _check_keys(
         raw,
@@ -235,7 +245,7 @@ def parse_config(raw: dict, experiment: str | None = None, workers: int | None =
         raise ConfigError(f"theta.seed must be an integer in [0, 2^64), got {seed!r}")
     if "values" in theta:
         values = _list(theta["values"], "theta.values")
-        theta = {"values": [_finite(v, "theta.values entries") for v in values]}
+        theta = {"values": [_angle(v, "theta.values entries") for v in values]}
     else:
         theta = {"seed": seed}
 
@@ -273,11 +283,8 @@ def parse_config(raw: dict, experiment: str | None = None, workers: int | None =
     labels = [_epsilon_column(e) for e in epsilons]
     if np.signbit(epsilons).any() or len(set(labels)) < len(labels):
         raise ConfigError(f"options.epsilons must be nonnegative with distinct columns, got {labels}")
-    if abs(options.get("eigvec_span", 0.0)) > MAX_EIGVEC_SPAN:
-        raise ConfigError(
-            f"options.eigvec_span must lie in [-{MAX_EIGVEC_SPAN:g}, {MAX_EIGVEC_SPAN:g}], "
-            f"got {options['eigvec_span']!r}"
-        )
+    if "eigvec_span" in options:
+        _angle(options["eigvec_span"], "options.eigvec_span")
 
     # the contract's rules that span sections
     if circuit.get("name") not in contract.circuits and (circuit or contract.circuits):
@@ -297,13 +304,24 @@ def parse_config(raw: dict, experiment: str | None = None, workers: int | None =
         raise ConfigError(f"theta.values needs 2L = {m} entries, got {len(theta['values'])}")
     if exp in ("spectrum", "scaling"):
         need = _estimated_bytes(circuit, noise, sweep, max(workers or 1, 1))
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            raise ConfigError(
-                f"{exp} at n={circuit['n']} needs about {need / 2**30:.3g} GiB, more than the "
-                f"{have / 2**30:.3g} GiB of physical memory"
-            )
+        _check_memory(f"{exp} at n={circuit['n']}", need)
+    if exp == "trajectory":
+        # per parameter point: the input and final states, then steps + 1 per gate and
+        # eigvec_steps + 1 per QFIM eigenvector, one eigenvector per gate
+        m = len(TOY_THETAS["theta1"])
+        rows = len(TOY_THETAS) * (2 + m * (options["steps_per_gate"] + options["eigvec_steps"] + 2))
+        _check_memory(f"trajectory with {rows} rows", rows * TRAJECTORY_ROW_BYTES)
     return ExperimentConfig(exp, circuit, noise, theta, sweep, rank_tolerances, output, options, raw)
+
+
+def _check_memory(what: str, need: int) -> None:
+    """Refuse a run that needs more than the machine's physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            f"{what} needs about {need / 2**30:.3g} GiB, more than the "
+            f"{have / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def _estimated_bytes(circuit: dict, noise: dict, sweep: dict, workers: int) -> int:
@@ -562,22 +580,11 @@ def run_eig_vs_p(config: ExperimentConfig, workers: int | None = None) -> str:
     return emit_table(config, EIG_VS_P_COLUMNS, [r for g in groups for r in g])
 
 
-def _ising_qfim(
-    circuit: NoisyCircuit, noise: dict, p: float, tau_abs: float, tau_rel: float
-) -> Callable[[np.ndarray], QfimReport]:
-    """``theta -> QFIM`` of the noiseless Ising-ansatz ``circuit`` on ``|+>^n``
-    with the ``noise`` model at probability ``p`` in every slot.
-
-    Noiseless and global depolarizing slots take the statevector path
-    (:func:`qfim_global_depol`); any other noise evolves ``d x d`` states.
-    """
-    n = circuit.n_qubits
-    if p == 0.0 or noise["model"] == "global_depolarizing":
-        psi = plus_state_vector(n)
-        return lambda theta: qfim_global_depol(circuit, theta, psi, p, tau_abs, tau_rel)
-    noisy = circuit.with_uniform_noise(channel_from_config({**noise, "p": p}, n))
-    rho = plus_state_density(n)
-    return lambda theta: qfim_of_circuit(noisy, theta, rho, tau_abs, tau_rel)
+def _with_noise(circuit: NoisyCircuit, noise: dict, p: float) -> NoisyCircuit:
+    """``circuit`` with the ``noise`` model at probability ``p`` in every slot,
+    and no channel at ``p = 0``."""
+    channel = channel_from_config({**noise, "p": p}, circuit.n_qubits) if p > 0.0 else None
+    return circuit.with_uniform_noise(channel)
 
 
 def _epsilon_column(epsilon: float) -> str:
@@ -600,13 +607,15 @@ def run_spectrum(config: ExperimentConfig, workers: int | None = None) -> str:
         theta = subkey_rng(config.theta["seed"], 0).uniform(0.0, 2.0 * np.pi, circuit.n_params)
     tau_abs, tau_rel = config.rank_tolerances
     dim_g = parity_sector_dimension(lie_closure(hva_tfim_pauli_generators(n)))
-    noiseless = _ising_qfim(circuit, config.noise, 0.0, tau_abs, tau_rel)(theta)
+    psi = plus_state_vector(n)
+    noiseless = qfim_of_circuit(circuit, theta, psi, tau_abs, tau_rel)
 
     columns = ["n", "L", "M", "p", "eig_index", "eigenvalue", "rank", "rank_noiseless", "dim_g"]
     columns += [_epsilon_column(e) for e in epsilons]
 
     def one_p(p):
-        report = noiseless if p == 0.0 else _ising_qfim(circuit, config.noise, p, tau_abs, tau_rel)(theta)
+        noisy = _with_noise(circuit, config.noise, p)
+        report = noiseless if p == 0.0 else qfim_of_circuit(noisy, theta, psi, tau_abs, tau_rel)
         counts = [effective_dim_d1(report, e) for e in epsilons]
         return [
             (n, layers, circuit.n_params, p, k, float(lam),
@@ -638,17 +647,17 @@ def run_scaling(config: ExperimentConfig, workers: int | None = None) -> str:
     # every depth repeats the one-layer circuit, so all share its generators and kernels
     base = hva_tfim(n, 1)
     circuits = {level: replace(base, layers=base.layers * level) for level in {t[2] for t in tasks}}
+    psi = plus_state_vector(n)
 
     def one_coord(task):
         kind, idx, level, p = task
-        circuit = circuits[level]
-        qfim = _ising_qfim(circuit, config.noise, p, tau_abs, tau_rel)
+        circuit = _with_noise(circuits[level], config.noise, p)
         kind_id = 1 if kind == "L" else 2
         entries, eigs = [], []
         for s in range(samples):
             rng = subkey_rng(seed, kind_id, idx, s)
             theta = rng.uniform(0.0, 2.0 * np.pi, circuit.n_params)
-            report = qfim(theta)
+            report = qfim_of_circuit(circuit, theta, psi, tau_abs, tau_rel)
             entries.append(np.abs(report.matrix).ravel())
             eigs.append(report.eigenvalues)
         entries = np.concatenate(entries)

@@ -18,21 +18,24 @@ so the temporary is at most one ``d x d`` matrix), and one weighted Gram
 product per block. :func:`qfim_mixed` and the closed form pass one block of
 size ``d``, so it goes one row at a time; the folded path one per sector.
 
-:func:`qfim_of_circuit` runs the dense pass (its stack and scratch take
-``2 (M + 1) 16 d^2`` bytes) and eigendecomposes the ``d x d`` output state,
-unless the circuit and input fold under the parity ``P = X^(x)n`` (see
-``circuits.parity_folds``). Then the pass holds only top half rows, at
-most ``2 (M + 1) 16 d^2 / 2`` bytes, runs every gate and noise slot as an
-elementwise product in Walsh-Hadamard frames, and keeps one entry per orbit
-of the qubit rotation ``R^g`` the circuit and input respect. The state and
-derivatives commute with the group ``G = <R^g> x <P>`` of ``2n/g``
-elements, so they are block diagonal in its symmetry-adapted basis, one
-block per character of G (``circuits.parity_folded_sectors``): the QFIM is
-the sum of one weighted Gram product per block. The blocks are gathered
-straight from the pass's orbit layout, about ``d g / (2n)`` wide (``d/2``
-at ``g = n``, the two parity blocks of ``|k> +- |d-1-k>``), so ``eigh``
-and the basis changes cost about ``(2n/g)^2`` times less than on two
-parity blocks, and no ``(M + 1, d/2, d)`` array is formed.
+:func:`qfim_of_circuit` is the one way to the QFIM of a circuit, and its
+input picks one of three routes:
+
+- a state vector through a noiseless or globally depolarized circuit: the
+  noisy output is ``x |psi><psi| + (1-x) I/d`` with ``x = (1-p)^(M+1)``, so
+  the QFIM is the Fubini-Study QFIM of the noiseless output, from
+  ``M + 1`` state vectors (``circuits.statevector_derivatives``), scaled by
+  ``x^2 / (x + 2 (1-x)/d)``: 1 at ``p = 0``, 0 at ``p = 1``. No ``d x d``
+  array is formed. Any other state vector runs as its density matrix.
+- a density matrix that ``circuits.parity_folds`` accepts: the folded pass
+  (``circuits.parity_folded_sectors``), assembled as one Gram product per
+  sector block.
+- any other density matrix: the dense pass (``circuits.evolve_with_derivatives``,
+  whose stack and scratch take ``2 (M + 1) 16 d^2`` bytes), then
+  :func:`qfim_mixed` on the ``d x d`` output.
+
+A density matrix always runs the simulation, so passing ``|psi><psi|``
+checks the closed form against it.
 
 Numerical rank counts eigenvalues above ``tau_abs + tau_rel * lambda_max``;
 both knobs are explicit on every report because the small-noise regime makes
@@ -46,6 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .channels import GlobalDepolarizing
 from .circuits import (
     NoisyCircuit,
     evolve_with_derivatives,
@@ -167,56 +171,39 @@ def qfim_mixed(
     return report_from_matrix(_block_qfim([block]), tau_abs, tau_rel)
 
 
-def qfim_of_circuit(
-    circuit: NoisyCircuit,
-    theta: np.ndarray,
-    rho: np.ndarray,
-    tau_abs: float = TAU_RANK_ABS,
-    tau_rel: float = TAU_RANK_REL,
-) -> QfimReport:
-    """Evolve, differentiate analytically, and assemble the mixed-state QFIM.
-
-    Takes the parity-folded pass and block assembly when
-    :func:`~qfimlab.circuits.parity_folds` accepts ``circuit`` and ``rho``,
-    and the dense pass with :func:`qfim_mixed` otherwise; both give the same
-    matrix up to roundoff.
-    """
-    if parity_folds(circuit, rho):
-        matrix = _block_qfim(parity_folded_sectors(circuit, theta, rho))
-        return report_from_matrix(matrix, tau_abs, tau_rel)
-    out, derivs = evolve_with_derivatives(circuit, theta, rho)
-    return qfim_mixed(out, derivs, tau_abs, tau_rel)
-
-
 def _global_depol_survival(p: float, n_gates: int) -> float:
     """``x = (1-p)^(M+1)``: the weight of the noiseless state after the M+1
     global depolarizing slots, which commute with every gate."""
     return (1.0 - p) ** (n_gates + 1)
 
 
-def qfim_global_depol(
+def qfim_of_circuit(
     circuit: NoisyCircuit,
     theta: np.ndarray,
-    psi: np.ndarray,
-    p: float,
+    state: np.ndarray,
     tau_abs: float = TAU_RANK_ABS,
     tau_rel: float = TAU_RANK_REL,
 ) -> QfimReport:
-    """QFIM of the pure input ``psi`` with ``GlobalDepolarizing(p)`` in every slot.
+    """QFIM of the output of ``circuit`` at ``theta`` on the input ``state``.
 
-    ``circuit`` is the noiseless circuit. The noisy output is
-    ``x |psi><psi| + (1-x) I/d`` with ``x = (1-p)^(M+1)``, so the QFIM is the
-    Fubini-Study QFIM of the noiseless output scaled by
-    ``x^2 / (x + 2 (1-x)/d)``: 1 at ``p = 0``, 0 at ``p = 1``. Only state
-    vectors are formed; :func:`qfim_of_circuit` on the noisy circuit and
-    ``|psi><psi|`` gives the same matrix through ``d x d`` states.
+    ``state`` is a state vector or a density matrix, and with the circuit's
+    noise it picks the route (see the module docstring); every route gives
+    the same matrix up to roundoff.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing probability {p} outside [0, 1]")
-    x = _global_depol_survival(p, circuit.n_params)
-    scale = x * x / (x + 2.0 * (1.0 - x) / circuit.dim)
-    pure = _fubini_study(*statevector_derivatives(circuit, theta, psi))
-    return report_from_matrix(scale * pure, tau_abs, tau_rel)
+    if state.ndim == 1:
+        noise = circuit.noise
+        if noise is None or isinstance(noise, GlobalDepolarizing):
+            x = _global_depol_survival(0.0 if noise is None else noise.p, circuit.n_params)
+            scale = x * x / (x + 2.0 * (1.0 - x) / circuit.dim)
+            noiseless = circuit.with_uniform_noise(None)
+            pure = _fubini_study(*statevector_derivatives(noiseless, theta, state))
+            return report_from_matrix(scale * pure, tau_abs, tau_rel)
+        state = np.outer(state, state.conj())
+    if parity_folds(circuit, state):
+        matrix = _block_qfim(parity_folded_sectors(circuit, theta, state))
+        return report_from_matrix(matrix, tau_abs, tau_rel)
+    out, derivs = evolve_with_derivatives(circuit, theta, state)
+    return qfim_mixed(out, derivs, tau_abs, tau_rel)
 
 
 def noisy_qfim_closed_form_global_depol(

@@ -123,6 +123,25 @@ class TestTransferCoefficient:
             PauliChannel([(PauliString.identity(1), 1.2), (PauliString.single(1, 0, "X"), -0.2)])
 
 
+def _local_depolarizing(n):
+    return LocalDepolarizing(tuple(0.1 * (j + 1) for j in range(n)))
+
+
+def _pauli(n):
+    flip = PauliString((1,) * n, tuple(j % 2 for j in range(n)))
+    return PauliChannel([(PauliString.identity(n), 0.7), (flip, 0.3)])
+
+
+_BASIS_CHANNELS = {
+    "global_depolarizing": lambda n: GlobalDepolarizing(n, 0.4),
+    "local_depolarizing": _local_depolarizing,
+    "pauli": _pauli,
+    "bit_flip": lambda n: bit_flip(0.2, n, qubit=n - 1),
+    "unitary": lambda n: UnitaryChannel(random_unitary(2**n, np.random.default_rng(n))),
+    "composite": lambda n: CompositeChannel([_local_depolarizing(n), _pauli(n)]),
+}
+
+
 class TestSuperoperator:
     def test_identity_channel(self):
         np.testing.assert_allclose(superoperator(identity_channel(1)), np.eye(4), atol=1e-15)
@@ -140,14 +159,16 @@ class TestSuperoperator:
         out = (s @ vec).reshape(4, 4).T
         assert np.max(np.abs(out - ch.apply(rho))) <= 1e-12
 
-    def test_global_depol_on_basis_matrices(self):
-        ch = GlobalDepolarizing(1, 0.4)
+    @pytest.mark.parametrize("kind,n", [(kind, n) for kind in _BASIS_CHANNELS for n in (1, 3)])
+    def test_channel_on_basis_matrices(self, kind, n):
+        ch = _BASIS_CHANNELS[kind](n)
         s = superoperator(ch)
-        basis = np.zeros((2, 2), dtype=complex)
-        for k in range(2):
-            for l in range(2):
+        d = 2**n
+        basis = np.zeros((d, d), dtype=complex)
+        for k in range(d):
+            for l in range(d):
                 basis[k, l] = 1
-                out = (s @ basis.T.reshape(-1)).reshape(2, 2).T
+                out = (s @ basis.T.reshape(-1)).reshape(d, d).T
                 np.testing.assert_allclose(out, ch.apply(basis), atol=1e-15)
                 basis[k, l] = 0
 

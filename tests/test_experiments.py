@@ -23,6 +23,7 @@ from qfimlab.experiments import (
     CSV_SCHEMA_VERSION,
     MAX_EIGVEC_SPAN,
     TRAJECTORY_COLUMNS,
+    TRAJECTORY_ROW_BYTES,
     _csv_cell,
     channel_from_config,
     config_hash,
@@ -533,6 +534,8 @@ def _pauli_term(alpha, beta, prob=0.1):
 
 
 _GLOBAL = {"noise": {"model": "global_depolarizing", "p": 0.1}, "sweep": {"p": [0.1]}}
+_SPECTRUM_N4 = {"circuit": {"name": "hva_tfim", "n": 4, "L": 1},
+                "noise": {"model": "local_depolarizing", "p": 0.0}}
 
 
 @pytest.mark.parametrize(
@@ -619,6 +622,17 @@ _GLOBAL = {"noise": {"model": "global_depolarizing", "p": 0.1}, "sweep": {"p": [
         ({"experiment": "trajectory",
           "options": {"eigvec_span": 4.5e307, "steps_per_gate": 2, "eigvec_steps": 2}},
          "eigvec_span"),
+        # angles whose gate phases theta * h overflow: NaN eigenvalues at p = 0, and
+        # an eigensolver that does not converge at p > 0
+        ({"experiment": "spectrum", **_SPECTRUM_N4, "theta": {"values": [1e308, 0.3]},
+          "sweep": {"p": [0.0]}}, "theta.values"),
+        ({"experiment": "spectrum", **_SPECTRUM_N4, "theta": {"values": [5e307, 0.3]},
+          "sweep": {"p": [0.01]}}, "theta.values"),
+        # trajectories whose rows alone outgrow physical memory
+        ({"experiment": "trajectory", "options": {"eigvec_steps": 10**12, "steps_per_gate": 2}},
+         "memory"),
+        ({"experiment": "trajectory", "options": {"eigvec_steps": 2, "steps_per_gate": 10**12}},
+         "memory"),
     ],
 )
 def test_malformed_input_rejected_at_parse_time(raw, field, tmp_path):
@@ -659,10 +673,28 @@ def test_memory_check_counts_points_that_run_at_once(monkeypatch, tmp_path, caps
     assert "memory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_trajectory_memory_per_row_stays_under_the_parse_time_bound(fmt):
+    raw = {"experiment": "trajectory", "noise": {"model": "bit_flip", "p": 0.1},
+           "options": {"steps_per_gate": 40, "eigvec_steps": 60}, "output": {"format": fmt}}
+    cfg = parse_config(raw)
+    tracemalloc.start()
+    try:
+        run_trajectory(cfg, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = 3 * (2 + 4 * 41 + 4 * 61)  # 1,230 rows, as parse_config counts them
+    assert peak <= rows * TRAJECTORY_ROW_BYTES
+
+
 def test_eigvec_span_cap_is_inclusive():
     for span in (MAX_EIGVEC_SPAN, -MAX_EIGVEC_SPAN):
         raw = {"experiment": "trajectory", "options": {"eigvec_span": span}}
         assert parse_config(raw).options["eigvec_span"] == span
+    values = [MAX_EIGVEC_SPAN, -MAX_EIGVEC_SPAN]
+    raw = {"experiment": "spectrum", **_SPECTRUM_N4, "theta": {"values": values}, "sweep": {"p": [0.0]}}
+    assert parse_config(raw).theta["values"] == values
 
 
 def test_rows_to_csv_renders_every_cell_by_the_per_cell_rule():

@@ -1,5 +1,7 @@
 """Quantum Fisher information: assembly, ranks, capacity, distances, entropy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,6 @@ from qfimlab.qfim import (
     bures_distance,
     effective_dim_d1,
     noisy_qfim_closed_form_global_depol,
-    qfim_global_depol,
     qfim_mixed,
     qfim_of_circuit,
     qfim_pure,
@@ -216,18 +217,41 @@ class TestClosedFormGlobalDepol:
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_global_depol_pure_path_matches_dense(rng, n):
+    # a state vector picks the closed form (noiseless, global depolarizing) or runs
+    # as |psi><psi| (local depolarizing); a density matrix always runs the simulation
     circ = hva_tfim(n, 3)
     theta = rng.uniform(0, 2 * np.pi, circ.n_params)
     psi = plus_state_vector(n)
     rho = plus_state_density(n)
-    for p in (0.0, 1e-3, 0.05, 0.3, 1.0):
-        fast = qfim_global_depol(circ, theta, psi, p)
-        noisy = circ.with_uniform_noise(GlobalDepolarizing(n, p))
-        dense = qfim_mixed(*evolve_with_derivatives(noisy, theta, rho))
+    channels = [None]
+    channels += [GlobalDepolarizing(n, p) for p in (0.0, 1e-3, 0.05, 0.3, 1.0)]
+    channels += [LocalDepolarizing.uniform(n, p) for p in (1e-3, 0.05, 0.3)]
+    for channel in channels:
+        noisy = circ.with_uniform_noise(channel)
+        fast = qfim_of_circuit(noisy, theta, psi)
+        dense = qfim_of_circuit(noisy, theta, rho)
         # the floor covers p = 1, where both matrices are zero up to roundoff
         scale = max(float(np.max(np.abs(dense.matrix))), TAU_RANK_ABS)
         assert np.max(np.abs(fast.matrix - dense.matrix)) <= 1e-10 * scale
         assert fast.rank == dense.rank
+
+
+def test_vector_route_forms_no_density_matrix():
+    # under global depolarizing noise a state vector input keeps M + 1 vectors;
+    # one d x d complex state alone would take 16 d^2 bytes
+    n = 10
+    d = 2**n
+    noisy = hva_tfim(n, 2).with_uniform_noise(GlobalDepolarizing(n, 0.01))
+    theta = np.random.default_rng(3).uniform(0, 2 * np.pi, noisy.n_params)
+    psi = plus_state_vector(n)
+    tracemalloc.start()
+    try:
+        report = qfim_of_circuit(noisy, theta, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * d * d / 8
+    assert report.rank > 0
 
 
 class TestEffectiveDimension:

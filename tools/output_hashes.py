@@ -1,0 +1,56 @@
+"""Print the SHA-256 of every runner output, one ``sha256  config@seed`` line per run.
+
+Usage::
+
+    python tools/output_hashes.py [checkout]
+
+Runs every ``demos/configs/*.json`` and ``perfbench/workloads/*.json`` of the
+checkout in this process through ``qfimlab.experiments.RUNNERS``, serially
+(``workers=1``), with ``output.path`` dropped and ``theta.seed`` set to 42
+and then to 7. ``qfimlab`` is imported from the checkout's ``src``; the
+checkout defaults to the one that holds this script. Two checkouts give
+byte-identical outputs when their lines are identical::
+
+    python tools/output_hashes.py > new.txt
+    python tools/output_hashes.py ../parent > old.txt
+    diff old.txt new.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib
+import json
+import sys
+from pathlib import Path
+
+SEEDS = (42, 7)
+CONFIG_DIRS = ("demos/configs", "perfbench/workloads")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", nargs="?", default=str(Path(__file__).resolve().parents[1]))
+    root = Path(parser.parse_args(argv).checkout).resolve()
+    sys.path.insert(0, str(root / "src"))
+    qfimlab = importlib.import_module("qfimlab")
+    if Path(qfimlab.__file__).resolve().parent != root / "src" / "qfimlab":
+        print(f"qfimlab imported from {qfimlab.__file__}, not from {root}", file=sys.stderr)
+        return 1
+    from qfimlab.experiments import RUNNERS, parse_config
+
+    for seed in SEEDS:
+        for path in sorted(p for d in CONFIG_DIRS for p in (root / d).glob("*.json")):
+            raw = json.loads(path.read_text())
+            raw["theta"] = {"seed": seed}
+            raw["output"] = {k: v for k, v in raw.get("output", {}).items() if k != "path"}
+            config = parse_config(raw, workers=1)
+            text = RUNNERS[config.experiment](config, workers=1)
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            print(f"{digest}  {path.relative_to(root)}@{seed}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
