@@ -15,6 +15,7 @@ algebra is the full one with each string Q identified with Q X^n.
 import numpy as np
 
 from qfimlab import (
+    TOY_GENERATORS,
     PauliSum,
     dla_dimension,
     hva_tfim,
@@ -24,7 +25,6 @@ from qfimlab import (
     plus_state_density,
     qfim_of_circuit,
     rng_from_seed,
-    toy_model,
 )
 from qfimlab.circuits import hva_parity_sector_generators
 from qfimlab.linalg import X, Z
@@ -37,8 +37,7 @@ def banner(title):
 banner("Small closures")
 print(f"  {{Z}}:            dim {dla_dimension([Z])}  (abelian)")
 print(f"  {{Z/2, X/2}}:     dim {dla_dimension([Z / 2, X / 2])}  (all of su(2): universal qubit control)")
-circ, _ = toy_model()
-basis = lie_closure(circ.generators)
+basis = lie_closure(TOY_GENERATORS)
 print("  toy closure basis, expanded over Pauli strings:")
 for element in basis.elements:
     labels = PauliSum.from_matrix(element, 1e-10).labels()

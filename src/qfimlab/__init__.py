@@ -40,11 +40,11 @@ from .channels import (
     verify_cptp,
 )
 from .circuits import (
+    TOY_GENERATORS,
     TOY_THETAS,
     NoisyCircuit,
     bloch_coords,
     build_circuit,
-    derivative,
     derivative_fd,
     evolve,
     evolve_with_derivatives,

@@ -11,9 +11,10 @@ a product gate, so the slot after one merges, exactly, into the slot before it
 (:func:`_slot_schedule`), and the Ising ansatz runs ``L + 1`` slots, not
 ``2L + 1``. Other noise and gates keep all ``M + 1``, as do trajectory rows.
 
-Gates never form the ``d x d`` unitary of a structured generator.
-:func:`build_circuit` reads each generator's structure from its matrix and
-stores a gate kernel for it:
+Each gate is one kernel: declared where the structure is known (as in
+:func:`hva_tfim`), or picked by :func:`build_circuit` for a matrix generator
+(diagonal if it is exactly diagonal, dense otherwise). A structured gate
+forms no ``d x d`` unitary or generator:
 
 - :class:`DiagonalKernel` (e.g. ``sum_j Z_j Z_{j+1}``): the gate multiplies
   ``rho`` elementwise by ``phi phi^H`` with ``phi = exp(-i theta h)``;
@@ -78,14 +79,13 @@ from .linalg import (
     check_generator,
     check_hermitian,
     dag,
-    embed_single_qubit,
     herm_exp_from_eig,
     hermitian_eig,
     kron,
 )
 
-# A generator counts as structured when it matches the structured form to
-# within a few ulps of its largest entry.
+# A product term counts as commuting with X (ProductKernel.parity_symmetric)
+# when it does to within a few ulps of its largest entry.
 STRUCTURE_ULPS = 8
 
 
@@ -113,6 +113,10 @@ class DiagonalKernel:
         """``U v`` for every vector along the last axis of ``vecs``."""
         return np.exp(-1j * theta * self.h) * vecs
 
+    def apply_generator(self, vecs: np.ndarray) -> np.ndarray:
+        """``H v`` for every vector along the last axis of ``vecs``."""
+        return self.h * vecs
+
 
 class ProductKernel:
     """Gate kernel of ``H = sum_j a_j``: one 2x2 term ``a`` on every qubit.
@@ -129,18 +133,15 @@ class ProductKernel:
         self.a = a
         self._halves = (n_qubits // 2, n_qubits - n_qubits // 2)
         self._spectrum = _spectrum_power(eig.values, n_qubits)
-        # u^(x)k for the two halves
+        # W^(x)k with its spectrum, and sum_j a_j = W diag(s) W^H, for the two halves
         self._powers = {k: (_kron_power(eig.vectors, k), _spectrum_power(eig.values, k)) for k in self._halves}
+        self._sums = tuple((w * s) @ dag(w) for w, s in map(self._powers.get, self._halves))
         tol = STRUCTURE_ULPS * np.finfo(float).eps * float(np.max(np.abs(a)))
         self.parity_symmetric = float(np.max(np.abs(a @ X - X @ a))) <= tol
 
-    def _power(self, theta: float, k: int) -> np.ndarray:
-        """``u^(x)k = W e^(-i theta s) W^H`` from the cached basis and spectrum."""
-        w, s = self._powers[k]
-        return (w * np.exp(-1j * theta * s)) @ dag(w)
-
     def _factors(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(self._power(theta, k) for k in self._halves)
+        """``u^(x)k = W e^(-i theta s) W^H`` for the two halves, from the cached bases and spectra."""
+        return tuple((w * np.exp(-1j * theta * s)) @ dag(w) for w, s in map(self._powers.get, self._halves))
 
     def conjugate(self, stack: np.ndarray, theta: float, scratch: np.ndarray) -> None:
         """``stack <- U stack U†`` in place, at one scalar angle for the whole stack."""
@@ -161,6 +162,12 @@ class ProductKernel:
         a, b = self._factors(theta)
         t = vecs.reshape(-1, len(a), len(b))
         return (a @ t @ b.T).reshape(vecs.shape)
+
+    def apply_generator(self, vecs: np.ndarray) -> np.ndarray:
+        """``H v`` for every vector along the last axis of ``vecs``, by half-register sums."""
+        a, b = self._sums
+        t = vecs.reshape(-1, len(a), len(b))
+        return (a @ t + t @ b.T).reshape(vecs.shape)
 
 
 class DenseKernel:
@@ -189,6 +196,10 @@ class DenseKernel:
     def apply_vectors(self, vecs: np.ndarray, theta: float) -> np.ndarray:
         """``U v`` for every vector along the last axis of ``vecs``."""
         return vecs @ herm_exp_from_eig(self.eig, theta).T
+
+    def apply_generator(self, vecs: np.ndarray) -> np.ndarray:
+        """``H v`` for every vector along the last axis of ``vecs``."""
+        return (self.h @ vecs.T).T
 
 
 GateKernel = DiagonalKernel | ProductKernel | DenseKernel
@@ -221,36 +232,24 @@ def _kron_conjugate(stack: np.ndarray, a: np.ndarray, b: np.ndarray, scratch: np
     np.matmul(a.conj(), scratch.reshape(k * d, da, db), out=stack.reshape(k * d, da, db))
 
 
-def gate_kernel(h: np.ndarray, n_qubits: int) -> GateKernel:
-    """Pick the gate kernel for a validated Hermitian traceless generator.
-
-    Diagonal when every nonzero entry is on the diagonal; a product when
-    ``n_qubits >= 2`` and ``h`` equals ``sum_j a_j`` for the 2x2 term
-    ``a = Tr_{qubits 1..n-1}[h] / 2^(n-1)`` to within a few ulps; dense
-    otherwise.
-    """
+def gate_kernel(h: np.ndarray) -> GateKernel:
+    """The gate kernel of a validated Hermitian traceless matrix generator:
+    diagonal when every nonzero entry is on the diagonal, dense otherwise."""
     if np.count_nonzero(h) == np.count_nonzero(np.diagonal(h)):
         return DiagonalKernel(np.diagonal(h).real)
-    if n_qubits >= 2:
-        half = 2 ** (n_qubits - 1)
-        a = np.trace(h.reshape(2, half, 2, half), axis1=1, axis2=3) / half
-        gap = h - sum(embed_single_qubit(a, j, n_qubits) for j in range(n_qubits))
-        tol = STRUCTURE_ULPS * np.finfo(float).eps * float(np.max(np.abs(h)))
-        if float(np.max(np.abs(gap))) <= tol:
-            return ProductKernel(a, n_qubits)
     return DenseKernel(h, hermitian_eig(h))
 
 
 @dataclass(frozen=True, eq=False)
 class NoisyCircuit:
-    """Gate list over a generator set, with one noise channel in M+1 slots.
+    """Gate list over a set of gate kernels, with one noise channel in M+1 slots.
 
     Fields:
         n_qubits: register size.
-        generators: Hermitian traceless matrices (the gate generator set).
-        layers: generator index for each of the M gates, in application order.
-        kernels: one gate kernel per generator, chosen by
-            :func:`gate_kernel`.
+        layers: kernel index for each of the M gates, in application order
+            (``ValueError`` if one is out of range).
+        kernels: one gate kernel per generator, declared, or chosen by
+            :func:`gate_kernel` for a matrix in :func:`build_circuit`.
         noise: the :class:`~qfimlab.channels.Channel` applied before each
             gate and once after the last, or ``None`` for no noise.
         slots: the M+1 channels (or ``None``) the passes run, computed on
@@ -258,13 +257,14 @@ class NoisyCircuit:
     """
 
     n_qubits: int
-    generators: tuple[np.ndarray, ...]
     layers: tuple[int, ...]
     kernels: tuple[GateKernel, ...]
     noise: Channel | None = None
     slots: tuple[Channel | None, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if any(not 0 <= i < len(self.kernels) for i in self.layers):
+            raise ValueError(f"layer indices {self.layers} outside generator set of size {len(self.kernels)}")
         object.__setattr__(self, "slots", _slot_schedule(self.noise, self.layers, self.kernels))
 
     @property
@@ -278,7 +278,7 @@ class NoisyCircuit:
     def with_uniform_noise(self, channel: Channel | None) -> "NoisyCircuit":
         """Copy with the same channel in every one of the M+1 slots.
 
-        The copy shares the generators and gate kernels of this circuit.
+        The copy shares the gate kernels of this circuit.
         """
         if channel is not None and channel.n_qubits != self.n_qubits:
             raise DimensionMismatchError(
@@ -327,20 +327,16 @@ def _slot_schedule(noise: Channel | None, layers, kernels) -> tuple[Channel | No
 
 
 def build_circuit(n_qubits, generators, layers) -> NoisyCircuit:
-    """Validate and assemble a noiseless :class:`NoisyCircuit`.
+    """Validate matrix generators and assemble a noiseless :class:`NoisyCircuit`.
 
-    Generators must pass :func:`~qfimlab.linalg.check_generator`. Add noise
-    with :meth:`NoisyCircuit.with_uniform_noise`.
+    Generators must pass :func:`~qfimlab.linalg.check_generator`; each gets
+    the kernel :func:`gate_kernel` picks. Add noise with
+    :meth:`NoisyCircuit.with_uniform_noise`.
     """
-    d = 2**n_qubits
-    gens = tuple(np.asarray(g, dtype=complex) for g in generators)
+    gens = [np.asarray(g, dtype=complex) for g in generators]
     for k, g in enumerate(gens):
-        check_generator(g, d, f"generator {k}")
-    layers = tuple(int(i) for i in layers)
-    if any(not 0 <= i < len(gens) for i in layers):
-        raise ValueError(f"layer indices {layers} outside generator set of size {len(gens)}")
-    kernels = tuple(gate_kernel(g, n_qubits) for g in gens)
-    return NoisyCircuit(n_qubits, gens, layers, kernels)
+        check_generator(g, 2**n_qubits, f"generator {k}")
+    return NoisyCircuit(n_qubits, tuple(int(i) for i in layers), tuple(gate_kernel(g) for g in gens))
 
 
 def _check_args(
@@ -377,14 +373,6 @@ def evolve(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> np.ndar
         if m < circuit.n_params:
             circuit.kernels[circuit.layers[m]].conjugate(stack, angles[m], scratch)
     return stack if theta.ndim == 2 else stack[0]
-
-
-def derivative(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray, i: int) -> np.ndarray:
-    """Exact ``d(output state)/d(theta_i)``: row ``i`` of :func:`evolve_with_derivatives`,
-    copied so that it does not keep the other M rows alive."""
-    if not 0 <= i < circuit.n_params:
-        raise IndexError(f"parameter index {i} out of range for M={circuit.n_params}")
-    return evolve_with_derivatives(circuit, theta, rho)[1][i].copy()
 
 
 def evolve_with_derivatives(
@@ -829,16 +817,17 @@ def toy_model() -> tuple[NoisyCircuit, np.ndarray]:
     """Single-qubit four-rotation circuit and its full-rank input state.
 
     Gates in application order are exp(-i th Z/2), exp(-i th X/2),
-    exp(-i th Z/2), exp(-i th X/2); the input is 0.9 |+><+| + 0.1 I/2.
-    The circuit is noiseless.
+    exp(-i th Z/2), exp(-i th X/2), from :data:`TOY_GENERATORS`; the input
+    is 0.9 |+><+| + 0.1 I/2. The circuit is noiseless.
     """
-    circuit = build_circuit(1, [Z / 2, X / 2], [0, 1, 0, 1])
+    circuit = build_circuit(1, TOY_GENERATORS, [0, 1, 0, 1])
     plus = np.outer(KET_PLUS, KET_PLUS.conj())
     rho = 0.9 * plus + 0.1 * np.eye(2) / 2
     return circuit, rho
 
 
-# The three parameter points used throughout the single-qubit analysis.
+# The toy model's generators and the three parameter points of its analysis.
+TOY_GENERATORS = (Z / 2, X / 2)
 TOY_THETAS = {
     "theta1": np.array([0.0, 0.0, 0.0, 0.0]),
     "theta2": np.array([np.pi / 2, 0.0, 0.0, 0.0]),
@@ -865,17 +854,17 @@ def hva_tfim_pauli_generators(n_qubits: int) -> tuple[PauliSum, PauliSum]:
 
 
 def hva_tfim_generators(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`hva_tfim_pauli_generators` as dense ``2^n x 2^n`` matrices."""
-    h0, h1 = hva_tfim_pauli_generators(n_qubits)
-    return h0.materialize(), h1.materialize()
+    """:func:`hva_tfim_pauli_generators` as dense ``2^n x 2^n`` matrices (test oracles)."""
+    return tuple(g.materialize() for g in hva_tfim_pauli_generators(n_qubits))
 
 
 def hva_tfim(n_qubits: int, n_layers: int) -> NoisyCircuit:
-    """Alternating-operator ansatz: L repetitions of (H0 gate, H1 gate), M = 2L."""
+    """Alternating-operator ansatz: L repetitions of (H0 gate, H1 gate), M = 2L; the
+    kernels are declared: ``H0``'s diagonal from its Pauli sum, ``H1`` the product of ``X``."""
     if n_layers < 1:
         raise ValueError("need at least one layer")
-    h0, h1 = hva_tfim_generators(n_qubits)
-    return build_circuit(n_qubits, [h0, h1], [0, 1] * n_layers)
+    h0 = hva_tfim_pauli_generators(n_qubits)[0].diagonal().real
+    return NoisyCircuit(n_qubits, (0, 1) * n_layers, (DiagonalKernel(h0), ProductKernel(X, n_qubits)))
 
 
 def plus_state_vector(n_qubits: int) -> np.ndarray:
@@ -925,7 +914,7 @@ def statevector_derivatives(
 
     ``d|psi>/d theta_i`` inserts ``-i H_i`` after gate ``i`` and applies the
     remaining gates; as in :func:`evolve_with_derivatives`, the state and the
-    pending derivatives travel forward as one stack.
+    pending derivatives travel forward as one stack, through the gate kernels.
     """
     if circuit.noise is not None:
         raise ValueError("statevector evolution requires a noiseless circuit")
@@ -933,6 +922,7 @@ def statevector_derivatives(
     rows = np.empty((circuit.n_params + 1, circuit.dim), dtype=complex)
     rows[0] = psi
     for m in range(circuit.n_params):
-        rows[: m + 1] = circuit.kernels[circuit.layers[m]].apply_vectors(rows[: m + 1], theta[m])
-        rows[m + 1] = -1j * (circuit.generators[circuit.layers[m]] @ rows[0])
+        kernel = circuit.kernels[circuit.layers[m]]
+        rows[: m + 1] = kernel.apply_vectors(rows[: m + 1], theta[m])
+        rows[m + 1] = -1j * kernel.apply_generator(rows[0])
     return rows[0], list(rows[1:])

@@ -81,13 +81,28 @@ class PauliSum:
         ``X^a Z^b`` is a signed permutation: column ``k`` holds ``(-1)^(b.k)``
         in row ``k ^ a``.
         """
-        n = self.n_qubits
-        k = np.arange(2**n)
-        signs = 1.0 - 2.0 * ((_int_bits(k, n).astype(float) @ self.bits[:, n:].T) % 2)
-        rows = k[:, None] ^ (self.bits[:, :n].astype(np.int64) @ (1 << np.arange(n - 1, -1, -1)))
-        out = np.zeros((2**n, 2**n), dtype=complex)
-        np.add.at(out, (rows, k[:, None]), signs * self.coeffs)
+        x, z = self._masks()
+        k = np.arange(2**self.n_qubits)[:, None]
+        out = np.zeros((len(k), len(k)), dtype=complex)
+        np.add.at(out, (k ^ x, k), _signs(k, z) * self.coeffs)
         return out
+
+    def diagonal(self) -> np.ndarray:
+        """``np.diagonal(self.materialize())`` of a sum of Z strings, bit for bit (the terms
+        add in the same order); ``ValueError`` if a term has an X part."""
+        x, z = self._masks()
+        if x.any():
+            raise ValueError("only a sum of Z strings has a diagonal form")
+        k = np.arange(2**self.n_qubits)
+        out = np.zeros(len(k), dtype=complex)
+        for mask, coeff in zip(z, self.coeffs):
+            out += _signs(k, mask) * coeff
+        return out
+
+    def _masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The X and Z parts of each term as integers, qubit 0 the most significant bit."""
+        n = self.n_qubits
+        return tuple((self.bits.astype(np.int64).reshape(-1, 2, n) @ (1 << np.arange(n - 1, -1, -1))).T)
 
     def labels(self) -> dict[str, complex]:
         """Coefficients over Hermitian Pauli strings such as ``"XIZ"``, sorted by label.
@@ -104,6 +119,11 @@ class PauliSum:
 def _int_bits(values: np.ndarray, n: int) -> np.ndarray:
     """Rows of the n bits of each integer, most significant (qubit 0) first."""
     return ((values[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+def _signs(k: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``(-1)^(b.k)``, the sign that ``Z^b`` gives basis state ``k``, for ``b`` packed in ``z``."""
+    return 1.0 - 2.0 * (np.bitwise_count(k & z) & 1)
 
 
 def _merged(bits: np.ndarray, coeffs: np.ndarray) -> PauliSum:

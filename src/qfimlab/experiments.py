@@ -34,6 +34,7 @@ from .channels import (
     bit_flip,
 )
 from .circuits import (
+    TOY_GENERATORS,
     TOY_THETAS,
     NoisyCircuit,
     bloch_coords,
@@ -327,21 +328,20 @@ def _check_memory(what: str, need: int) -> None:
 def _estimated_bytes(circuit: dict, noise: dict, sweep: dict, workers: int) -> int:
     """Bytes a spectrum or scaling run of the Ising ansatz holds at once.
 
-    The two dense generators, ``2 * 16 d^2``, once, plus the largest point at
-    the deepest circuit (``M = 2L``) once per point that runs at the same
-    time, ``min(workers, points)``: a local-depolarizing point with ``p > 0``
-    runs the parity-folded pass, whose two buffers take at most
-    ``2 (M + 1) 16 d^2 / 2`` and then hold the QFIM's sector blocks, the
-    bound for a circuit with no rotation symmetry (less when the pass keeps
-    one entry per rotation orbit); every other point keeps ``(M + 1)``
-    state vectors, ``(M + 1) 16 d``.
+    The largest point at the deepest circuit (``M = 2L``) once per point
+    that runs at the same time, ``min(workers, points)``: a
+    local-depolarizing point with ``p > 0`` runs the parity-folded pass,
+    whose two buffers take at most ``2 (M + 1) 16 d^2 / 2`` and then hold
+    the QFIM's sector blocks, the bound for a circuit with no rotation
+    symmetry (less when the pass keeps one entry per rotation orbit); every
+    other point keeps ``(M + 1)`` state vectors, ``(M + 1) 16 d``.
     """
     d = 2 ** circuit["n"]
     m = 2 * max([circuit["L"], *sweep["L"]])
     points = sweep["p"] + [noise["p"]] * len(sweep["L"])  # the L sweep runs at noise.p
     folded = noise["model"] == "local_depolarizing" and any(p > 0.0 for p in points)
     held = min(workers, len(points))
-    return 2 * 16 * d * d + held * (m + 1) * 16 * d * (d if folded else 1)
+    return held * (m + 1) * 16 * d * (d if folded else 1)
 
 
 def _parse_noise(noise: dict, where: str, n_qubits: int | None) -> dict:
@@ -644,7 +644,7 @@ def run_scaling(config: ExperimentConfig, workers: int | None = None) -> str:
     tau_abs, tau_rel = config.rank_tolerances
     tasks = [("L", idx, level, config.noise["p"]) for idx, level in enumerate(config.sweep["L"])]
     tasks += [("p", idx, config.circuit["L"], p) for idx, p in enumerate(config.sweep["p"])]
-    # every depth repeats the one-layer circuit, so all share its generators and kernels
+    # every depth repeats the one-layer circuit, so all share its kernels
     base = hva_tfim(n, 1)
     circuits = {level: replace(base, layers=base.layers * level) for level in {t[2] for t in tasks}}
     psi = plus_state_vector(n)
@@ -695,8 +695,7 @@ def run_dla(config: ExperimentConfig, workers: int | None = None) -> str:
     """
     max_dim = config.options["max_dim"]
     if config.circuit["name"] == "toy":
-        circuit, _ = toy_model()
-        full = lie_closure([PauliSum.from_matrix(g) for g in circuit.generators], max_dim=max_dim)
+        full = lie_closure([PauliSum.from_matrix(g) for g in TOY_GENERATORS], max_dim=max_dim)
         payload = {
             "circuit": "toy",
             "dim": full.dim,

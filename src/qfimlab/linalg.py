@@ -188,12 +188,3 @@ def purity(rho: np.ndarray) -> float | np.ndarray:
     f = rho.reshape(-1, rho.shape[-1] ** 2)
     out = (f.conj()[:, None, :] @ f[:, :, None])[:, 0, 0].real
     return float(out[0]) if rho.ndim == 2 else out
-
-
-def embed_single_qubit(op2: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Place a single-qubit operator on ``qubit`` of an ``n``-qubit register."""
-    if not 0 <= qubit < n:
-        raise IndexError(f"qubit {qubit} out of range for {n} qubits")
-    ops = [I2] * n
-    ops[qubit] = op2
-    return kron(*ops)

@@ -30,6 +30,7 @@ from qfimlab.channels import (
     superoperator,
 )
 from qfimlab.circuits import (
+    TOY_GENERATORS,
     TOY_THETAS,
     build_circuit,
     evolve_with_derivatives,
@@ -81,8 +82,7 @@ def test_criterion_01_toy_rank_table():
 
 def test_criterion_02_dla_dimensions():
     start = time.monotonic()
-    circ, _ = toy_model()
-    toy_dim = dla_dimension(circ.generators)
+    toy_dim = dla_dimension(TOY_GENERATORS)
     sector_dims = {n: dla_dimension(hva_parity_sector_generators(n)) for n in (2, 4, 6)}
     elapsed = time.monotonic() - start
     ok = toy_dim == 3 and sector_dims == {2: 3, 4: 6, 6: 9} and elapsed < 30.0

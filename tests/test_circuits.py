@@ -1,14 +1,20 @@
 """Circuit evolution, analytic derivatives, built-in models, linear loss."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qfimlab.channels import GlobalDepolarizing, LocalDepolarizing, bit_flip, identity_channel
 from qfimlab.circuits import (
+    TOY_GENERATORS,
     TOY_THETAS,
+    DenseKernel,
+    DiagonalKernel,
+    NoisyCircuit,
     bloch_coords,
     build_circuit,
-    derivative,
     derivative_fd,
     evolve,
     evolve_with_derivatives,
@@ -21,7 +27,7 @@ from qfimlab.circuits import (
     toy_model,
 )
 from qfimlab.exceptions import DimensionMismatchError
-from qfimlab.linalg import KET_PLUS, X, Y, Z, check_density_matrix, kron
+from qfimlab.linalg import KET_PLUS, X, Y, Z, check_density_matrix, dag, herm_exp, kron
 from qfimlab.rand import random_density_matrix, random_hermitian
 
 
@@ -43,6 +49,16 @@ class TestBuildCircuit:
     def test_validates_noise_qubit_count(self):
         with pytest.raises(DimensionMismatchError):
             build_circuit(1, [Z], [0]).with_uniform_noise(bit_flip(0.1, 2))
+
+    def test_validates_layer_indices_on_every_construction(self):
+        circ = hva_tfim(3, 1)
+        for layers in ((0, 2), (-1,)):
+            with pytest.raises(ValueError, match="layer indices"):
+                NoisyCircuit(3, layers, circ.kernels)
+            with pytest.raises(ValueError, match="layer indices"):
+                replace(circ, layers=layers)
+        with pytest.raises(ValueError, match="layer indices"):
+            build_circuit(1, [Z], [1])
 
 
 class TestEvolve:
@@ -92,14 +108,14 @@ class TestDerivative:
     def test_x_generator_vanishes_on_x_axis_state(self):
         # at theta1 the state reaching every X gate is an R_x fixed point
         circ, rho = toy_model()
-        d = derivative(circ, TOY_THETAS["theta1"], rho, 1)
+        d = evolve_with_derivatives(circ, TOY_THETAS["theta1"], rho)[1][1]
         np.testing.assert_allclose(d, np.zeros((2, 2)), atol=1e-14)
 
     def test_single_z_rotation_on_plus(self):
         # -i[Z/2, |+><+|] has off-diagonal entries -i/2, +i/2
         circ = build_circuit(1, [Z / 2], [0])
         plus = np.outer(KET_PLUS, KET_PLUS.conj())
-        d = derivative(circ, np.zeros(1), plus, 0)
+        d = evolve_with_derivatives(circ, np.zeros(1), plus)[1][0]
         expected = np.array([[0, -0.5j], [0.5j, 0]])
         np.testing.assert_allclose(d, expected, atol=1e-14)
 
@@ -107,7 +123,7 @@ class TestDerivative:
         # Z rotation of a Z-diagonal state
         circ = build_circuit(1, [Z / 2], [0])
         rho = np.diag([0.8, 0.2]).astype(complex)
-        np.testing.assert_allclose(derivative(circ, np.array([0.3]), rho, 0), 0, atol=1e-14)
+        np.testing.assert_allclose(evolve_with_derivatives(circ, np.array([0.3]), rho)[1][0], 0, atol=1e-14)
 
     def test_matches_central_difference(self, rng):
         worst = 0.0
@@ -116,7 +132,7 @@ class TestDerivative:
             rho = random_density_matrix(circ.dim, rng)
             theta = rng.uniform(0, 2 * np.pi, circ.n_params)
             i = int(rng.integers(0, circ.n_params))
-            d = derivative(circ, theta, rho, i)
+            d = evolve_with_derivatives(circ, theta, rho)[1][i]
             fd = derivative_fd(circ, theta, rho, i, 1e-5)
             worst = max(worst, float(np.max(np.abs(d - fd))))
         assert worst <= 1e-6
@@ -134,7 +150,7 @@ class TestDerivative:
         circ, rho = toy_model()
         noisy = circ.with_uniform_noise(bit_flip(0.1))
         theta = rng.uniform(0, 2 * np.pi, 4)
-        d = derivative(noisy, theta, rho, 2)
+        d = evolve_with_derivatives(noisy, theta, rho)[1][2]
         err = {
             h: float(np.max(np.abs(derivative_fd(noisy, theta, rho, 2, h) - d)))
             for h in (1e-3, 1e-4)
@@ -148,11 +164,6 @@ class TestDerivative:
         fd = derivative_fd(noisy, TOY_THETAS["theta1"], rho, 1, 1e-5)
         assert np.max(np.abs(fd)) <= 1e-11
 
-    def test_index_out_of_range(self):
-        circ, rho = toy_model()
-        with pytest.raises(IndexError):
-            derivative(circ, TOY_THETAS["theta1"], rho, 4)
-
 
 class TestToyModel:
     def test_input_spectrum(self):
@@ -163,8 +174,9 @@ class TestToyModel:
         circ, _ = toy_model()
         assert circ.n_params == 4
         assert circ.layers == (0, 1, 0, 1)
-        np.testing.assert_array_equal(circ.generators[0], Z / 2)
-        np.testing.assert_array_equal(circ.generators[1], X / 2)
+        np.testing.assert_array_equal(TOY_GENERATORS[0], Z / 2)
+        np.testing.assert_array_equal(TOY_GENERATORS[1], X / 2)
+        assert [type(k) for k in circ.kernels] == [DiagonalKernel, DenseKernel]
 
 
 class TestHvaTfim:
@@ -182,6 +194,34 @@ class TestHvaTfim:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             hva_tfim(1, 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_declared_diagonal_equals_the_dense_generator_bit_for_bit(self, n):
+        # n = 2 covers the doubled bond
+        h = hva_tfim(n, 2).kernels[0].h
+        want = np.diagonal(hva_tfim_generators(n)[0]).real
+        assert h.dtype == want.dtype and h.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_declared_product_matches_the_dense_exponential(self, rng, n):
+        kernel, h1 = hva_tfim(n, 1).kernels[1], hva_tfim_generators(n)[1]
+        stack = random_density_matrix(2**n, rng)[None]
+        for theta in (0.0, 0.61, -2.3):
+            u = herm_exp(h1, theta)
+            got = stack.copy()
+            kernel.conjugate(got, theta, np.empty_like(got))
+            assert np.max(np.abs(got[0] - u @ stack[0] @ dag(u))) <= 1e-12
+
+    def test_build_forms_no_dense_generator(self):
+        # 16 d^2 / 8 = 2 MiB at n = 10, an eighth of one dense generator
+        hva_tfim(10, 20)
+        tracemalloc.start()
+        try:
+            hva_tfim(10, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 4**10 / 8
 
     def test_sector_generators_herm_traceless(self):
         g0, g1 = hva_parity_sector_generators(4)
@@ -291,7 +331,7 @@ class TestStatevectorPath:
         theta = rng.uniform(0, 2 * np.pi, 2)
         psi, dpsi = statevector_derivatives(circ, theta, KET_PLUS)
         for i in range(2):
-            d_rho = derivative(circ, theta, np.outer(KET_PLUS, KET_PLUS.conj()), i)
+            d_rho = evolve_with_derivatives(circ, theta, np.outer(KET_PLUS, KET_PLUS.conj()))[1][i]
             from_vec = np.outer(dpsi[i], psi.conj()) + np.outer(psi, dpsi[i].conj())
             np.testing.assert_allclose(from_vec, d_rho, atol=1e-12)
 

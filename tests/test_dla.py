@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qfimlab.circuits import hva_parity_sector_generators, hva_tfim_generators, toy_model
+from qfimlab.circuits import TOY_GENERATORS, hva_parity_sector_generators, hva_tfim_generators
 from qfimlab.dla import PauliSum, dla_dimension, lie_closure
 from qfimlab.exceptions import CapExceededError
 from qfimlab.linalg import X, Y, Z, commutator, frobenius_inner
@@ -15,8 +15,7 @@ class TestLieClosure:
         assert dla_dimension([Z]) == 1
 
     def test_toy_generators_span_su2(self):
-        circ, _ = toy_model()
-        assert dla_dimension(circ.generators) == 3
+        assert dla_dimension(TOY_GENERATORS) == 3
 
     def test_full_paulis(self):
         assert dla_dimension([X, Z]) == 3

@@ -654,8 +654,8 @@ def test_malformed_input_rejected_at_parse_time(raw, field, tmp_path):
 def test_memory_check_counts_points_that_run_at_once(monkeypatch, tmp_path, capsys):
     from qfimlab.cli import main
 
-    # 64 MiB: the n=8, L=10 folded point (21 * 16 d^2 = 21 MiB) fits once with the
-    # generators (2 MiB), but not four times
+    # 64 MiB: the n=8, L=10 folded point (21 * 16 d^2 = 21 MiB) fits twice, but not
+    # four times
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**14}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     raw = {"experiment": "spectrum", "circuit": {"name": "hva_tfim", "n": 8, "L": 10},
@@ -671,6 +671,16 @@ def test_memory_check_counts_points_that_run_at_once(monkeypatch, tmp_path, caps
     cfg_path.write_text(json.dumps(raw))
     assert main(["spectrum", "--config", str(cfg_path), "--workers", "4"]) == 1
     assert "memory" in capsys.readouterr().err
+
+
+def test_noiseless_spectrum_at_n14_fits_in_eight_gib(monkeypatch):
+    # the vector route holds (M + 1) state vectors, 5.4 MiB here; no d x d
+    # generator (4 GiB each at n=14) is formed
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": int(7.8 * 2**30) // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    raw = {"experiment": "spectrum", "circuit": {"name": "hva_tfim", "n": 14, "L": 10},
+           "noise": {"model": "local_depolarizing", "p": 0.0}, "sweep": {"p": [0]}}
+    assert parse_config(raw).circuit["n"] == 14
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

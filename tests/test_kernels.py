@@ -23,6 +23,7 @@ from qfimlab.channels import (
 from qfimlab.circuits import (
     DenseKernel,
     DiagonalKernel,
+    NoisyCircuit,
     ProductKernel,
     _rotation_step,
     _Sectors,
@@ -31,6 +32,7 @@ from qfimlab.circuits import (
     build_circuit,
     evolve,
     evolve_with_derivatives,
+    gate_kernel,
     hva_tfim,
     hva_tfim_generators,
     parity_folded_pass,
@@ -44,9 +46,9 @@ from qfimlab.linalg import (
     X,
     Z,
     dag,
-    embed_single_qubit,
     herm_exp,
     insert_qubit,
+    kron,
     partial_trace,
     purity,
 )
@@ -62,6 +64,11 @@ def random_stack(k, d, rng):
     return rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
 
 
+def embed_single_qubit(a, qubit, n):
+    """``a`` on ``qubit`` of an ``n``-qubit register, the identity elsewhere."""
+    return kron(*(a if q == qubit else I2 for q in range(n)))
+
+
 def uniform_sum(a, n):
     return sum(embed_single_qubit(a, j, n) for j in range(n))
 
@@ -70,22 +77,35 @@ def kernel_of(h, n):
     return build_circuit(n, [h], [0]).kernels[0]
 
 
+def picked(h):
+    """A traceless copy of ``h`` and the kernel ``build_circuit`` picks for it."""
+    h = h - np.trace(h) / len(h) * np.eye(len(h))
+    return h, kernel_of(h, int(np.log2(len(h))))
+
+
+def declared(a, n):
+    """``sum_j a_j`` on ``n`` qubits and its declared product kernel."""
+    return uniform_sum(a, n), ProductKernel(a, n)
+
+
+def random_vectors(k, d, rng):
+    return rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
+
+
 class TestGateKernels:
     @pytest.mark.parametrize(
         "make, kind",
         [
-            (lambda rng: hva_tfim_generators(3)[0], DiagonalKernel),
-            (lambda rng: np.diag(rng.normal(size=8)).astype(complex), DiagonalKernel),
-            (lambda rng: hva_tfim_generators(3)[1], ProductKernel),
-            (lambda rng: uniform_sum(random_hermitian(2, rng, traceless=True), 3), ProductKernel),
-            (lambda rng: random_hermitian(8, rng, traceless=True), DenseKernel),
-            (lambda rng: embed_single_qubit(X, 0, 3) + embed_single_qubit(Z, 2, 3), DenseKernel),
+            (lambda rng: picked(hva_tfim_generators(3)[0]), DiagonalKernel),
+            (lambda rng: picked(np.diag(rng.normal(size=8)).astype(complex)), DiagonalKernel),
+            (lambda rng: declared(X, 3), ProductKernel),
+            (lambda rng: declared(random_hermitian(2, rng, traceless=True), 3), ProductKernel),
+            (lambda rng: picked(random_hermitian(8, rng, traceless=True)), DenseKernel),
+            (lambda rng: picked(embed_single_qubit(X, 0, 3) + embed_single_qubit(Z, 2, 3)), DenseKernel),
         ],
     )
     def test_kernel_matches_dense_conjugation(self, rng, make, kind):
-        h = make(rng)
-        h = h - np.trace(h) / 8 * np.eye(8)
-        kernel = kernel_of(h, 3)
+        h, kernel = make(rng)
         assert isinstance(kernel, kind)
         stack = random_stack(3, 8, rng)
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -115,15 +135,31 @@ class TestGateKernels:
     def test_single_qubit_x_is_dense_and_tfim_is_structured(self):
         assert isinstance(kernel_of(X / 2, 1), DenseKernel)
         assert isinstance(kernel_of(Z / 2, 1), DiagonalKernel)
+        # a matrix is never read as a product; the Ising ansatz declares one
+        assert isinstance(kernel_of(uniform_sum(X, 4), 4), DenseKernel)
         kinds = [type(k) for k in hva_tfim(4, 1).kernels]
         assert kinds == [DiagonalKernel, ProductKernel]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_apply_generator_matches_the_dense_product(self, rng, n):
+        d = 2**n
+        vecs, one = random_vectors(5, d, rng), random_vectors(1, d, rng)[0]
+        # the Ising diagonal has zeros at even n
+        diags = [np.diag(rng.normal(size=d)).astype(complex)] + ([hva_tfim_generators(n)[0]] if n >= 2 else [])
+        for h in (*diags, random_hermitian(d, rng, traceless=True)):
+            kernel = gate_kernel(h)
+            np.testing.assert_array_equal(kernel.apply_generator(one), h @ one)
+            np.testing.assert_array_equal(kernel.apply_generator(vecs), (h @ vecs.T).T)
+        for a in (X, random_hermitian(2, rng, traceless=True)):
+            h, kernel = declared(a, n)
+            for v in (one, vecs):
+                want = (h @ v.T).T
+                assert np.max(np.abs(kernel.apply_generator(v) - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_odd_register_product_split(self, rng):
         a = random_hermitian(2, rng, traceless=True)
         for n in (2, 3, 5):
-            h = uniform_sum(a, n)
-            kernel = kernel_of(h, n)
-            assert isinstance(kernel, ProductKernel)
+            h, kernel = declared(a, n)
             rho = random_matrix(2**n, rng)
             u = herm_exp(h, 1.3)
             got = rho[None].copy()
@@ -133,7 +169,7 @@ class TestGateKernels:
     def test_gate_step_matches_dense_and_keeps_input(self, rng):
         h0, h1 = hva_tfim_generators(3)
         gens = [h0, h1, random_hermitian(8, rng, traceless=True)]
-        circ = build_circuit(3, gens, [0, 1, 2])
+        circ = NoisyCircuit(3, (0, 1, 2), (*hva_tfim(3, 1).kernels, gate_kernel(gens[2])))
         rho = random_density_matrix(8, rng)
         before = rho.copy()
         for m, h in enumerate(gens):
@@ -283,7 +319,7 @@ def turned(mat, t, n):
 def ring_with_one_bond(n, weight):
     zz = [embed_single_qubit(Z, j, n) @ embed_single_qubit(Z, (j + 1) % n, n) for j in range(n)]
     zz[0] = weight * zz[0]
-    return build_circuit(n, [sum(zz), uniform_sum(X, n)], [0, 1] * 3)
+    return NoisyCircuit(n, (0, 1) * 3, (gate_kernel(sum(zz)), ProductKernel(X, n)))
 
 
 class TestParityFold:
@@ -322,10 +358,8 @@ class TestParityFold:
         # all-to-all ZZ (zero at n = 1) and a scaled field, on a random P-symmetric input
         d, h = 2**n, 2 ** (n - 1)
         zz = [embed_single_qubit(Z, i, n) @ embed_single_qubit(Z, j, n) for i in range(n) for j in range(i)]
-        gens = [sum(zz, np.zeros((d, d)))]
-        if n >= 2:
-            gens.append(0.37 * sum(embed_single_qubit(X, j, n) for j in range(n)))
-        circ = build_circuit(n, gens, [0, 1, 1, 0, 1, 0] if n >= 2 else [0, 0])
+        kernels = (gate_kernel(sum(zz, np.zeros((d, d), dtype=complex))), ProductKernel(0.37 * X, n))
+        circ = NoisyCircuit(n, (0, 1, 1, 0, 1, 0) if n >= 2 else (0, 0), kernels)
         sigma = random_density_matrix(d, rng)
         rho = (sigma + sigma[::-1, ::-1]) / 2
         probs = rng.uniform(0.0, 0.3, n)
@@ -415,7 +449,7 @@ class TestParityFold:
         # all-to-all ZZ and a scaled field; integer entries keep the average exactly invariant
         d = 2**n
         zz = [embed_single_qubit(Z, i, n) @ embed_single_qubit(Z, j, n) for i in range(n) for j in range(i)]
-        circ = build_circuit(n, [sum(zz), 0.37 * uniform_sum(X, n)], [0, 1, 1, 0, 1, 0])
+        circ = NoisyCircuit(n, (0, 1, 1, 0, 1, 0), (gate_kernel(sum(zz)), ProductKernel(0.37 * X, n)))
         a = rng.integers(-3, 4, (d, d)) + 1j * rng.integers(-3, 4, (d, d))
         sigma = a @ a.conj().T
         sigma = sigma + sigma[::-1, ::-1]
@@ -586,8 +620,7 @@ class TestSlotSchedule:
 
     def test_a_merged_slot_takes_no_second_merge(self, rng):
         n, p = 3, 0.2
-        h0, h1 = hva_tfim_generators(n)
-        base = build_circuit(n, [h0, h1], [1, 1, 0, 1])
+        base = replace(hva_tfim(n, 1), layers=(1, 1, 0, 1))
         circ = base.with_uniform_noise(LocalDepolarizing.uniform(n, p))
         merged = circ.slots[0]
         assert circ.slots == (merged, None, circ.noise, merged, None)

@@ -56,6 +56,15 @@ class TestPauliSum:
         )
         assert np.max(np.abs(s.materialize() - want)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_diagonal_of_a_z_sum_equals_the_materialized_diagonal_bit_for_bit(self, n, rng):
+        z_only = _random_sum(n, 7, rng)
+        z_only = PauliSum(z_only.bits * np.repeat([0, 1], n).astype(np.uint8), z_only.coeffs)
+        got, want = z_only.diagonal(), np.diagonal(z_only.materialize())
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="Z strings"):
+            PauliSum.from_terms([(1.0, PauliString.single(n, n - 1, "Y"))]).diagonal()
+
 
 class TestPauliClosure:
     @pytest.mark.parametrize("n", range(2, 8))
