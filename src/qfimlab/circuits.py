@@ -24,10 +24,15 @@ forms no ``d x d`` unitary or generator:
 - :class:`DenseKernel` (anything else): ``U`` is rebuilt from the
   generator's eigendecomposition and applied by two dense products.
 
-Batch axis: :func:`evolve` takes a ``(K, M)`` theta and
-:meth:`NoisyCircuit.gate_step` a ``(k,)`` array of angles, one stack row per
-angle row, each equal bit for bit to its single-state call. A
-:class:`ProductKernel` gate takes one scalar angle only (``ValueError`` else).
+Batch axis: :func:`evolve` and :func:`statevector_derivatives` take a
+``(K, M)`` theta, :meth:`NoisyCircuit.gate_step` a ``(k,)`` array of angles,
+and each kernel's ``apply_vectors`` one angle per batch row of a
+``(K, r, d)`` stack of state vectors; every row equals its single call bit
+for bit. The statevector pass always runs a batch, an ``(M,)`` theta being a
+batch of one; it builds the K half-register factor pairs of a product gate
+in one call, and a dense gate's K unitaries, ``16 K d^2`` bytes. On density
+matrices a :class:`ProductKernel` gate takes one scalar angle only
+(``ValueError`` else).
 
 Derivatives of the output state are computed analytically in forward mode.
 Differentiating gate ``i`` inserts the commutator ``-i [H_i, .]`` right after
@@ -109,9 +114,11 @@ class DiagonalKernel:
         """``out <- -i [H, rho]``, i.e. ``-i (h_k - h_l) rho_kl``."""
         np.multiply(rho, -1j * np.subtract.outer(self.h, self.h), out=out)
 
-    def apply_vectors(self, vecs: np.ndarray, theta: float) -> np.ndarray:
-        """``U v`` for every vector along the last axis of ``vecs``."""
-        return np.exp(-1j * theta * self.h) * vecs
+    def apply_vectors(self, vecs: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
+        """``U v`` for every vector along the last axis of ``vecs``; a ``(K,)``
+        ``theta`` gives batch row ``k`` of a ``(K, r, d)`` ``vecs`` its own angle."""
+        phase = np.exp(np.multiply.outer(-1j * theta, self.h))
+        return phase[..., None, :] * vecs if np.ndim(theta) else phase * vecs
 
     def apply_generator(self, vecs: np.ndarray) -> np.ndarray:
         """``H v`` for every vector along the last axis of ``vecs``."""
@@ -139,9 +146,13 @@ class ProductKernel:
         tol = STRUCTURE_ULPS * np.finfo(float).eps * float(np.max(np.abs(a)))
         self.parity_symmetric = float(np.max(np.abs(a @ X - X @ a))) <= tol
 
-    def _factors(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        """``u^(x)k = W e^(-i theta s) W^H`` for the two halves, from the cached bases and spectra."""
-        return tuple((w * np.exp(-1j * theta * s)) @ dag(w) for w, s in map(self._powers.get, self._halves))
+    def _factors(self, theta: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``u^(x)k = W e^(-i theta s) W^H`` for the two halves, from the cached bases and
+        spectra; a ``(K,)`` ``theta`` gives ``(K, dim, dim)`` factors."""
+        return tuple(
+            (w * np.exp(np.multiply.outer(-1j * theta, s))[..., None, :]) @ dag(w)
+            for w, s in map(self._powers.get, self._halves)
+        )
 
     def conjugate(self, stack: np.ndarray, theta: float, scratch: np.ndarray) -> None:
         """``stack <- U stack U†`` in place, at one scalar angle for the whole stack."""
@@ -157,11 +168,12 @@ class ProductKernel:
         out *= -1j * np.subtract.outer(self._spectrum, self._spectrum)
         _kron_conjugate(out[None], w_a, w_b, scratch[None])
 
-    def apply_vectors(self, vecs: np.ndarray, theta: float) -> np.ndarray:
-        """``U v`` for every vector along the last axis of ``vecs``."""
-        a, b = self._factors(theta)
-        t = vecs.reshape(-1, len(a), len(b))
-        return (a @ t @ b.T).reshape(vecs.shape)
+    def apply_vectors(self, vecs: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
+        """``U v`` for every vector along the last axis of ``vecs``; a ``(K,)``
+        ``theta`` gives batch row ``k`` of a ``(K, r, d)`` ``vecs`` its own angle."""
+        a, b = (f[..., None, :, :] for f in self._factors(theta))
+        t = vecs.reshape(np.shape(theta) + (-1, a.shape[-1], b.shape[-1]))
+        return (a @ t @ b.swapaxes(-1, -2)).reshape(vecs.shape)
 
     def apply_generator(self, vecs: np.ndarray) -> np.ndarray:
         """``H v`` for every vector along the last axis of ``vecs``, by half-register sums."""
@@ -193,13 +205,15 @@ class DenseKernel:
         out -= scratch
         out *= -1j
 
-    def apply_vectors(self, vecs: np.ndarray, theta: float) -> np.ndarray:
-        """``U v`` for every vector along the last axis of ``vecs``."""
-        return vecs @ herm_exp_from_eig(self.eig, theta).T
+    def apply_vectors(self, vecs: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
+        """``U v`` for every vector along the last axis of ``vecs``; a ``(K,)``
+        ``theta`` gives batch row ``k`` of a ``(K, r, d)`` ``vecs`` its own angle."""
+        return vecs @ herm_exp_from_eig(self.eig, theta).swapaxes(-1, -2)
 
     def apply_generator(self, vecs: np.ndarray) -> np.ndarray:
-        """``H v`` for every vector along the last axis of ``vecs``."""
-        return (self.h @ vecs.T).T
+        """``H v`` for every vector along the last axis of ``vecs``, as one
+        product ``H V^T`` per ``(r, d)`` block of a stack."""
+        return self.h @ vecs if vecs.ndim == 1 else np.matmul(self.h, vecs.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 GateKernel = DiagonalKernel | ProductKernel | DenseKernel
@@ -909,20 +923,29 @@ def hva_parity_sector_generators(n_qubits: int) -> tuple[np.ndarray, np.ndarray]
 
 def statevector_derivatives(
     circuit: NoisyCircuit, theta: np.ndarray, psi: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, list[np.ndarray] | np.ndarray]:
     """Final state vector and its exact parameter derivatives.
 
     ``d|psi>/d theta_i`` inserts ``-i H_i`` after gate ``i`` and applies the
     remaining gates; as in :func:`evolve_with_derivatives`, the state and the
     pending derivatives travel forward as one stack, through the gate kernels.
+
+    The pass always runs a batch: a ``(K, M)`` theta carries a ``(K, M + 1, d)``
+    stack, ``16 K (M + 1) d`` bytes, and returns the ``(K, d)`` states and
+    ``(K, M, d)`` derivatives, row ``k`` equal bit for bit to the call with
+    ``theta[k]``. An ``(M,)`` theta is a batch of one, returned as the state
+    and a list of M derivatives.
     """
     if circuit.noise is not None:
         raise ValueError("statevector evolution requires a noiseless circuit")
-    theta = _check_args(circuit, theta, psi, 1)
-    rows = np.empty((circuit.n_params + 1, circuit.dim), dtype=complex)
-    rows[0] = psi
-    for m in range(circuit.n_params):
+    theta = _check_args(circuit, theta, psi, 1, batched=True)
+    thetas = np.atleast_2d(theta)
+    rows = np.empty((len(thetas), circuit.n_params + 1, circuit.dim), dtype=complex)
+    rows[:, 0] = psi
+    for m, angles in enumerate(thetas.T):
         kernel = circuit.kernels[circuit.layers[m]]
-        rows[: m + 1] = kernel.apply_vectors(rows[: m + 1], theta[m])
-        rows[m + 1] = -1j * kernel.apply_generator(rows[0])
-    return rows[0], list(rows[1:])
+        rows[:, : m + 1] = kernel.apply_vectors(rows[:, : m + 1], angles)
+        rows[:, m + 1] = -1j * kernel.apply_generator(rows[:, :1])[:, 0]
+    if theta.ndim == 1:
+        return rows[0, 0], list(rows[0, 1:])
+    return rows[:, 0], rows[:, 1:]

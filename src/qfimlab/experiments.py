@@ -53,7 +53,7 @@ from .qfim import (
     effective_dim_d1,
     qfim_of_circuit,
 )
-from .rand import map_tasks, subkey_rng
+from .rand import SUBKEY_RANGE, map_tasks, subkey_rng
 
 CSV_SCHEMA_VERSION = 1
 # The largest |angle| a config gives, in radians: every theta.values entry and
@@ -66,6 +66,11 @@ MAX_EIGVEC_SPAN = 1e6
 # the output text), an upper bound for both formats: tracemalloc measured
 # 434-476 for CSV from 2,430 to 96,030 rows, and 1,108-1,115 for JSON.
 TRAJECTORY_ROW_BYTES = 1280
+# Bytes of state vectors that one scaling point runs through the statevector
+# pass at once: its samples go in chunks of (M + 1) 16 d bytes each, as many
+# as fit, and at least one. The n=6 and n=4 demo and benchmark configs run all
+# 10 samples of a coordinate together; from n=16 on every sample runs alone.
+SCALING_BATCH_BYTES = 2**22
 
 
 class Contract(NamedTuple):
@@ -145,6 +150,13 @@ def _angle(value, where: str) -> float:
 def _list(value, where: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be a list, got {value!r}")
+    return value
+
+
+def _sweep_list(value, where: str) -> list:
+    """A sweep list, whose entry indices key the per-point random substreams."""
+    if len(_list(value, where)) > SUBKEY_RANGE:
+        raise ConfigError(f"{where} must have at most 2^20 = {SUBKEY_RANGE} entries, got {len(value)}")
     return value
 
 
@@ -253,8 +265,8 @@ def parse_config(raw: dict, experiment: str | None = None, workers: int | None =
     sweep = raw.get("sweep", {})
     _check_keys(sweep, "sweep", {"p", "L"})
     sweep = {
-        "p": [_probability(p, "sweep.p entries") for p in _list(sweep.get("p", []), "sweep.p")],
-        "L": [_positive_int(v, "sweep.L entries") for v in _list(sweep.get("L", []), "sweep.L")],
+        "p": [_probability(p, "sweep.p entries") for p in _sweep_list(sweep.get("p", []), "sweep.p")],
+        "L": [_positive_int(v, "sweep.L entries") for v in _sweep_list(sweep.get("L", []), "sweep.L")],
     }
 
     tolerances = raw.get("tolerances", {})
@@ -286,6 +298,8 @@ def parse_config(raw: dict, experiment: str | None = None, workers: int | None =
         raise ConfigError(f"options.epsilons must be nonnegative with distinct columns, got {labels}")
     if "eigvec_span" in options:
         _angle(options["eigvec_span"], "options.eigvec_span")
+    if options.get("samples", 0) > SUBKEY_RANGE:
+        raise ConfigError(f"options.samples must be at most 2^20 = {SUBKEY_RANGE}, got {options['samples']}")
 
     # the contract's rules that span sections
     if circuit.get("name") not in contract.circuits and (circuit or contract.circuits):
@@ -304,7 +318,7 @@ def parse_config(raw: dict, experiment: str | None = None, workers: int | None =
         m = 2 * circuit["L"]
         raise ConfigError(f"theta.values needs 2L = {m} entries, got {len(theta['values'])}")
     if exp in ("spectrum", "scaling"):
-        need = _estimated_bytes(circuit, noise, sweep, max(workers or 1, 1))
+        need = _estimated_bytes(circuit, noise, sweep, max(workers or 1, 1), options.get("samples", 1))
         _check_memory(f"{exp} at n={circuit['n']}", need)
     if exp == "trajectory":
         # per parameter point: the input and final states, then steps + 1 per gate and
@@ -325,23 +339,33 @@ def _check_memory(what: str, need: int) -> None:
         )
 
 
-def _estimated_bytes(circuit: dict, noise: dict, sweep: dict, workers: int) -> int:
+def _estimated_bytes(circuit: dict, noise: dict, sweep: dict, workers: int, samples: int = 1) -> int:
     """Bytes a spectrum or scaling run of the Ising ansatz holds at once.
 
-    The largest point at the deepest circuit (``M = 2L``) once per point
-    that runs at the same time, ``min(workers, points)``: a
-    local-depolarizing point with ``p > 0`` runs the parity-folded pass,
-    whose two buffers take at most ``2 (M + 1) 16 d^2 / 2`` and then hold
-    the QFIM's sector blocks, the bound for a circuit with no rotation
+    The largest point once per point that runs at the same time,
+    ``min(workers, points)``: a local-depolarizing point with ``p > 0`` runs
+    the parity-folded pass, one sample at a time, whose two buffers take at
+    most ``2 (M + 1) 16 d^2 / 2`` at the deepest circuit (``M = 2L``) and then
+    hold the QFIM's sector blocks, the bound for a circuit with no rotation
     symmetry (less when the pass keeps one entry per rotation orbit); every
-    other point keeps ``(M + 1)`` state vectors, ``(M + 1) 16 d``.
+    other point keeps ``(M + 1)`` state vectors for each of the
+    :func:`scaling_chunk` samples it runs at once (one for spectrum),
+    ``chunk (M + 1) 16 d``, at the depth where that is largest.
     """
     d = 2 ** circuit["n"]
-    m = 2 * max([circuit["L"], *sweep["L"]])
+    depths = [2 * level for level in (circuit["L"], *sweep["L"])]
     points = sweep["p"] + [noise["p"]] * len(sweep["L"])  # the L sweep runs at noise.p
     folded = noise["model"] == "local_depolarizing" and any(p > 0.0 for p in points)
     held = min(workers, len(points))
-    return held * (m + 1) * 16 * d * (d if folded else 1)
+    vectors = max(scaling_chunk(samples, d, m) * (m + 1) * 16 * d for m in depths)
+    return held * max(vectors, (max(depths) + 1) * 16 * d * d if folded else 0)
+
+
+def scaling_chunk(samples: int, dim: int, n_params: int) -> int:
+    """How many of a point's ``samples`` run through one statevector pass: as
+    many ``(M + 1) 16 d``-byte stacks as fit in :data:`SCALING_BATCH_BYTES`,
+    at least one and at most ``samples``."""
+    return max(1, min(samples, SCALING_BATCH_BYTES // ((n_params + 1) * 16 * dim)))
 
 
 def _parse_noise(noise: dict, where: str, n_qubits: int | None) -> dict:
@@ -638,7 +662,10 @@ def run_scaling(config: ExperimentConfig, workers: int | None = None) -> str:
 
     One sweep varies L at the noise config's fixed p, the other varies p at
     the circuit config's fixed L. Each coordinate averages over
-    ``options.samples`` theta draws from per-coordinate Philox substreams.
+    ``options.samples`` theta draws, one Philox substream per sample. The
+    draws are stacked and go through :func:`~qfimlab.qfim.qfim_of_circuit`
+    in chunks of :func:`scaling_chunk` rows: one batched statevector pass
+    per chunk, or one QFIM per row on the density routes.
     """
     samples, n, seed = config.options["samples"], config.circuit["n"], config.theta["seed"]
     tau_abs, tau_rel = config.rank_tolerances
@@ -653,15 +680,18 @@ def run_scaling(config: ExperimentConfig, workers: int | None = None) -> str:
         kind, idx, level, p = task
         circuit = _with_noise(circuits[level], config.noise, p)
         kind_id = 1 if kind == "L" else 2
-        entries, eigs = [], []
-        for s in range(samples):
-            rng = subkey_rng(seed, kind_id, idx, s)
-            theta = rng.uniform(0.0, 2.0 * np.pi, circuit.n_params)
-            report = qfim_of_circuit(circuit, theta, psi, tau_abs, tau_rel)
-            entries.append(np.abs(report.matrix).ravel())
-            eigs.append(report.eigenvalues)
-        entries = np.concatenate(entries)
-        eigs = np.concatenate(eigs)
+        thetas = np.array([
+            subkey_rng(seed, kind_id, idx, s).uniform(0.0, 2.0 * np.pi, circuit.n_params)
+            for s in range(samples)
+        ])
+        chunk = scaling_chunk(samples, circuit.dim, circuit.n_params)
+        reports = [
+            report
+            for start in range(0, samples, chunk)
+            for report in qfim_of_circuit(circuit, thetas[start : start + chunk], psi, tau_abs, tau_rel)
+        ]
+        entries = np.concatenate([np.abs(r.matrix).ravel() for r in reports])
+        eigs = np.concatenate([r.eigenvalues for r in reports])
         return (
             kind, n, level, 2 * level, p, samples,
             float(np.mean(entries)), float(np.std(entries)),

@@ -37,6 +37,11 @@ input picks one of three routes:
 A density matrix always runs the simulation, so passing ``|psi><psi|``
 checks the closed form against it.
 
+A ``(K, M)`` theta gives a list of K reports, each equal bit for bit to the
+call with its row: the state-vector route runs one batched pass of
+``K (M + 1)`` vectors and one batched Gram product, then reads each row's
+spectrum; the folded and dense routes run one row at a time.
+
 Numerical rank counts eigenvalues above ``tau_abs + tau_rel * lambda_max``;
 both knobs are explicit on every report because the small-noise regime makes
 this threshold the central reproducibility parameter.
@@ -112,21 +117,25 @@ def qfim_pure(
 
     ``F_ij = 4 Re[<d_i psi|d_j psi> - <d_i psi|psi><psi|d_j psi>]``.
     """
-    return report_from_matrix(_fubini_study(state, derivs), tau_abs, tau_rel)
+    dpsi = np.asarray(derivs, dtype=complex).reshape(len(derivs), len(state))
+    return report_from_matrix(_fubini_study(state[None], dpsi[None])[0], tau_abs, tau_rel)
 
 
-def _fubini_study(state: np.ndarray, derivs: Sequence[np.ndarray]) -> np.ndarray:
-    """The matrix of :func:`qfim_pure`, as one Gram product ``F = 4 Re(Y Y^H)``.
+def _fubini_study(states: np.ndarray, derivs: np.ndarray) -> np.ndarray:
+    """The ``(K, M, M)`` matrices of :func:`qfim_pure` for ``(K, d)`` states and
+    their ``(K, M, d)`` derivatives, as one Gram product ``F = 4 Re(Y Y^H)`` per row.
 
     Rows are ``Y_i = d_i psi - psi <psi|d_i psi>``; the product runs on the
-    real view of ``Y``, as in :func:`_block_qfim`.
+    real view of ``Y``, as in :func:`_block_qfim`. Every state's norm is checked.
     """
-    nrm = float(np.linalg.norm(state))
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"state norm {nrm} deviates from 1 beyond 1e-9")
-    dpsi = np.asarray(derivs, dtype=complex).reshape(len(derivs), len(state))
-    flat = (dpsi - np.outer(dpsi @ state.conj(), state)).view(float)
-    return 4.0 * (flat @ flat.T)
+    nrm = np.linalg.norm(states, axis=-1)
+    off = np.abs(nrm - 1.0) > 1e-9
+    if off.any():
+        raise ValueError(f"state norm {nrm[off][0]} deviates from 1 beyond 1e-9")
+    overlap = np.matmul(derivs, states.conj()[..., None])  # <psi|d_i psi>, one column per row
+    y = overlap * states[:, None, :]
+    flat = np.subtract(derivs, y, out=y).view(float)
+    return 4.0 * (flat @ flat.swapaxes(-1, -2))
 
 
 def _mixed_weights(evals: np.ndarray, x: float, shift: float) -> np.ndarray:
@@ -183,21 +192,26 @@ def qfim_of_circuit(
     state: np.ndarray,
     tau_abs: float = TAU_RANK_ABS,
     tau_rel: float = TAU_RANK_REL,
-) -> QfimReport:
+) -> QfimReport | list[QfimReport]:
     """QFIM of the output of ``circuit`` at ``theta`` on the input ``state``.
 
     ``state`` is a state vector or a density matrix, and with the circuit's
     noise it picks the route (see the module docstring); every route gives
-    the same matrix up to roundoff.
+    the same matrix up to roundoff. A ``(K, M)`` theta gives the list of K
+    reports, each equal bit for bit to the call with its row.
     """
+    theta = np.asarray(theta, dtype=float)
+    noise = circuit.noise
+    if state.ndim == 1 and (noise is None or isinstance(noise, GlobalDepolarizing)):
+        x = _global_depol_survival(0.0 if noise is None else noise.p, circuit.n_params)
+        scale = x * x / (x + 2.0 * (1.0 - x) / circuit.dim)
+        noiseless = circuit.with_uniform_noise(None)
+        states, derivs = statevector_derivatives(noiseless, np.atleast_2d(theta), state)
+        reports = [report_from_matrix(scale * pure, tau_abs, tau_rel) for pure in _fubini_study(states, derivs)]
+        return reports if theta.ndim == 2 else reports[0]
+    if theta.ndim == 2:
+        return [qfim_of_circuit(circuit, row, state, tau_abs, tau_rel) for row in theta]
     if state.ndim == 1:
-        noise = circuit.noise
-        if noise is None or isinstance(noise, GlobalDepolarizing):
-            x = _global_depol_survival(0.0 if noise is None else noise.p, circuit.n_params)
-            scale = x * x / (x + 2.0 * (1.0 - x) / circuit.dim)
-            noiseless = circuit.with_uniform_noise(None)
-            pure = _fubini_study(*statevector_derivatives(noiseless, theta, state))
-            return report_from_matrix(scale * pure, tau_abs, tau_rel)
         state = np.outer(state, state.conj())
     if parity_folds(circuit, state):
         matrix = _block_qfim(parity_folded_sectors(circuit, theta, state))

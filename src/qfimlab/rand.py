@@ -15,6 +15,9 @@ import numpy as np
 
 from .linalg import dag
 
+# Each coordinate index of a subkey lies in [0, SUBKEY_RANGE): a 20-bit field.
+SUBKEY_RANGE = 2**20
+
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Counter-based Philox generator; the package-wide reproducibility anchor."""
@@ -32,7 +35,7 @@ def subkey_rng(seed: int, *indices: int) -> np.random.Generator:
         raise ValueError("at most three coordinate indices fit in the subkey")
     packed = 0
     for idx in indices:
-        if not 0 <= idx < 2**20:
+        if not 0 <= idx < SUBKEY_RANGE:
             raise ValueError(f"coordinate index {idx} outside [0, 2^20)")
         packed = (packed << 20) | idx
     key = np.array([seed, packed], dtype=np.uint64)

@@ -335,6 +335,23 @@ class TestStatevectorPath:
             from_vec = np.outer(dpsi[i], psi.conj()) + np.outer(psi, dpsi[i].conj())
             np.testing.assert_allclose(from_vec, d_rho, atol=1e-12)
 
+    @pytest.mark.parametrize("case", ["ising", "toy", "dense"])
+    def test_batch_rows_equal_single_calls_bit_for_bit(self, rng, case):
+        if case == "ising":
+            circ, psi0 = hva_tfim(4, 3), plus_state_vector(4)
+        elif case == "toy":
+            circ, psi0 = toy_model()[0], KET_PLUS
+        else:
+            gens = [random_hermitian(8, rng, traceless=True) for _ in range(2)]
+            circ, psi0 = build_circuit(3, gens, [0, 1, 1, 0]), plus_state_vector(3)
+        thetas = rng.uniform(0, 2 * np.pi, (5, circ.n_params))
+        states, derivs = statevector_derivatives(circ, thetas, psi0)
+        assert states.shape == (5, circ.dim) and derivs.shape == (5, circ.n_params, circ.dim)
+        for k, theta in enumerate(thetas):
+            psi, dpsi = statevector_derivatives(circ, theta, psi0)
+            np.testing.assert_array_equal(states[k], psi)
+            np.testing.assert_array_equal(derivs[k], np.array(dpsi))
+
     def test_requires_noiseless(self):
         circ, _ = toy_model()
         noisy = circ.with_uniform_noise(bit_flip(0.1))

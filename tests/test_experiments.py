@@ -35,6 +35,7 @@ from qfimlab.experiments import (
     run_spectrum,
     run_trajectory,
     run_verify,
+    scaling_chunk,
 )
 from qfimlab.linalg import X, Y, Z
 from qfimlab.qfim import qfim_of_circuit
@@ -130,6 +131,22 @@ DETERMINISM_CONFIGS = {
         "noise": {"model": "local_depolarizing", "p": 0.0},
         "sweep": {"p": [0.01, 0.1]},
     }),
+    # state vectors: one batched statevector pass per coordinate
+    "scaling_global_depol": (run_scaling, {
+        "experiment": "scaling",
+        "circuit": {"name": "hva_tfim", "n": 4, "L": 2},
+        "noise": {"model": "global_depolarizing", "p": 0.05},
+        "sweep": {"L": [1, 2, 3], "p": [0.0, 0.1]},
+        "options": {"samples": 3},
+    }),
+    # p > 0: the parity-folded pass, one sample at a time
+    "scaling_local_depol": (run_scaling, {
+        "experiment": "scaling",
+        "circuit": {"name": "hva_tfim", "n": 4, "L": 2},
+        "noise": {"model": "local_depolarizing", "p": 0.02},
+        "sweep": {"L": [1, 2], "p": [0.01, 0.1]},
+        "options": {"samples": 2},
+    }),
 }
 
 
@@ -143,8 +160,13 @@ class TestDeterminism:
     @pytest.mark.parametrize("name", DETERMINISM_CONFIGS)
     def test_workers_do_not_change_row_order(self, name):
         runner, raw = DETERMINISM_CONFIGS[name]
-        sweep = {"eig_vs_p": [0.01, 0.05, 0.1, 0.2, 0.3], "spectrum": [0.01, 0.1]}[name]
-        cfg = parse_config({**raw, "sweep": {"p": sweep}})
+        sweep = {
+            "eig_vs_p": {"p": [0.01, 0.05, 0.1, 0.2, 0.3]},
+            "spectrum": {"p": [0.01, 0.1]},
+            "scaling_global_depol": {"L": [1, 2, 3, 4], "p": [0.0, 0.01, 0.1]},
+            "scaling_local_depol": {"L": [1, 2, 3], "p": [0.0, 0.01, 0.1]},
+        }[name]
+        cfg = parse_config({**raw, "sweep": sweep})
         assert runner(cfg, workers=4) == runner(cfg, workers=1)
 
     def test_seventeen_digit_floats(self):
@@ -671,6 +693,48 @@ def test_memory_check_counts_points_that_run_at_once(monkeypatch, tmp_path, caps
     cfg_path.write_text(json.dumps(raw))
     assert main(["spectrum", "--config", str(cfg_path), "--workers", "4"]) == 1
     assert "memory" in capsys.readouterr().err
+
+
+def test_memory_check_counts_the_samples_that_run_at_once(monkeypatch, tmp_path, capsys):
+    from qfimlab.cli import main
+
+    # 512 KiB: at n=8, L=10 each sample of a chunk holds (M + 1) 16 d = 84 KiB of
+    # state vectors, so 6 samples fit in one pass and 7 do not
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 128}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    raw = {"experiment": "scaling", "circuit": {"name": "hva_tfim", "n": 8, "L": 10},
+           "noise": {"model": "global_depolarizing", "p": 0.01}, "sweep": {"p": [0.01]},
+           "options": {"samples": 7}}
+    assert scaling_chunk(7, 256, 20) == 7
+    with pytest.raises(ConfigError, match="memory"):
+        parse_config(raw)
+    assert parse_config({**raw, "options": {"samples": 6}}).options["samples"] == 6
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["scaling", "--config", str(cfg_path)]) == 1
+    assert "memory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, value, field",
+    [
+        ("options", lambda count: {"samples": count + 4}, "options.samples"),
+        ("sweep", lambda count: {"L": [1] * count}, "sweep.L"),
+        ("sweep", lambda count: {"p": [0] * count}, "sweep.p"),
+    ],
+)
+def test_counts_past_the_substream_index_field_are_refused(section, value, field, tmp_path, capsys):
+    # every sample and sweep entry keys a 20-bit field of its random substream
+    from qfimlab.cli import main
+
+    base = {"experiment": "scaling", "circuit": {"name": "hva_tfim", "n": 2, "L": 1},
+            "noise": {"model": "global_depolarizing", "p": 0.01}, "sweep": {"p": [0.01]}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**base, section: value(2**20 + 1)}, separators=(",", ":")))
+    assert main(["scaling", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field} must") and "2^20" in err
+    assert parse_config({**base, "options": {"samples": 2**20}}).options["samples"] == 2**20
 
 
 def test_noiseless_spectrum_at_n14_fits_in_eight_gib(monkeypatch):

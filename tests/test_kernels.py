@@ -156,6 +156,28 @@ class TestGateKernels:
                 want = (h @ v.T).T
                 assert np.max(np.abs(kernel.apply_generator(v) - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: picked(hva_tfim_generators(3)[0]),
+            lambda rng: declared(random_hermitian(2, rng, traceless=True), 3),
+            lambda rng: picked(random_hermitian(8, rng, traceless=True)),
+        ],
+        ids=["diagonal", "product", "dense"],
+    )
+    def test_apply_vectors_with_one_angle_per_batch_row_equals_each_single_call(self, rng, make):
+        _, kernel = make(rng)
+        angles = rng.uniform(-np.pi, np.pi, 4)
+        for rows in (1, 3):
+            vecs = random_vectors(4 * rows, 8, rng).reshape(4, rows, 8)
+            got = kernel.apply_vectors(vecs, angles)
+            for k in range(4):
+                np.testing.assert_array_equal(got[k], kernel.apply_vectors(vecs[k], angles[k]))
+        if isinstance(kernel, ProductKernel):
+            stack = random_stack(4, 8, rng)
+            with pytest.raises(ValueError, match="scalar angle"):
+                kernel.conjugate(stack, angles, np.empty_like(stack))
+
     def test_odd_register_product_split(self, rng):
         a = random_hermitian(2, rng, traceless=True)
         for n in (2, 3, 5):

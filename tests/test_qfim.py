@@ -236,6 +236,27 @@ def test_global_depol_pure_path_matches_dense(rng, n):
         assert fast.rank == dense.rank
 
 
+@pytest.mark.parametrize("route", ["noiseless", "global_depolarizing", "folded", "dense"])
+def test_batched_theta_gives_each_single_report_bit_for_bit(rng, route):
+    # the vector routes run one batched pass; the density routes run row by row
+    if route == "dense":
+        circ, state = toy_model()
+    elif route == "folded":
+        circ = hva_tfim(4, 3).with_uniform_noise(LocalDepolarizing.uniform(4, 0.02))
+        state = plus_state_density(4)
+    else:
+        channel = GlobalDepolarizing(4, 0.05) if route == "global_depolarizing" else None
+        circ, state = hva_tfim(4, 3).with_uniform_noise(channel), plus_state_vector(4)
+    thetas = rng.uniform(0, 2 * np.pi, (3, circ.n_params))
+    reports = qfim_of_circuit(circ, thetas, state)
+    assert len(reports) == 3
+    for theta, report in zip(thetas, reports):
+        single = qfim_of_circuit(circ, theta, state)
+        np.testing.assert_array_equal(report.matrix, single.matrix)
+        np.testing.assert_array_equal(report.eigenvalues, single.eigenvalues)
+        assert report.rank == single.rank
+
+
 def test_vector_route_forms_no_density_matrix():
     # under global depolarizing noise a state vector input keeps M + 1 vectors;
     # one d x d complex state alone would take 16 d^2 bytes
