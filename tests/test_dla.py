@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from dla_reference import ResidualBasis
 
 from qfimlab.circuits import TOY_GENERATORS, hva_parity_sector_generators, hva_tfim_generators
 from qfimlab.dla import PauliSum, dla_dimension, lie_closure
@@ -29,7 +30,7 @@ class TestLieClosure:
                 assert frobenius_inner(a, b).real == pytest.approx(expected, abs=1e-9)
 
     def test_closed_under_commutators(self):
-        basis = lie_closure([X, Z])
+        basis = ResidualBasis(lie_closure([X, Z]).elements)
         for a in basis.elements:
             for b in basis.elements:
                 assert basis.project_residual(commutator(a, b)) <= 10 * 1e-8

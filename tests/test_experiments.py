@@ -15,6 +15,7 @@ from qfimlab.circuits import (
     hva_parity_sector_generators,
     hva_tfim,
     plus_state_density,
+    plus_state_vector,
     toy_model,
 )
 from qfimlab.dla import dla_dimension
@@ -25,6 +26,7 @@ from qfimlab.experiments import (
     TRAJECTORY_COLUMNS,
     TRAJECTORY_ROW_BYTES,
     _csv_cell,
+    _estimated_bytes,
     channel_from_config,
     config_hash,
     parse_config,
@@ -698,9 +700,10 @@ def test_memory_check_counts_points_that_run_at_once(monkeypatch, tmp_path, caps
 def test_memory_check_counts_the_samples_that_run_at_once(monkeypatch, tmp_path, capsys):
     from qfimlab.cli import main
 
-    # 512 KiB: at n=8, L=10 each sample of a chunk holds (M + 1) 16 d = 84 KiB of
-    # state vectors, so 6 samples fit in one pass and 7 do not
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 128}
+    # 1.5 MiB: at n=8, L=10 each sample of a chunk holds (M + 1) 16 d = 84 KiB of
+    # state vectors, and a product gate forms two more stacks of that size, so 6
+    # samples (1,512 KiB) fit in one pass and 7 do not
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 384}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     raw = {"experiment": "scaling", "circuit": {"name": "hva_tfim", "n": 8, "L": 10},
            "noise": {"model": "global_depolarizing", "p": 0.01}, "sweep": {"p": [0.01]},
@@ -745,6 +748,24 @@ def test_noiseless_spectrum_at_n14_fits_in_eight_gib(monkeypatch):
     raw = {"experiment": "spectrum", "circuit": {"name": "hva_tfim", "n": 14, "L": 10},
            "noise": {"model": "local_depolarizing", "p": 0.0}, "sweep": {"p": [0]}}
     assert parse_config(raw).circuit["n"] == 14
+
+
+def test_statevector_memory_peak_lies_within_the_parse_time_estimate():
+    # one noiseless point of the vector route: its (M + 1) state vectors and the two
+    # stacks a product gate forms
+    raw = {"experiment": "spectrum", "circuit": {"name": "hva_tfim", "n": 10, "L": 10},
+           "noise": {"model": "local_depolarizing", "p": 0.0}, "sweep": {"p": [0.0]}}
+    cfg = parse_config(raw)
+    estimate = _estimated_bytes(cfg.circuit, cfg.noise, cfg.sweep, 1)
+    circuit, psi = hva_tfim(10, 10), plus_state_vector(10)
+    theta = np.random.default_rng(42).uniform(0, 2 * np.pi, circuit.n_params)
+    tracemalloc.start()
+    try:
+        qfim_of_circuit(circuit, theta, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert estimate <= peak <= 1.5 * estimate
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -809,7 +830,11 @@ def test_parsed_config_fills_defaults_without_touching_raw():
 
 
 @pytest.mark.parametrize(
-    "path", sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json")),
+    "path",
+    [
+        *sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json")),
+        *sorted((Path(__file__).resolve().parents[1] / "perfbench" / "workloads").glob("*.json")),
+    ],
     ids=lambda path: path.stem,
 )
 def test_shipped_demo_config_parses(path):
