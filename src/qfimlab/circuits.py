@@ -553,7 +553,8 @@ class _Sectors:
         d, count = 2**n, n // g
         turned = _rotate(np.arange(d), g * np.arange(count)[:, None], n)
         images = np.concatenate([turned, turned ^ (d - 1)])  # row u = s count + t
-        self.reps = np.unique(images.min(axis=0))
+        # numpy 2.4's np.unique without return_inverse imports numpy.ma, ~10 ms on first use
+        self.reps = np.unique(images.min(axis=0), return_inverse=True)[0]
         self.act = images[:, self.reps].T
         stab = self.act == self.reps[:, None]
         # chi(u) = exp(i pi turn / count), u = s count + t and chi = c count + q
@@ -644,11 +645,10 @@ class _WalshFrames:
         g = _rotation_step(circuit, rho)
         e, k = np.arange(d), np.arange(h)
         e_rep, e_turn = _orbits(e, g, n, d - 1)
-        cols = np.unique(e_rep)
-        col = np.searchsorted(cols, e_rep)  # the column of e's orbit
+        cols, col = np.unique(e_rep, return_inverse=True)  # col: the column of e's orbit
         full = k | (np.bitwise_count(k) & 1).astype(k.dtype) << (n - 1)  # b of each b'
         b_rep, b_turn = _orbits(full, g, n, h - 1)
-        b_rows = np.unique(b_rep)
+        b_rows, b_row = np.unique(b_rep, return_inverse=True)
         b = full[b_rows]
         self._xor = k[:, None] ^ cols
         self._enter = k[:, None] * d + self._xor
@@ -656,7 +656,7 @@ class _WalshFrames:
         # at g = n the two layouts coincide and a relayout is the identity
         self._relayout = g < n and {
             1: (_rotate(b[:, None], g * e_turn, n) & (h - 1)) * len(cols) + col,
-            -1: np.searchsorted(b_rows, b_rep)[:, None] * d + _rotate(cols, g * b_turn[:, None], n),
+            -1: b_row[:, None] * d + _rotate(cols, g * b_turn[:, None], n),
         }
         self._g, self._e_turn, self._col, self._width = g, e_turn, col, len(cols)
         weight = np.bitwise_count(b[:, None] & e).astype(np.int8)
@@ -818,7 +818,7 @@ def bloch_coords(rho: np.ndarray) -> tuple[float, float, float] | tuple[np.ndarr
         raise DimensionMismatchError(f"Bloch coordinates need 2x2 states, got {rho.shape}")
     s = rho.reshape(-1, 2, 2)
     a, b = s[:, 0, 1], s[:, 1, 0]
-    coords = ((a + b).real, (b - a).imag, (s[:, 0, 0] - s[:, 1, 1]).real)
+    coords = (a.real + b.real, b.imag - a.imag, s[:, 0, 0].real - s[:, 1, 1].real)
     return tuple(float(c[0]) for c in coords) if rho.ndim == 2 else coords
 
 

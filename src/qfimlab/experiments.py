@@ -19,7 +19,8 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, NamedTuple, Sequence
+from itertools import repeat
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,12 +48,7 @@ from .circuits import (
 from .dla import PauliSum, lie_closure, parity_sector_dimension
 from .exceptions import ConfigError
 from .linalg import purity
-from .qfim import (
-    TAU_RANK_ABS,
-    TAU_RANK_REL,
-    effective_dim_d1,
-    qfim_of_circuit,
-)
+from .qfim import TAU_RANK_ABS, TAU_RANK_REL, effective_dim_d1, qfim_of_circuit
 from .rand import SUBKEY_RANGE, map_tasks, subkey_rng
 
 CSV_SCHEMA_VERSION = 1
@@ -62,9 +58,8 @@ CSV_SCHEMA_VERSION = 1
 # size that fits in memory; far larger angles overflow them to inf, and the
 # eigenvalues or rows to NaN.
 MAX_EIGVEC_SPAN = 1e6
-# Peak bytes per trajectory row (the row tuples, the states behind them and
-# the output text), an upper bound for both formats: tracemalloc measured
-# 434-476 for CSV from 2,430 to 96,030 rows, and 1,108-1,115 for JSON.
+# Peak bytes per trajectory row, an upper bound for both formats: tracemalloc measured
+# 210-248 for CSV from 1,230 to 96,030 rows, and 1,044-1,064 for JSON.
 TRAJECTORY_ROW_BYTES = 1280
 # Bytes of state vectors that one scaling point runs through the statevector
 # pass at once: its samples go in chunks of (M + 1) 16 d bytes each, as many
@@ -470,42 +465,55 @@ def _csv_cell(value: Any) -> str:
     return text
 
 
-def rows_to_csv(experiment: str, columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    """Render rows with the versioned schema comment, each cell as
-    :func:`_csv_cell` renders it.
+def block_rows(block: Sequence[Any]) -> Iterator[tuple]:
+    """The rows of a block (see :func:`rows_to_csv`): row ``i`` holds element
+    ``i`` of each column, an array read through ``tolist``, and each constant."""
+    size = max((len(c) for c in block if isinstance(c, (np.ndarray, range))), default=1)
+    cells = (c if isinstance(c, range) else c.tolist() if isinstance(c, np.ndarray) else repeat(c, size)
+             for c in block)
+    return zip(*cells, strict=True)
 
-    Each row is formatted with one ``%`` by a format string built once per
-    row type signature: ``%.17g`` for a float, ``%s`` for anything else. A
-    line that holds a quote or a newline, or more commas than separators,
-    may have a cell that needs quoting, and is rendered again cell by cell.
+
+def _csv_block(block: Sequence[Any]) -> str | None:
+    """The lines of a block by one format string (see :func:`rows_to_csv`); None without rows."""
+    parts, values = [], []
+    for cell in block:
+        if isinstance(cell, range):
+            parts.append("%d")
+            values.append(cell)
+        elif isinstance(cell, np.ndarray):
+            spec = "%d" if cell.dtype.kind in "iu" else "%.17g" if cell.dtype == np.float64 else None
+            parts.append(spec or "%s")
+            values.append(cell.tolist() if spec else [*map(_csv_cell, cell.tolist())])
+        else:
+            parts.append(_csv_cell(cell).replace("%", "%%"))
+    fmt = ",".join(parts)
+    rows = zip(*values, strict=True) if values else [()]  # a block without columns is one row
+    return "\n".join(map(fmt.__mod__, rows)) if not values or any(map(len, values)) else None
+
+
+def rows_to_csv(experiment: str, columns: Sequence[str], blocks: Sequence[Sequence[Any]]) -> str:
+    """Render blocks of rows with the versioned schema comment, each cell of
+    each row of :func:`block_rows` as :func:`_csv_cell` renders it.
+
+    A block has one cell per column: a constant (a scalar, the same on every
+    row) or a column (a 1-D array or a ``range``, one value per row); a plain
+    row is a block without columns. One format string renders a block: a
+    constant is its text, a float64 column ``%.17g``, an integer column or a
+    range ``%d``, and any other column is rendered cell by cell into ``%s``.
     """
-    lines = [f"# qfimlab csv schema={CSV_SCHEMA_VERSION} experiment={experiment}"]
-    lines.append(",".join(columns))
-    formats: dict[tuple[type, ...], str] = {}
-    for row in rows:
-        row = tuple(row)
-        # (*map(...),) sizes the tuple exactly; tuple(map(...)) shrinks a guessed
-        # size, and the shrunk tuples it frees pile up unused on a free list
-        types = (*map(type, row),)
-        fmt = formats.get(types)
-        if fmt is None:
-            fmt = formats[types] = ",".join("%.17g" if issubclass(t, float) else "%s" for t in types)
-        line = fmt % row
-        if '"' in line or "\n" in line or line.count(",") > len(row) - 1:
-            line = ",".join(map(_csv_cell, row))
-        lines.append(line)
-    lines.append("")  # the final newline, without a second copy of the text
-    return "\n".join(lines)
+    head = f"# qfimlab csv schema={CSV_SCHEMA_VERSION} experiment={experiment}"
+    texts = [text for text in map(_csv_block, blocks) if text is not None]
+    return "\n".join([head, ",".join(columns), *texts, ""])  # "": the final newline, in the one join
 
 
-def emit_table(
-    config: ExperimentConfig, columns: Sequence[str], rows: Sequence[Sequence[Any]]
-) -> str:
-    """Render a result table as CSV (default) or JSON per ``output.format``."""
+def emit_table(config: ExperimentConfig, columns: Sequence[str], blocks: Sequence[Sequence[Any]]) -> str:
+    """Render a result table, given as blocks of rows (see :func:`rows_to_csv`),
+    as CSV (default) or JSON per ``output.format``; JSON lists every row."""
     if config.output["format"] == "json":
-        payload = {"columns": list(columns), "rows": [list(r) for r in rows]}
+        payload = {"columns": list(columns), "rows": [list(r) for b in blocks for r in block_rows(b)]}
         return report_to_json(config, payload)
-    return rows_to_csv(config.experiment, columns, rows)
+    return rows_to_csv(config.experiment, columns, blocks)
 
 
 def config_hash(raw: dict) -> str:
@@ -558,33 +566,30 @@ def run_trajectory(config: ExperimentConfig, workers: int | None = None) -> str:
     s_gate = np.arange(steps + 1)
     ts = -span + 2.0 * span * np.arange(eig_steps + 1) / eig_steps
 
-    def path_rows(stack, gate_index, label) -> list:
-        """One row per state of ``stack``, its ``step`` the state's position."""
-        coords = zip(*(c.tolist() for c in (*bloch_coords(stack), purity(stack))))
-        return [(gate_index, s, *c, label) for s, c in enumerate(coords)]
+    def path_rows(stack, gate_index, label) -> tuple:
+        """One block, a row per state of ``stack``, its ``step`` the state's position."""
+        return (gate_index, range(len(stack)), *bloch_coords(stack), purity(stack), label)
 
     def label_rows(item) -> list:
         label, theta = item
-        rows = path_rows(rho[None], 0, label)
+        blocks = [path_rows(rho[None], 0, label)]
         state = rho
-        m_tot = circuit.n_params
-        for m in range(m_tot):
+        for m in range(circuit.n_params):
             state = noise(state)
             partial = np.repeat(state[None], steps + 1, axis=0)
-            rows += path_rows(circuit.gate_step(m, theta[m] * s_gate / steps, partial), m + 1, label)
+            blocks.append(path_rows(circuit.gate_step(m, theta[m] * s_gate / steps, partial), m + 1, label))
             state = circuit.gate_step(m, theta[m], state)
-        rows += path_rows(noise(state)[None], m_tot + 1, label)
+        blocks.append(path_rows(noise(state)[None], circuit.n_params + 1, label))
 
         report = qfim_of_circuit(circuit, theta, rho, tau_abs, tau_rel)
         _, vecs = np.linalg.eigh(report.matrix)
         for k in range(circuit.n_params):
             v = vecs[:, circuit.n_params - 1 - k]  # descending eigenvalue order
-            rows += path_rows(evolve(circuit, theta + ts[:, None] * v, rho), k, f"{label}/eig{k}")
-        return rows
+            blocks.append(path_rows(evolve(circuit, theta + ts[:, None] * v, rho), k, f"{label}/eig{k}"))
+        return blocks
 
     groups = map_tasks(label_rows, list(TOY_THETAS.items()), workers)
-    rows = [row for group in groups for row in group]
-    return emit_table(config, TRAJECTORY_COLUMNS, rows)
+    return emit_table(config, TRAJECTORY_COLUMNS, [block for group in groups for block in group])
 
 
 EIG_VS_P_COLUMNS = ("label", "p", "eig_index", "eigenvalue", "rank")
@@ -599,11 +604,10 @@ def run_eig_vs_p(config: ExperimentConfig, workers: int | None = None) -> str:
         label, theta, p = arg
         noisy = base.with_uniform_noise(channel_from_config({**config.noise, "p": p}, 1))
         report = qfim_of_circuit(noisy, theta, rho, tau_abs, tau_rel)
-        return [(label, p, k, float(lam), report.rank) for k, lam in enumerate(report.eigenvalues)]
+        return (label, p, range(len(report.eigenvalues)), report.eigenvalues, report.rank)
 
     tasks = [(label, theta, p) for label, theta in TOY_THETAS.items() for p in config.sweep["p"]]
-    groups = map_tasks(one_point, tasks, workers)
-    return emit_table(config, EIG_VS_P_COLUMNS, [r for g in groups for r in g])
+    return emit_table(config, EIG_VS_P_COLUMNS, map_tasks(one_point, tasks, workers))
 
 
 def _with_noise(circuit: NoisyCircuit, noise: dict, p: float) -> NoisyCircuit:
@@ -643,14 +647,11 @@ def run_spectrum(config: ExperimentConfig, workers: int | None = None) -> str:
         noisy = _with_noise(circuit, config.noise, p)
         report = noiseless if p == 0.0 else qfim_of_circuit(noisy, theta, psi, tau_abs, tau_rel)
         counts = [effective_dim_d1(report, e) for e in epsilons]
-        return [
-            (n, layers, circuit.n_params, p, k, float(lam),
-             report.rank, noiseless.rank, dim_g, *counts)
-            for k, lam in enumerate(report.eigenvalues)
-        ]
+        eigs = report.eigenvalues
+        return (n, layers, circuit.n_params, p, range(len(eigs)), eigs,
+                report.rank, noiseless.rank, dim_g, *counts)
 
-    groups = map_tasks(one_p, config.sweep["p"], workers)
-    return emit_table(config, columns, [r for g in groups for r in g])
+    return emit_table(config, columns, map_tasks(one_p, config.sweep["p"], workers))
 
 
 SCALING_COLUMNS = (
@@ -700,8 +701,7 @@ def run_scaling(config: ExperimentConfig, workers: int | None = None) -> str:
             float(np.mean(eigs)), float(np.std(eigs)),
         )
 
-    rows = map_tasks(one_coord, tasks, workers)
-    return emit_table(config, SCALING_COLUMNS, rows)
+    return emit_table(config, SCALING_COLUMNS, map_tasks(one_coord, tasks, workers))
 
 
 def run_verify(config: ExperimentConfig, workers: int | None = None) -> str:

@@ -27,9 +27,12 @@ from qfimlab.experiments import (
     TRAJECTORY_ROW_BYTES,
     _csv_cell,
     _estimated_bytes,
+    block_rows,
     channel_from_config,
     config_hash,
+    emit_table,
     parse_config,
+    report_to_json,
     rows_to_csv,
     run_dla,
     run_eig_vs_p,
@@ -783,6 +786,23 @@ def test_trajectory_memory_per_row_stays_under_the_parse_time_bound(fmt):
     assert peak <= rows * TRAJECTORY_ROW_BYTES
 
 
+@pytest.mark.parametrize("steps, eig_steps", [(40, 60), (1000, 1000)])
+def test_csv_trajectory_holds_at_most_256_bytes_per_row(steps, eig_steps):
+    # the text is about 84 bytes per row; blocks keep the coordinates in arrays
+    # until their block is rendered, instead of a tuple of floats per row
+    raw = {"experiment": "trajectory", "noise": {"model": "bit_flip", "p": 0.1},
+           "options": {"steps_per_gate": steps, "eigvec_steps": eig_steps}}
+    cfg = parse_config(raw)
+    tracemalloc.start()
+    try:
+        run_trajectory(cfg, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = 3 * (2 + 4 * (steps + 1) + 4 * (eig_steps + 1))  # 1,230 and 24,030 rows
+    assert peak <= 256 * rows
+
+
 def test_eigvec_span_cap_is_inclusive():
     for span in (MAX_EIGVEC_SPAN, -MAX_EIGVEC_SPAN):
         raw = {"experiment": "trajectory", "options": {"eigvec_span": span}}
@@ -809,6 +829,73 @@ def test_rows_to_csv_renders_every_cell_by_the_per_cell_rule():
     assert expected.splitlines()[5:9] == ['"say ""hi""",ok,100%,%s %d,7,1e-300',
                                           '"two', 'lines",1,2,y,False,3', '(1, 2),,0,0,%,z']
     assert rows_to_csv("demo", columns, []) == head
+
+
+def expanded_rows(block):
+    """The rows a block stands for, each column read through ``tolist``."""
+    size = max((len(c) for c in block if isinstance(c, (np.ndarray, range))), default=1)
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+    return [tuple(c[i] if isinstance(b, (np.ndarray, range)) else c for c, b in zip(cells, block))
+            for i in range(size)]
+
+
+_BLOCKS = [
+    # float columns, a range and an integer column, between constants that need escaping
+    ("100%", np.array([-0.0, np.nan, np.inf, -np.inf, 1e-300, 1 / 3]), range(6),
+     np.array([-7, 0, 3, 2**62, -(2**62), 1], dtype=np.int64), 'say "hi"', np.float32(0.1)),
+    # bool, str, object, small-int and float32 columns, with constants that hold , and a newline
+    (np.array([True, False]), np.array(["plain", "a,b"]), np.array([None, (1, 2)], dtype=object),
+     np.array([1, 255], dtype=np.uint8), "two\nlines", np.array([0.1, 2.5], dtype=np.float32)),
+    (np.array(['q"uote', "line\nbreak"]), np.array([0.5, 1.0], dtype=object), range(3, 5),
+     "%s %d", "x,y", np.array([np.float64(2.0), 0.25])),
+    # a block of no rows, then one of constants only, then another of no rows
+    (1, np.array([]), range(0), "a", 2.0, np.array([], dtype=np.int64)),
+    (-0.0, 7, "%", "", None, float("nan")),
+    ("z", range(0), np.array([], dtype=bool), 0, 0.0, "q"),
+]
+
+
+def test_blocks_render_as_their_rows_by_the_per_cell_rule():
+    columns = ("a", "b", "c", "d", "e", "f")
+    head = f"# qfimlab csv schema={CSV_SCHEMA_VERSION} experiment=demo\na,b,c,d,e,f\n"
+    rows = [row for block in _BLOCKS for row in expanded_rows(block)]
+    assert len(rows) == 6 + 2 + 2 + 0 + 1 + 0
+    assert [repr(r) for b in _BLOCKS for r in block_rows(b)] == list(map(repr, rows))
+    expected = head + "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+    assert rows_to_csv("demo", columns, _BLOCKS) == expected
+    assert rows_to_csv("demo", columns, _BLOCKS[3:4]) == head  # no rows, no line
+    assert rows_to_csv("demo", columns, _BLOCKS[4:5]) == head + '-0,7,%,,None,nan\n'
+    lines = expected.splitlines()
+    # a float32 constant prints as str, a float32 column through tolist, with 17 digits
+    assert lines[2:7] == [f'100%,{v},{i},{k},"say ""hi""",0.1' for i, (v, k) in enumerate(
+        [("-0", -7), ("nan", 0), ("inf", 3), ("-inf", 2**62), ("1e-300", -(2**62))])]
+    assert lines[8:11] == ['True,plain,None,1,"two', 'lines",0.10000000149011612',
+                           'False,"a,b",(1, 2),255,"two']
+
+
+def test_block_columns_must_agree_in_length():
+    with pytest.raises(ValueError):
+        rows_to_csv("demo", ("a", "b"), [(np.zeros(3), range(2))])
+    with pytest.raises(ValueError):
+        rows_to_csv("demo", ("a", "b"), [(np.zeros(0), range(2))])
+    with pytest.raises(ValueError):
+        list(block_rows((np.zeros(3), range(2))))
+
+
+def test_json_table_from_blocks_equals_the_row_wise_payload():
+    cfg = parse_config({"experiment": "eig_vs_p", "noise": {"model": "bit_flip", "p": 0.1},
+                        "sweep": {"p": [0.1]}, "output": {"format": "json"}})
+    blocks = [
+        ("theta1", 0.25, range(3), np.array([1.5, -0.0, 1e-300]), 2),
+        ("a,\"b\"", 1.0, range(1), np.array([np.nan]), 0),
+        ("empty", 0.5, range(0), np.array([]), 1),
+        ("row", 0.75, 4, 2.0, 3),
+    ]
+    rows = [["theta1", 0.25, 0, 1.5, 2], ["theta1", 0.25, 1, -0.0, 2], ["theta1", 0.25, 2, 1e-300, 2],
+            ['a,"b"', 1.0, 0, float("nan"), 0], ["row", 0.75, 4, 2.0, 3]]
+    columns = ("label", "p", "eig_index", "eigenvalue", "rank")
+    expected = report_to_json(cfg, {"columns": list(columns), "rows": rows})
+    assert emit_table(cfg, columns, blocks) == expected
 
 
 def test_verify_options_default_to_the_documented_values():

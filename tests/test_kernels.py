@@ -4,12 +4,17 @@ Each fast kernel is checked against the dense or loop form it replaced,
 which is kept here as the oracle.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qfimlab
 from qfimlab.channels import (
     CompositeChannel,
     GlobalDepolarizing,
@@ -560,6 +565,26 @@ class TestSectors:
         finally:
             tracemalloc.stop()
         assert peak < 16 * (m + 1) * (d // 2) * d
+
+    def test_folded_qfim_does_not_import_numpy_ma(self):
+        # numpy 2.4's np.unique imports numpy.ma unless it returns an inverse, ~10 ms
+        code = (
+            "import sys\n"
+            "from qfimlab.channels import LocalDepolarizing\n"
+            "from qfimlab.circuits import hva_tfim, parity_folds, plus_state_density\n"
+            "from qfimlab.qfim import qfim_of_circuit\n"
+            "circ = hva_tfim(4, 2).with_uniform_noise(LocalDepolarizing.uniform(4, 0.05))\n"
+            "rho = plus_state_density(4)\n"
+            "assert parity_folds(circ, rho)\n"
+            "qfim_of_circuit(circ, [0.1, 0.2, 0.3, 0.4], rho)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(qfimlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, timeout=60
+        ).stdout
+        assert out.split() == ["False"]
 
 
 def assert_rows_close(got, expected, rel):

@@ -7,7 +7,9 @@ Usage::
 Runs every ``demos/configs/*.json`` and ``perfbench/workloads/*.json`` of the
 checkout in this process through ``qfimlab.experiments.RUNNERS``, serially
 (``workers=1``), with ``output.path`` dropped and ``theta.seed`` set to 42
-and then to 7. ``qfimlab`` is imported from the checkout's ``src``; the
+and then to 7. A config whose experiment writes a table runs a second time
+with ``output.format`` set to ``"json"``, printed as ``config@seed/json``.
+``qfimlab`` is imported from the checkout's ``src``; the
 checkout defaults to the one that holds this script. Two checkouts give
 byte-identical outputs when their lines are identical::
 
@@ -38,7 +40,7 @@ def main(argv: list[str] | None = None) -> int:
     if Path(qfimlab.__file__).resolve().parent != root / "src" / "qfimlab":
         print(f"qfimlab imported from {qfimlab.__file__}, not from {root}", file=sys.stderr)
         return 1
-    from qfimlab.experiments import RUNNERS, parse_config
+    from qfimlab.experiments import CONTRACTS, RUNNERS, parse_config
 
     for seed in SEEDS:
         for path in sorted(p for d in CONFIG_DIRS for p in (root / d).glob("*.json")):
@@ -46,9 +48,14 @@ def main(argv: list[str] | None = None) -> int:
             raw["theta"] = {"seed": seed}
             raw["output"] = {k: v for k, v in raw.get("output", {}).items() if k != "path"}
             config = parse_config(raw, workers=1)
-            text = RUNNERS[config.experiment](config, workers=1)
-            digest = hashlib.sha256(text.encode()).hexdigest()
-            print(f"{digest}  {path.relative_to(root)}@{seed}", flush=True)
+            runs = [("", config)]
+            if "csv" in CONTRACTS[config.experiment].formats:  # a table, in JSON too
+                as_json = {**raw, "output": {**raw["output"], "format": "json"}}
+                runs.append(("/json", parse_config(as_json, workers=1)))
+            for suffix, cfg in runs:
+                text = RUNNERS[cfg.experiment](cfg, workers=1)
+                digest = hashlib.sha256(text.encode()).hexdigest()
+                print(f"{digest}  {path.relative_to(root)}@{seed}{suffix}", flush=True)
     return 0
 
 
