@@ -21,8 +21,11 @@ forms no ``d x d`` unitary or generator:
 - :class:`ProductKernel` (the same single-qubit term on every qubit, e.g.
   ``sum_j X_j``): ``exp(-i theta H) = u^(x)n`` is applied as two
   half-register Kronecker factors;
-- :class:`DenseKernel` (anything else): ``U`` is rebuilt from the
-  generator's eigendecomposition and applied by two dense products.
+- :class:`DenseKernel` (anything else): density matrices are conjugated in
+  the generator's eigenbasis ``V`` as ``V (Phi ⊙ V† rho V) V†``, four
+  products of the whole ``(k d, d)`` stack with ``V`` and one phase
+  product, so BLAS is not called once per matrix; state vectors get ``U``
+  rebuilt from the eigendecomposition.
 
 Batch axis: :func:`evolve` and :func:`statevector_derivatives` take a
 ``(K, M)`` theta, :meth:`NoisyCircuit.gate_step` a ``(k,)`` array of angles,
@@ -31,8 +34,9 @@ and each kernel's ``apply_vectors`` one angle per batch row of a
 for bit. The statevector pass always runs a batch, an ``(M,)`` theta being a
 batch of one; it builds the K half-register factor pairs of a product gate
 in one call, and a dense gate's K unitaries, ``16 K d^2`` bytes. On density
-matrices a :class:`ProductKernel` gate takes one scalar angle only
-(``ValueError`` else).
+matrices a dense gate builds no unitary (it runs in the eigenbasis, above),
+and a :class:`ProductKernel` gate takes one scalar angle only (``ValueError``
+else).
 
 Derivatives of the output state are computed analytically in forward mode.
 Differentiating gate ``i`` inserts the commutator ``-i [H_i, .]`` right after
@@ -192,11 +196,28 @@ class DenseKernel:
         self.eig = eig
 
     def conjugate(self, stack: np.ndarray, theta: float | np.ndarray, scratch: np.ndarray) -> None:
-        """``stack <- U stack U†`` in place, by two dense products; a ``(k,)``
-        ``theta`` gives row ``r`` of the stack its own angle."""
-        u = herm_exp_from_eig(self.eig, theta)
-        np.matmul(u, stack, out=scratch)
-        np.matmul(scratch, u.swapaxes(-1, -2).conj(), out=stack)
+        """``stack <- U stack U†`` in place; a ``(k,)`` ``theta`` gives row ``r``
+        of the stack its own angle.
+
+        No unitary is built: ``U rho U† = V (Phi ⊙ V† rho V) V†`` in the
+        generator's eigenbasis ``V``, ``Phi_ab = exp(-i theta (lambda_a -
+        lambda_b))``, as four products of the whole ``(k d, d)`` stack with
+        ``V``, two of them on the row-transposed stack, and one phase product.
+        A batch row equals its single call bit for bit only if the BLAS
+        ``gemm`` gives each row of a product the same result whatever the
+        number of rows, which OpenBLAS 0.3.31 does and not every BLAS promises.
+        """
+        k, d, _ = stack.shape
+        v = self.eig.vectors
+        flat, scratch_flat = stack.reshape(k * d, d), scratch.reshape(k * d, d)
+        np.matmul(flat, v, out=scratch_flat)  # rho V
+        stack[:] = scratch.swapaxes(1, 2)
+        np.matmul(flat, v.conj(), out=scratch_flat)  # (V† rho V)^T
+        phase = np.exp(np.multiply.outer(-1j * theta, self.eig.values)).reshape(-1, d)
+        scratch *= phase.conj()[:, :, None] * phase[:, None, :]  # Phi^T
+        np.matmul(scratch_flat, v.T, out=flat)  # (V (Phi ⊙ V† rho V))^T
+        scratch[:] = stack.swapaxes(1, 2)
+        np.matmul(scratch_flat, v.conj().T, out=flat)
 
     def commutator(self, rho: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
         """``out <- -i [H, rho]``."""

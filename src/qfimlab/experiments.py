@@ -474,6 +474,14 @@ def block_rows(block: Sequence[Any]) -> Iterator[tuple]:
     return zip(*cells, strict=True)
 
 
+def _float_texts(column: np.ndarray) -> list[str]:
+    """``%.17g`` of each value of a float64 column, each distinct value formatted
+    once; keyed by bit pattern, so -0.0 and every NaN payload keep their own text."""
+    keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    texts = np.array(["%.17g" % x for x in keys.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
 def _csv_block(block: Sequence[Any]) -> str | None:
     """The lines of a block by one format string (see :func:`rows_to_csv`); None without rows."""
     parts, values = [], []
@@ -481,10 +489,12 @@ def _csv_block(block: Sequence[Any]) -> str | None:
         if isinstance(cell, range):
             parts.append("%d")
             values.append(cell)
+        elif isinstance(cell, np.ndarray) and cell.dtype.kind in "iu":
+            parts.append("%d")
+            values.append(cell.tolist())
         elif isinstance(cell, np.ndarray):
-            spec = "%d" if cell.dtype.kind in "iu" else "%.17g" if cell.dtype == np.float64 else None
-            parts.append(spec or "%s")
-            values.append(cell.tolist() if spec else [*map(_csv_cell, cell.tolist())])
+            parts.append("%s")
+            values.append(_float_texts(cell) if cell.dtype == np.float64 else [*map(_csv_cell, cell.tolist())])
         else:
             parts.append(_csv_cell(cell).replace("%", "%%"))
     fmt = ",".join(parts)
@@ -499,8 +509,10 @@ def rows_to_csv(experiment: str, columns: Sequence[str], blocks: Sequence[Sequen
     A block has one cell per column: a constant (a scalar, the same on every
     row) or a column (a 1-D array or a ``range``, one value per row); a plain
     row is a block without columns. One format string renders a block: a
-    constant is its text, a float64 column ``%.17g``, an integer column or a
-    range ``%d``, and any other column is rendered cell by cell into ``%s``.
+    constant is its text, an integer column or a range ``%d``, and any other
+    column is rendered into ``%s``: a float64 column by ``%.17g`` once per
+    distinct value (by bit pattern, :func:`_float_texts`), gathered back to
+    its rows, and any other cell by cell.
     """
     head = f"# qfimlab csv schema={CSV_SCHEMA_VERSION} experiment={experiment}"
     texts = [text for text in map(_csv_block, blocks) if text is not None]

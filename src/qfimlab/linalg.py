@@ -184,7 +184,8 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def purity(rho: np.ndarray) -> float | np.ndarray:
     """``Tr[rho^2]`` of a Hermitian ``(d, d)`` matrix, or the ``(k,)`` purities of a
-    ``(k, d, d)`` stack; each row is the ``vdot`` of its flattened entries."""
+    ``(k, d, d)`` stack, as a float64 array of its own; each row is the
+    ``vdot`` of its flattened entries."""
     f = rho.reshape(-1, rho.shape[-1] ** 2)
     out = (f.conj()[:, None, :] @ f[:, :, None])[:, 0, 0].real
-    return float(out[0]) if rho.ndim == 2 else out
+    return float(out[0]) if rho.ndim == 2 else out.copy()

@@ -823,11 +823,26 @@ def test_rows_to_csv_renders_every_cell_by_the_per_cell_rule():
         ["two\nlines", 1.0, 2, "y", False, 3],  # every column's type changes from the rows above
         ((1, 2), "", 0, 0.0, "%", "z"),  # a tuple cell prints its comma, unquoted
     ]
+    # repeated values: 0.0 and -0.0 in column a, NaN (one with a payload) and
+    # +-inf more than once, and a column f where every value is the same
+    payload_nan = np.array([0x7FF8000000000001]).view(np.float64)[0]
+    repeats = np.array([[0.0, np.nan, np.inf, 1 / 3, -np.inf, 2.5],
+                        [-0.0, np.nan, -np.inf, 1 / 3, np.inf, 2.5],
+                        [0.0, -np.nan, np.inf, 0.1, np.nan, 2.5],
+                        [-0.0, payload_nan, -np.inf, 1 / 3, payload_nan, 2.5]])
+    rows += [tuple(row) for row in repeats.tolist()]
     head = f"# qfimlab csv schema={CSV_SCHEMA_VERSION} experiment=demo\na,b,c,d,e,f\n"
     expected = head + "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
     assert rows_to_csv("demo", columns, rows) == expected
     assert expected.splitlines()[5:9] == ['"say ""hi""",ok,100%,%s %d,7,1e-300',
                                           '"two', 'lines",1,2,y,False,3', '(1, 2),,0,0,%,z']
+    assert expected.splitlines()[-4:] == ["0,nan,inf,0.33333333333333331,-inf,2.5",
+                                          "-0,nan,-inf,0.33333333333333331,inf,2.5",
+                                          "0,nan,inf,0.10000000000000001,nan,2.5",
+                                          "-0,nan,-inf,0.33333333333333331,nan,2.5"]
+    # the same rows as one block of float64 columns
+    as_block = rows_to_csv("demo", columns, [tuple(repeats.T)])
+    assert as_block == head + "".join(line + "\n" for line in expected.splitlines()[-4:])
     assert rows_to_csv("demo", columns, []) == head
 
 

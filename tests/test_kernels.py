@@ -52,6 +52,7 @@ from qfimlab.linalg import (
     Z,
     dag,
     herm_exp,
+    herm_exp_from_eig,
     insert_qubit,
     kron,
     partial_trace,
@@ -737,10 +738,35 @@ class TestBatchAxis:
             np.testing.assert_array_equal(circ.gate_step(m, angles, stack), expected)
         np.testing.assert_array_equal(stack, before)
 
+    @pytest.mark.parametrize("d", [2, 4, 8, 16, 64])
+    def test_dense_conjugate_in_the_eigenbasis_matches_the_unitary(self, rng, d):
+        # per-row angles, one row, and a scalar shared by a stack, against u rho u†
+        kernel = gate_kernel(random_hermitian(d, rng, traceless=True))
+        assert isinstance(kernel, DenseKernel)
+        hermitian = np.stack([random_density_matrix(d, rng) for _ in range(3)])
+        for mats in (hermitian, random_stack(3, d, rng)):
+            angles = rng.uniform(-np.pi, np.pi, 3)
+            cases = ((mats, angles), (mats[:1], angles[:1]), (mats[:1], angles[0]), (mats, angles[0]))
+            for rows, theta in cases:
+                u = herm_exp_from_eig(kernel.eig, theta)
+                want = u @ rows @ u.conj().swapaxes(-1, -2)
+                got = rows.copy()
+                kernel.conjugate(got, theta, np.empty_like(got))
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            # a scalar shared by the stack gives each row its single call
+            got = mats.copy()
+            kernel.conjugate(got, angles[0], np.empty_like(got))
+            for r, mat in enumerate(mats):
+                one = mat[None].copy()
+                kernel.conjugate(one, angles[0], np.empty_like(one))
+                np.testing.assert_array_equal(got[r], one[0])
+
     def test_bloch_coords_and_purity_of_a_stack_match_each_row(self, rng):
         stack = np.stack([random_density_matrix(2, rng) for _ in range(5)])
         coords = bloch_coords(stack)
         purities = purity(stack)
+        # an array of its own, not a strided view that keeps a complex product alive
+        assert purities.dtype == np.float64 and purities.flags.owndata and purities.flags.c_contiguous
         for r, mat in enumerate(stack):
             assert bloch_coords(mat) == tuple(c[r] for c in coords)
             assert purity(mat) == purities[r]
