@@ -35,7 +35,6 @@ from .channels import (
     compose,
     decompose_local_depol,
     effective_global_depol,
-    identity_channel,
     superoperator,
     verify_cptp,
 )
@@ -68,13 +67,8 @@ from .exceptions import (
 )
 from .linalg import (
     EigenDecomposition,
-    check_density_matrix,
     dag,
-    frobenius_inner,
-    herm_exp,
     hermitian_eig,
-    is_hermitian,
-    is_unitary,
     kron,
     partial_trace,
     purity,
@@ -89,7 +83,6 @@ from .qfim import (
     qfim_pure,
     relative_entropy_to_mixed,
     report_from_matrix,
-    trace_distance,
     uhlmann_fidelity,
 )
 from .rand import (

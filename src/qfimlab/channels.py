@@ -303,10 +303,6 @@ class CompositeChannel(Channel):
             ch._apply_batch(stack, scratch)
 
 
-def identity_channel(n_qubits: int) -> PauliChannel:
-    return PauliChannel([(PauliString.identity(n_qubits), 1.0)])
-
-
 def bit_flip(p: float, n_qubits: int = 1, qubit: int = 0) -> PauliChannel:
     """Bit-flip channel ``rho -> (1-p) rho + p X rho X`` on one qubit."""
     if not 0.0 <= p <= 1.0:

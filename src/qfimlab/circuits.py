@@ -14,28 +14,37 @@ a product gate, so the slot after one merges, exactly, into the slot before it
 Each gate is one kernel: declared where the structure is known (as in
 :func:`hva_tfim`), or picked by :func:`build_circuit` for a matrix generator
 (diagonal if it is exactly diagonal, dense otherwise). A structured gate
-forms no ``d x d`` unitary or generator:
+forms no ``d x d`` unitary or generator. On density matrices:
 
 - :class:`DiagonalKernel` (e.g. ``sum_j Z_j Z_{j+1}``): the gate multiplies
   ``rho`` elementwise by ``phi phi^H`` with ``phi = exp(-i theta h)``;
 - :class:`ProductKernel` (the same single-qubit term on every qubit, e.g.
   ``sum_j X_j``): ``exp(-i theta H) = u^(x)n`` is applied as two
   half-register Kronecker factors;
-- :class:`DenseKernel` (anything else): density matrices are conjugated in
-  the generator's eigenbasis ``V`` as ``V (Phi ⊙ V† rho V) V†``, four
-  products of the whole ``(k d, d)`` stack with ``V`` and one phase
-  product, so BLAS is not called once per matrix; state vectors get ``U``
-  rebuilt from the eigendecomposition.
+- :class:`DenseKernel` (anything else): ``V (Phi ⊙ V† rho V) V†`` in the
+  generator's eigenbasis ``V``, four products of the whole ``(k d, d)``
+  stack with ``V`` and one phase product, so BLAS is not called once per
+  matrix.
+
+On state vectors every kernel works in its generator's eigenframe
+(:class:`_VectorFrame`): the computational basis for a diagonal kernel,
+``W^(x)n`` for a product kernel (``W`` the eigenvectors of its term, the
+rows kept transposed over the two half registers), ``V`` for a dense one.
+There a gate is one product with ``exp(-i theta lambda)`` and ``H`` one
+product with ``lambda``; a frame change is two half-register matmuls with
+shared factors (real ones on the float view when ``W`` is real) or one
+product with ``V``.
 
 Batch axis: :func:`evolve` and :func:`statevector_derivatives` take a
 ``(K, M)`` theta, :meth:`NoisyCircuit.gate_step` a ``(k,)`` array of angles,
 and each kernel's ``apply_vectors`` one angle per batch row of a
 ``(K, r, d)`` stack of state vectors; every row equals its single call bit
 for bit. The statevector pass always runs a batch, an ``(M,)`` theta being a
-batch of one; it builds the K half-register factor pairs of a product gate
-in one call, and a dense gate's K unitaries, ``16 K d^2`` bytes. On density
-matrices a dense gate builds no unitary (it runs in the eigenbasis, above),
-and a :class:`ProductKernel` gate takes one scalar angle only (``ValueError``
+batch of one: its rows stay in the frame of the last gate's kernel, so a
+gate builds one ``(K, d)`` phase table and no per-sample factor or unitary,
+and every frame change runs each row through its own matmul calls, with
+factors that all rows share. On density matrices a
+:class:`ProductKernel` gate takes one scalar angle only (``ValueError``
 else).
 
 Derivatives of the output state are computed analytically in forward mode.
@@ -88,7 +97,6 @@ from .linalg import (
     check_generator,
     check_hermitian,
     dag,
-    herm_exp_from_eig,
     hermitian_eig,
     kron,
 )
@@ -98,15 +106,78 @@ from .linalg import (
 STRUCTURE_ULPS = 8
 
 
-class DiagonalKernel:
-    """Gate kernel of a diagonal generator ``diag(h)``.
+class _VectorFrame:
+    """How a gate kernel acts on state vectors: in its generator's eigenbasis.
+
+    In the frame the gate is one product with ``exp(-i theta lambda)`` and
+    the derivative seed ``-i H psi`` one product with ``-i lambda``. ``frame``
+    names the frame: ``None``, the computational basis, for a diagonal
+    kernel, and the kernel itself otherwise, whose :meth:`enter` and
+    :meth:`leave` write a stack of ``(..., d)`` rows into ``out``, in the
+    frame or back in the computational basis, and may overwrite the rows.
+    Each row is changed by its own matmul calls, so a batch row equals its
+    single call bit for bit.
+    """
+
+    @property
+    def frame(self) -> _VectorFrame | None:
+        return self
+
+    def _set_spectrum(self, lam: np.ndarray) -> None:
+        """``lam`` in the frame's layout, kept as its distinct values and their
+        index, so a gate takes one ``exp`` per distinct value and batch row."""
+        levels, index = np.unique(lam, return_inverse=True)
+        self._minus_i_levels, self._index = -1j * levels, index.reshape(-1)
+        self._minus_i_lambda = -1j * lam.reshape(-1)
+
+    def turn(self, rows: np.ndarray, theta: float | np.ndarray) -> None:
+        """``rows <- exp(-i theta lambda) rows`` in the frame, in place; a ``(K,)``
+        ``theta`` gives the rows of axis ``-2`` their own angle."""
+        phases = np.multiply.outer(theta, self._minus_i_levels)
+        rows *= np.take(np.exp(phases, out=phases), self._index, axis=-1)
+
+    def seed(self, row: np.ndarray, out: np.ndarray) -> None:
+        """``out <- -i lambda row`` in the frame: the derivative seed ``-i H psi``."""
+        np.multiply(row, self._minus_i_lambda, out=out)
+
+    def _in_frame(self, vecs: np.ndarray, act) -> np.ndarray:
+        """``act(rows)`` on a copy of ``vecs`` in the frame, returned in the
+        computational basis."""
+        rows = np.array(vecs, dtype=complex)
+        if self.frame is None:
+            act(rows)
+            return rows
+        spare = np.empty_like(rows)
+        self.enter(rows, spare)
+        act(spare)
+        self.leave(spare, rows)
+        return rows
+
+    def apply_vectors(self, vecs: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
+        """``U v`` for every vector along the last axis of ``vecs``; a ``(K,)``
+        ``theta`` gives batch row ``k`` of a ``(K, r, d)`` ``vecs`` its own angle."""
+        batched = np.ndim(theta) > 0  # rows (K, r, d), turned as (r, K, d)
+        return self._in_frame(vecs, lambda rows: self.turn(rows.swapaxes(0, 1) if batched else rows, theta))
+
+    def apply_generator(self, vecs: np.ndarray) -> np.ndarray:
+        """``H v`` for every vector along the last axis of ``vecs``: ``i`` times the
+        seed ``-i lambda v`` in the frame."""
+        return 1j * self._in_frame(vecs, lambda rows: self.seed(rows, rows))
+
+
+class DiagonalKernel(_VectorFrame):
+    """Gate kernel of a diagonal generator ``diag(h)``; its vector frame is the
+    computational basis.
 
     Commutes with ``P = X^(x)n`` when ``h`` is its own reverse.
     """
 
+    frame = None
+
     def __init__(self, h: np.ndarray):
         self.h = np.asarray(h, dtype=float)
         self.parity_symmetric = bool(np.array_equal(self.h, self.h[::-1]))
+        self._set_spectrum(self.h)
 
     def conjugate(self, stack: np.ndarray, theta: float | np.ndarray, scratch: np.ndarray) -> None:
         """``stack <- U stack U†`` in place, as ``stack * phi phi^H``; a ``(k,)``
@@ -118,25 +189,25 @@ class DiagonalKernel:
         """``out <- -i [H, rho]``, i.e. ``-i (h_k - h_l) rho_kl``."""
         np.multiply(rho, -1j * np.subtract.outer(self.h, self.h), out=out)
 
-    def apply_vectors(self, vecs: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
-        """``U v`` for every vector along the last axis of ``vecs``; a ``(K,)``
-        ``theta`` gives batch row ``k`` of a ``(K, r, d)`` ``vecs`` its own angle."""
-        phase = np.exp(np.multiply.outer(-1j * theta, self.h))
-        return phase[..., None, :] * vecs if np.ndim(theta) else phase * vecs
 
-    def apply_generator(self, vecs: np.ndarray) -> np.ndarray:
-        """``H v`` for every vector along the last axis of ``vecs``."""
-        return self.h * vecs
-
-
-class ProductKernel:
+class ProductKernel(_VectorFrame):
     """Gate kernel of ``H = sum_j a_j``: one 2x2 term ``a`` on every qubit.
 
-    ``exp(-i theta H) = u^(x)n`` with ``u = exp(-i theta a)`` is applied as
-    ``A (x) B`` with ``A = u^(x)(n//2)`` and ``B`` the other half, which costs
-    ``d^2 (dim A + dim B)`` per matrix instead of ``d^3``. Commutes with
-    ``P = X^(x)n`` when ``a`` commutes with ``X``, i.e. ``a = a00 I + a01 X``;
-    the parity-folded pass then reads ``a01`` only.
+    ``exp(-i theta H) = u^(x)n`` with ``u = exp(-i theta a)`` is applied to
+    density matrices as ``A (x) B`` with ``A = u^(x)(n//2)`` and ``B`` the
+    other half, which costs ``d^2 (dim A + dim B)`` per matrix instead of
+    ``d^3``. Commutes with ``P = X^(x)n`` when ``a`` commutes with ``X``,
+    i.e. ``a = a00 I + a01 X``; the parity-folded pass then reads ``a01`` only.
+
+    Its vector frame is ``W^(x)n``, ``W`` the eigenvectors of ``a``, stored
+    transposed: a row ``y``, read as a ``(d_a, d_b)`` matrix ``Y`` over the
+    two halves, is kept as ``(W_a† Y W_b^*)^T``, a ``(d_b, d_a)`` matrix, with
+    ``W_a`` and ``W_b`` the half-register powers of ``W``. A frame change is
+    a matmul with one half's factor, a transposed copy into the other buffer
+    and a matmul with the other half's factor, each factor acting on the
+    leading axis, so that when ``W`` is real (``a`` real, such as the Ising
+    field ``X``, whose ``W`` is Walsh-Hadamard) both are real matmuls on the
+    float view, with no ``kron(W, I_2)`` padding.
     """
 
     def __init__(self, a: np.ndarray, n_qubits: int):
@@ -144,11 +215,17 @@ class ProductKernel:
         self.a = a
         self._halves = (n_qubits // 2, n_qubits - n_qubits // 2)
         self._spectrum = _spectrum_power(eig.values, n_qubits)
-        # W^(x)k with its spectrum, and sum_j a_j = W diag(s) W^H, for the two halves
+        # W^(x)k with its spectrum, for the two halves
         self._powers = {k: (_kron_power(eig.vectors, k), _spectrum_power(eig.values, k)) for k in self._halves}
-        self._sums = tuple((w * s) @ dag(w) for w, s in map(self._powers.get, self._halves))
         tol = STRUCTURE_ULPS * np.finfo(float).eps * float(np.max(np.abs(a)))
         self.parity_symmetric = float(np.max(np.abs(a @ X - X @ a))) <= tol
+        w_a, w_b = (self._powers[k][0] for k in self._halves)
+        if not np.any(eig.vectors.imag):
+            w_a, w_b = w_a.real, w_b.real
+        # (first, second) factor of a change into the frame and out of it; C-ordered, as the
+        # transposed views of dag() made each change about 20% slower at n=6
+        self._changes = tuple(tuple(map(np.ascontiguousarray, f)) for f in ((dag(w_a), dag(w_b)), (w_b, w_a)))
+        self._set_spectrum(self._spectrum.reshape(len(w_a), len(w_b)).T)
 
     def _factors(self, theta: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``u^(x)k = W e^(-i theta s) W^H`` for the two halves, from the cached bases and
@@ -157,6 +234,14 @@ class ProductKernel:
             (w * np.exp(np.multiply.outer(-1j * theta, s))[..., None, :]) @ dag(w)
             for w, s in map(self._powers.get, self._halves)
         )
+
+    def enter(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """``out <- W_b† (W_a† Y)^T`` per row ``Y``; ``rows`` is overwritten."""
+        _change_halves(rows, out, *self._changes[0])
+
+    def leave(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """``out <- W_a (W_b Z)^T`` per frame row ``Z``; ``rows`` is overwritten."""
+        _change_halves(rows, out, *self._changes[1])
 
     def conjugate(self, stack: np.ndarray, theta: float, scratch: np.ndarray) -> None:
         """``stack <- U stack U†`` in place, at one scalar angle for the whole stack."""
@@ -172,28 +257,42 @@ class ProductKernel:
         out *= -1j * np.subtract.outer(self._spectrum, self._spectrum)
         _kron_conjugate(out[None], w_a, w_b, scratch[None])
 
-    def apply_vectors(self, vecs: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
-        """``U v`` for every vector along the last axis of ``vecs``; a ``(K,)``
-        ``theta`` gives batch row ``k`` of a ``(K, r, d)`` ``vecs`` its own angle."""
-        a, b = (f[..., None, :, :] for f in self._factors(theta))
-        t = vecs.reshape(np.shape(theta) + (-1, a.shape[-1], b.shape[-1]))
-        return (a @ t @ b.swapaxes(-1, -2)).reshape(vecs.shape)
 
-    def apply_generator(self, vecs: np.ndarray) -> np.ndarray:
-        """``H v`` for every vector along the last axis of ``vecs``, by half-register sums."""
-        a, b = self._sums
-        t = vecs.reshape(-1, len(a), len(b))
-        return (a @ t + t @ b.T).reshape(vecs.shape)
+def _change_halves(rows: np.ndarray, out: np.ndarray, first: np.ndarray, second: np.ndarray) -> None:
+    """``out <- second (first R)^T`` for each row of ``rows``, read as a ``(p, q)``
+    matrix ``R`` (``p = len(first)``), using ``rows`` as scratch.
+
+    Each factor acts on the leading axis of a row, so a real factor is a real
+    matmul on the float view of the complex rows.
+    """
+    p, q = len(first), len(second)
+    x, y = (rows.view(float), out.view(float)) if first.dtype == float else (rows, out)
+    np.matmul(first, x.reshape(-1, p, x.shape[-1] // p), out=y.reshape(-1, p, x.shape[-1] // p))
+    np.copyto(rows.reshape(-1, q, p), out.reshape(-1, p, q).swapaxes(1, 2))
+    np.matmul(second, x.reshape(-1, q, x.shape[-1] // q), out=y.reshape(-1, q, x.shape[-1] // q))
 
 
-class DenseKernel:
-    """Gate kernel of an unstructured generator, via its eigendecomposition."""
+class DenseKernel(_VectorFrame):
+    """Gate kernel of an unstructured generator, via its eigendecomposition.
+
+    Its vector frame is the eigenbasis ``V``: a frame change is one product
+    of every row with ``V^*`` (in) or ``V^T`` (out).
+    """
 
     parity_symmetric = False
 
     def __init__(self, h: np.ndarray, eig: EigenDecomposition):
         self.h = h
         self.eig = eig
+        self._set_spectrum(eig.values)
+
+    def enter(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """``out <- V† y`` for every row ``y``."""
+        np.matmul(rows[..., None, :], self.eig.vectors.conj(), out=out[..., None, :])
+
+    def leave(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """``out <- V z`` for every frame row ``z``."""
+        np.matmul(rows[..., None, :], self.eig.vectors.T, out=out[..., None, :])
 
     def conjugate(self, stack: np.ndarray, theta: float | np.ndarray, scratch: np.ndarray) -> None:
         """``stack <- U stack U†`` in place; a ``(k,)`` ``theta`` gives row ``r``
@@ -225,11 +324,6 @@ class DenseKernel:
         np.matmul(rho, self.h, out=scratch)
         out -= scratch
         out *= -1j
-
-    def apply_vectors(self, vecs: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
-        """``U v`` for every vector along the last axis of ``vecs``; a ``(K,)``
-        ``theta`` gives batch row ``k`` of a ``(K, r, d)`` ``vecs`` its own angle."""
-        return vecs @ herm_exp_from_eig(self.eig, theta).swapaxes(-1, -2)
 
     def apply_generator(self, vecs: np.ndarray) -> np.ndarray:
         """``H v`` for every vector along the last axis of ``vecs``, as one
@@ -951,9 +1045,17 @@ def statevector_derivatives(
     remaining gates; as in :func:`evolve_with_derivatives`, the state and the
     pending derivatives travel forward as one stack, through the gate kernels.
 
-    The pass always runs a batch: a ``(K, M)`` theta carries a ``(K, M + 1, d)``
-    stack, ``16 K (M + 1) d`` bytes, and returns the ``(K, d)`` states and
-    ``(K, M, d)`` derivatives, row ``k`` equal bit for bit to the call with
+    The rows run in the eigenframe of the last gate's kernel (see
+    :class:`_VectorFrame`) and change frame only when the next gate's kernel
+    has another: a gate is then one product with ``exp(-i theta_k lambda)``
+    per batch row, and its seed ``-i lambda`` times row 0. No gate unitary
+    and no ``H v`` product is formed.
+
+    The pass always runs a batch: a ``(K, M)`` theta carries an
+    ``(M + 1, K, d)`` stack, in which rows ``0..m`` are contiguous, and a
+    spare buffer of the same size, ``2 16 (M + 1) K d`` bytes in one
+    allocation, and returns the ``(K, d)`` states and ``(K, M, d)``
+    derivatives as views of it, row ``k`` equal bit for bit to the call with
     ``theta[k]``. An ``(M,)`` theta is a batch of one, returned as the state
     and a list of M derivatives.
     """
@@ -961,12 +1063,24 @@ def statevector_derivatives(
         raise ValueError("statevector evolution requires a noiseless circuit")
     theta = _check_args(circuit, theta, psi, 1, batched=True)
     thetas = np.atleast_2d(theta)
-    rows = np.empty((len(thetas), circuit.n_params + 1, circuit.dim), dtype=complex)
-    rows[:, 0] = psi
+    stack, spare = np.empty((2, circuit.n_params + 1, len(thetas), circuit.dim), dtype=complex)
+    stack[0] = psi
+    frame = None  # the kernel whose frame the rows are in; None: the computational basis
     for m, angles in enumerate(thetas.T):
         kernel = circuit.kernels[circuit.layers[m]]
-        rows[:, : m + 1] = kernel.apply_vectors(rows[:, : m + 1], angles)
-        rows[:, m + 1] = -1j * kernel.apply_generator(rows[:, :1])[:, 0]
+        if kernel.frame is not frame:
+            if frame is not None:
+                frame.leave(stack[: m + 1], spare[: m + 1])
+                stack, spare = spare, stack
+            if kernel.frame is not None:
+                kernel.enter(stack[: m + 1], spare[: m + 1])
+                stack, spare = spare, stack
+            frame = kernel.frame
+        kernel.turn(stack[: m + 1], angles)
+        kernel.seed(stack[0], stack[m + 1])
+    if frame is not None:
+        frame.leave(stack, spare)
+        stack = spare
     if theta.ndim == 1:
-        return rows[0, 0], list(rows[0, 1:])
-    return rows[:, 0], rows[:, 1:]
+        return stack[0, 0], list(stack[1:, 0])
+    return stack[0], stack[1:].swapaxes(0, 1)

@@ -343,18 +343,19 @@ def _estimated_bytes(circuit: dict, noise: dict, sweep: dict, workers: int, samp
     most ``2 (M + 1) 16 d^2 / 2`` at the deepest circuit (``M = 2L``) and then
     hold the QFIM's sector blocks, the bound for a circuit with no rotation
     symmetry (less when the pass keeps one entry per rotation orbit); every
-    other point keeps ``(M + 1)`` state vectors for each of the
-    :func:`scaling_chunk` samples it runs at once (one for spectrum), and a
-    product gate forms two more stacks of that size (``a @ t``, then
-    ``@ b^T``) before they are copied back: ``3 chunk (M + 1) 16 d``, at the
-    depth where that is largest.
+    other point runs the statevector pass on the :func:`scaling_chunk`
+    samples it runs at once (one for spectrum): its ``(M + 1)`` rows per
+    sample and a spare buffer of the same size, one allocation that the
+    returned states and derivatives keep alive, while the Fubini-Study
+    assembly forms ``M`` projected rows per sample,
+    ``(2 (M + 1) + M) chunk 16 d``, at the depth where that is largest.
     """
     d = 2 ** circuit["n"]
     depths = [2 * level for level in (circuit["L"], *sweep["L"])]
     points = sweep["p"] + [noise["p"]] * len(sweep["L"])  # the L sweep runs at noise.p
     folded = noise["model"] == "local_depolarizing" and any(p > 0.0 for p in points)
     held = min(workers, len(points))
-    vectors = max(3 * scaling_chunk(samples, d, m) * (m + 1) * 16 * d for m in depths)
+    vectors = max((3 * m + 2) * scaling_chunk(samples, d, m) * 16 * d for m in depths)
     return held * max(vectors, (max(depths) + 1) * 16 * d * d if folded else 0)
 
 

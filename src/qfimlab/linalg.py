@@ -66,37 +66,11 @@ def n_qubits_of(mat: np.ndarray) -> int:
     return n
 
 
-def is_hermitian(a: np.ndarray) -> bool:
-    """Max-entry check of ``A == A†`` to within ``TAU_HERM``."""
-    return bool(np.max(np.abs(a - a.conj().T)) <= TAU_HERM)
-
-
-def is_unitary(a: np.ndarray) -> bool:
-    """Max-entry check of ``A†A == I`` to within ``TAU_UNIT``."""
-    d = a.shape[0]
-    return bool(np.max(np.abs(a.conj().T @ a - np.eye(d))) <= TAU_UNIT)
-
-
 def check_hermitian(a: np.ndarray, name: str = "matrix") -> None:
     """Raise ``NotHermitianError`` when ``A`` differs from ``A†`` by more than ``TAU_HERM``."""
     dev = float(np.max(np.abs(a - a.conj().T)))
     if dev > TAU_HERM:
         raise NotHermitianError(f"{name} deviates from Hermiticity by {dev:.3e} (> {TAU_HERM:.1e})")
-
-
-def check_density_matrix(rho: np.ndarray) -> None:
-    """Validate Hermiticity, unit trace, and positive semidefiniteness.
-
-    Raises ``NotHermitianError`` or ``ValueError`` on violation (eigenvalues
-    down to ``-TAU_PSD`` pass). Runs an eigendecomposition: not for loops.
-    """
-    check_hermitian(rho, "density matrix")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TAU_TRACE:
-        raise ValueError(f"density matrix trace {tr} deviates from 1 by more than {TAU_TRACE:.1e}")
-    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
-    if min_eig < -TAU_PSD:
-        raise ValueError(f"density matrix has eigenvalue {min_eig:.3e} below -{TAU_PSD:.1e}")
 
 
 def check_generator(g: np.ndarray, d: int, name: str) -> None:
@@ -121,15 +95,8 @@ def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values, vectors)
 
 
-def herm_exp(h: np.ndarray, theta: float) -> np.ndarray:
-    """Unitary ``exp(-i * theta * h)`` for Hermitian ``h``, via eigendecomposition."""
-    values, vectors = hermitian_eig(h)
-    phases = np.exp(-1j * theta * values)
-    return (vectors * phases) @ vectors.conj().T
-
-
 def herm_exp_from_eig(eig: EigenDecomposition, theta: float | np.ndarray) -> np.ndarray:
-    """Same as :func:`herm_exp` but reusing a precomputed eigendecomposition;
+    """Unitary ``exp(-i theta h)`` from the eigendecomposition of a Hermitian ``h``;
     a ``(k,)`` array of angles gives the ``(k, d, d)`` stack of unitaries."""
     phases = np.exp(np.multiply.outer(-1j * theta, eig.values))
     return (eig.vectors * phases[..., None, :]) @ eig.vectors.conj().T
@@ -169,13 +136,6 @@ def insert_qubit(mat: np.ndarray, position: int, op2: np.ndarray) -> np.ndarray:
     full = np.kron(op2, mat)  # new qubit is factor 0
     perm = list(range(1, position + 1)) + [0] + list(range(position + 1, n + 1))
     return permute_qubits(full, perm)
-
-
-def frobenius_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Frobenius (Hilbert-Schmidt) inner product ``Tr[a† b]``."""
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

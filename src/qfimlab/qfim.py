@@ -23,10 +23,12 @@ input picks one of three routes:
 
 - a state vector through a noiseless or globally depolarized circuit: the
   noisy output is ``x |psi><psi| + (1-x) I/d`` with ``x = (1-p)^(M+1)``, so
-  the QFIM is the Fubini-Study QFIM of the noiseless output, from
-  ``M + 1`` state vectors (``circuits.statevector_derivatives``), scaled by
-  ``x^2 / (x + 2 (1-x)/d)``: 1 at ``p = 0``, 0 at ``p = 1``. No ``d x d``
-  array is formed. Any other state vector runs as its density matrix.
+  the QFIM is the Fubini-Study QFIM of the noiseless output, scaled by
+  ``x^2 / (x + 2 (1-x)/d)``: 1 at ``p = 0``, 0 at ``p = 1``. Its ``M + 1``
+  state vectors come from ``circuits.statevector_derivatives``, which runs
+  them in each gate kernel's eigenframe, a gate being one phase product
+  there; no ``d x d`` array is formed. Any other state vector runs as its
+  density matrix.
 - a density matrix that ``circuits.parity_folds`` accepts: the folded pass
   (``circuits.parity_folded_sectors``), assembled as one Gram product per
   sector block.
@@ -39,8 +41,10 @@ checks the closed form against it.
 
 A ``(K, M)`` theta gives a list of K reports, each equal bit for bit to the
 call with its row: the state-vector route runs one batched pass of
-``K (M + 1)`` vectors and one batched Gram product, then reads each row's
-spectrum; the folded and dense routes run one row at a time.
+``K (M + 1)`` vectors, one batched Gram product and one
+:func:`report_from_matrix` call on the ``(K, M, M)`` stack, whose
+``eigvalsh`` takes every row at once; the folded and dense routes run one
+row at a time.
 
 Numerical rank counts eigenvalues above ``tau_abs + tau_rel * lambda_max``;
 both knobs are explicit on every report because the small-noise regime makes
@@ -90,14 +94,21 @@ def report_from_matrix(
     matrix: np.ndarray,
     tau_abs: float = TAU_RANK_ABS,
     tau_rel: float = TAU_RANK_REL,
-) -> QfimReport:
-    """Symmetrize, diagonalize, and attach the spectrum and rank to a QFIM."""
+) -> QfimReport | list[QfimReport]:
+    """Symmetrize, diagonalize, and attach the spectrum and rank to a QFIM.
+
+    A ``(K, M, M)`` stack is symmetrized and diagonalized in one call each
+    and gives the list of K reports, each equal bit for bit to the call
+    with its matrix.
+    """
     matrix = np.asarray(matrix, dtype=float)
-    matrix = (matrix + matrix.T) / 2
-    eigs = np.linalg.eigvalsh(matrix)[::-1]
-    lam_max = float(np.max(eigs, initial=0.0))
-    rank = int(np.sum(eigs > tau_abs + tau_rel * lam_max))
-    return QfimReport(matrix, eigs, rank, tau_abs, tau_rel)
+    matrix = (matrix + matrix.swapaxes(-1, -2)) / 2
+    eigs = np.linalg.eigvalsh(matrix)[..., ::-1]
+    lam_max = np.max(eigs, axis=-1, initial=0.0)
+    ranks = np.sum(eigs > tau_abs + tau_rel * lam_max[..., None], axis=-1)
+    if matrix.ndim == 2:
+        return QfimReport(matrix, eigs, int(ranks), tau_abs, tau_rel)
+    return [QfimReport(m, e, int(r), tau_abs, tau_rel) for m, e, r in zip(matrix, eigs, ranks)]
 
 
 def effective_dim_d1(report: QfimReport, epsilon: float | None = None) -> int:
@@ -207,7 +218,7 @@ def qfim_of_circuit(
         scale = x * x / (x + 2.0 * (1.0 - x) / circuit.dim)
         noiseless = circuit.with_uniform_noise(None)
         states, derivs = statevector_derivatives(noiseless, np.atleast_2d(theta), state)
-        reports = [report_from_matrix(scale * pure, tau_abs, tau_rel) for pure in _fubini_study(states, derivs)]
+        reports = report_from_matrix(scale * _fubini_study(states, derivs), tau_abs, tau_rel)
         return reports if theta.ndim == 2 else reports[0]
     if theta.ndim == 2:
         return [qfim_of_circuit(circuit, row, state, tau_abs, tau_rel) for row in theta]
@@ -266,14 +277,6 @@ def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 def bures_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """``2 (1 - sqrt(fidelity))``."""
     return 2.0 * (1.0 - np.sqrt(uhlmann_fidelity(rho, sigma)))
-
-
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """``(1/2) ||rho - sigma||_1``."""
-    _check_pair(rho, sigma)
-    diff = rho - sigma
-    evals = np.linalg.eigvalsh((diff + dag(diff)) / 2)
-    return 0.5 * float(np.sum(np.abs(evals)))
 
 
 def relative_entropy_to_mixed(rho: np.ndarray) -> float:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import identity_channel
 
 from qfimlab.channels import (
     CompositeChannel,
@@ -15,7 +16,6 @@ from qfimlab.channels import (
     compose,
     decompose_local_depol,
     effective_global_depol,
-    identity_channel,
     superoperator,
     verify_cptp,
 )

@@ -5,14 +5,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import check_density_matrix, herm_exp, identity_channel
 
-from qfimlab.channels import GlobalDepolarizing, LocalDepolarizing, bit_flip, identity_channel
+from qfimlab.channels import GlobalDepolarizing, LocalDepolarizing, bit_flip
 from qfimlab.circuits import (
     TOY_GENERATORS,
     TOY_THETAS,
     DenseKernel,
     DiagonalKernel,
     NoisyCircuit,
+    ProductKernel,
     bloch_coords,
     build_circuit,
     derivative_fd,
@@ -27,8 +29,18 @@ from qfimlab.circuits import (
     toy_model,
 )
 from qfimlab.exceptions import DimensionMismatchError
-from qfimlab.linalg import KET_PLUS, X, Y, Z, check_density_matrix, dag, herm_exp, kron
+from qfimlab.linalg import KET_PLUS, X, Y, Z, dag, kron
 from qfimlab.rand import random_density_matrix, random_hermitian
+
+
+def recorded(step, calls):
+    """``step``, appending itself to ``calls`` on every call."""
+
+    def wrapper(*args):
+        calls.append(step)
+        return step(*args)
+
+    return wrapper
 
 
 def random_noisy_circuit(rng, n_max=3):
@@ -351,6 +363,45 @@ class TestStatevectorPath:
             psi, dpsi = statevector_derivatives(circ, theta, psi0)
             np.testing.assert_array_equal(states[k], psi)
             np.testing.assert_array_equal(derivs[k], np.array(dpsi))
+
+    @pytest.mark.parametrize(
+        "n, layers, kinds, changes",
+        [
+            (5, (0, 1, 0, 1, 1), "dx", 4),  # odd n: halves of 2 and 3 qubits
+            (4, (1, 1, 0, 0, 1), "dx", 4),  # equal neighbours share a frame
+            (3, (1, 0, 1, 1, 0), "dc", 4),  # a product term with complex eigenvectors
+            (3, (0, 1, 1, 0, 1), "dv", 4),  # a dense generator
+            (3, (0, 1, 2, 3, 3, 2, 1, 0, 2), "dxcv", 12),
+        ],
+        ids=["odd-n", "repeated", "complex-w", "dense", "mixed"],
+    )
+    def test_frame_changes_match_the_density_pass(self, rng, n, layers, kinds, changes):
+        d = 2**n
+        make = {
+            "d": lambda: DiagonalKernel(rng.normal(size=d)),
+            "x": lambda: ProductKernel(X, n),
+            "c": lambda: ProductKernel(random_hermitian(2, rng, traceless=True), n),
+            "v": lambda: build_circuit(n, [random_hermitian(d, rng, traceless=True)], [0]).kernels[0],
+        }
+        circ = NoisyCircuit(n, layers, tuple(make[k]() for k in kinds))
+        calls = []
+        for kernel in circ.kernels:
+            if kernel.frame is not None:
+                for name in ("enter", "leave"):
+                    setattr(kernel, name, recorded(getattr(kernel, name), calls))
+        psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+        psi0 /= np.linalg.norm(psi0)
+        thetas = rng.uniform(-np.pi, np.pi, (3, circ.n_params))
+        states, derivs = statevector_derivatives(circ, thetas, psi0)
+        assert len(calls) == changes
+        for k, theta in enumerate(thetas):
+            psi, dpsi = statevector_derivatives(circ, theta, psi0)
+            np.testing.assert_array_equal(states[k], psi)
+            np.testing.assert_array_equal(derivs[k], np.array(dpsi))
+            out, d_rho = evolve_with_derivatives(circ, theta, np.outer(psi0, psi0.conj()))
+            assert np.max(np.abs(np.outer(psi, psi.conj()) - out)) <= 1e-12
+            for dv, want in zip(dpsi, d_rho):
+                assert np.max(np.abs(np.outer(dv, psi.conj()) + np.outer(psi, dv.conj()) - want)) <= 1e-12
 
     def test_requires_noiseless(self):
         circ, _ = toy_model()

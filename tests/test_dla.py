@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 from dla_reference import ResidualBasis
+from oracles import frobenius_inner
 
 from qfimlab.circuits import TOY_GENERATORS, hva_parity_sector_generators, hva_tfim_generators
 from qfimlab.dla import PauliSum, dla_dimension, lie_closure
 from qfimlab.exceptions import CapExceededError
-from qfimlab.linalg import X, Y, Z, commutator, frobenius_inner
+from qfimlab.linalg import X, Y, Z, commutator
 from qfimlab.rand import random_hermitian, random_unitary
 
 

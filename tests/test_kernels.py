@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import herm_exp
 
 import qfimlab
 from qfimlab.channels import (
@@ -51,7 +52,6 @@ from qfimlab.linalg import (
     X,
     Z,
     dag,
-    herm_exp,
     herm_exp_from_eig,
     insert_qubit,
     kron,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import check_density_matrix, frobenius_inner, herm_exp, is_hermitian, is_unitary
 
 from qfimlab.exceptions import DimensionMismatchError, NotHermitianError
 from qfimlab.linalg import (
@@ -9,14 +10,9 @@ from qfimlab.linalg import (
     KET_PLUS,
     X,
     Z,
-    check_density_matrix,
     dag,
-    frobenius_inner,
-    herm_exp,
     hermitian_eig,
     insert_qubit,
-    is_hermitian,
-    is_unitary,
     kron,
     partial_trace,
     permute_qubits,

@@ -56,3 +56,17 @@ def test_python_dash_m_runs_the_cli(tmp_path):
         check=True, capture_output=True, env=env, timeout=120,
     )
     assert out.read_bytes() == run_trajectory(parse_config(json.loads(config.read_text()))).encode()
+
+
+def test_output_diff_counts_changed_cells_and_relative_float_changes(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    compare = importlib.import_module("output_diff").compare
+    old = "# qfimlab csv\nlabel,n,v\nnoiseless,1,0.5\neig0,2,1e-3\n"
+    assert compare(old, old) == "identical"
+    # a label and an integer changed; 0.5 moved by one ulp, 2.2e-16 of the column's 0.5
+    new = "# qfimlab csv\nlabel,n,v\nnoiseless,1,0.50000000000000011\neig1,3,1e-3\n"
+    assert compare(old, new) == "2 non-float cells changed, float change <= 2.2e-16 of column max (v)"
+    table = {"columns": ["a", "b"], "rows": [[1, 0.5], [2, 1.0]], "all_passed": True}
+    moved = {**table, "rows": [[1, 0.5], [2, 1.0 + 2**-52]], "all_passed": False}
+    want = "1 non-float cells changed, float change <= 2.2e-16 of column max (b)"
+    assert compare(json.dumps(table), json.dumps(moved)) == want

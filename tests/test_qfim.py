@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import trace_distance
 
 from qfimlab.channels import (
     CompositeChannel,
@@ -33,7 +34,6 @@ from qfimlab.qfim import (
     qfim_pure,
     relative_entropy_to_mixed,
     report_from_matrix,
-    trace_distance,
     uhlmann_fidelity,
 )
 from qfimlab.rand import random_density_matrix, random_hermitian, random_statevector
@@ -255,6 +255,21 @@ def test_batched_theta_gives_each_single_report_bit_for_bit(rng, route):
         np.testing.assert_array_equal(report.matrix, single.matrix)
         np.testing.assert_array_equal(report.eigenvalues, single.eigenvalues)
         assert report.rank == single.rank
+
+
+def test_report_of_a_stack_equals_each_single_report_byte_for_byte(rng):
+    a = rng.normal(size=(5, 6, 6))
+    mats = a @ a.swapaxes(-1, -2) + 1e-3 * rng.normal(size=(5, 6, 6))
+    mats[1] = 0.0
+    mats[2, :, 3:] = mats[2, 3:, :] = 0.0  # rank 3
+    reports = report_from_matrix(mats, 1e-12, 1e-10)
+    assert len(reports) == 5
+    for mat, got in zip(mats, reports):
+        want = report_from_matrix(mat, 1e-12, 1e-10)
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert (got.rank, got.tau_abs, got.tau_rel) == (want.rank, want.tau_abs, want.tau_rel)
+    assert [r.rank for r in reports][1:3] == [0, 3]
 
 
 def test_vector_route_forms_no_density_matrix():

@@ -16,6 +16,9 @@ byte-identical outputs when their lines are identical::
     python tools/output_hashes.py > new.txt
     python tools/output_hashes.py ../parent > old.txt
     diff old.txt new.txt
+
+``tools/output_diff.py`` runs the same configs and seeds and compares two
+checkouts' outputs cell by cell.
 """
 
 from __future__ import annotations
@@ -31,15 +34,13 @@ SEEDS = (42, 7)
 CONFIG_DIRS = ("demos/configs", "perfbench/workloads")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("checkout", nargs="?", default=str(Path(__file__).resolve().parents[1]))
-    root = Path(parser.parse_args(argv).checkout).resolve()
+def runs(root: Path):
+    """Yield ``(label, text)`` for every run, ``label`` being ``config@seed``, with
+    ``/json`` appended for a table's JSON run; ``qfimlab`` comes from ``root/src``."""
     sys.path.insert(0, str(root / "src"))
     qfimlab = importlib.import_module("qfimlab")
     if Path(qfimlab.__file__).resolve().parent != root / "src" / "qfimlab":
-        print(f"qfimlab imported from {qfimlab.__file__}, not from {root}", file=sys.stderr)
-        return 1
+        sys.exit(f"qfimlab imported from {qfimlab.__file__}, not from {root}")
     from qfimlab.experiments import CONTRACTS, RUNNERS, parse_config
 
     for seed in SEEDS:
@@ -48,14 +49,19 @@ def main(argv: list[str] | None = None) -> int:
             raw["theta"] = {"seed": seed}
             raw["output"] = {k: v for k, v in raw.get("output", {}).items() if k != "path"}
             config = parse_config(raw, workers=1)
-            runs = [("", config)]
+            configs = [("", config)]
             if "csv" in CONTRACTS[config.experiment].formats:  # a table, in JSON too
                 as_json = {**raw, "output": {**raw["output"], "format": "json"}}
-                runs.append(("/json", parse_config(as_json, workers=1)))
-            for suffix, cfg in runs:
-                text = RUNNERS[cfg.experiment](cfg, workers=1)
-                digest = hashlib.sha256(text.encode()).hexdigest()
-                print(f"{digest}  {path.relative_to(root)}@{seed}{suffix}", flush=True)
+                configs.append(("/json", parse_config(as_json, workers=1)))
+            for suffix, cfg in configs:
+                yield f"{path.relative_to(root)}@{seed}{suffix}", RUNNERS[cfg.experiment](cfg, workers=1)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", nargs="?", default=str(Path(__file__).resolve().parents[1]))
+    for label, text in runs(Path(parser.parse_args(argv).checkout).resolve()):
+        print(f"{hashlib.sha256(text.encode()).hexdigest()}  {label}", flush=True)
     return 0
 
 
