@@ -240,7 +240,7 @@ class LocalDepolarizing(Channel):
 
     The parity-folded circuit pass never calls the kernel: it applies the
     channel in the Pauli frame, where it is diagonal (see
-    :func:`~qfimlab.circuits.parity_folded_pass`).
+    :func:`~qfimlab.circuits.parity_folded_sectors`).
     """
 
     probs: tuple[float, ...]

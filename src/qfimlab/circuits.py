@@ -36,16 +36,14 @@ shared factors (real ones on the float view when ``W`` is real) or one
 product with ``V``.
 
 Batch axis: :func:`evolve` and :func:`statevector_derivatives` take a
-``(K, M)`` theta, :meth:`NoisyCircuit.gate_step` a ``(k,)`` array of angles,
-and each kernel's ``apply_vectors`` one angle per batch row of a
-``(K, r, d)`` stack of state vectors; every row equals its single call bit
-for bit. The statevector pass always runs a batch, an ``(M,)`` theta being a
-batch of one: its rows stay in the frame of the last gate's kernel, so a
-gate builds one ``(K, d)`` phase table and no per-sample factor or unitary,
-and every frame change runs each row through its own matmul calls, with
-factors that all rows share. On density matrices a
-:class:`ProductKernel` gate takes one scalar angle only (``ValueError``
-else).
+``(K, M)`` theta and :meth:`NoisyCircuit.gate_step` a ``(k,)`` array of
+angles; every row equals its single call bit for bit. The statevector pass
+always runs a batch, an ``(M,)`` theta being a batch of one: its rows stay
+in the frame of the last gate's kernel, so a gate builds one ``(K, d)``
+phase table and no per-sample factor or unitary, and every frame change
+runs each row through its own matmul calls, with factors that all rows
+share. On density matrices a :class:`ProductKernel` gate takes one scalar
+angle only (``ValueError`` else).
 
 Derivatives of the output state are computed analytically in forward mode.
 Differentiating gate ``i`` inserts the commutator ``-i [H_i, .]`` right after
@@ -60,7 +58,7 @@ Parity folding. With ``P = X^(x)n``, when every gate kernel commutes with
 ``P`` (a diagonal ``h`` equal to its own reverse, or a product term that
 commutes with ``X``), the noise is ``None`` or local depolarizing, and the
 input satisfies ``rho == rho[::-1, ::-1]``, every state and derivative of the
-pass keeps that symmetry (:func:`parity_folds`). :func:`parity_folded_pass`
+pass keeps that symmetry (:func:`parity_folds`). :func:`parity_folded_sectors`
 then carries only the top half rows, in Walsh-Hadamard frames
 (:class:`_WalshFrames`) where each gate, derivative seed and noise slot is
 one elementwise product and the only matmuls are the real Hadamard
@@ -69,14 +67,13 @@ qubit rotation ``R^g`` that the diagonal generators, the slot channels and
 the input respect exactly (:func:`_rotation_step`): ``g = 1`` for the Ising
 ring under uniform noise, which shrinks every transform and product 6.4x at
 n = 8, and ``g = n``, the plain fold, when nothing but the identity holds.
-Its two buffers take at most ``2 (M + 1) 16 d^2 / 2`` bytes. The QFIM reads
-the rows out as one block per sector of the group ``<R^g> x <P>``
-(:func:`parity_folded_sectors`, :class:`_Sectors`), about ``d / (2n/g)``
-wide, with no ``(M + 1, d/2, d)`` array in between. The Ising
-ansatz on ``|+>^n`` under local depolarizing noise folds; the toy model,
-dense generators, Pauli, global-depolarizing and composite channels, and
-asymmetric inputs do not, and :func:`evolve_with_derivatives` is always
-the dense pass.
+Its two buffers take at most ``2 (M + 1) 16 d^2 / 2`` bytes. It reads the
+rows out as one block per sector of the group ``<R^g> x <P>``
+(:class:`_Sectors`), about ``d / (2n/g)`` wide, with no ``(M + 1, d/2, d)``
+array in between. The Ising ansatz on ``|+>^n`` under local depolarizing
+noise folds; the toy model, dense generators, Pauli, global-depolarizing and
+composite channels, and asymmetric inputs do not, and
+:func:`evolve_with_derivatives` is always the dense pass.
 """
 
 from __future__ import annotations
@@ -139,30 +136,6 @@ class _VectorFrame:
     def seed(self, row: np.ndarray, out: np.ndarray) -> None:
         """``out <- -i lambda row`` in the frame: the derivative seed ``-i H psi``."""
         np.multiply(row, self._minus_i_lambda, out=out)
-
-    def _in_frame(self, vecs: np.ndarray, act) -> np.ndarray:
-        """``act(rows)`` on a copy of ``vecs`` in the frame, returned in the
-        computational basis."""
-        rows = np.array(vecs, dtype=complex)
-        if self.frame is None:
-            act(rows)
-            return rows
-        spare = np.empty_like(rows)
-        self.enter(rows, spare)
-        act(spare)
-        self.leave(spare, rows)
-        return rows
-
-    def apply_vectors(self, vecs: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
-        """``U v`` for every vector along the last axis of ``vecs``; a ``(K,)``
-        ``theta`` gives batch row ``k`` of a ``(K, r, d)`` ``vecs`` its own angle."""
-        batched = np.ndim(theta) > 0  # rows (K, r, d), turned as (r, K, d)
-        return self._in_frame(vecs, lambda rows: self.turn(rows.swapaxes(0, 1) if batched else rows, theta))
-
-    def apply_generator(self, vecs: np.ndarray) -> np.ndarray:
-        """``H v`` for every vector along the last axis of ``vecs``: ``i`` times the
-        seed ``-i lambda v`` in the frame."""
-        return 1j * self._in_frame(vecs, lambda rows: self.seed(rows, rows))
 
 
 class DiagonalKernel(_VectorFrame):
@@ -324,11 +297,6 @@ class DenseKernel(_VectorFrame):
         np.matmul(rho, self.h, out=scratch)
         out -= scratch
         out *= -1j
-
-    def apply_generator(self, vecs: np.ndarray) -> np.ndarray:
-        """``H v`` for every vector along the last axis of ``vecs``, as one
-        product ``H V^T`` per ``(r, d)`` block of a stack."""
-        return self.h @ vecs if vecs.ndim == 1 else np.matmul(self.h, vecs.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 GateKernel = DiagonalKernel | ProductKernel | DenseKernel
@@ -553,9 +521,19 @@ def parity_folds(circuit: NoisyCircuit, rho: np.ndarray) -> bool:
     )
 
 
-def _folded_frames(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> _WalshFrames:
-    """The frames after the parity-folded pass, rows ``0..M`` holding the state and
-    the M derivatives; ``ValueError`` when :func:`parity_folds` rejects the input."""
+def parity_folded_sectors(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> list[np.ndarray]:
+    """:func:`evolve_with_derivatives` for a circuit and input that
+    :func:`parity_folds` accepts, read out as one ``(M + 1, k, k)`` stack per
+    sector of ``G = <R^g> x <P>`` (see :class:`_Sectors`): row 0 is the output
+    state's block, row ``m + 1`` that of ``d/d theta_m``. The block sizes
+    ``k`` sum to ``d``.
+
+    The rows travel in the frames of :class:`_WalshFrames`, one entry per
+    orbit of the qubit rotation ``R^g`` of :func:`_rotation_step`, in two
+    buffers of ``(M + 1) max(|E| d/2, |B| d, R^2 |G|)`` complex entries
+    (``(M + 1) d^2 / 2`` at ``g = n``) that end up holding the blocks.
+    Raises ``ValueError`` when :func:`parity_folds` rejects the input.
+    """
     if not parity_folds(circuit, rho):
         raise ValueError("the circuit or input does not commute with the parity X^n")
     theta = _check_args(circuit, theta, rho, 2)
@@ -566,34 +544,7 @@ def _folded_frames(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) ->
             frames.depolarize(m + 1, slot)
         if m < circuit.n_params:
             frames.gate(m + 1, circuit.kernels[circuit.layers[m]], theta[m])
-    return frames
-
-
-def parity_folded_pass(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """:func:`evolve_with_derivatives` on the top half rows, for a circuit and
-    input that :func:`parity_folds` accepts.
-
-    Returns the ``(M + 1, d/2, d)`` stack of top rows; row ``r`` of the full
-    stack is ``concat(top[r], top[r][::-1, ::-1])``. The rows travel in the
-    frames of :class:`_WalshFrames`, where every gate, seed and noise slot
-    is one elementwise product, with one entry per orbit of the qubit
-    rotation ``R^g`` that the circuit and input respect
-    (:func:`_rotation_step`). The stack and its spare buffer take
-    ``(M + 1) max(|E| d/2, |B| d, R^2 |G|)`` complex entries each, and the
-    returned array, allocated at the end, ``(M + 1) d^2 / 2``; with no
-    rotation (``g = n``) each is ``(M + 1) d^2 / 2`` entries. Raises
-    ``ValueError`` when :func:`parity_folds` rejects the input.
-    """
-    return _folded_frames(circuit, theta, rho).unfold(circuit.n_params + 1)
-
-
-def parity_folded_sectors(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> list[np.ndarray]:
-    """The pass of :func:`parity_folded_pass`, read out as one ``(M + 1, k, k)``
-    stack per sector of ``G = <R^g> x <P>`` (see :class:`_Sectors`): row 0 is
-    the output state's block, row ``m + 1`` that of ``d/d theta_m``. The
-    block sizes ``k`` sum to ``d``; no ``(M + 1, d/2, d)`` array is formed.
-    """
-    return _folded_frames(circuit, theta, rho).sectors(circuit.n_params + 1)
+    return frames.sectors(circuit.n_params + 1)
 
 
 def _rotate(x: np.ndarray, t: int | np.ndarray, n: int) -> np.ndarray:
@@ -746,9 +697,8 @@ class _WalshFrames:
     ``kron(H, I_2)``, so the real and imaginary parts stay apart. The rows
     live in one of two equal buffers of ``rows * max(|E| d/2, |B| d, R^2 |G|)``
     entries; each relayout gathers them into the other, and a transform
-    borrows the buffer the rows are not in. There are two exits from layout
-    K: :meth:`unfold` gathers a new ``(count, d/2, d)`` array of top rows,
-    and :meth:`sectors` gathers ``A[r, u r']`` for the representatives of
+    borrows the buffer the rows are not in. The one exit from layout K,
+    :meth:`sectors`, gathers ``A[r, u r']`` for the representatives of
     :class:`_Sectors` into the spare buffer and turns them, in both buffers,
     into one block stack per sector of ``G = <R^g> x <P>``. At ``g = n`` all
     three sizes are ``d^2 / 2``.
@@ -817,13 +767,6 @@ class _WalshFrames:
         self.frame, self._hold = 0, 0
         src = np.asarray(mats, dtype=complex).reshape(len(mats), -1)
         np.take(src, self._enter, axis=1, out=self._rows(len(mats)), mode="clip")
-
-    def unfold(self, count: int) -> np.ndarray:
-        """Rows ``0..count-1`` as a new ``(count, d/2, d)`` array of top rows."""
-        self.move(count, 0)
-        src = self._rows(count).reshape(count, -1)
-        d = 2**self._n
-        return np.take(src, self._index(np.arange(d // 2)[:, None], np.arange(d)), axis=1, mode="clip")
 
     def sectors(self, count: int) -> list[np.ndarray]:
         """Rows ``0..count-1`` as one ``(count, k, k)`` block stack per sector of

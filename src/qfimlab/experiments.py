@@ -563,7 +563,10 @@ def run_trajectory(config: ExperimentConfig, workers: int | None = None) -> str:
     Eigenvector rows are labelled
     ``<point>/eig<k>`` (k sorted by descending eigenvalue), ``gate_index = k``
     and ``step`` scanning the perturbation ``t`` across
-    ``[-eigvec_span, eigvec_span]``.
+    ``[-eigvec_span, eigvec_span]`` along the eigenvector signed by
+    :func:`_scan_directions`. That pins the path of a nondegenerate
+    eigenvalue; paths in a degenerate subspace, such as the zero-eigenvalue
+    one, still depend on the basis that ``np.linalg.eigh`` returns.
 
     Each gate's ``steps + 1`` partial angles run as one stacked
     :meth:`~qfimlab.circuits.NoisyCircuit.gate_step`, and each eigenvector's
@@ -595,14 +598,21 @@ def run_trajectory(config: ExperimentConfig, workers: int | None = None) -> str:
         blocks.append(path_rows(noise(state)[None], circuit.n_params + 1, label))
 
         report = qfim_of_circuit(circuit, theta, rho, tau_abs, tau_rel)
-        _, vecs = np.linalg.eigh(report.matrix)
-        for k in range(circuit.n_params):
-            v = vecs[:, circuit.n_params - 1 - k]  # descending eigenvalue order
+        for k, v in enumerate(_scan_directions(report.matrix)):
             blocks.append(path_rows(evolve(circuit, theta + ts[:, None] * v, rho), k, f"{label}/eig{k}"))
         return blocks
 
     groups = map_tasks(label_rows, list(TOY_THETAS.items()), workers)
     return emit_table(config, TRAJECTORY_COLUMNS, [block for group in groups for block in group])
+
+
+def _scan_directions(matrix: np.ndarray) -> np.ndarray:
+    """The eigenvectors of a real symmetric ``matrix`` as rows, by descending
+    eigenvalue, each signed so that its largest-magnitude component (the
+    first of equal ones) is positive."""
+    vecs = np.linalg.eigh(matrix)[1][:, ::-1].T
+    lead = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=1)]
+    return np.where(lead < 0, -1.0, 1.0)[:, None] * vecs
 
 
 EIG_VS_P_COLUMNS = ("label", "p", "eig_index", "eigenvalue", "rank")

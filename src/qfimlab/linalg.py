@@ -95,6 +95,10 @@ def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values, vectors)
 
 
+# herm_exp_from_eig, partial_trace and insert_qubit (with permute_qubits, which it calls)
+# have no library caller. They stay only because perfbench/tracer.py lists them in TIMED,
+# which tests/test_package.py::test_benchmark_hooks_resolve resolves; they move to
+# tests/oracles.py with the benchmark change that drops them (ROADMAP item 8).
 def herm_exp_from_eig(eig: EigenDecomposition, theta: float | np.ndarray) -> np.ndarray:
     """Unitary ``exp(-i theta h)`` from the eigendecomposition of a Hermitian ``h``;
     a ``(k,)`` array of angles gives the ``(k, d, d)`` stack of unitaries."""

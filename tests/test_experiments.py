@@ -27,6 +27,7 @@ from qfimlab.experiments import (
     TRAJECTORY_ROW_BYTES,
     _csv_cell,
     _estimated_bytes,
+    _scan_directions,
     block_rows,
     channel_from_config,
     config_hash,
@@ -188,7 +189,9 @@ class TestDeterminism:
 
 def reference_trajectory_rows(config):
     """The per-state loop that ``run_trajectory`` batches: one ``gate_step``
-    or ``evolve`` call, and one Bloch vector and purity, per row."""
+    or ``evolve`` call, and one Bloch vector and purity, per row. It checks
+    the batching, not the eigenvectors' signs, so it scans the same
+    ``_scan_directions``."""
     steps, eig_steps = config.options["steps_per_gate"], config.options["eigvec_steps"]
     span = config.options["eigvec_span"]
     base, rho = toy_model()
@@ -210,9 +213,7 @@ def reference_trajectory_rows(config):
             state = circuit.gate_step(m, theta[m], state)
         emit(noise(state), circuit.n_params + 1, 0, label)
         report = qfim_of_circuit(circuit, theta, rho, *config.rank_tolerances)
-        _, vecs = np.linalg.eigh(report.matrix)
-        for k in range(circuit.n_params):
-            v = vecs[:, circuit.n_params - 1 - k]
+        for k, v in enumerate(_scan_directions(report.matrix)):
             for s in range(eig_steps + 1):
                 t = -span + 2.0 * span * s / eig_steps
                 emit(evolve(circuit, theta + t * v, rho), k, s, f"{label}/eig{k}")
@@ -287,6 +288,32 @@ class TestTrajectory:
         cfg = self.base_config(noise, steps_per_gate=20, eigvec_steps=10)
         expected = rows_to_csv("trajectory", TRAJECTORY_COLUMNS, reference_trajectory_rows(cfg))
         assert run_trajectory(cfg) == expected
+
+    @pytest.mark.parametrize("noise", TOY_NOISE_CONFIGS[:2], ids=lambda n: n["model"])
+    def test_eigenvectors_returned_negated_give_the_same_rows(self, noise, monkeypatch):
+        cfg = self.base_config(noise)
+        expected = run_trajectory(cfg)
+        eigh, calls = np.linalg.eigh, []
+
+        def negated(a):
+            calls.append(a.shape)
+            values, vectors = eigh(a)
+            return values, -vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", negated)
+        assert run_trajectory(cfg) == expected
+        assert calls.count((4, 4)) == len(TOY_THETAS)
+
+    def test_scan_directions_make_the_largest_component_positive(self, rng, monkeypatch):
+        a = rng.normal(size=(5, 5))
+        rows = _scan_directions(a + a.T)
+        _, vectors = np.linalg.eigh(a + a.T)
+        np.testing.assert_array_equal(np.abs(rows), np.abs(vectors[:, ::-1].T))
+        assert np.all(rows[np.arange(5), np.argmax(np.abs(rows), axis=1)] > 0)
+        # equal magnitudes: the first one is made positive
+        r = np.sqrt(0.5)
+        monkeypatch.setattr(np.linalg, "eigh", lambda _: (np.array([0.0, 1.0]), np.array([[-r, r], [r, r]])))
+        np.testing.assert_array_equal(_scan_directions(np.eye(2)), [[r, r], [r, -r]])
 
     def test_gate_by_gate_rows_present(self):
         cfg = self.base_config({"model": "none"})
@@ -703,9 +730,10 @@ def test_memory_check_counts_points_that_run_at_once(monkeypatch, tmp_path, caps
 def test_memory_check_counts_the_samples_that_run_at_once(monkeypatch, tmp_path, capsys):
     from qfimlab.cli import main
 
-    # 1.5 MiB: at n=8, L=10 each sample of a chunk holds (M + 1) 16 d = 84 KiB of
-    # state vectors, and a product gate forms two more stacks of that size, so 6
-    # samples (1,512 KiB) fit in one pass and 7 do not
+    # 1.5 MiB: at n=8, L=10 each sample of a chunk is charged (2 (M + 1) + M) 16 d
+    # = 248 KiB, for its stack of (M + 1) state vectors, the spare buffer of the same
+    # size and the M rows that _fubini_study forms, so 6 samples (1,523,712 B) fit in
+    # one pass and 7 (1,777,664 B) do not
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 384}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     raw = {"experiment": "scaling", "circuit": {"name": "hva_tfim", "n": 8, "L": 10},
@@ -754,8 +782,9 @@ def test_noiseless_spectrum_at_n14_fits_in_eight_gib(monkeypatch):
 
 
 def test_statevector_memory_peak_lies_within_the_parse_time_estimate():
-    # one noiseless point of the vector route: its (M + 1) state vectors and the two
-    # stacks a product gate forms
+    # one noiseless point of the vector route: its stack of (M + 1) state vectors, the
+    # spare buffer of the same size and the M rows that _fubini_study forms, which
+    # _estimated_bytes charges as (2 (M + 1) + M) 16 d
     raw = {"experiment": "spectrum", "circuit": {"name": "hva_tfim", "n": 10, "L": 10},
            "noise": {"model": "local_depolarizing", "p": 0.0}, "sweep": {"p": [0.0]}}
     cfg = parse_config(raw)

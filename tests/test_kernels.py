@@ -41,9 +41,10 @@ from qfimlab.circuits import (
     gate_kernel,
     hva_tfim,
     hva_tfim_generators,
-    parity_folded_pass,
+    parity_folded_sectors,
     parity_folds,
     plus_state_density,
+    statevector_derivatives,
     toy_model,
 )
 from qfimlab.exceptions import DimensionMismatchError
@@ -94,10 +95,6 @@ def declared(a, n):
     return uniform_sum(a, n), ProductKernel(a, n)
 
 
-def random_vectors(k, d, rng):
-    return rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
-
-
 class TestGateKernels:
     @pytest.mark.parametrize(
         "make, kind",
@@ -115,12 +112,16 @@ class TestGateKernels:
         assert isinstance(kernel, kind)
         stack = random_stack(3, 8, rng)
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+        one_gate = NoisyCircuit(3, (0,), (kernel,))
         for theta in (0.0, 0.37, -2.9):
             u = herm_exp(h, theta)
             got = stack.copy()
             kernel.conjugate(got, theta, np.empty_like(got))
             assert np.max(np.abs(got - u @ stack @ dag(u))) <= 1e-12
-            assert np.max(np.abs(kernel.apply_vectors(psi, theta) - u @ psi)) <= 1e-12
+            # on vectors: the state U psi and its derivative -i H U psi
+            state, (deriv,) = statevector_derivatives(one_gate, [theta], psi)
+            assert np.max(np.abs(state - u @ psi)) <= 1e-12
+            assert np.max(np.abs(deriv + 1j * h @ u @ psi)) <= 1e-12
         rho = random_matrix(8, rng)
         out, scratch = np.empty_like(rho), np.empty_like(rho)
         kernel.commutator(rho, out, scratch)
@@ -147,20 +148,22 @@ class TestGateKernels:
         assert kinds == [DiagonalKernel, ProductKernel]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
-    def test_apply_generator_matches_the_dense_product(self, rng, n):
+    def test_generator_seed_matches_the_dense_product(self, rng, n):
+        # a one-gate statevector_derivatives with one angle per batch row returns
+        # U psi and its derivative -i H U psi
         d = 2**n
-        vecs, one = random_vectors(5, d, rng), random_vectors(1, d, rng)[0]
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        thetas = np.concatenate([[[0.0]], rng.uniform(-np.pi, np.pi, (4, 1))])
         # the Ising diagonal has zeros at even n
         diags = [np.diag(rng.normal(size=d)).astype(complex)] + ([hva_tfim_generators(n)[0]] if n >= 2 else [])
-        for h in (*diags, random_hermitian(d, rng, traceless=True)):
-            kernel = gate_kernel(h)
-            np.testing.assert_array_equal(kernel.apply_generator(one), h @ one)
-            np.testing.assert_array_equal(kernel.apply_generator(vecs), (h @ vecs.T).T)
-        for a in (X, random_hermitian(2, rng, traceless=True)):
-            h, kernel = declared(a, n)
-            for v in (one, vecs):
-                want = (h @ v.T).T
-                assert np.max(np.abs(kernel.apply_generator(v) - want)) <= 1e-13 * np.max(np.abs(want))
+        made = [picked(h) for h in (*diags, random_hermitian(d, rng, traceless=True))]
+        made += [declared(a, n) for a in (X, random_hermitian(2, rng, traceless=True))]
+        for h, kernel in made:
+            states, derivs = statevector_derivatives(NoisyCircuit(n, (0,), (kernel,)), thetas, psi)
+            want = np.stack([herm_exp(h, t) @ psi for t in thetas[:, 0]])
+            assert np.max(np.abs(states - want)) <= 1e-13 * np.max(np.abs(want))
+            want = -1j * (h @ want.T).T
+            assert np.max(np.abs(derivs[:, 0] - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize(
         "make",
@@ -171,18 +174,16 @@ class TestGateKernels:
         ],
         ids=["diagonal", "product", "dense"],
     )
-    def test_apply_vectors_with_one_angle_per_batch_row_equals_each_single_call(self, rng, make):
+    def test_one_angle_per_batch_row_equals_each_single_call(self, rng, make):
         _, kernel = make(rng)
-        angles = rng.uniform(-np.pi, np.pi, 4)
-        for rows in (1, 3):
-            vecs = random_vectors(4 * rows, 8, rng).reshape(4, rows, 8)
-            got = kernel.apply_vectors(vecs, angles)
-            for k in range(4):
-                np.testing.assert_array_equal(got[k], kernel.apply_vectors(vecs[k], angles[k]))
-        if isinstance(kernel, ProductKernel):
-            stack = random_stack(4, 8, rng)
-            with pytest.raises(ValueError, match="scalar angle"):
-                kernel.conjugate(stack, angles, np.empty_like(stack))
+        circ = NoisyCircuit(3, (0, 0, 0), (kernel,))
+        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+        thetas = rng.uniform(-np.pi, np.pi, (4, 3))
+        states, derivs = statevector_derivatives(circ, thetas, psi)
+        for k in range(4):
+            state, deriv = statevector_derivatives(circ, thetas[k], psi)
+            np.testing.assert_array_equal(states[k], state)
+            np.testing.assert_array_equal(derivs[k], np.stack(deriv))
 
     def test_odd_register_product_split(self, rng):
         a = random_hermitian(2, rng, traceless=True)
@@ -328,12 +329,26 @@ def random_p_symmetric(d, rng):
     return mat + mat[::-1, ::-1]
 
 
+def sector_rows(blocks):
+    """A list of ``(count, k, k)`` sector blocks as one ``(count, sum k^2)`` array."""
+    return np.concatenate([b.reshape(len(b), -1) for b in blocks], axis=1)
+
+
+def dense_sector_rows(stack, n, g):
+    """:func:`sector_rows` of a ``(count, d, d)`` stack of matrices that commute
+    with ``<R^g> x <P>``; equal blocks mean equal matrices."""
+    sectors = _Sectors(n, g)
+    x = stack[:, sectors.reps[:, None, None], sectors.act].reshape(len(stack), -1)
+    return sector_rows(sectors.blocks(x, np.empty(x.size, dtype=complex)))
+
+
 def assert_fold_matches_dense(circ, theta, rho):
-    """Folded rows to 1e-13 and the folded QFIM to 1e-12 relative, against the dense pass."""
+    """Folded sector blocks to 1e-13 and the folded QFIM to 1e-12 relative, against the dense pass."""
     assert parity_folds(circ, rho)
     out, derivs = evolve_with_derivatives(circ, theta, rho)
-    top = parity_folded_pass(circ, theta, rho)
-    assert np.max(np.abs(top - np.stack([out, *derivs])[:, : len(rho) // 2])) <= 1e-13
+    got = sector_rows(parity_folded_sectors(circ, theta, rho))
+    want = dense_sector_rows(np.stack([out, *derivs]), circ.n_qubits, _rotation_step(circ, rho))
+    assert np.max(np.abs(got - want)) <= 1e-13
     folded, expected = qfim_of_circuit(circ, theta, rho).matrix, qfim_mixed(out, derivs).matrix
     assert np.max(np.abs(folded - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -353,38 +368,38 @@ def ring_with_one_bond(n, weight):
 class TestParityFold:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_frame_operations_match_dense_kernels(self, rng, n):
-        d, h, k = 2**n, 2 ** (n - 1), 3
+        d, k = 2**n, 3
         mats = np.stack([random_p_symmetric(d, rng) for _ in range(k)])
         probs = rng.uniform(0.1, 1.0, n)
         probs[-1] = 0.0
         ch = LocalDepolarizing(tuple(probs))
         circ = hva_tfim(n, 1).with_uniform_noise(ch)
         frames = _WalshFrames(circ, mats[0], k + 1)
+        g = _rotation_step(circ, mats[0])
+        assert g == n  # random matrices respect no rotation: the sectors are the parity blocks
 
-        def through_frames(op):
+        def through_frames(op, count):
             # rows 0..k-1 hold the stack in frame ek, row k takes a seed
             frames.enter(mats)
             op()
-            return frames.unfold(k + 1)
+            return sector_rows(frames.sectors(count))
 
         for kernel in circ.kernels:
             assert kernel.parity_symmetric
-            got = through_frames(lambda: frames.gate(k, kernel, 0.73))
-            full = mats.copy()
-            kernel.conjugate(full, 0.73, np.empty_like(full))
-            seed = np.empty((d, d), dtype=complex)
-            kernel.commutator(full[0], seed, np.empty_like(seed))
-            assert np.max(np.abs(got[:k] - full[:, :h])) <= 1e-12
-            assert np.max(np.abs(got[k] - seed[:h])) <= 1e-12
-        got = through_frames(lambda: frames.depolarize(k, ch))
+            got = through_frames(lambda: frames.gate(k, kernel, 0.73), k + 1)
+            full = np.concatenate([mats, np.empty((1, d, d), dtype=complex)])
+            kernel.conjugate(full[:k], 0.73, np.empty_like(full[:k]))
+            kernel.commutator(full[0], full[k], np.empty((d, d), dtype=complex))
+            assert np.max(np.abs(got - dense_sector_rows(full, n, g))) <= 1e-12
+        got = through_frames(lambda: frames.depolarize(k, ch), k)
         full = mats.copy()
         ch._apply_batch(full, np.empty_like(full))
-        assert np.max(np.abs(got[:k] - full[:, :h])) <= 1e-14
+        assert np.max(np.abs(got - dense_sector_rows(full, n, g))) <= 1e-14
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_frame_pass_matches_dense_pass_beyond_the_ising_ring(self, rng, n):
         # all-to-all ZZ (zero at n = 1) and a scaled field, on a random P-symmetric input
-        d, h = 2**n, 2 ** (n - 1)
+        d = 2**n
         zz = [embed_single_qubit(Z, i, n) @ embed_single_qubit(Z, j, n) for i in range(n) for j in range(i)]
         kernels = (gate_kernel(sum(zz, np.zeros((d, d), dtype=complex))), ProductKernel(0.37 * X, n))
         circ = NoisyCircuit(n, (0, 1, 1, 0, 1, 0) if n >= 2 else (0, 0), kernels)
@@ -394,13 +409,7 @@ class TestParityFold:
         probs[0] = 0.0
         theta = rng.uniform(0, 2 * np.pi, circ.n_params)
         for noise in (None, LocalDepolarizing(tuple(probs)), LocalDepolarizing.uniform(n, 0.05)):
-            noisy = circ.with_uniform_noise(noise)
-            assert parity_folds(noisy, rho)
-            out, derivs = evolve_with_derivatives(noisy, theta, rho)
-            top = parity_folded_pass(noisy, theta, rho)
-            assert np.max(np.abs(top - np.stack([out, *derivs])[:, :h])) <= 1e-13
-            folded, expected = qfim_of_circuit(noisy, theta, rho).matrix, qfim_mixed(out, derivs).matrix
-            assert np.max(np.abs(folded - expected)) <= 1e-12 * np.max(np.abs(expected))
+            assert_fold_matches_dense(circ.with_uniform_noise(noise), theta, rho)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_folded_qfim_matches_dense(self, rng, n):
@@ -409,24 +418,17 @@ class TestParityFold:
         probs[zero], probs[one] = 0.0, 1.0
         circ = hva_tfim(n, 3).with_uniform_noise(LocalDepolarizing(tuple(probs)))
         theta = rng.uniform(0, 2 * np.pi, circ.n_params)
-        rho = plus_state_density(n)
-        assert parity_folds(circ, rho)
-        out, derivs = evolve_with_derivatives(circ, theta, rho)
-        dense, h = np.stack([out, *derivs]), 2 ** (n - 1)
-        top = parity_folded_pass(circ, theta, rho)
-        assert np.max(np.abs(top - dense[:, :h])) <= 1e-13
-        assert np.max(np.abs(top[:, ::-1, ::-1] - dense[:, h:])) <= 1e-13
-        folded, expected = qfim_of_circuit(circ, theta, rho).matrix, qfim_mixed(out, derivs).matrix
-        assert np.max(np.abs(folded - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert_fold_matches_dense(circ, theta, plus_state_density(n))
 
     def test_folded_pass_holds_half_the_memory(self, rng):
-        # the (M + 1, d/2, d) stack and its scratch, plus a few d x d temporaries
+        # the folded pass's stack of M + 1 rotation orbits and its scratch, plus
+        # a few d x d temporaries: at most the (M + 1, d/2, d) top rows and scratch
         circ = hva_tfim(6, 5).with_uniform_noise(LocalDepolarizing.uniform(6, 0.05))
         m, d = circ.n_params, circ.dim
         theta, rho = rng.uniform(0, 2 * np.pi, m), plus_state_density(6)
         tracemalloc.start()
         try:
-            parity_folded_pass(circ, theta, rho)
+            parity_folded_sectors(circ, theta, rho)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -450,7 +452,7 @@ class TestParityFold:
             assert not parity_folds(circ, rho)
             theta = rng.uniform(0, 2 * np.pi, circ.n_params)
             with pytest.raises(ValueError, match="parity"):
-                parity_folded_pass(circ, theta, rho)
+                parity_folded_sectors(circ, theta, rho)
             expected = qfim_mixed(*evolve_with_derivatives(circ, theta, rho)).matrix
             np.testing.assert_array_equal(qfim_of_circuit(circ, theta, rho).matrix, expected)
 
@@ -462,8 +464,8 @@ class TestParityFold:
         assert _rotation_step(circ, rho) == 1
         assert_fold_matches_dense(circ, theta, rho)
         # a real-valued input takes the same pass
-        top = parity_folded_pass(circ, theta, rho).copy()
-        np.testing.assert_array_equal(parity_folded_pass(circ, theta, rho.real), top)
+        got = sector_rows(parity_folded_sectors(circ, theta, rho.real))
+        np.testing.assert_array_equal(got, sector_rows(parity_folded_sectors(circ, theta, rho)))
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_alternating_noise_folds_every_second_rotation(self, rng, n):
@@ -524,6 +526,48 @@ class TestSectors:
                 assert np.max(np.abs(b[0] - dag(b[0]))) <= 1e-12
             spectra = np.sort(np.concatenate([np.linalg.eigvalsh(b[0]) for b in blocks]))
             assert np.max(np.abs(spectra - np.linalg.eigvalsh(mat))) <= 1e-12
+
+    @pytest.mark.parametrize("n, g", [(3, 3), (4, 1), (4, 2), (5, 1), (6, 1), (6, 3)])
+    def test_blocks_are_the_matrix_in_the_symmetry_adapted_basis(self, rng, n, g):
+        # |r, chi> = sum_u conj(chi(u)) |u r> / sqrt(|G| |S_r|), u = P^s R^(g t),
+        # chi(u) = (-1)^(c s) exp(2 pi i q t / (n/g)), built here from the bits
+        d, count = 2**n, n // g
+
+        def image(x, s, t):
+            bits = [(x >> (n - 1 - q)) & 1 for q in range(n)]
+            moved = [bits[(q - g * t) % n] for q in range(n)]
+            return sum(b << (n - 1 - q) for q, b in enumerate(moved)) ^ (s * (d - 1))
+
+        group = [(s, t) for s in range(2) for t in range(count)]
+        perms = [np.array([image(x, s, t) for x in range(d)]) for s, t in group]
+        reps = sorted({min(p[x] for p in perms) for x in range(d)})
+        a = random_hermitian(d, rng)
+        mat = np.zeros((d, d), dtype=complex)
+        for p in perms:
+            mat[np.ix_(p, p)] += a / len(group)
+        sectors = []
+        for c, q in ((c, q) for c in range(2) for q in range(count)):
+            chi = np.array([(-1) ** (c * s) * np.exp(2j * np.pi * q * t / count) for s, t in group])
+            cols = []
+            for r in reps:
+                stab = [u for u, p in enumerate(perms) if p[r] == r]
+                if np.allclose(chi[stab], 1.0):
+                    v = np.zeros(d, dtype=complex)
+                    for u, p in enumerate(perms):
+                        v[p[r]] += chi[u].conj() / np.sqrt(len(group) * len(stab))
+                    cols.append(v)
+            if cols:
+                sectors.append(np.stack(cols, axis=1))
+        v = np.concatenate(sectors, axis=1)
+        assert v.shape == (d, d)
+        assert np.max(np.abs(dag(v) @ v - np.eye(d))) <= 1e-14
+        got = _Sectors(n, g)
+        np.testing.assert_array_equal(got.reps, reps)
+        x = mat[got.reps[:, None, None], got.act].reshape(1, -1)
+        blocks = got.blocks(x, np.empty(x.size, dtype=complex))
+        assert [len(b[0]) for b in blocks] == [vc.shape[1] for vc in sectors]
+        for b, vc in zip(blocks, sectors):
+            assert np.max(np.abs(b[0] - dag(vc) @ mat @ vc)) <= 1e-14
 
     @pytest.mark.parametrize("n, x", [(2, 0b01), (4, 0b0101), (6, 0b010101)])
     def test_states_that_p_times_a_rotation_fixes(self, n, x):
@@ -602,7 +646,7 @@ class TestSlotSchedule:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_merged_pass_matches_unmerged(self, rng, n):
-        d, h = 2**n, 2 ** (n - 1)
+        d = 2**n
         tfim = hva_tfim(n, 3)
         theta = rng.uniform(0, 2 * np.pi, tfim.n_params)
         plus, mixed = plus_state_density(n), random_density_matrix(d, rng)
@@ -614,8 +658,8 @@ class TestSlotSchedule:
                 assert sum(s is not None for s in circ.slots) < len(ref.slots)
                 # folded path on |+>^n against the dense unmerged pass
                 ref_out, ref_derivs = evolve_with_derivatives(ref, theta, plus)
-                dense = np.stack([ref_out, *ref_derivs])
-                assert_rows_close(parity_folded_pass(circ, theta, plus), dense[:, :h], 1e-12)
+                dense = dense_sector_rows(np.stack([ref_out, *ref_derivs]), n, _rotation_step(circ, plus))
+                assert_rows_close(sector_rows(parity_folded_sectors(circ, theta, plus)), dense, 1e-12)
                 expected = qfim_mixed(ref_out, ref_derivs).matrix
                 got = qfim_of_circuit(circ, theta, plus).matrix
                 assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
