@@ -57,27 +57,32 @@ exists as an independent test oracle only.
 Parity folding. With ``P = X^(x)n``, when every gate kernel commutes with
 ``P`` (a diagonal ``h`` equal to its own reverse, or a product term that
 commutes with ``X``), the noise is ``None`` or local depolarizing, and the
-input satisfies ``rho == rho[::-1, ::-1]``, every state and derivative of the
-pass keeps that symmetry (:func:`parity_folds`). :func:`parity_folded_sectors`
-then carries only the top half rows, in Walsh-Hadamard frames
-(:class:`_WalshFrames`) where each gate, derivative seed and noise slot is
-one elementwise product and the only matmuls are the real Hadamard
-transforms between frames. It also keeps one entry per orbit of the cyclic
-qubit rotation ``R^g`` that the diagonal generators, the slot channels and
-the input respect exactly (:func:`_rotation_step`): ``g = 1`` for the Ising
-ring under uniform noise, which shrinks every transform and product 6.4x at
-n = 8, and ``g = n``, the plain fold, when nothing but the identity holds.
-Its two buffers take at most ``2 (M + 1) 16 d^2 / 2`` bytes. It reads the
-rows out as one block per sector of the group ``<R^g> x <P>``
+input satisfies ``rho == rho[::-1, ::-1]`` and is Hermitian, every state and
+derivative of the pass keeps both properties (:func:`parity_folds`).
+:func:`parity_folded_sectors` then carries only the top half rows, in
+Walsh-Hadamard frames (:class:`_WalshFrames`), and since each entry there
+has a partner entry that holds its conjugate, it stores one real per entry,
+``Re A + Im A``. Each noise slot is one elementwise product, each gate and
+derivative seed a rotation of every entry with its partner, and the only
+matmuls are the real Hadamard transforms between frames. It also keeps one
+entry per orbit of the cyclic qubit rotation ``R^g`` that the diagonal
+generators, the slot channels and the input respect exactly
+(:func:`_rotation_step`): ``g = 1`` for the Ising ring under uniform noise,
+which shrinks every transform and product 6.4x at n = 8, and ``g = n``, the
+plain fold, when nothing but the identity holds. Its two buffers take at
+most ``2 (M + 1) 8 d^2 / 2`` bytes, and its index tables, which depend on
+``(n, g)`` only, are built once per pair (:func:`_fold_tables`). It reads the
+rows out as one complex block per sector of the group ``<R^g> x <P>``
 (:class:`_Sectors`), about ``d / (2n/g)`` wide, with no ``(M + 1, d/2, d)``
 array in between. The Ising ansatz on ``|+>^n`` under local depolarizing
 noise folds; the toy model, dense generators, Pauli, global-depolarizing and
-composite channels, and asymmetric inputs do not, and
+composite channels, and asymmetric or non-Hermitian inputs do not, and
 :func:`evolve_with_derivatives` is always the dense pass.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -87,6 +92,7 @@ from .dla import PauliSum
 from .exceptions import DimensionMismatchError
 from .linalg import (
     KET_PLUS,
+    TAU_HERM,
     X,
     Y,
     Z,
@@ -101,6 +107,11 @@ from .linalg import (
 # A product term counts as commuting with X (ProductKernel.parity_symmetric)
 # when it does to within a few ulps of its largest entry.
 STRUCTURE_ULPS = 8
+
+# The folded read-out turns its rows into sector blocks in groups whose pairs
+# and sums take at most this many bytes (one row at least): few enough numpy
+# calls at small n, and a temporary far below the blocks at n >= 11.
+READOUT_BYTES = 2**20
 
 
 class _VectorFrame:
@@ -509,15 +520,29 @@ def parity_folds(circuit: NoisyCircuit, rho: np.ndarray) -> bool:
     With ``P = X^(x)n``, this holds when every gate kernel commutes with
     ``P`` (see the kernels' ``parity_symmetric``), the noise is ``None`` or
     :class:`~qfimlab.channels.LocalDepolarizing` (covariant under Pauli
-    conjugation), and ``rho == P rho P``, i.e. ``rho == rho[::-1, ::-1]``
-    exactly. Then every state and derivative of the pass is P-symmetric
-    too, so its bottom half rows are its top half reversed.
+    conjugation), ``rho == P rho P``, i.e. ``rho == rho[::-1, ::-1]``
+    exactly, and ``rho`` is Hermitian within ``TAU_HERM``. Then every state
+    and derivative of the pass is P-symmetric and Hermitian too, so its
+    bottom half rows are its top half reversed, and the pass holds one real
+    per entry (see :class:`_WalshFrames`).
     """
     return (
         all(k.parity_symmetric for k in circuit.kernels)
         and (circuit.noise is None or isinstance(circuit.noise, LocalDepolarizing))
         and rho.shape == (circuit.dim, circuit.dim)
         and np.array_equal(rho, rho[::-1, ::-1])
+        and _hermitian_within(rho, TAU_HERM)
+    )
+
+
+def _hermitian_within(rho: np.ndarray, tol: float) -> bool:
+    """Whether the top half rows of a P-symmetric ``rho`` lie within ``tol`` of
+    those of ``rho†``, which then holds for all rows; taken over blocks of at
+    most ``2^18`` entries, so that no ``d x d`` temporary is formed."""
+    rows = max(1, 2**18 // len(rho))
+    return all(
+        float(np.max(np.abs(rho[i : i + rows] - rho[:, i : i + rows].conj().T))) <= tol
+        for i in range(0, len(rho) // 2, rows)
     )
 
 
@@ -528,14 +553,15 @@ def parity_folded_sectors(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndar
     state's block, row ``m + 1`` that of ``d/d theta_m``. The block sizes
     ``k`` sum to ``d``.
 
-    The rows travel in the frames of :class:`_WalshFrames`, one entry per
-    orbit of the qubit rotation ``R^g`` of :func:`_rotation_step`, in two
-    buffers of ``(M + 1) max(|E| d/2, |B| d, R^2 |G|)`` complex entries
-    (``(M + 1) d^2 / 2`` at ``g = n``) that end up holding the blocks.
-    Raises ``ValueError`` when :func:`parity_folds` rejects the input.
+    The rows travel in the frames of :class:`_WalshFrames`, one real per
+    entry and one entry per orbit of the qubit rotation ``R^g`` of
+    :func:`_rotation_step`, in two buffers of ``(M + 1) max(|E| d/2, |B| d)``
+    float64 entries (``(M + 1) d^2 / 2`` at ``g = n``); the read-out frees
+    one of them before it allocates the complex blocks. Raises
+    ``ValueError`` when :func:`parity_folds` rejects the input.
     """
     if not parity_folds(circuit, rho):
-        raise ValueError("the circuit or input does not commute with the parity X^n")
+        raise ValueError("the circuit or input does not commute with the parity X^n, or the input is not Hermitian")
     theta = _check_args(circuit, theta, rho, 2)
     frames = _WalshFrames(circuit, rho, circuit.n_params + 1)
     frames.enter(rho[None])
@@ -587,11 +613,9 @@ def _orbits(x: np.ndarray, g: int, n: int, mask: int) -> tuple[np.ndarray, np.nd
 
 
 def _hadamard(bits: int) -> np.ndarray:
-    """Orthonormal Walsh-Hadamard matrix ``([[1, 1], [1, -1]] / sqrt 2)^(x)bits``."""
-    mat = np.ones((1, 1))
-    for _ in range(bits):
-        mat = np.kron(mat, [[1.0, 1.0], [1.0, -1.0]])
-    return mat / np.sqrt(2.0) ** bits
+    """Orthonormal Walsh-Hadamard matrix on ``bits`` bits, ``(-1)^popcount(i & j) / sqrt(2^bits)``."""
+    i = np.arange(2**bits)
+    return np.where(np.bitwise_count(i[:, None] & i) & 1, -1.0, 1.0) / np.sqrt(2.0) ** bits
 
 
 class _Sectors:
@@ -610,9 +634,10 @@ class _Sectors:
 
     (Sandvik, arXiv 1101.3281, sec. 4). :meth:`blocks` takes the entries
     ``A[r, u r']`` at ``r = reps``, ``u r' = act[r', u]`` and applies one
-    product with the ``(|G|, |G|)`` table ``conj(chi(u))``. At ``g = n``
-    this is ``{1, P}``: the representatives are all ``k < d/2`` and the two
-    sectors are the blocks of the basis ``|k> +- |d-1-k>``.
+    product with the ``(|G|, |G|)`` table ``conj(chi(u))``, or, on the real
+    pairs of the folded pass, with its real ``(2|G|, 2|G|)`` form. At
+    ``g = n`` this is ``{1, P}``: the representatives are all ``k < d/2`` and
+    the two sectors are the blocks of the basis ``|k> +- |d-1-k>``.
     """
 
     def __init__(self, n: int, g: int):
@@ -628,16 +653,23 @@ class _Sectors:
         turn = (2 * np.outer(t, t) + count * np.outer(s, s)) % (2 * count)
         fixed = stab.astype(int) @ (turn != 0) == 0  # (R, |G|): chi is 1 on S_r
         self._chars = np.exp(-1j * np.pi * turn / count)
+        # the same sums from the pairs (r, r_p) = (Re A + Im A, Re A - Im A) of one
+        # entry A and its conjugate, each sum's real and imaginary part side by side
+        width, (cr, ci) = len(self._chars), (self._chars.real / 2, self._chars.imag / 2)
+        self._pairs = np.empty((2 * width, 2 * width))
+        self._pairs[:width, 0::2], self._pairs[width:, 0::2] = cr - ci, cr + ci
+        self._pairs[:width, 1::2], self._pairs[width:, 1::2] = cr + ci, ci - cr
         order = np.sqrt(stab.sum(axis=1))
         # 1 / sqrt(|S_r| |S_r'|), or None when every stabilizer is trivial (always at g = n)
         self._scale = None if np.all(order == 1.0) else (1.0 / np.outer(order, order))[:, :, None]
         reps = len(self.reps)
-        self.size = reps * reps * len(self._chars)
+        self.size = reps * reps * width
         self._keep = []
-        for chi in range(len(self._chars)):
+        for chi in range(width):
             sel = np.flatnonzero(fixed[:, chi])
             if len(sel):
-                self._keep.append(((sel[:, None] * reps + sel) * len(self._chars) + chi, len(sel)))
+                self._keep.append(((sel[:, None] * reps + sel) * width + chi, len(sel)))
+        self.block_size = sum(k * k for _, k in self._keep)
 
     def blocks(self, x: np.ndarray, spare: np.ndarray) -> list[np.ndarray]:
         """One ``(count, k, k)`` block stack per sector with ``k > 0``, from the
@@ -646,35 +678,138 @@ class _Sectors:
         ``spare`` takes the sums over ``u`` (at least ``x.size`` entries), and
         the blocks are written into ``x``'s memory, which must be contiguous.
         """
-        count, reps, width = len(x), len(self.reps), len(self._chars)
-        if self._scale is not None:
-            x.reshape(count, reps, reps, width)[:] *= self._scale
-        y = spare[: x.size].reshape(-1, width)
-        np.matmul(x.reshape(-1, width), self._chars, out=y)
-        y, flat, start, blocks = y.reshape(count, -1), x.reshape(-1), 0, []
-        for take, k in self._keep:
-            blk = flat[start : start + count * k * k].reshape(count, k, k)
-            np.take(y, take, axis=1, out=blk, mode="clip")
-            blocks.append(blk)
-            start += blk.size
+        sums = self.sums(x, spare)
+        blocks = self.stacks(x.reshape(-1), len(x))
+        self.write(sums, blocks)
         return blocks
+
+    def sums(self, x: np.ndarray, spare: np.ndarray) -> np.ndarray:
+        """``sum_u conj(chi(u)) A[r, u r'] / sqrt(|S_r| |S_r'|)`` at
+        ``(r R + r') |G| + chi``, as ``(count, size)`` complex entries in ``spare``.
+
+        ``x`` holds, per row, either the complex entries of :meth:`blocks`, or
+        the folded pass's real pairs: ``r`` of that entry at
+        ``(r R + r') 2|G| + u`` and ``r`` of the entry that holds its conjugate
+        ``|G|`` after it. ``spare`` has ``x``'s dtype and ``x.size`` entries or
+        more; ``x`` is scaled in place.
+        """
+        count, reps = len(x), len(self.reps)
+        if self._scale is not None:
+            x.reshape(count, reps, reps, -1)[:] *= self._scale
+        table = self._chars if np.iscomplexobj(x) else self._pairs
+        y = spare[: x.size].reshape(-1, len(table))
+        np.matmul(x.reshape(-1, len(table)), table, out=y)
+        return y.reshape(count, -1).view(complex)
+
+    def stacks(self, flat: np.ndarray, count: int) -> list[np.ndarray]:
+        """One ``(count, k, k)`` stack per sector, side by side at the start of
+        the complex ``flat``."""
+        start, stacks = 0, []
+        for _, k in self._keep:
+            stacks.append(flat[start : start + count * k * k].reshape(count, k, k))
+            start += count * k * k
+        return stacks
+
+    def write(self, sums: np.ndarray, blocks: list[np.ndarray]) -> None:
+        """Take each sector's block out of :meth:`sums` into its stack in ``blocks``."""
+        for (take, _), blk in zip(self._keep, blocks):
+            np.take(sums, take, axis=1, out=blk, mode="clip")
+
+
+class _FoldTables:
+    """The index maps, Walsh factors and sectors of a parity-folded pass on
+    ``n`` qubits that keeps one entry per orbit of ``R^g``; they depend on
+    ``(n, g)`` alone, and :func:`_fold_tables` builds them once per pair. The
+    layouts are those of :class:`_WalshFrames`; every map is a flat index
+    into one row.
+    """
+
+    def __init__(self, n: int, g: int):
+        d = 2**n
+        h = d // 2
+        e, k = np.arange(d), np.arange(h)
+        e_rep, e_turn = _orbits(e, g, n, d - 1)
+        cols, col = np.unique(e_rep, return_inverse=True)  # col: the column of e's orbit
+        full = k | (np.bitwise_count(k) & 1).astype(k.dtype) << (n - 1)  # b of each b'
+        b_rep, b_turn = _orbits(full, g, n, h - 1)
+        b_rows, b_row = np.unique(b_rep, return_inverse=True)
+        self.n, self.b = n, full[b_rows]
+        self.xor = k[:, None] ^ cols
+        self.enter = k[:, None] * d + self.xor
+        # A_F[r, e] = A_K[(R^(g t_e) b_r)', col_e] and A_K[b', c] = A_F[r_b', R^(g t_b') E_c];
+        # at g = n the two layouts coincide and a relayout is the identity
+        self.relayout = g < n and {
+            1: (_rotate(self.b[:, None], g * e_turn, n) & (h - 1)) * len(cols) + col,
+            -1: b_row[:, None] * d + _rotate(cols, g * b_turn[:, None], n),
+        }
+        # where each row keeps the conjugate of an entry: A_K[k ^ e, e] of A_K[k, e] in
+        # frame ek, read at its complement past d/2, and A_F[b, f ^ b] of A_F[b, f] in fb
+        conj_row = np.where(self.xor < h, self.xor, self.xor ^ (d - 1))
+        self.partners = (
+            (conj_row * len(cols) + np.arange(len(cols))).reshape(-1),
+            (np.arange(len(self.b))[:, None] * d + (e ^ self.b[:, None])).reshape(-1),
+        )
+        # s = sum_j b_j (-1)^f_j in frame fb, as an index into its levels -n..n
+        s = np.bitwise_count(self.b)[:, None].astype(np.intp) - 2 * np.bitwise_count(self.b[:, None] & e)
+        self.s_levels, self.s_index = np.r_[0 : n + 1, -n:0].astype(float), (s % (2 * n + 1)).reshape(-1)
+        self.walsh = (
+            (_hadamard((n - 1) // 2), _hadamard(n - 1 - (n - 1) // 2)),
+            (_hadamard(n // 2), _hadamard(n - n // 2)),
+        )
+        self.shapes = ((h, len(cols)), (len(self.b), d))
+        self.sectors = sec = _Sectors(n, g)
+        # layout K keeps top[r, u r'] at A[R^(g t) r, rep(e)] for e = r ^ u r' and the
+        # turn R^(g t) that takes e to its representative, a turned row at or past d/2
+        # read at its complement (P-symmetry): the pair of A[r, u r'] is that entry at
+        # (r R + r') 2|G| + u and its conjugate's entry |G| after it
+        e_of = sec.reps[:, None, None] ^ sec.act
+        turned = _rotate(sec.reps[:, None, None], g * e_turn[e_of], n)
+        mine = np.where(turned < h, turned, turned ^ (d - 1)) * len(cols) + col[e_of]
+        mine = mine.reshape(-1, sec.act.shape[1])
+        self.gather = np.concatenate([mine, self.partners[0][mine]], axis=1).reshape(-1)
+
+    def decay(self, probs: tuple[float, ...]) -> np.ndarray:
+        """``prod_j (1 - p_j)^(b_j or e_j)`` for every entry of layout F."""
+        union = self.b[:, None] | np.arange(2**self.n)
+        out = np.ones(union.shape)
+        for j, p in enumerate(probs):
+            out *= np.where(union >> (self.n - 1 - j) & 1, 1.0 - p, 1.0)
+        return out
+
+
+# a spectrum's points share (n, g), so one set of tables serves all of them
+_fold_tables = functools.lru_cache(maxsize=1)(_FoldTables)
 
 
 class _WalshFrames:
-    """The frames and layouts of a parity-folded pass, with its tables and buffers.
+    """The frames and layouts of a parity-folded pass, with its buffers.
 
     Row ``k < d/2`` of a P-symmetric matrix is stored as ``A[k, e] = rho[k, k ^ e]``
     (frame ``ek``). An orthonormal Walsh-Hadamard transform over the
     ``n - 1`` stored bits ``b'`` of ``k`` gives frame ``eb``, and one over the
     ``n`` bits of ``e`` then gives frame ``fb``. ``A[b', e]`` is the weight of
     the Pauli string with X part ``e`` and Z part ``b``, where the full ``b``
-    has ``b_0 = parity(b')`` (P-symmetry cancels odd ``|b|``). So:
+    has ``b_0 = parity(b')`` (P-symmetry cancels odd ``|b|``).
 
-    - a diagonal gate is ``A *= phi_k conj(phi_(k^e))`` in ``ek``, with seed
-      ``-i (h_k - h_(k^e)) A``;
-    - local depolarizing is ``A *= prod_j (1 - p_j)^(b_j or e_j)`` in ``eb``;
-    - a product gate with ``a = a00 I + a01 X`` is ``A *= exp(2i theta a01 s)``
-      in ``fb``, with seed ``2i a01 s A``, where ``s = sum_j b_j (-1)^f_j``.
+    Every row of the pass (the state and every derivative) is Hermitian, so
+    each entry ``A`` has a partner entry that holds ``conj(A)``: ``A[k ^ e, e]``
+    in frame ``ek`` (read at its complement when ``k ^ e >= d/2``), ``A`` itself
+    up to sign in ``eb``, and ``A[b, f ^ b]`` in ``fb``. Each entry is
+    therefore stored as one real, ``r = Re A + Im A``; its partner's ``r_p``
+    is ``Re A - Im A``. Every transform and relayout is real-linear, so it
+    runs on ``r`` unchanged, and a phase ``A <- e^(i psi) A`` whose partner
+    takes ``e^(-i psi)`` is the pair rotation ``r <- cos psi r + sin psi r_p``.
+    With ``psi = theta w``:
+
+    - a diagonal gate has ``w = h_(k^e) - h_k`` in ``ek``, with seed
+      ``-i (h_k - h_(k^e)) A``, i.e. ``w r_p``;
+    - local depolarizing is ``r *= prod_j (1 - p_j)^(b_j or e_j)`` in ``eb``;
+    - a product gate with ``a = a00 I + a01 X`` has ``w = 2 a01 s`` in ``fb``,
+      with seed ``2i a01 s A``, i.e. ``w r_p``, where
+      ``s = sum_j b_j (-1)^f_j``.
+
+    A gate is one gather of the partners and three in-place products and
+    sums, with ``cos`` and ``sin`` taken on the distinct values of ``w``.
 
     Every matrix of the pass is invariant under the qubit rotation ``R^g`` of
     :func:`_rotation_step`, and so is each frame, since ``popcount(b & e)``
@@ -690,116 +825,97 @@ class _WalshFrames:
     flat gather, ``A[b, e] = A[R^(g t) b, R^(g t) e]`` with ``R^(g t)`` the
     turn that takes ``e`` (or ``b``) to its orbit's representative. At
     ``g = n`` every orbit is one point, ``|E| = d`` and ``|B| = d/2``, and
-    both layouts are the whole ``(d/2, d)`` row.
+    both layouts are the whole ``(d/2, d)`` row. The index maps, partner
+    tables and Walsh factors depend on ``(n, g)`` only (:class:`_FoldTables`).
 
-    A transform is two real matmuls with half-register factors on the float
-    view of the rows; the factor on the innermost ``e`` bits is
-    ``kron(H, I_2)``, so the real and imaginary parts stay apart. The rows
-    live in one of two equal buffers of ``rows * max(|E| d/2, |B| d, R^2 |G|)``
-    entries; each relayout gathers them into the other, and a transform
+    A transform is two real matmuls with half-register factors. The rows
+    live in one of two equal float64 buffers of ``rows * max(|E| d/2, |B| d)``
+    entries, ``d^2 / 2`` per row at ``g = n``, which :meth:`enter` allocates;
+    each relayout gathers them into the other, and a transform or a gate
     borrows the buffer the rows are not in. The one exit from layout K,
-    :meth:`sectors`, gathers ``A[r, u r']`` for the representatives of
-    :class:`_Sectors` into the spare buffer and turns them, in both buffers,
-    into one block stack per sector of ``G = <R^g> x <P>``. At ``g = n`` all
-    three sizes are ``d^2 / 2``.
+    :meth:`sectors`, frees the spare buffer, gathers the pairs ``(r, r_p)``
+    of ``A[r, u r']`` for the representatives of :class:`_Sectors` and turns
+    them into one complex block stack per sector of ``G = <R^g> x <P>``.
     """
 
     def __init__(self, circuit: NoisyCircuit, rho: np.ndarray, rows: int):
-        n, d = circuit.n_qubits, circuit.dim
-        h = d // 2
-        g = _rotation_step(circuit, rho)
-        e, k = np.arange(d), np.arange(h)
-        e_rep, e_turn = _orbits(e, g, n, d - 1)
-        cols, col = np.unique(e_rep, return_inverse=True)  # col: the column of e's orbit
-        full = k | (np.bitwise_count(k) & 1).astype(k.dtype) << (n - 1)  # b of each b'
-        b_rep, b_turn = _orbits(full, g, n, h - 1)
-        b_rows, b_row = np.unique(b_rep, return_inverse=True)
-        b = full[b_rows]
-        self._xor = k[:, None] ^ cols
-        self._enter = k[:, None] * d + self._xor
-        # A_F[r, e] = A_K[(R^(g t_e) b_r)', col_e] and A_K[b', c] = A_F[r_b', R^(g t_b') E_c];
-        # at g = n the two layouts coincide and a relayout is the identity
-        self._relayout = g < n and {
-            1: (_rotate(b[:, None], g * e_turn, n) & (h - 1)) * len(cols) + col,
-            -1: b_row[:, None] * d + _rotate(cols, g * b_turn[:, None], n),
-        }
-        self._g, self._e_turn, self._col, self._width = g, e_turn, col, len(cols)
-        weight = np.bitwise_count(b[:, None] & e).astype(np.int8)
-        self._s = np.bitwise_count(b)[:, None].astype(np.int8) - 2 * weight
-        self._decay = {}
-        for ch in {slot for slot in circuit.slots if slot is not None}:
-            # (1 - p_j)^(b_j or e_j) on qubits 1..n-1, times qubit 0's factor at b_0
-            rest = np.ones((1, 1))
-            for p in ch.probs[1:]:
-                rest = np.kron(rest, [[1.0, 1.0 - p], [1.0 - p, 1.0 - p]])
-            q = 1.0 - ch.probs[0]
-            first = np.array([[1.0, q], [q, q]])[b >> (n - 1)]
-            self._decay[ch] = (first[:, :, None] * rest[b_rows][:, None, :]).reshape(len(b), d)
-        self._walsh = (
-            (_hadamard((n - 1) // 2), _hadamard(n - 1 - (n - 1) // 2)),
-            (_hadamard(n // 2), np.kron(_hadamard(n - n // 2), np.eye(2))),
-        )
-        self._shapes = ((h, len(cols)), (len(b_rows), d))
-        self._n, self.frame, self._hold = n, 0, 0
-        self._sectors = _Sectors(n, g)
-        # A[r, u r'] at (r R + r') |G| + u
-        self._gather = self._index(self._sectors.reps[:, None, None], self._sectors.act).reshape(-1)
-        size = rows * max(self._sectors.size, *(r * c for r, c in self._shapes))
-        self._bufs = (np.empty(size, dtype=complex), np.empty(size, dtype=complex))
-
-    def _index(self, k: np.ndarray, l: np.ndarray) -> np.ndarray:
-        """Where layout K keeps ``top[k, l]``, ``k < d/2``: at ``A[R^(g t) k, rep(e)]``
-        for ``e = k ^ l`` and the turn ``R^(g t)`` that takes ``e`` to its
-        representative; a turned row at or past ``d/2`` reads its complement
-        (P-symmetry)."""
-        e, d = k ^ l, 2**self._n
-        turned = _rotate(k, self._g * self._e_turn[e], self._n)
-        return np.where(turned < d // 2, turned, turned ^ (d - 1)) * self._width + self._col[e]
+        t = self._tables = _fold_tables(circuit.n_qubits, _rotation_step(circuit, rho))
+        self._decay = {ch: t.decay(ch.probs) for ch in {slot for slot in circuit.slots if slot is not None}}
+        # per kernel: its frame, the distinct values of w, the index of each entry's value
+        # and the partner map of the frame
+        self._phases = {}
+        for kernel in circuit.kernels:
+            if isinstance(kernel, DiagonalKernel):
+                w = kernel.h[t.xor] - kernel.h[: len(t.xor), None]
+                levels, index = np.unique(w, return_inverse=True)
+                self._phases[kernel] = (0, levels, index.reshape(-1), t.partners[0])
+            else:
+                levels = 2.0 * kernel.a[0, 1].real * t.s_levels
+                self._phases[kernel] = (3, levels, t.s_index, t.partners[1])
+        self.frame, self._hold, self._bufs = 0, 0, None
+        self._size = rows * max(r * c for r, c in t.shapes)
 
     def _rows(self, count: int, spare: bool = False) -> np.ndarray:
         """The first ``count`` rows in the current layout: in the buffer that
         holds them, or, with ``spare``, in the other one."""
-        r, c = self._shapes[self.frame >= 2]
+        r, c = self._tables.shapes[self.frame >= 2]
         return self._bufs[self._hold ^ spare][: count * r * c].reshape(count, r, c)
 
     def enter(self, mats: np.ndarray) -> None:
-        """Load a ``(k, d, d)`` stack of P-symmetric matrices into rows ``0..k-1``, frame ``ek``."""
+        """Load a ``(k, d, d)`` stack of P-symmetric Hermitian matrices into rows
+        ``0..k-1``, frame ``ek``."""
         self.frame, self._hold = 0, 0
-        src = np.asarray(mats, dtype=complex).reshape(len(mats), -1)
-        np.take(src, self._enter, axis=1, out=self._rows(len(mats)), mode="clip")
+        self._bufs = np.empty(self._size), np.empty(self._size)
+        # Re and Im of entry i sit at floats 2i and 2i + 1
+        src = np.asarray(mats, dtype=complex).reshape(len(mats), -1).view(float)
+        live, spare = self._rows(len(mats)), self._rows(len(mats), spare=True)
+        np.take(src, 2 * self._tables.enter, axis=1, out=live, mode="clip")
+        np.take(src, 2 * self._tables.enter + 1, axis=1, out=spare, mode="clip")
+        live += spare
 
     def sectors(self, count: int) -> list[np.ndarray]:
         """Rows ``0..count-1`` as one ``(count, k, k)`` block stack per sector of
-        :class:`_Sectors`, written into the frames' buffers; the rows are spent."""
+        :class:`_Sectors`; the rows are spent and the buffers released.
+
+        The spare buffer goes first, then the rows go through in groups whose
+        pairs and sums take at most :data:`READOUT_BYTES`.
+        """
         self.move(count, 0)
+        t, sec = self._tables, self._tables.sectors
         src = self._rows(count).reshape(count, -1)
-        x = self._bufs[self._hold ^ 1][: count * self._sectors.size].reshape(count, -1)
-        np.take(src, self._gather, axis=1, out=x, mode="clip")
-        return self._sectors.blocks(x, self._bufs[self._hold])
+        self._bufs = None
+        blocks = sec.stacks(np.empty(count * sec.block_size, dtype=complex), count)
+        step = min(count, max(1, READOUT_BYTES // (32 * sec.size)))
+        pairs, sums = np.empty((2, step * 2 * sec.size))
+        for i in range(0, count, step):
+            x = pairs[: (min(i + step, count) - i) * 2 * sec.size].reshape(-1, 2 * sec.size)
+            np.take(src[i : i + step], t.gather, axis=1, out=x, mode="clip")
+            sec.write(sec.sums(x, sums), [b[i : i + step] for b in blocks])
+        return blocks
 
     def move(self, count: int, frame: int) -> None:
         """Bring rows ``0..count-1`` into ``frame``: 0 ``ek``, 1 ``eb(K)``, 2 ``eb(F)``, 3 ``fb``."""
+        t = self._tables
         while self.frame != frame:
             step = 1 if frame > self.frame else -1
             edge = min(self.frame, self.frame + step)  # 0: the bits of k, 1: relayout, 2: the bits of e
-            live = self._rows(count)
+            x = self._rows(count)
+            self.frame += step
             if edge == 1:
-                self.frame += step
-                if self._relayout:
+                if t.relayout:
                     out = self._rows(count, spare=True)
-                    np.take(live.reshape(count, -1), self._relayout[step], axis=1, out=out, mode="clip")
+                    np.take(x.reshape(count, -1), t.relayout[step], axis=1, out=out, mode="clip")
                     self._hold ^= 1
                 continue
-            k, r, c = live.shape
-            x, y = live.view(float), self._rows(count, spare=True).view(float)
-            a, b = self._walsh[edge // 2]
+            k, r, c = x.shape
+            y = self._rows(count, spare=True)
+            a, b = t.walsh[edge // 2]
             if edge == 0:
                 np.matmul(a, x.reshape(k, len(a), -1), out=y.reshape(k, len(a), -1))
-                np.matmul(b, y.reshape(k * len(a), len(b), 2 * c), out=x.reshape(k * len(a), len(b), 2 * c))
+                np.matmul(b, y.reshape(k * len(a), len(b), c), out=x.reshape(k * len(a), len(b), c))
             else:
                 np.matmul(x.reshape(-1, len(b)), b, out=y.reshape(-1, len(b)))
                 np.matmul(a, y.reshape(k * r, len(a), len(b)), out=x.reshape(k * r, len(a), len(b)))
-            self.frame += step
 
     def depolarize(self, count: int, channel: LocalDepolarizing) -> None:
         """Apply a local depolarizing slot to rows ``0..count-1``, in frame ``eb(F)``."""
@@ -810,30 +926,18 @@ class _WalshFrames:
     def gate(self, count: int, kernel: GateKernel, theta: float) -> None:
         """Conjugate rows ``0..count-1`` by the gate, then write its seed
         ``-i [H, row 0]`` into row ``count``."""
-        diagonal = isinstance(kernel, DiagonalKernel)
-        self.move(count, 0 if diagonal else 3)
-        rows = self._rows(count + 1)
+        frame, levels, index, partner = self._phases[kernel]
+        self.move(count, frame)
+        rows = self._rows(count + 1).reshape(count + 1, -1)
         live, seed = rows[:count], rows[count]
-        # the spare buffer's row `count` is free: it holds the gate's phase table
-        work = self._rows(count + 1, spare=True)[count]
-        if diagonal:
-            h = len(work)
-            phi = np.exp(-1j * theta * kernel.h)
-            np.take(phi.conj(), self._xor, out=work, mode="clip")
-            work *= phi[:h, None]
-            live *= work
-            # the phase is spent: its first half of bytes takes h_k - h_(k^e)
-            diff = work.reshape(-1).view(float)[: work.size].reshape(work.shape)
-            np.take(kernel.h, self._xor, out=diff, mode="clip")
-            np.subtract(kernel.h[:h, None], diff, out=diff)
-            np.multiply(live[0], diff, out=seed)
-            seed *= -1j
-        else:
-            a01, n = kernel.a[0, 1].real, self._n
-            np.take(np.exp(2j * theta * a01 * np.r_[0 : n + 1, -n:0]), self._s, out=work, mode="wrap")
-            live *= work
-            np.multiply(live[0], self._s, out=seed)
-            seed *= 2j * a01
+        pair = self._rows(count, spare=True).reshape(count, -1)
+        np.take(live, partner, axis=1, out=pair, mode="clip")
+        angles = theta * levels
+        live *= np.take(np.cos(angles), index)
+        pair *= np.take(np.sin(angles), index)
+        live += pair
+        np.take(live[0], partner, out=seed, mode="clip")
+        seed *= np.take(levels, index)
 
 
 def derivative_fd(

@@ -339,12 +339,13 @@ def _estimated_bytes(circuit: dict, noise: dict, sweep: dict, workers: int, samp
 
     The largest point once per point that runs at the same time,
     ``min(workers, points)``: a local-depolarizing point with ``p > 0`` runs
-    the parity-folded pass, one sample at a time, whose two buffers take at
-    most ``2 (M + 1) 16 d^2 / 2`` at the deepest circuit (``M = 2L``) and then
-    hold the QFIM's sector blocks, the bound for a circuit with no rotation
-    symmetry (less when the pass keeps one entry per rotation orbit); every
-    other point runs the statevector pass on the :func:`scaling_chunk`
-    samples it runs at once (one for spectrum): its ``(M + 1)`` rows per
+    the parity-folded pass, one sample at a time, charged ``(M + 1) 16 d^2``
+    at the deepest circuit (``M = 2L``): an upper bound, since its two
+    float64 buffers take at most ``2 (M + 1) 8 d^2 / 2`` and its read-out one
+    of them and the complex sector blocks, about ``(M + 1) 12 d^2`` for a
+    circuit with no rotation symmetry (less when the pass keeps one entry
+    per rotation orbit); every other point runs the statevector pass on the
+    :func:`scaling_chunk` samples it runs at once (one for spectrum): its ``(M + 1)`` rows per
     sample and a spare buffer of the same size, one allocation that the
     returned states and derivatives keep alive, while the Fubini-Study
     assembly forms ``M`` projected rows per sample,

@@ -31,6 +31,7 @@ from qfimlab.circuits import (
     DiagonalKernel,
     NoisyCircuit,
     ProductKernel,
+    _fold_tables,
     _rotation_step,
     _Sectors,
     _WalshFrames,
@@ -47,9 +48,11 @@ from qfimlab.circuits import (
     statevector_derivatives,
     toy_model,
 )
-from qfimlab.exceptions import DimensionMismatchError
+from qfimlab.exceptions import DimensionMismatchError, NotHermitianError
+from qfimlab.experiments import parse_config, run_spectrum
 from qfimlab.linalg import (
     I2,
+    TAU_HERM,
     X,
     Z,
     dag,
@@ -370,6 +373,8 @@ class TestParityFold:
     def test_frame_operations_match_dense_kernels(self, rng, n):
         d, k = 2**n, 3
         mats = np.stack([random_p_symmetric(d, rng) for _ in range(k)])
+        # the frames hold Hermitian rows: M = H1 + i H2 goes through as its two parts
+        parts = ((mats + mats.conj().swapaxes(1, 2)) / 2, (mats - mats.conj().swapaxes(1, 2)) / 2j)
         probs = rng.uniform(0.1, 1.0, n)
         probs[-1] = 0.0
         ch = LocalDepolarizing(tuple(probs))
@@ -379,10 +384,13 @@ class TestParityFold:
         assert g == n  # random matrices respect no rotation: the sectors are the parity blocks
 
         def through_frames(op, count):
-            # rows 0..k-1 hold the stack in frame ek, row k takes a seed
-            frames.enter(mats)
-            op()
-            return sector_rows(frames.sectors(count))
+            # rows 0..k-1 hold a part in frame ek, row k takes a seed
+            blocks = []
+            for part in parts:
+                frames.enter(part)
+                op()
+                blocks.append(sector_rows(frames.sectors(count)))
+            return blocks[0] + 1j * blocks[1]
 
         for kernel in circ.kernels:
             assert kernel.parity_symmetric
@@ -505,6 +513,67 @@ class TestParityFold:
             assert _rotation_step(circ, rho) == n
             assert_fold_matches_dense(circ, rng.uniform(0, 2 * np.pi, circ.n_params), rho)
         assert _rotation_step(ring_with_one_bond(n, 1.0).with_uniform_noise(uniform), plus) == 1
+
+    def test_non_hermitian_input_takes_the_dense_path(self, rng):
+        # the folded pass holds one real per entry of Hermitian rows: a P-symmetric
+        # input folds only while it is Hermitian within TAU_HERM
+        n, d = 3, 8
+        circ = hva_tfim(n, 2).with_uniform_noise(LocalDepolarizing.uniform(n, 0.1))
+        sigma = random_density_matrix(d, rng)
+        rho = (sigma + sigma[::-1, ::-1]) / 2
+        skew = random_p_symmetric(d, rng)
+        skew = skew - dag(skew)
+        skew /= np.max(np.abs(skew - dag(skew)))  # P-symmetric, deviates from Hermiticity by 1
+        theta = rng.uniform(0, 2 * np.pi, circ.n_params)
+        assert parity_folds(circ, rho + 0.5 * TAU_HERM * skew)
+        for scale in (1.2 * TAU_HERM, 1e-3):
+            mixed = rho + scale * skew
+            assert np.array_equal(mixed, mixed[::-1, ::-1])
+            assert not parity_folds(circ, mixed)
+            with pytest.raises(ValueError, match="parity"):
+                parity_folded_sectors(circ, theta, mixed)
+        # the dense pass: its assembly takes the first and refuses the second
+        mixed = rho + 1.2 * TAU_HERM * skew
+        expected = qfim_mixed(*evolve_with_derivatives(circ, theta, mixed)).matrix
+        np.testing.assert_array_equal(qfim_of_circuit(circ, theta, mixed).matrix, expected)
+        with pytest.raises(NotHermitianError):
+            qfim_of_circuit(circ, theta, rho + 1e-3 * skew)
+
+    def test_spectrum_points_share_one_set_of_fold_tables(self, monkeypatch):
+        # the index maps and Walsh factors depend on (n, g) alone: three noisy
+        # points build them once, and give the blocks of a run that rebuilds them
+        config = parse_config(
+            {
+                "experiment": "spectrum",
+                "circuit": {"name": "hva_tfim", "n": 4, "L": 2},
+                "noise": {"model": "local_depolarizing", "p": 0.0},
+                "sweep": {"p": [1e-3, 0.02, 0.3]},
+            }
+        )
+
+        def run(clear):
+            seen = []
+
+            def folded(*args):
+                if clear:
+                    _fold_tables.cache_clear()
+                blocks = parity_folded_sectors(*args)
+                seen.append([b.copy() for b in blocks])
+                return blocks
+
+            monkeypatch.setattr(qfimlab.qfim, "parity_folded_sectors", folded)
+            return run_spectrum(config), seen
+
+        _fold_tables.cache_clear()
+        text, shared = run(clear=False)
+        info = _fold_tables.cache_info()
+        assert (info.misses, info.hits, len(shared)) == (1, 2, 3)
+        again, rebuilt = run(clear=True)
+        assert again == text
+        for got, want in zip(shared, rebuilt):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestSectors:

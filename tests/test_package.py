@@ -70,3 +70,23 @@ def test_output_diff_counts_changed_cells_and_relative_float_changes(monkeypatch
     moved = {**table, "rows": [[1, 0.5], [2, 1.0 + 2**-52]], "all_passed": False}
     want = "1 non-float cells changed, float change <= 2.2e-16 of column max (b)"
     assert compare(json.dumps(table), json.dumps(moved)) == want
+
+
+def test_bench_tool_writes_one_row_per_point(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    sides = ["--side", f"parent={root / 'src'}", "--side", f"change={root / 'src'}"]
+    subprocess.run(
+        [sys.executable, str(root / "tools" / "bench.py"), "smoke", *sides, "--repeat", "2",
+         "--n", "3", "4", "--layers", "2", "--out-dir", str(tmp_path)],
+        check=True, capture_output=True, timeout=120,
+    )
+    doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert doc["label"] == "smoke" and doc["environment"]["blas_threads"] == 1
+    assert [(row["name"], row["n"]) for row in doc["rows"]] == [
+        ("parent", 3), ("change", 3), ("parent", 4), ("change", 4)
+    ]
+    for row in doc["rows"]:
+        assert (row["L"], row["M"], row["p"], row["folded"]) == (2, 4, 1e-3, True)
+        assert len(row["wall_s_runs"]) == 2 and row["wall_s"] > 0 and row["ru_maxrss_mb"] > 0
+        assert 0 < row["rank"] <= 4 and row["lambda_max"] > 0
+    assert doc["rows"][2]["lambda_max"] == doc["rows"][3]["lambda_max"]
