@@ -6,11 +6,6 @@ of the ``M`` gates and once after the last. A ``None`` channel means "no
 noise" and is skipped, so such a circuit runs the identical operation
 sequence as a noiseless one.
 
-The passes run ``NoisyCircuit.slots``: local depolarizing noise commutes with
-a product gate, so the slot after one merges, exactly, into the slot before it
-(:func:`_slot_schedule`), and the Ising ansatz runs ``L + 1`` slots, not
-``2L + 1``. Other noise and gates keep all ``M + 1``, as do trajectory rows.
-
 Each gate is one kernel: declared where the structure is known (as in
 :func:`hva_tfim`), or picked by :func:`build_circuit` for a matrix generator
 (diagonal if it is exactly diagonal, dense otherwise). A structured gate
@@ -66,7 +61,7 @@ has a partner entry that holds its conjugate, it stores one real per entry,
 derivative seed a rotation of every entry with its partner, and the only
 matmuls are the real Hadamard transforms between frames. It also keeps one
 entry per orbit of the cyclic qubit rotation ``R^g`` that the diagonal
-generators, the slot channels and the input respect exactly
+generators, the noise channel and the input respect exactly
 (:func:`_rotation_step`): ``g = 1`` for the Ising ring under uniform noise,
 which shrinks every transform and product 6.4x at n = 8, and ``g = n``, the
 plain fold, when nothing but the identity holds. Its two buffers take at
@@ -83,7 +78,7 @@ composite channels, and asymmetric or non-Hermitian inputs do not, and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -360,20 +355,16 @@ class NoisyCircuit:
             :func:`gate_kernel` for a matrix in :func:`build_circuit`.
         noise: the :class:`~qfimlab.channels.Channel` applied before each
             gate and once after the last, or ``None`` for no noise.
-        slots: the M+1 channels (or ``None``) the passes run, computed on
-            construction (also by ``replace``) by :func:`_slot_schedule`.
     """
 
     n_qubits: int
     layers: tuple[int, ...]
     kernels: tuple[GateKernel, ...]
     noise: Channel | None = None
-    slots: tuple[Channel | None, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if any(not 0 <= i < len(self.kernels) for i in self.layers):
             raise ValueError(f"layer indices {self.layers} outside generator set of size {len(self.kernels)}")
-        object.__setattr__(self, "slots", _slot_schedule(self.noise, self.layers, self.kernels))
 
     @property
     def n_params(self) -> int:
@@ -413,25 +404,6 @@ class NoisyCircuit:
             raise ValueError(f"angle has shape {angle.shape}, expected () or {stack.shape[:1]}")
         self.kernels[self.layers[m]].conjugate(stack, angle, np.empty_like(stack))
         return stack.reshape(mat.shape)
-
-
-def _slot_schedule(noise: Channel | None, layers, kernels) -> tuple[Channel | None, ...]:
-    """``noise`` in each of the ``M + 1`` slots, unless it is local depolarizing.
-
-    Each single-qubit depolarizing map commutes with every unitary on its
-    qubit, so with a :class:`ProductKernel` gate ``u^(x)n`` and with its
-    derivative seed ``ad_{sum_j a_j}``. The slot after such a gate then moves
-    in front of it and merges with the slot there, if that still holds
-    ``noise``: ``1 - (1 - p_j)^2 = 2 p_j - p_j^2`` per qubit, one channel
-    shared by all merged slots. Emptied slots are ``None``.
-    """
-    slots = [noise] * (len(layers) + 1)
-    if isinstance(noise, LocalDepolarizing):
-        merged = LocalDepolarizing(tuple(2.0 * p - p * p for p in noise.probs))
-        for m, layer in enumerate(layers):
-            if isinstance(kernels[layer], ProductKernel) and slots[m] is noise:
-                slots[m], slots[m + 1] = merged, None
-    return tuple(slots)
 
 
 def build_circuit(n_qubits, generators, layers) -> NoisyCircuit:
@@ -475,9 +447,9 @@ def evolve(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> np.ndar
     stack = np.array(np.broadcast_to(rho, theta.shape[:-1] + rho.shape), complex, order="C", ndmin=3)
     scratch = np.empty_like(stack)
     angles = theta.T  # row m: gate m's angle, or its K angles
-    for m, slot in enumerate(circuit.slots):
-        if slot is not None:
-            slot._apply_batch(stack, scratch)
+    for m in range(circuit.n_params + 1):
+        if circuit.noise is not None:
+            circuit.noise._apply_batch(stack, scratch)
         if m < circuit.n_params:
             circuit.kernels[circuit.layers[m]].conjugate(stack, angles[m], scratch)
     return stack if theta.ndim == 2 else stack[0]
@@ -502,11 +474,11 @@ def evolve_with_derivatives(
     stack = np.empty((circuit.n_params + 1, circuit.dim, circuit.dim), dtype=complex)
     scratch = np.empty_like(stack)
     stack[0] = rho
-    for m, slot in enumerate(circuit.slots):
+    for m in range(circuit.n_params + 1):
         live, buf = stack[: m + 1], scratch[: m + 1]
         # the pass owns both buffers and with_uniform_noise checked the qubit count
-        if slot is not None:
-            slot._apply_batch(live, buf)
+        if circuit.noise is not None:
+            circuit.noise._apply_batch(live, buf)
         if m < circuit.n_params:
             kernel = circuit.kernels[circuit.layers[m]]
             kernel.conjugate(live, theta[m], buf)
@@ -562,12 +534,17 @@ def parity_folded_sectors(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndar
     """
     if not parity_folds(circuit, rho):
         raise ValueError("the circuit or input does not commute with the parity X^n, or the input is not Hermitian")
+    return _folded_sectors(circuit, theta, rho)
+
+
+def _folded_sectors(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> list[np.ndarray]:
+    """:func:`parity_folded_sectors` for an input that :func:`parity_folds` has accepted."""
     theta = _check_args(circuit, theta, rho, 2)
     frames = _WalshFrames(circuit, rho, circuit.n_params + 1)
     frames.enter(rho[None])
-    for m, slot in enumerate(circuit.slots):
-        if slot is not None:
-            frames.depolarize(m + 1, slot)
+    for m in range(circuit.n_params + 1):
+        if circuit.noise is not None:
+            frames.depolarize(m + 1, circuit.noise)
         if m < circuit.n_params:
             frames.gate(m + 1, circuit.kernels[circuit.layers[m]], theta[m])
     return frames.sectors(circuit.n_params + 1)
@@ -584,21 +561,24 @@ def _rotation_step(circuit: NoisyCircuit, rho: np.ndarray) -> int:
     """Smallest divisor ``g`` of ``n`` such that the folded pass commutes with ``R^g``.
 
     That holds when, exactly, every diagonal generator has
-    ``h[R^g x] == h[x]``, every slot channel has ``p_j == p_(j+g mod n)`` and
+    ``h[R^g x] == h[x]``, the noise channel has ``p_j == p_(j+g mod n)`` and
     ``rho[R^g k, R^g l] == rho[k, l]``; a product gate is always invariant.
     The Ising ring with uniform noise on ``|+>^n`` gives ``g = 1``; ``g = n``,
     the identity, always holds.
     """
-    n = circuit.n_qubits
+    n, d = circuit.n_qubits, circuit.dim
     diagonals = [k.h for k in circuit.kernels if isinstance(k, DiagonalKernel)]
-    probs = {slot.probs for slot in circuit.slots if slot is not None}
+    p = () if circuit.noise is None else circuit.noise.probs
+    # rho is compared in blocks of at most 2^16 entries, so no d x d copy is formed
+    rows = max(1, 2**16 // d)
+    blocks = [slice(i, i + rows) for i in range(0, d, rows)]
     for g in range(1, n):
         if n % g == 0:
-            turn = _rotate(np.arange(circuit.dim), g, n)
+            turn = _rotate(np.arange(d), g, n)
             if (
                 all(np.array_equal(h[turn], h) for h in diagonals)
-                and all(p[g:] + p[:g] == p for p in probs)
-                and np.array_equal(rho[np.ix_(turn, turn)], rho)
+                and p[g:] + p[:g] == p
+                and all(np.array_equal(rho[np.ix_(turn[b], turn)], rho[b]) for b in blocks)
             ):
                 return g
     return n
@@ -840,7 +820,7 @@ class _WalshFrames:
 
     def __init__(self, circuit: NoisyCircuit, rho: np.ndarray, rows: int):
         t = self._tables = _fold_tables(circuit.n_qubits, _rotation_step(circuit, rho))
-        self._decay = {ch: t.decay(ch.probs) for ch in {slot for slot in circuit.slots if slot is not None}}
+        self._decay = None if circuit.noise is None else t.decay(circuit.noise.probs)
         # per kernel: its frame, the distinct values of w, the index of each entry's value
         # and the partner map of the frame
         self._phases = {}
@@ -918,10 +898,11 @@ class _WalshFrames:
                 np.matmul(a, y.reshape(k * r, len(a), len(b)), out=x.reshape(k * r, len(a), len(b)))
 
     def depolarize(self, count: int, channel: LocalDepolarizing) -> None:
-        """Apply a local depolarizing slot to rows ``0..count-1``, in frame ``eb(F)``."""
+        """Apply ``channel``, the circuit's noise, whose decay table :meth:`__init__` built,
+        to rows ``0..count-1``, in frame ``eb(F)``."""
         self.move(count, 2)
         live = self._rows(count)
-        live *= self._decay[channel]
+        live *= self._decay
 
     def gate(self, count: int, kernel: GateKernel, theta: float) -> None:
         """Conjugate rows ``0..count-1`` by the gate, then write its seed

@@ -560,7 +560,7 @@ def run_trajectory(config: ExperimentConfig, workers: int | None = None) -> str:
     Gate-by-gate rows: ``gate_index = 0, step = 0`` is the raw input;
     ``(m, s)`` for ``m in 1..M`` is the state after noise slot ``m`` and gate
     ``m`` at partial angle ``theta_m * s / steps``; ``(M+1, 0)`` is the state
-    after the final slot (slot by slot, even where the passes merge slots).
+    after the final slot.
     Eigenvector rows are labelled
     ``<point>/eig<k>`` (k sorted by descending eigenvalue), ``gate_index = k``
     and ``step`` scanning the perturbation ``t`` across

@@ -61,8 +61,8 @@ import numpy as np
 from .channels import GlobalDepolarizing
 from .circuits import (
     NoisyCircuit,
+    _folded_sectors,
     evolve_with_derivatives,
-    parity_folded_sectors,
     parity_folds,
     statevector_derivatives,
 )
@@ -225,7 +225,7 @@ def qfim_of_circuit(
     if state.ndim == 1:
         state = np.outer(state, state.conj())
     if parity_folds(circuit, state):
-        matrix = _block_qfim(parity_folded_sectors(circuit, theta, state))
+        matrix = _block_qfim(_folded_sectors(circuit, theta, state))
         return report_from_matrix(matrix, tau_abs, tau_rel)
     out, derivs = evolve_with_derivatives(circuit, theta, state)
     return qfim_mixed(out, derivs, tau_abs, tau_rel)

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +15,7 @@ import pytest
 from oracles import herm_exp
 
 import qfimlab
+from qfimlab import circuits
 from qfimlab.channels import (
     CompositeChannel,
     GlobalDepolarizing,
@@ -557,11 +557,11 @@ class TestParityFold:
             def folded(*args):
                 if clear:
                     _fold_tables.cache_clear()
-                blocks = parity_folded_sectors(*args)
+                blocks = circuits._folded_sectors(*args)
                 seen.append([b.copy() for b in blocks])
                 return blocks
 
-            monkeypatch.setattr(qfimlab.qfim, "parity_folded_sectors", folded)
+            monkeypatch.setattr(qfimlab.qfim, "_folded_sectors", folded)
             return run_spectrum(config), seen
 
         _fold_tables.cache_clear()
@@ -680,6 +680,25 @@ class TestSectors:
             tracemalloc.stop()
         assert peak < 16 * (m + 1) * (d // 2) * d
 
+    def test_folded_qfim_checks_its_input_once(self, rng, monkeypatch):
+        circ = hva_tfim(4, 2).with_uniform_noise(LocalDepolarizing.uniform(4, 0.05))
+        calls, within = [], circuits._hermitian_within
+        monkeypatch.setattr(circuits, "_hermitian_within", lambda *a: calls.append(1) or within(*a))
+        qfim_of_circuit(circ, rng.uniform(0, 2 * np.pi, circ.n_params), plus_state_density(4))
+        assert len(calls) == 1
+
+    def test_rotation_step_forms_no_dense_copy(self):
+        n = 10
+        circ = hva_tfim(n, 1).with_uniform_noise(LocalDepolarizing.uniform(n, 0.05))
+        rho = plus_state_density(n)
+        tracemalloc.start()
+        try:
+            assert _rotation_step(circ, rho) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rho.nbytes / 8
+
     def test_folded_qfim_does_not_import_numpy_ma(self):
         # numpy 2.4's np.unique imports numpy.ma unless it returns an inverse, ~10 ms
         code = (
@@ -707,10 +726,10 @@ def assert_rows_close(got, expected, rel):
 
 
 class TestSlotSchedule:
-    """Local depolarizing noise after a product gate merges into the slot before it.
+    """Every pass applies the circuit's channel in all M+1 slots.
 
-    The reference is the same channel wrapped in a ``CompositeChannel``, which
-    is never merged or folded.
+    The reference is the same channel wrapped in a ``CompositeChannel``,
+    which the folded pass does not take.
     """
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
@@ -724,8 +743,7 @@ class TestSlotSchedule:
             for ch in (LocalDepolarizing.uniform(n, p), LocalDepolarizing(tuple(rng.uniform(0, p, n)))):
                 circ = tfim.with_uniform_noise(ch)
                 ref = tfim.with_uniform_noise(CompositeChannel([ch]))
-                assert sum(s is not None for s in circ.slots) < len(ref.slots)
-                # folded path on |+>^n against the dense unmerged pass
+                # folded path on |+>^n against the dense pass of the reference
                 ref_out, ref_derivs = evolve_with_derivatives(ref, theta, plus)
                 dense = dense_sector_rows(np.stack([ref_out, *ref_derivs]), n, _rotation_step(circ, plus))
                 assert_rows_close(sector_rows(parity_folded_sectors(circ, theta, plus)), dense, 1e-12)
@@ -741,55 +759,19 @@ class TestSlotSchedule:
                 got = qfim_mixed(out, derivs).matrix
                 assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("n, layers", [(2, 1), (4, 3), (8, 10)])
-    def test_ising_ansatz_runs_l_plus_one_slots(self, n, layers):
-        p = 0.01
-        noise = LocalDepolarizing.uniform(n, p)
-        circ = hva_tfim(n, layers).with_uniform_noise(noise)
-        assert len(circ.slots) == circ.n_params + 1
-        live = [k for k, s in enumerate(circ.slots) if s is not None]
-        assert live == [0, *range(1, 2 * layers, 2)]
-        assert circ.slots[0] is noise
-        merged = circ.slots[1]
-        assert all(circ.slots[k] is merged for k in live[1:])
-        assert merged.probs == pytest.approx((1 - (1 - p) ** 2,) * n, rel=1e-12)
-
-    def test_other_channels_and_the_toy_model_keep_every_slot(self):
-        n = 3
-        tfim = hva_tfim(n, 2)
-        pauli = PauliChannel([(PauliString.identity(n), 0.9), (PauliString.single(n, 1, "Y"), 0.1)])
-        composite = CompositeChannel([LocalDepolarizing.uniform(n, 0.1)])
-        toy, _ = toy_model()
-        cases = [
-            tfim.with_uniform_noise(GlobalDepolarizing(n, 0.1)),
-            tfim.with_uniform_noise(pauli),
-            tfim.with_uniform_noise(composite),
-            toy.with_uniform_noise(bit_flip(0.1)),
-            toy.with_uniform_noise(LocalDepolarizing.uniform(1, 0.1)),
-        ]
-        for circ in cases:
-            assert circ.slots == (circ.noise,) * (circ.n_params + 1)
-        assert tfim.slots == (None,) * (tfim.n_params + 1)
-
-    def test_replace_recomputes_the_schedule(self):
-        noise = LocalDepolarizing.uniform(4, 0.05)
-        circ = hva_tfim(4, 1).with_uniform_noise(noise)
-        deeper = replace(circ, layers=circ.layers * 3)
-        assert len(deeper.slots) == 7
-        assert [s is not None for s in deeper.slots] == [True, True, False, True, False, True, False]
-        assert all(s is None for s in deeper.with_uniform_noise(None).slots)
-
-    def test_a_merged_slot_takes_no_second_merge(self, rng):
-        n, p = 3, 0.2
-        base = replace(hva_tfim(n, 1), layers=(1, 1, 0, 1))
-        circ = base.with_uniform_noise(LocalDepolarizing.uniform(n, p))
-        merged = circ.slots[0]
-        assert circ.slots == (merged, None, circ.noise, merged, None)
-        theta, rho = rng.uniform(0, 2 * np.pi, 4), random_density_matrix(2**n, rng)
-        ref = base.with_uniform_noise(CompositeChannel([circ.noise]))
-        out, derivs = evolve_with_derivatives(circ, theta, rho)
-        ref_out, ref_derivs = evolve_with_derivatives(ref, theta, rho)
-        assert_rows_close([out, *derivs], [ref_out, *ref_derivs], 1e-12)
+    @pytest.mark.parametrize("n, layers", [(2, 1), (4, 3)])
+    def test_every_pass_runs_the_channel_in_every_slot(self, rng, monkeypatch, n, layers):
+        circ = hva_tfim(n, layers).with_uniform_noise(LocalDepolarizing.uniform(n, 0.01))
+        theta, mixed = rng.uniform(0, 2 * np.pi, circ.n_params), random_density_matrix(2**n, rng)
+        calls = []
+        apply, depolarize = LocalDepolarizing._apply_batch, _WalshFrames.depolarize
+        monkeypatch.setattr(LocalDepolarizing, "_apply_batch", lambda ch, *a: calls.append(ch) or apply(ch, *a))
+        monkeypatch.setattr(_WalshFrames, "depolarize", lambda f, k, ch: calls.append(ch) or depolarize(f, k, ch))
+        plus = plus_state_density(n)
+        for run, rho in ((evolve, mixed), (evolve_with_derivatives, mixed), (parity_folded_sectors, plus)):
+            calls.clear()
+            run(circ, theta, rho)
+            assert calls == [circ.noise] * (2 * layers + 1)
 
 
 def toy_noise_channels():

@@ -90,3 +90,21 @@ def test_bench_tool_writes_one_row_per_point(tmp_path):
         assert len(row["wall_s_runs"]) == 2 and row["wall_s"] > 0 and row["ru_maxrss_mb"] > 0
         assert 0 < row["rank"] <= 4 and row["lambda_max"] > 0
     assert doc["rows"][2]["lambda_max"] == doc["rows"][3]["lambda_max"]
+
+
+def test_readme_bench_recipe_runs(tmp_path):
+    # the README's tools/bench.py lines at a tiny point, the parent copy replaced by this checkout
+    root = Path(__file__).resolve().parents[1]
+    lines = [line.split() for line in (root / "README.md").read_text().splitlines()
+             if line.strip().startswith("python tools/bench.py")]
+    assert lines
+    for _, *args in lines:
+        args = [arg.replace("../parent/src", str(root / "src")) for arg in args]
+        subprocess.run(
+            [sys.executable, *args, "--n", "3", "--layers", "1", "--repeat", "1", "--out-dir", str(tmp_path)],
+            cwd=root, check=True, capture_output=True, timeout=120,
+        )
+    rows = json.loads((tmp_path / "BENCH_folded.json").read_text())["rows"]
+    assert [(row["name"], row["n"], row["L"], row["folded"]) for row in rows] == [
+        ("parent", 3, 1, True), ("change", 3, 1, True)
+    ]

@@ -22,7 +22,7 @@ run's time in ``wall_s_runs``, and the largest ``ru_maxrss_mb``. The rows
 go into ``BENCH_<LABEL>.json`` in ``--out-dir`` (the checkout root by
 default); rows of other sides already in the file are kept::
 
-    git archive <parent> | tar -x -C ../parent
+    mkdir -p ../parent && git archive <parent> | tar -x -C ../parent
     python tools/bench.py folded --side parent=../parent/src --side change=src
 
 The points run one after the other, largest last; one n = 12 run of the
