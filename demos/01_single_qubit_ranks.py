@@ -10,7 +10,7 @@ angles. Bit-flip noise before and after every gate can unlock the radial
 
 import numpy as np
 
-from qfimlab import TOY_THETAS, bit_flip, bloch_coords, evolve, qfim_of_circuit, toy_model
+from qfimlab import TOY_THETAS, bit_flip, bloch_coords, evolve, qfim_of_circuit, rng_from_seed, toy_model
 
 
 def banner(title):
@@ -46,7 +46,7 @@ a terminal channel can never increase the rank.""")
 banner("The third point is an exact degeneracy; generic points give rank 3")
 nudged = TOY_THETAS["theta3"] + 1e-3 * np.array([1.0, -1.0, 1.0, 1.0])
 show_point(noisy, rho, "theta3 + 1e-3 nudge", nudged)
-rng = np.random.Generator(np.random.Philox(key=7))
+rng = rng_from_seed(7)
 show_point(noisy, rho, "uniform random theta", rng.uniform(0, 2 * np.pi, 4))
 print("""
 At exactly (pi/2, pi/4, pi/4, pi/4) the four Bloch-space tangent vectors are

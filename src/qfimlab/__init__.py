@@ -15,8 +15,8 @@ The package is organized as:
   that picks its route from the input (state vectors alone for a pure input
   under no or global depolarizing noise), ranks and capacity counts,
   distances and relative entropy.
-- ``rand``: seeded Philox substreams (one per task), the bounded task map,
-  and random operators and states.
+- ``rand``: seeded Philox substreams (one per task) and their vectorized uniform
+  draws, the bounded task map, and random operators and states.
 - ``experiments``: JSON-configured, seeded experiment harness with CSV/JSON
   emission, plus the numerical verification suite (``verify``).
 """

@@ -412,13 +412,14 @@ def lie_closure(generators, max_dim: int | None = None) -> LieBasis:
     if cap < 1:
         raise ValueError("max_dim must be at least 1")
 
-    # Orthonormal real views of the elements, one row each, widened with
-    # zeros when new strings appear.
-    rows = np.zeros((0, 0))
+    # Orthonormal real views of the elements, one row each, in the top-left
+    # corner of a zero buffer that doubles its rows or columns when full; a
+    # row that brings new strings widens the corner.
+    buffer = rows = np.zeros((0, 0))
     elements: list = []
 
     def try_add(v: np.ndarray) -> None:
-        nonlocal rows
+        nonlocal buffer, rows
         r = np.array(v, dtype=complex).view(np.float64)
         _project_out(r, rows)
         # most candidates end here; a second pass could only shrink their residual
@@ -428,10 +429,16 @@ def lie_closure(generators, max_dim: int | None = None) -> LieBasis:
         norm = float(np.linalg.norm(r))
         if norm <= TAU_INDEP:
             return
-        if len(elements) >= cap:
-            raise CapExceededError(f"Lie closure exceeded the dimension cap {cap}", partial_dim=len(elements))
+        k = len(elements)
+        if k >= cap:
+            raise CapExceededError(f"Lie closure exceeded the dimension cap {cap}", partial_dim=k)
         r /= norm
-        rows = np.vstack([np.pad(rows, ((0, 0), (0, len(r) - rows.shape[1]))), r])
+        if k == buffer.shape[0] or len(r) > buffer.shape[1]:
+            grown = np.zeros((max(2 * buffer.shape[0], k + 1), max(2 * buffer.shape[1], len(r))))
+            grown[:k, : rows.shape[1]] = rows
+            buffer = grown
+        buffer[k, : len(r)] = r
+        rows = buffer[: k + 1, : len(r)]
         elements.append(coords.element(r.view(complex)))
 
     for g in coords.skew_gens:

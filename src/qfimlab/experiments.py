@@ -4,10 +4,12 @@ Configs are validated strictly (unknown keys are errors) before any
 computation. What each experiment accepts (circuits, noise models, sweeps,
 options and their defaults) is stated once, in :data:`CONTRACTS`, and
 :func:`parse_config` is the only code that enforces it: a config that parses
-runs without a config error. Randomness comes exclusively from numpy's
-counter-based Philox generator keyed by a 64-bit seed, with per-task subkeys
-derived from sweep coordinates, so identical config + seed reproduces
-byte-identical output. CSV files carry a versioned schema comment line and
+runs without a config error. Randomness comes exclusively from counter-based
+Philox4x64-10 streams keyed by a 64-bit seed, with per-task subkeys derived
+from sweep coordinates, so identical config + seed reproduces byte-identical
+output. The theta draws of ``spectrum`` and ``scaling`` come from one
+vectorized :func:`~qfimlab.rand.subkey_uniform` evaluation, without
+``numpy.random``. CSV files carry a versioned schema comment line and
 print floats with 17 significant digits; JSON reports echo the config along
 with a SHA-256 hash of its canonical form.
 """
@@ -49,7 +51,7 @@ from .dla import PauliSum, lie_closure, parity_sector_dimension
 from .exceptions import ConfigError
 from .linalg import purity
 from .qfim import TAU_RANK_ABS, TAU_RANK_REL, effective_dim_d1, qfim_of_circuit
-from .rand import SUBKEY_RANGE, map_tasks, subkey_rng
+from .rand import SUBKEY_RANGE, map_tasks, subkey_rng, subkey_uniform  # subkey_rng is re-exported
 
 CSV_SCHEMA_VERSION = 1
 # The largest |angle| a config gives, in radians: every theta.values entry and
@@ -658,7 +660,7 @@ def run_spectrum(config: ExperimentConfig, workers: int | None = None) -> str:
     if "values" in config.theta:
         theta = np.asarray(config.theta["values"])
     else:
-        theta = subkey_rng(config.theta["seed"], 0).uniform(0.0, 2.0 * np.pi, circuit.n_params)
+        theta = subkey_uniform(config.theta["seed"], [(0,)], 0.0, 2.0 * np.pi, circuit.n_params)[0]
     tau_abs, tau_rel = config.rank_tolerances
     dim_g = parity_sector_dimension(lie_closure(hva_tfim_pauli_generators(n)))
     psi = plus_state_vector(n)
@@ -689,10 +691,13 @@ def run_scaling(config: ExperimentConfig, workers: int | None = None) -> str:
 
     One sweep varies L at the noise config's fixed p, the other varies p at
     the circuit config's fixed L. Each coordinate averages over
-    ``options.samples`` theta draws, one Philox substream per sample. The
-    draws are stacked and go through :func:`~qfimlab.qfim.qfim_of_circuit`
-    in chunks of :func:`scaling_chunk` rows: one batched statevector pass
-    per chunk, or one QFIM per row on the density routes.
+    ``options.samples`` theta draws, one Philox substream per sample; one
+    :func:`~qfimlab.rand.subkey_uniform` call draws every stream before the
+    coordinates run, and a depth-``L`` row keeps the first ``2L`` values of
+    each of its streams. The draws go through
+    :func:`~qfimlab.qfim.qfim_of_circuit` in chunks of :func:`scaling_chunk`
+    rows: one batched statevector pass per chunk, or one QFIM per row on the
+    density routes.
     """
     samples, n, seed = config.options["samples"], config.circuit["n"], config.theta["seed"]
     tau_abs, tau_rel = config.rank_tolerances
@@ -702,15 +707,14 @@ def run_scaling(config: ExperimentConfig, workers: int | None = None) -> str:
     base = hva_tfim(n, 1)
     circuits = {level: replace(base, layers=base.layers * level) for level in {t[2] for t in tasks}}
     psi = plus_state_vector(n)
+    coords = [(1 if kind == "L" else 2, idx, s) for kind, idx, _, _ in tasks for s in range(samples)]
+    n_max = max(c.n_params for c in circuits.values())
+    draws = subkey_uniform(seed, coords, 0.0, 2.0 * np.pi, n_max).reshape(len(tasks), samples, n_max)
 
-    def one_coord(task):
-        kind, idx, level, p = task
+    def one_coord(task_draws):
+        (kind, idx, level, p), draw = task_draws
         circuit = _with_noise(circuits[level], config.noise, p)
-        kind_id = 1 if kind == "L" else 2
-        thetas = np.array([
-            subkey_rng(seed, kind_id, idx, s).uniform(0.0, 2.0 * np.pi, circuit.n_params)
-            for s in range(samples)
-        ])
+        thetas = draw[:, : circuit.n_params]
         chunk = scaling_chunk(samples, circuit.dim, circuit.n_params)
         reports = [
             report
@@ -725,7 +729,7 @@ def run_scaling(config: ExperimentConfig, workers: int | None = None) -> str:
             float(np.mean(eigs)), float(np.std(eigs)),
         )
 
-    return emit_table(config, SCALING_COLUMNS, map_tasks(one_coord, tasks, workers))
+    return emit_table(config, SCALING_COLUMNS, map_tasks(one_coord, list(zip(tasks, draws)), workers))
 
 
 def run_verify(config: ExperimentConfig, workers: int | None = None) -> str:

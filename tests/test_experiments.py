@@ -45,6 +45,7 @@ from qfimlab.experiments import (
 )
 from qfimlab.linalg import X, Y, Z
 from qfimlab.qfim import qfim_of_circuit
+from qfimlab.rand import subkey_rng, subkey_uniform
 
 
 def parse_csv(text):
@@ -459,6 +460,27 @@ class TestScaling:
         )
         header, rows = parse_csv(run_scaling(cfg))
         assert [r[header.index("M")] for r in rows] == ["2", "4", "6"]
+
+
+class TestSubkeyUniform:
+    COORDS = [(0,), (2**20 - 1,), (3, 2**20 - 1), (1, 4, 9), (2**20 - 1, 0, 2**20 - 1)]
+
+    @pytest.mark.parametrize("seed", [0, 7, 42, 2**63 - 1, 2**64 - 1])
+    @pytest.mark.parametrize("size", [1, 3, 4, 5, 24, 41])
+    def test_rows_match_the_generator_bit_for_bit(self, seed, size):
+        for low, high in ((0.0, 2.0 * np.pi), (-1.5, 0.25)):
+            got = subkey_uniform(seed, self.COORDS, low, high, size)
+            assert got.shape == (len(self.COORDS), size)
+            for row, c in zip(got, self.COORDS):
+                assert np.array_equal(row, subkey_rng(seed, *c).uniform(low, high, size))
+
+    @pytest.mark.parametrize("coords", [(1, 2, 3, 4), (2**20,), (0, -1)])
+    def test_rejects_what_subkey_rng_rejects(self, coords):
+        with pytest.raises(ValueError) as want:
+            subkey_rng(42, *coords)
+        with pytest.raises(ValueError) as got:
+            subkey_uniform(42, [(0,), coords], 0.0, 1.0, 4)
+        assert str(got.value) == str(want.value)
 
 
 class TestVerifyRunner:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import qfimlab
@@ -23,6 +24,27 @@ def test_import_loads_no_third_party_module_besides_numpy():
     top_level = {name.split(".")[0] for name in out.split()}
     assert "qfimlab" in top_level
     assert top_level - set(sys.stdlib_module_names) - {"qfimlab", "numpy"} == set()
+
+
+def test_spectrum_and_scaling_draw_theta_without_numpy_random():
+    code = textwrap.dedent("""
+        import sys
+        from qfimlab.experiments import parse_config, run_scaling, run_spectrum
+        circuit, theta = {"name": "hva_tfim", "n": 2, "L": 2}, {"seed": 42}
+        noise = {"model": "global_depolarizing", "p": 0.05}
+        run_spectrum(parse_config({"experiment": "spectrum", "circuit": circuit,
+                                   "noise": noise, "theta": theta, "sweep": {"p": [0.0, 0.1]}}))
+        run_scaling(parse_config({"experiment": "scaling", "circuit": circuit, "noise": noise,
+                                  "theta": theta, "sweep": {"L": [1, 2], "p": [0.0, 0.1]},
+                                  "options": {"samples": 2}}))
+        print("numpy.random" in sys.modules)
+    """)
+    src = str(Path(qfimlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, timeout=60
+    ).stdout
+    assert out.split() == ["False"]
 
 
 def test_benchmark_hooks_resolve(monkeypatch):
