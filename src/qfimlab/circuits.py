@@ -8,27 +8,26 @@ sequence as a noiseless one.
 
 Each gate is one kernel: declared where the structure is known (as in
 :func:`hva_tfim`), or picked by :func:`build_circuit` for a matrix generator
-(diagonal if it is exactly diagonal, dense otherwise). A structured gate
-forms no ``d x d`` unitary or generator. On density matrices:
+(diagonal if it is exactly diagonal, dense otherwise). A kernel is an
+eigenframe ``F`` of its generator and the spectrum ``lambda`` there
+(:class:`_VectorFrame`); no gate forms a ``d x d`` unitary:
 
-- :class:`DiagonalKernel` (e.g. ``sum_j Z_j Z_{j+1}``): the gate multiplies
-  ``rho`` elementwise by ``phi phi^H`` with ``phi = exp(-i theta h)``;
+- :class:`DiagonalKernel` (e.g. ``sum_j Z_j Z_{j+1}``): ``F`` is the
+  computational basis, and a frame change costs nothing;
 - :class:`ProductKernel` (the same single-qubit term on every qubit, e.g.
-  ``sum_j X_j``): ``exp(-i theta H) = u^(x)n`` is applied as two
-  half-register Kronecker factors;
-- :class:`DenseKernel` (anything else): ``V (Phi ⊙ V† rho V) V†`` in the
-  generator's eigenbasis ``V``, four products of the whole ``(k d, d)``
-  stack with ``V`` and one phase product, so BLAS is not called once per
-  matrix.
+  ``sum_j X_j``): ``F = W^(x)n``, ``W`` the eigenvectors of the term, with
+  rows kept transposed over the two half registers; a frame change is two
+  half-register matmuls with shared factors (real ones on the float view
+  when ``W`` is real);
+- :class:`DenseKernel` (anything else): ``F = V``, the generator's
+  eigenbasis; a frame change is one product with ``V``.
 
-On state vectors every kernel works in its generator's eigenframe
-(:class:`_VectorFrame`): the computational basis for a diagonal kernel,
-``W^(x)n`` for a product kernel (``W`` the eigenvectors of its term, the
-rows kept transposed over the two half registers), ``V`` for a dense one.
-There a gate is one product with ``exp(-i theta lambda)`` and ``H`` one
-product with ``lambda``; a frame change is two half-register matmuls with
-shared factors (real ones on the float view when ``W`` is real) or one
-product with ``V``.
+On a density stack a gate is ``F (Phi ⊙ F† rho F) F†`` with
+``Phi_ab = exp(-i theta (lambda_a - lambda_b))``: the frame changes are
+right products of the whole flat ``(k d, d)`` stack, so BLAS is not called
+once per matrix. On state vectors a gate is one product with
+``exp(-i theta lambda)`` in the frame and ``H`` one product with
+``lambda``.
 
 Batch axis: :func:`evolve` and :func:`statevector_derivatives` take a
 ``(K, M)`` theta and :meth:`NoisyCircuit.gate_step` a ``(k,)`` array of
@@ -37,15 +36,15 @@ always runs a batch, an ``(M,)`` theta being a batch of one: its rows stay
 in the frame of the last gate's kernel, so a gate builds one ``(K, d)``
 phase table and no per-sample factor or unitary, and every frame change
 runs each row through its own matmul calls, with factors that all rows
-share. On density matrices a :class:`ProductKernel` gate takes one scalar
-angle only (``ValueError`` else).
+share.
 
 Derivatives of the output state are computed analytically in forward mode.
 Differentiating gate ``i`` inserts the commutator ``-i [H_i, .]`` right after
 that gate; :func:`evolve_with_derivatives` carries the state and all M
 derivatives as rows of one ``(M + 1, d, d)`` stack, seeds row ``m + 1`` with
-``-i [H_m, rho_m]`` when gate ``m`` is passed, and sends the live rows through
-every later slot and gate at once. The stack and one scratch buffer take
+``-i [H_m, rho_m]``, i.e. ``-i (lambda_a - lambda_b) ⊙ F† rho_m F``, in the
+same kernel call as gate ``m``, and sends the live rows through every later
+slot and gate at once. The stack and one scratch buffer take
 ``2 (M + 1) 16 d^2`` bytes. The central finite difference ``derivative_fd``
 exists as an independent test oracle only.
 
@@ -110,9 +109,10 @@ READOUT_BYTES = 2**20
 
 
 class _VectorFrame:
-    """How a gate kernel acts on state vectors: in its generator's eigenbasis.
+    """How a gate kernel acts: in its generator's eigenframe ``F``, where ``H``
+    is the real diagonal ``lambda``.
 
-    In the frame the gate is one product with ``exp(-i theta lambda)`` and
+    On state vectors the gate is one product with ``exp(-i theta lambda)`` and
     the derivative seed ``-i H psi`` one product with ``-i lambda``. ``frame``
     names the frame: ``None``, the computational basis, for a diagonal
     kernel, and the kernel itself otherwise, whose :meth:`enter` and
@@ -120,6 +120,10 @@ class _VectorFrame:
     frame or back in the computational basis, and may overwrite the rows.
     Each row is changed by its own matmul calls, so a batch row equals its
     single call bit for bit.
+
+    On density matrices the gate is :meth:`conjugate`, for which a framed
+    kernel supplies ``_right``, its right product of a flat ``(k d, d)``
+    stack with ``F``, ``F*``, ``F^T`` or ``F†``.
     """
 
     @property
@@ -131,7 +135,8 @@ class _VectorFrame:
         index, so a gate takes one ``exp`` per distinct value and batch row."""
         levels, index = np.unique(lam, return_inverse=True)
         self._minus_i_levels, self._index = -1j * levels, index.reshape(-1)
-        self._minus_i_lambda = -1j * lam.reshape(-1)
+        self._lambda = lam.reshape(-1)
+        self._minus_i_lambda = -1j * self._lambda
 
     def turn(self, rows: np.ndarray, theta: float | np.ndarray) -> None:
         """``rows <- exp(-i theta lambda) rows`` in the frame, in place; a ``(K,)``
@@ -143,10 +148,47 @@ class _VectorFrame:
         """``out <- -i lambda row`` in the frame: the derivative seed ``-i H psi``."""
         np.multiply(row, self._minus_i_lambda, out=out)
 
+    def conjugate(
+        self, stack: np.ndarray, theta: float | np.ndarray, scratch: np.ndarray, seed: bool = False
+    ) -> None:
+        """``stack <- U stack U†`` in place, for a contiguous ``(k, d, d)`` stack;
+        a ``(k,)`` ``theta`` gives row ``r`` its own angle. With ``seed`` the
+        last row is not conjugated but set to the derivative seed
+        ``-i [H, U rho U†]`` of the conjugated row 0.
+
+        No unitary is built: ``U rho U† = F (Phi ⊙ F† rho F) F†`` with
+        ``Phi_ab = exp(-i theta (lambda_a - lambda_b))``, and the seed is
+        ``-i (lambda_a - lambda_b) ⊙ F† U rho U† F`` in the frame. A framed
+        kernel enters it by right products of the live rows with ``F`` and
+        ``F*``, with a row-transposed copy between them, so the frame holds
+        ``(F† rho F)^T``, and leaves it with every row by ``F^T`` and ``F†``
+        the same way. A batch row equals its single call bit for bit only if
+        the BLAS ``gemm`` gives each row of a product the same result
+        whatever the number of rows, which OpenBLAS 0.3.31 does and not every
+        BLAS promises.
+        """
+        live, d = len(stack) - seed, stack.shape[-1]
+        phase = np.exp(np.multiply.outer(-1j * theta, self._lambda)).reshape(-1, d)
+        rows, turn = stack, -1j
+        if self.frame is not None:
+            self._right(stack[:live], scratch[:live], 0)  # rho F
+            stack[:live] = scratch[:live].swapaxes(1, 2)
+            self._right(stack[:live], scratch[:live], 1)  # (F† rho F)^T
+            # the frame holds the transpose: Phi^T, and the seed's difference turned around
+            rows, turn, phase = scratch, 1j, phase.conj()
+        rows[:live] *= phase[:, :, None] * phase.conj()[:, None, :]
+        if seed:
+            np.multiply(rows[0], turn * np.subtract.outer(self._lambda, self._lambda), out=rows[-1])
+        if self.frame is not None:
+            self._right(scratch, stack, 2)  # (F (Phi ⊙ F† rho F))^T
+            scratch[:] = stack.swapaxes(1, 2)
+            self._right(scratch, stack, 3)
+
 
 class DiagonalKernel(_VectorFrame):
-    """Gate kernel of a diagonal generator ``diag(h)``; its vector frame is the
-    computational basis.
+    """Gate kernel of a diagonal generator ``diag(h)``; its frame is the
+    computational basis, so a gate multiplies ``rho`` elementwise by
+    ``phi phi^H`` with ``phi = exp(-i theta h)``.
 
     Commutes with ``P = X^(x)n`` when ``h`` is its own reverse.
     """
@@ -158,27 +200,11 @@ class DiagonalKernel(_VectorFrame):
         self.parity_symmetric = bool(np.array_equal(self.h, self.h[::-1]))
         self._set_spectrum(self.h)
 
-    def conjugate(self, stack: np.ndarray, theta: float | np.ndarray, scratch: np.ndarray) -> None:
-        """``stack <- U stack U†`` in place, as ``stack * phi phi^H``; a ``(k,)``
-        ``theta`` gives row ``r`` of the stack its own angle."""
-        phase = np.exp(np.multiply.outer(-1j * theta, self.h))
-        stack *= phase[..., None] * phase.conj()[..., None, :]
-
-    def commutator(self, rho: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """``out <- -i [H, rho]``, i.e. ``-i (h_k - h_l) rho_kl``."""
-        np.multiply(rho, -1j * np.subtract.outer(self.h, self.h), out=out)
-
 
 class ProductKernel(_VectorFrame):
     """Gate kernel of ``H = sum_j a_j``: one 2x2 term ``a`` on every qubit.
 
-    ``exp(-i theta H) = u^(x)n`` with ``u = exp(-i theta a)`` is applied to
-    density matrices as ``A (x) B`` with ``A = u^(x)(n//2)`` and ``B`` the
-    other half, which costs ``d^2 (dim A + dim B)`` per matrix instead of
-    ``d^3``. Commutes with ``P = X^(x)n`` when ``a`` commutes with ``X``,
-    i.e. ``a = a00 I + a01 X``; the parity-folded pass then reads ``a01`` only.
-
-    Its vector frame is ``W^(x)n``, ``W`` the eigenvectors of ``a``, stored
+    Its frame is ``F = W^(x)n``, ``W`` the eigenvectors of ``a``, stored
     transposed: a row ``y``, read as a ``(d_a, d_b)`` matrix ``Y`` over the
     two halves, is kept as ``(W_a† Y W_b^*)^T``, a ``(d_b, d_a)`` matrix, with
     ``W_a`` and ``W_b`` the half-register powers of ``W``. A frame change is
@@ -186,55 +212,37 @@ class ProductKernel(_VectorFrame):
     and a matmul with the other half's factor, each factor acting on the
     leading axis, so that when ``W`` is real (``a`` real, such as the Ising
     field ``X``, whose ``W`` is Walsh-Hadamard) both are real matmuls on the
-    float view, with no ``kron(W, I_2)`` padding.
+    float view, with no ``kron(W, I_2)`` padding. A product with ``F`` costs
+    ``d (dim W_a + dim W_b)`` per row instead of ``d^2``. Commutes with
+    ``P = X^(x)n`` when ``a`` commutes with ``X``, i.e. ``a = a00 I + a01 X``;
+    the parity-folded pass then reads ``a01`` only.
     """
 
     def __init__(self, a: np.ndarray, n_qubits: int):
         eig = hermitian_eig(a)
         self.a = a
-        self._halves = (n_qubits // 2, n_qubits - n_qubits // 2)
-        self._spectrum = _spectrum_power(eig.values, n_qubits)
-        # W^(x)k with its spectrum, for the two halves
-        self._powers = {k: (_kron_power(eig.vectors, k), _spectrum_power(eig.values, k)) for k in self._halves}
         tol = STRUCTURE_ULPS * np.finfo(float).eps * float(np.max(np.abs(a)))
         self.parity_symmetric = float(np.max(np.abs(a @ X - X @ a))) <= tol
-        w_a, w_b = (self._powers[k][0] for k in self._halves)
+        w_a, w_b = (_kron_power(eig.vectors, k) for k in (n_qubits // 2, n_qubits - n_qubits // 2))
         if not np.any(eig.vectors.imag):
             w_a, w_b = w_a.real, w_b.real
-        # (first, second) factor of a change into the frame and out of it; C-ordered, as the
-        # transposed views of dag() made each change about 20% slower at n=6
-        self._changes = tuple(tuple(map(np.ascontiguousarray, f)) for f in ((dag(w_a), dag(w_b)), (w_b, w_a)))
-        self._set_spectrum(self._spectrum.reshape(len(w_a), len(w_b)).T)
+        # (first, second) factor of the right product with F, F* (into the frame), F^T and
+        # F† (out of it); C-ordered, as the transposed views of dag() made each change
+        # about 20% slower at n=6
+        factors = ((w_a.T, w_b.T), (dag(w_a), dag(w_b)), (w_b, w_a), (w_b.conj(), w_a.conj()))
+        self._rights = tuple(tuple(map(np.ascontiguousarray, f)) for f in factors)
+        self._set_spectrum(_spectrum_power(eig.values, n_qubits).reshape(len(w_a), len(w_b)).T)
 
-    def _factors(self, theta: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``u^(x)k = W e^(-i theta s) W^H`` for the two halves, from the cached bases and
-        spectra; a ``(K,)`` ``theta`` gives ``(K, dim, dim)`` factors."""
-        return tuple(
-            (w * np.exp(np.multiply.outer(-1j * theta, s))[..., None, :]) @ dag(w)
-            for w, s in map(self._powers.get, self._halves)
-        )
+    def _right(self, rows: np.ndarray, out: np.ndarray, which: int) -> None:
+        _change_halves(rows, out, *self._rights[which])
 
     def enter(self, rows: np.ndarray, out: np.ndarray) -> None:
         """``out <- W_b† (W_a† Y)^T`` per row ``Y``; ``rows`` is overwritten."""
-        _change_halves(rows, out, *self._changes[0])
+        self._right(rows, out, 1)
 
     def leave(self, rows: np.ndarray, out: np.ndarray) -> None:
         """``out <- W_a (W_b Z)^T`` per frame row ``Z``; ``rows`` is overwritten."""
-        _change_halves(rows, out, *self._changes[1])
-
-    def conjugate(self, stack: np.ndarray, theta: float, scratch: np.ndarray) -> None:
-        """``stack <- U stack U†`` in place, at one scalar angle for the whole stack."""
-        if np.ndim(theta):
-            raise ValueError("a product-kernel gate takes one scalar angle, not one per row")
-        _kron_conjugate(stack, *self._factors(theta), scratch)
-
-    def commutator(self, rho: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """``out <- -i [H, rho]``, computed in the product eigenbasis ``W``."""
-        w_a, w_b = (self._powers[k][0] for k in self._halves)
-        np.copyto(out, rho)
-        _kron_conjugate(out[None], dag(w_a), dag(w_b), scratch[None])
-        out *= -1j * np.subtract.outer(self._spectrum, self._spectrum)
-        _kron_conjugate(out[None], w_a, w_b, scratch[None])
+        self._right(rows, out, 2)
 
 
 def _change_halves(rows: np.ndarray, out: np.ndarray, first: np.ndarray, second: np.ndarray) -> None:
@@ -254,55 +262,30 @@ def _change_halves(rows: np.ndarray, out: np.ndarray, first: np.ndarray, second:
 class DenseKernel(_VectorFrame):
     """Gate kernel of an unstructured generator, via its eigendecomposition.
 
-    Its vector frame is the eigenbasis ``V``: a frame change is one product
-    of every row with ``V^*`` (in) or ``V^T`` (out).
+    Its frame is the eigenbasis ``V``: a frame change of a state vector is
+    one product of every row with ``V^*`` (in) or ``V^T`` (out), and one of a
+    density stack a product of the whole flat stack with ``V`` or ``V^T``.
     """
 
     parity_symmetric = False
 
-    def __init__(self, h: np.ndarray, eig: EigenDecomposition):
-        self.h = h
+    def __init__(self, eig: EigenDecomposition):
         self.eig = eig
+        v = eig.vectors
+        self._rights = (v, v.conj(), v.T, v.conj().T)
         self._set_spectrum(eig.values)
+
+    def _right(self, rows: np.ndarray, out: np.ndarray, which: int) -> None:
+        d = rows.shape[-1]
+        np.matmul(rows.reshape(-1, d), self._rights[which], out=out.reshape(-1, d))
 
     def enter(self, rows: np.ndarray, out: np.ndarray) -> None:
         """``out <- V† y`` for every row ``y``."""
-        np.matmul(rows[..., None, :], self.eig.vectors.conj(), out=out[..., None, :])
+        np.matmul(rows[..., None, :], self._rights[1], out=out[..., None, :])
 
     def leave(self, rows: np.ndarray, out: np.ndarray) -> None:
         """``out <- V z`` for every frame row ``z``."""
-        np.matmul(rows[..., None, :], self.eig.vectors.T, out=out[..., None, :])
-
-    def conjugate(self, stack: np.ndarray, theta: float | np.ndarray, scratch: np.ndarray) -> None:
-        """``stack <- U stack U†`` in place; a ``(k,)`` ``theta`` gives row ``r``
-        of the stack its own angle.
-
-        No unitary is built: ``U rho U† = V (Phi ⊙ V† rho V) V†`` in the
-        generator's eigenbasis ``V``, ``Phi_ab = exp(-i theta (lambda_a -
-        lambda_b))``, as four products of the whole ``(k d, d)`` stack with
-        ``V``, two of them on the row-transposed stack, and one phase product.
-        A batch row equals its single call bit for bit only if the BLAS
-        ``gemm`` gives each row of a product the same result whatever the
-        number of rows, which OpenBLAS 0.3.31 does and not every BLAS promises.
-        """
-        k, d, _ = stack.shape
-        v = self.eig.vectors
-        flat, scratch_flat = stack.reshape(k * d, d), scratch.reshape(k * d, d)
-        np.matmul(flat, v, out=scratch_flat)  # rho V
-        stack[:] = scratch.swapaxes(1, 2)
-        np.matmul(flat, v.conj(), out=scratch_flat)  # (V† rho V)^T
-        phase = np.exp(np.multiply.outer(-1j * theta, self.eig.values)).reshape(-1, d)
-        scratch *= phase.conj()[:, :, None] * phase[:, None, :]  # Phi^T
-        np.matmul(scratch_flat, v.T, out=flat)  # (V (Phi ⊙ V† rho V))^T
-        scratch[:] = stack.swapaxes(1, 2)
-        np.matmul(scratch_flat, v.conj().T, out=flat)
-
-    def commutator(self, rho: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """``out <- -i [H, rho]``."""
-        np.matmul(self.h, rho, out=out)
-        np.matmul(rho, self.h, out=scratch)
-        out -= scratch
-        out *= -1j
+        np.matmul(rows[..., None, :], self._rights[2], out=out[..., None, :])
 
 
 GateKernel = DiagonalKernel | ProductKernel | DenseKernel
@@ -321,26 +304,12 @@ def _spectrum_power(values: np.ndarray, n: int) -> np.ndarray:
     return spec
 
 
-def _kron_conjugate(stack: np.ndarray, a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> None:
-    """``stack <- (a (x) b) stack (a (x) b)†`` in place, for a ``(k, d, d)`` stack.
-
-    Each factor acts on its own axis of the reshaped stack, so the four
-    products are batched matmuls with ``dim a`` or ``dim b`` inner size.
-    """
-    k, d, _ = stack.shape
-    da, db = len(a), len(b)
-    np.matmul(a, stack.reshape(k, da, db * d), out=scratch.reshape(k, da, db * d))
-    np.matmul(b, scratch.reshape(k * da, db, d), out=stack.reshape(k * da, db, d))
-    np.matmul(stack.reshape(k * d * da, db), dag(b), out=scratch.reshape(k * d * da, db))
-    np.matmul(a.conj(), scratch.reshape(k * d, da, db), out=stack.reshape(k * d, da, db))
-
-
 def gate_kernel(h: np.ndarray) -> GateKernel:
     """The gate kernel of a validated Hermitian traceless matrix generator:
     diagonal when every nonzero entry is on the diagonal, dense otherwise."""
     if np.count_nonzero(h) == np.count_nonzero(np.diagonal(h)):
         return DiagonalKernel(np.diagonal(h).real)
-    return DenseKernel(h, hermitian_eig(h))
+    return DenseKernel(hermitian_eig(h))
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,8 +358,8 @@ class NoisyCircuit:
         """``U mat U†`` for gate ``m`` at an arbitrary ``angle``, as a new array.
 
         ``mat`` is ``(d, d)``, or a ``(k, d, d)`` stack with one float or a
-        ``(k,)`` array of angles. Runs the same kernel as evolution; ``mat``
-        is not modified.
+        ``(k,)`` array of angles, for any kernel. Runs the same kernel step
+        as evolution, without its derivative seed; ``mat`` is not modified.
         """
         if not 0 <= m < self.n_params:
             raise IndexError(f"gate index {m} out of range for M={self.n_params}")
@@ -440,7 +409,7 @@ def evolve(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> np.ndar
 
     A ``(K, M)`` theta gives the ``(K, d, d)`` outputs in one pass over a
     stack of K copies of ``rho``; row ``r`` equals the call with ``theta[r]``
-    bit for bit. A :class:`ProductKernel` gate takes ``(M,)`` only.
+    bit for bit, whatever the gate kernels.
     """
     theta = _check_args(circuit, theta, rho, 2, batched=True)
     # order="C": a copy of the broadcast view keeps its strides otherwise
@@ -462,8 +431,9 @@ def evolve_with_derivatives(
 
     Forward mode: one ``(M + 1, d, d)`` stack holds the state in row 0 and
     ``d/d theta_m`` in row ``m + 1``. Right after gate ``m``, row ``m + 1``
-    is seeded with ``-i [H_m, rho_m]`` of the post-gate state; every later
-    slot and gate then acts on rows ``0..m + 1`` at once, in place. No gate
+    is seeded with ``-i [H_m, rho_m]`` of the post-gate state, in gate ``m``'s
+    own kernel call (:meth:`_VectorFrame.conjugate`); every later slot and
+    gate then acts on rows ``0..m + 1`` at once, in place. No gate
     unitary or intermediate state is stored: the memory is the stack plus
     one scratch buffer of the same size, ``2 (M + 1) 16 d^2`` bytes.
 
@@ -475,14 +445,11 @@ def evolve_with_derivatives(
     scratch = np.empty_like(stack)
     stack[0] = rho
     for m in range(circuit.n_params + 1):
-        live, buf = stack[: m + 1], scratch[: m + 1]
         # the pass owns both buffers and with_uniform_noise checked the qubit count
         if circuit.noise is not None:
-            circuit.noise._apply_batch(live, buf)
+            circuit.noise._apply_batch(stack[: m + 1], scratch[: m + 1])
         if m < circuit.n_params:
-            kernel = circuit.kernels[circuit.layers[m]]
-            kernel.conjugate(live, theta[m], buf)
-            kernel.commutator(stack[0], stack[m + 1], scratch[m + 1])
+            circuit.kernels[circuit.layers[m]].conjugate(stack[: m + 2], theta[m], scratch[: m + 2], seed=True)
     return stack[0], list(stack[1:])
 
 

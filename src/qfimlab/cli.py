@@ -1,7 +1,8 @@
 """Command-line entry point: ``qfimlab <experiment> --config file.json``.
 
-Exit codes: 0 on success, 1 on configuration errors and unreadable or
-unwritable files, 2 when the verify suite reports a failed check.
+Exit codes: 0 on success, 1 on usage and configuration errors and
+unreadable or unwritable files, 2 when the verify suite reports a failed
+check.
 """
 
 from __future__ import annotations
@@ -15,8 +16,17 @@ from .exceptions import ConfigError, QfimlabError
 from .experiments import EXPERIMENTS, RUNNERS, parse_config
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on any other input error; the subparsers
+    inherit it. argparse's own 2 would read as a failed verify suite."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qfimlab",
         description="Noisy parametrized-circuit experiments: quantum Fisher "
         "information spectra, Lie-algebra dimensions, and verification suites.",

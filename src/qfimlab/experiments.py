@@ -205,8 +205,11 @@ def parse_config(raw: dict, experiment: str | None = None, workers: int | None =
     ``scaling`` or ``trajectory`` run whose estimated memory exceeds the
     machine's physical memory is refused here too, before anything is
     allocated; for ``spectrum`` and ``scaling``, up to ``workers`` points
-    (``None`` is serial) are counted as held at once.
+    (``None`` is serial) are counted as held at once. A ``workers`` count
+    below 1 is a config error.
     """
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be at least 1 (or None for serial), got {workers}")
     _check_keys(
         raw,
         "config",
@@ -315,7 +318,7 @@ def parse_config(raw: dict, experiment: str | None = None, workers: int | None =
         m = 2 * circuit["L"]
         raise ConfigError(f"theta.values needs 2L = {m} entries, got {len(theta['values'])}")
     if exp in ("spectrum", "scaling"):
-        need = _estimated_bytes(circuit, noise, sweep, max(workers or 1, 1), options.get("samples", 1))
+        need = _estimated_bytes(circuit, noise, sweep, workers or 1, options.get("samples", 1))
         _check_memory(f"{exp} at n={circuit['n']}", need)
     if exp == "trajectory":
         # per parameter point: the input and final states, then steps + 1 per gate and
@@ -374,18 +377,11 @@ def _parse_noise(noise: dict, where: str, n_qubits: int | None) -> dict:
 
     Qubit counts are checked against ``n_qubits`` unless it is None (no circuit).
     """
-    _check_keys(
-        noise, where, {"model", "p", "terms", "channels", "placement"}, {"model"}
-    )
-    if noise.get("placement", "all") != "all":
-        raise ConfigError(
-            f"{where}.placement: only 'all' (a slot before every gate plus one after "
-            f"the last) is supported"
-        )
+    _check_keys(noise, where, {"model", "p", "terms", "channels"}, {"model"})
     model = noise["model"]
     out = dict(noise)
     if model == "none":
-        if set(noise) - {"model", "placement"}:
+        if set(noise) - {"model"}:
             raise ConfigError(f"{where}: model 'none' takes no parameters")
     elif model in ("bit_flip", "global_depolarizing"):
         out["p"] = _probability(noise.get("p", None), f"{where}.p")

@@ -1017,6 +1017,30 @@ class TestCli:
         cfg_path.write_text(json.dumps({"experiment": "eig_vs_p", "bogus": 1}))
         assert main(["eig_vs_p", "--config", str(cfg_path)]) == 1
 
+    def test_worker_count_below_one_is_a_config_error(self, capsys):
+        from qfimlab.cli import main
+
+        path = Path(__file__).resolve().parents[1] / "demos" / "configs" / "dla_ising.json"
+        for workers in ("0", "-3"):
+            assert main(["dla", "--config", str(path), "--workers", workers]) == 1
+            assert "workers must be at least 1" in capsys.readouterr().err
+        raw = json.loads(path.read_text())
+        with pytest.raises(ConfigError, match="workers"):
+            parse_config(raw, workers=0)
+        assert parse_config(raw, workers=None).experiment == "dla"
+
+    @pytest.mark.parametrize(
+        "argv", [["dla"], ["dla", "--config"], ["nosuch"], [], ["dla", "--config", "c.json", "--workers", "x"]]
+    )
+    def test_usage_errors_exit_1(self, argv, capsys):
+        # 2 is kept for a failed verify suite
+        from qfimlab.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_config_file(self):
         from qfimlab.cli import main
 

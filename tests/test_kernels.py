@@ -125,10 +125,11 @@ class TestGateKernels:
             state, (deriv,) = statevector_derivatives(one_gate, [theta], psi)
             assert np.max(np.abs(state - u @ psi)) <= 1e-12
             assert np.max(np.abs(deriv + 1j * h @ u @ psi)) <= 1e-12
+        # the seed row of a zero-angle gate: -i [H, rho]
         rho = random_matrix(8, rng)
-        out, scratch = np.empty_like(rho), np.empty_like(rho)
-        kernel.commutator(rho, out, scratch)
-        assert np.max(np.abs(out + 1j * (h @ rho - rho @ h))) <= 1e-12
+        pair = np.stack([rho, np.empty_like(rho)])
+        kernel.conjugate(pair, 0.0, np.empty_like(pair), seed=True)
+        assert np.max(np.abs(pair[1] + 1j * (h @ rho - rho @ h))) <= 1e-12
 
     def test_diagonal_shifted_generator_is_diagonal(self, rng):
         h = np.diag(rng.normal(size=4)).astype(complex)
@@ -396,8 +397,7 @@ class TestParityFold:
             assert kernel.parity_symmetric
             got = through_frames(lambda: frames.gate(k, kernel, 0.73), k + 1)
             full = np.concatenate([mats, np.empty((1, d, d), dtype=complex)])
-            kernel.conjugate(full[:k], 0.73, np.empty_like(full[:k]))
-            kernel.commutator(full[0], full[k], np.empty((d, d), dtype=complex))
+            kernel.conjugate(full, 0.73, np.empty_like(full), seed=True)
             assert np.max(np.abs(got - dense_sector_rows(full, n, g))) <= 1e-12
         got = through_frames(lambda: frames.depolarize(k, ch), k)
         full = mats.copy()
@@ -813,6 +813,24 @@ class TestBatchAxis:
             expected = np.stack([evolve(noisy, t, rho) for t in thetas])
             np.testing.assert_array_equal(evolve(noisy, thetas, rho), expected)
 
+    def test_batched_evolve_runs_the_ising_ansatz(self, rng):
+        # one angle per row through the product kernel too, against dense unitaries
+        circ = hva_tfim(4, 2)
+        gens = hva_tfim_generators(4)
+        rho = random_density_matrix(16, rng)
+        thetas = rng.uniform(-np.pi, np.pi, (5, circ.n_params))
+        for noise in (None, LocalDepolarizing(tuple(rng.uniform(0, 0.2, 4)))):
+            noisy = circ.with_uniform_noise(noise)
+            got = evolve(noisy, thetas, rho)
+            np.testing.assert_array_equal(got, np.stack([evolve(noisy, t, rho) for t in thetas]))
+            apply = (lambda m: m) if noise is None else noise.apply
+            for row, theta in zip(got, thetas):
+                want = apply(rho)
+                for m, angle in enumerate(theta):
+                    u = herm_exp(gens[circ.layers[m]], angle)
+                    want = apply(u @ want @ dag(u))
+                assert np.max(np.abs(row - want)) <= 1e-12
+
     def test_batched_evolve_returns_a_c_contiguous_stack(self, rng):
         # a kernel that merges axes by reshape would otherwise work on a silent copy
         toy, toy_rho = toy_model()
@@ -872,8 +890,13 @@ class TestBatchAxis:
         kernel = hva_tfim(3, 1).kernels[1]
         assert isinstance(kernel, ProductKernel)
         stack = random_stack(2, 8, rng)
-        with pytest.raises(ValueError, match="scalar angle"):
-            kernel.conjugate(stack, np.array([0.1, 0.2]), np.empty_like(stack))
+        angles = np.array([0.1, 0.2])
+        got = stack.copy()
+        kernel.conjugate(got, angles, np.empty_like(got))
+        for r, angle in enumerate(angles):
+            one = stack[r : r + 1].copy()
+            kernel.conjugate(one, angle, np.empty_like(one))
+            np.testing.assert_array_equal(got[r], one[0])
         circ, rho = toy_model()
         for theta in (np.zeros((3, 5)), np.zeros((2, 3, 4))):
             with pytest.raises(ValueError, match="theta"):
