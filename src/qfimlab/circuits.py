@@ -52,7 +52,10 @@ Parity folding. With ``P = X^(x)n``, when every gate kernel commutes with
 ``P`` (a diagonal ``h`` equal to its own reverse, or a product term that
 commutes with ``X``), the noise is ``None`` or local depolarizing, and the
 input satisfies ``rho == rho[::-1, ::-1]`` and is Hermitian, every state and
-derivative of the pass keeps both properties (:func:`parity_folds`).
+derivative of the pass keeps both properties (:func:`parity_folds`). A state
+vector with ``psi[::-1] == +-psi`` exactly runs as ``psi psi†``, with no
+``d x d`` array: its checks take ``O(d)`` and the pass gathers only the
+entries it stores (:meth:`_WalshFrames.enter`).
 :func:`parity_folded_sectors` then carries only the top half rows, in
 Walsh-Hadamard frames (:class:`_WalshFrames`), and since each entry there
 has a partner entry that holds its conjugate, it stores one real per entry,
@@ -69,8 +72,9 @@ most ``2 (M + 1) 8 d^2 / 2`` bytes, and its index tables, which depend on
 rows out as one complex block per sector of the group ``<R^g> x <P>``
 (:class:`_Sectors`), about ``d / (2n/g)`` wide, with no ``(M + 1, d/2, d)``
 array in between. The Ising ansatz on ``|+>^n`` under local depolarizing
-noise folds; the toy model, dense generators, Pauli, global-depolarizing and
-composite channels, and asymmetric or non-Hermitian inputs do not, and
+noise folds, as a vector or as a matrix; the toy model, dense generators,
+Pauli, global-depolarizing and composite channels, and asymmetric or
+non-Hermitian inputs do not, and
 :func:`evolve_with_derivatives` is always the dense pass.
 """
 
@@ -102,9 +106,10 @@ from .linalg import (
 # when it does to within a few ulps of its largest entry.
 STRUCTURE_ULPS = 8
 
-# The folded read-out turns its rows into sector blocks in groups whose pairs
-# and sums take at most this many bytes (one row at least): few enough numpy
-# calls at small n, and a temporary far below the blocks at n >= 11.
+# The folded pass enters a state vector's rows, and its read-out turns rows
+# into sector blocks, in groups whose temporaries take at most this many bytes
+# (one row at least): few enough numpy calls at small n, and a temporary far
+# below the buffers and blocks at n >= 11.
 READOUT_BYTES = 2**20
 
 
@@ -453,24 +458,38 @@ def evolve_with_derivatives(
     return stack[0], list(stack[1:])
 
 
-def parity_folds(circuit: NoisyCircuit, rho: np.ndarray) -> bool:
-    """Whether the pass from ``rho`` can run on the top half rows only.
+def parity_folds(circuit: NoisyCircuit, state: np.ndarray) -> bool:
+    """Whether the pass from ``state`` can run on the top half rows only.
 
     With ``P = X^(x)n``, this holds when every gate kernel commutes with
     ``P`` (see the kernels' ``parity_symmetric``), the noise is ``None`` or
     :class:`~qfimlab.channels.LocalDepolarizing` (covariant under Pauli
-    conjugation), ``rho == P rho P``, i.e. ``rho == rho[::-1, ::-1]``
-    exactly, and ``rho`` is Hermitian within ``TAU_HERM``. Then every state
-    and derivative of the pass is P-symmetric and Hermitian too, so its
-    bottom half rows are its top half reversed, and the pass holds one real
-    per entry (see :class:`_WalshFrames`).
+    conjugation), and the input is one of
+
+    - a density matrix ``rho`` with ``rho == P rho P``, i.e.
+      ``rho == rho[::-1, ::-1]`` exactly, Hermitian within ``TAU_HERM``;
+    - a state vector ``psi`` with ``P psi == +-psi``, i.e. ``psi[::-1]``
+      equal to ``psi`` or to ``-psi`` exactly. It runs as ``psi psi†``,
+      whose entries ``psi[k] conj(psi[l])`` are then P-symmetric exactly and
+      Hermitian to roundoff, so the test takes ``O(d)`` and no ``d x d``
+      array is formed.
+
+    Then every state and derivative of the pass is P-symmetric and Hermitian
+    too, so its bottom half rows are its top half reversed, and the pass
+    holds one real per entry (see :class:`_WalshFrames`).
     """
-    return (
+    if not (
         all(k.parity_symmetric for k in circuit.kernels)
         and (circuit.noise is None or isinstance(circuit.noise, LocalDepolarizing))
-        and rho.shape == (circuit.dim, circuit.dim)
-        and np.array_equal(rho, rho[::-1, ::-1])
-        and _hermitian_within(rho, TAU_HERM)
+    ):
+        return False
+    if state.shape == (circuit.dim,):
+        flipped = state[::-1]
+        return np.array_equal(flipped, state) or np.array_equal(flipped, -state)
+    return (
+        state.shape == (circuit.dim, circuit.dim)
+        and np.array_equal(state, state[::-1, ::-1])
+        and _hermitian_within(state, TAU_HERM)
     )
 
 
@@ -485,12 +504,13 @@ def _hermitian_within(rho: np.ndarray, tol: float) -> bool:
     )
 
 
-def parity_folded_sectors(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> list[np.ndarray]:
+def parity_folded_sectors(circuit: NoisyCircuit, theta: np.ndarray, state: np.ndarray) -> list[np.ndarray]:
     """:func:`evolve_with_derivatives` for a circuit and input that
     :func:`parity_folds` accepts, read out as one ``(M + 1, k, k)`` stack per
     sector of ``G = <R^g> x <P>`` (see :class:`_Sectors`): row 0 is the output
     state's block, row ``m + 1`` that of ``d/d theta_m``. The block sizes
-    ``k`` sum to ``d``.
+    ``k`` sum to ``d``. A state vector ``psi`` gives the blocks of the pass
+    from ``psi psi†``, bit for bit, without forming that matrix.
 
     The rows travel in the frames of :class:`_WalshFrames`, one real per
     entry and one entry per orbit of the qubit rotation ``R^g`` of
@@ -499,16 +519,16 @@ def parity_folded_sectors(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndar
     one of them before it allocates the complex blocks. Raises
     ``ValueError`` when :func:`parity_folds` rejects the input.
     """
-    if not parity_folds(circuit, rho):
+    if not parity_folds(circuit, state):
         raise ValueError("the circuit or input does not commute with the parity X^n, or the input is not Hermitian")
-    return _folded_sectors(circuit, theta, rho)
+    return _folded_sectors(circuit, theta, state)
 
 
-def _folded_sectors(circuit: NoisyCircuit, theta: np.ndarray, rho: np.ndarray) -> list[np.ndarray]:
+def _folded_sectors(circuit: NoisyCircuit, theta: np.ndarray, state: np.ndarray) -> list[np.ndarray]:
     """:func:`parity_folded_sectors` for an input that :func:`parity_folds` has accepted."""
-    theta = _check_args(circuit, theta, rho, 2)
-    frames = _WalshFrames(circuit, rho, circuit.n_params + 1)
-    frames.enter(rho[None])
+    theta = _check_args(circuit, theta, state, state.ndim)
+    frames = _WalshFrames(circuit, state, circuit.n_params + 1)
+    frames.enter(state[None])
     for m in range(circuit.n_params + 1):
         if circuit.noise is not None:
             frames.depolarize(m + 1, circuit.noise)
@@ -524,29 +544,38 @@ def _rotate(x: np.ndarray, t: int | np.ndarray, n: int) -> np.ndarray:
     return ((x >> t) | (x << (n - t))) & (2**n - 1)
 
 
-def _rotation_step(circuit: NoisyCircuit, rho: np.ndarray) -> int:
+def _rotation_step(circuit: NoisyCircuit, state: np.ndarray) -> int:
     """Smallest divisor ``g`` of ``n`` such that the folded pass commutes with ``R^g``.
 
     That holds when, exactly, every diagonal generator has
-    ``h[R^g x] == h[x]``, the noise channel has ``p_j == p_(j+g mod n)`` and
-    ``rho[R^g k, R^g l] == rho[k, l]``; a product gate is always invariant.
-    The Ising ring with uniform noise on ``|+>^n`` gives ``g = 1``; ``g = n``,
-    the identity, always holds.
+    ``h[R^g x] == h[x]``, the noise channel has ``p_j == p_(j+g mod n)``, and
+    the input is invariant: a density matrix has
+    ``rho[R^g k, R^g l] == rho[k, l]``, a state vector
+    ``psi[R^g x] == c psi[x]`` for one ``c`` in ``{1, -1, i, -i}`` (a
+    product by ``c`` is exact, and ``psi psi†`` is then invariant). A product
+    gate is always invariant. The Ising ring with uniform noise on ``|+>^n``
+    gives ``g = 1``; ``g = n``, the identity, always holds.
     """
     n, d = circuit.n_qubits, circuit.dim
     diagonals = [k.h for k in circuit.kernels if isinstance(k, DiagonalKernel)]
     p = () if circuit.noise is None else circuit.noise.probs
-    # rho is compared in blocks of at most 2^16 entries, so no d x d copy is formed
-    rows = max(1, 2**16 // d)
-    blocks = [slice(i, i + rows) for i in range(0, d, rows)]
+    if state.ndim == 1:
+
+        def invariant(turn: np.ndarray) -> bool:
+            return any(np.array_equal(state[turn], c * state) for c in (1, -1, 1j, -1j))
+
+    else:
+        # rho is compared in blocks of at most 2^16 entries, so no d x d copy is formed
+        rows = max(1, 2**16 // d)
+        blocks = [slice(i, i + rows) for i in range(0, d, rows)]
+
+        def invariant(turn: np.ndarray) -> bool:
+            return all(np.array_equal(state[np.ix_(turn[b], turn)], state[b]) for b in blocks)
+
     for g in range(1, n):
         if n % g == 0:
             turn = _rotate(np.arange(d), g, n)
-            if (
-                all(np.array_equal(h[turn], h) for h in diagonals)
-                and p[g:] + p[:g] == p
-                and all(np.array_equal(rho[np.ix_(turn[b], turn)], rho[b]) for b in blocks)
-            ):
+            if all(np.array_equal(h[turn], h) for h in diagonals) and p[g:] + p[:g] == p and invariant(turn):
                 return g
     return n
 
@@ -579,12 +608,12 @@ class _Sectors:
 
         ``A_chi[r, r'] = sum_u conj(chi(u)) A[r, u r'] / sqrt(|S_r| |S_r'|)``
 
-    (Sandvik, arXiv 1101.3281, sec. 4). :meth:`blocks` takes the entries
-    ``A[r, u r']`` at ``r = reps``, ``u r' = act[r', u]`` and applies one
-    product with the ``(|G|, |G|)`` table ``conj(chi(u))``, or, on the real
-    pairs of the folded pass, with its real ``(2|G|, 2|G|)`` form. At
-    ``g = n`` this is ``{1, P}``: the representatives are all ``k < d/2`` and
-    the two sectors are the blocks of the basis ``|k> +- |d-1-k>``.
+    (Sandvik, arXiv 1101.3281, sec. 4). :meth:`sums` takes the entries
+    ``A[r, u r']`` at ``r = reps``, ``u r' = act[r', u]`` as the real pairs of
+    the folded pass and applies one product with the real ``(2|G|, 2|G|)``
+    form of the table ``conj(chi(u))``. At ``g = n`` this is ``{1, P}``: the
+    representatives are all ``k < d/2`` and the two sectors are the blocks of
+    the basis ``|k> +- |d-1-k>``.
     """
 
     def __init__(self, n: int, g: int):
@@ -599,10 +628,10 @@ class _Sectors:
         s, t = np.divmod(np.arange(2 * count), count)
         turn = (2 * np.outer(t, t) + count * np.outer(s, s)) % (2 * count)
         fixed = stab.astype(int) @ (turn != 0) == 0  # (R, |G|): chi is 1 on S_r
-        self._chars = np.exp(-1j * np.pi * turn / count)
-        # the same sums from the pairs (r, r_p) = (Re A + Im A, Re A - Im A) of one
+        chars = np.exp(-1j * np.pi * turn / count)
+        # the sums from the pairs (r, r_p) = (Re A + Im A, Re A - Im A) of one
         # entry A and its conjugate, each sum's real and imaginary part side by side
-        width, (cr, ci) = len(self._chars), (self._chars.real / 2, self._chars.imag / 2)
+        width, (cr, ci) = len(chars), (chars.real / 2, chars.imag / 2)
         self._pairs = np.empty((2 * width, 2 * width))
         self._pairs[:width, 0::2], self._pairs[width:, 0::2] = cr - ci, cr + ci
         self._pairs[:width, 1::2], self._pairs[width:, 1::2] = cr + ci, ci - cr
@@ -618,34 +647,20 @@ class _Sectors:
                 self._keep.append(((sel[:, None] * reps + sel) * width + chi, len(sel)))
         self.block_size = sum(k * k for _, k in self._keep)
 
-    def blocks(self, x: np.ndarray, spare: np.ndarray) -> list[np.ndarray]:
-        """One ``(count, k, k)`` block stack per sector with ``k > 0``, from the
-        ``(count, size)`` entries ``x[:, (r R + r') |G| + u] = A[r, act[r', u]]``.
-
-        ``spare`` takes the sums over ``u`` (at least ``x.size`` entries), and
-        the blocks are written into ``x``'s memory, which must be contiguous.
-        """
-        sums = self.sums(x, spare)
-        blocks = self.stacks(x.reshape(-1), len(x))
-        self.write(sums, blocks)
-        return blocks
-
     def sums(self, x: np.ndarray, spare: np.ndarray) -> np.ndarray:
         """``sum_u conj(chi(u)) A[r, u r'] / sqrt(|S_r| |S_r'|)`` at
         ``(r R + r') |G| + chi``, as ``(count, size)`` complex entries in ``spare``.
 
-        ``x`` holds, per row, either the complex entries of :meth:`blocks`, or
-        the folded pass's real pairs: ``r`` of that entry at
-        ``(r R + r') 2|G| + u`` and ``r`` of the entry that holds its conjugate
-        ``|G|`` after it. ``spare`` has ``x``'s dtype and ``x.size`` entries or
-        more; ``x`` is scaled in place.
+        ``x`` holds, per row, the folded pass's real pairs: ``r`` of the entry
+        ``A[r, u r']`` at ``(r R + r') 2|G| + u`` and ``r`` of the entry that
+        holds its conjugate ``|G|`` after it. ``spare`` is float64 with
+        ``x.size`` entries or more; ``x`` is scaled in place.
         """
         count, reps = len(x), len(self.reps)
         if self._scale is not None:
             x.reshape(count, reps, reps, -1)[:] *= self._scale
-        table = self._chars if np.iscomplexobj(x) else self._pairs
-        y = spare[: x.size].reshape(-1, len(table))
-        np.matmul(x.reshape(-1, len(table)), table, out=y)
+        y = spare[: x.size].reshape(-1, len(self._pairs))
+        np.matmul(x.reshape(-1, len(self._pairs)), self._pairs, out=y)
         return y.reshape(count, -1).view(complex)
 
     def stacks(self, flat: np.ndarray, count: int) -> list[np.ndarray]:
@@ -785,8 +800,8 @@ class _WalshFrames:
     them into one complex block stack per sector of ``G = <R^g> x <P>``.
     """
 
-    def __init__(self, circuit: NoisyCircuit, rho: np.ndarray, rows: int):
-        t = self._tables = _fold_tables(circuit.n_qubits, _rotation_step(circuit, rho))
+    def __init__(self, circuit: NoisyCircuit, state: np.ndarray, rows: int):
+        t = self._tables = _fold_tables(circuit.n_qubits, _rotation_step(circuit, state))
         self._decay = None if circuit.noise is None else t.decay(circuit.noise.probs)
         # per kernel: its frame, the distinct values of w, the index of each entry's value
         # and the partner map of the frame
@@ -808,16 +823,33 @@ class _WalshFrames:
         r, c = self._tables.shapes[self.frame >= 2]
         return self._bufs[self._hold ^ spare][: count * r * c].reshape(count, r, c)
 
-    def enter(self, mats: np.ndarray) -> None:
-        """Load a ``(k, d, d)`` stack of P-symmetric Hermitian matrices into rows
-        ``0..k-1``, frame ``ek``."""
+    def enter(self, states: np.ndarray) -> None:
+        """Load rows ``0..k-1``, frame ``ek``, from a ``(k, d, d)`` stack of
+        P-symmetric Hermitian matrices, or from a ``(k, d)`` stack of state
+        vectors with ``P psi = +-psi`` as their ``psi psi†``.
+
+        A vector's row is gathered through the column table ``xor``:
+        ``A[k, e] = psi[k] conj(psi[k ^ e])``, the very product that
+        ``np.outer(psi, psi.conj())`` holds there, in groups of rows whose
+        complex temporaries take at most :data:`READOUT_BYTES`.
+        """
         self.frame, self._hold = 0, 0
         self._bufs = np.empty(self._size), np.empty(self._size)
+        t, live = self._tables, self._rows(len(states))
+        if states.ndim == 2:
+            step = max(1, READOUT_BYTES // (32 * t.xor.shape[1]))
+            for row, psi in zip(live, states):
+                conj = psi.conj()
+                for i in range(0, len(row), step):
+                    k = slice(i, min(i + step, len(row)))
+                    a = psi[k, None] * conj[t.xor[k]]
+                    np.add(a.real, a.imag, out=row[k])
+            return
         # Re and Im of entry i sit at floats 2i and 2i + 1
-        src = np.asarray(mats, dtype=complex).reshape(len(mats), -1).view(float)
-        live, spare = self._rows(len(mats)), self._rows(len(mats), spare=True)
-        np.take(src, 2 * self._tables.enter, axis=1, out=live, mode="clip")
-        np.take(src, 2 * self._tables.enter + 1, axis=1, out=spare, mode="clip")
+        src = np.asarray(states, dtype=complex).reshape(len(states), -1).view(float)
+        spare = self._rows(len(states), spare=True)
+        np.take(src, 2 * t.enter, axis=1, out=live, mode="clip")
+        np.take(src, 2 * t.enter + 1, axis=1, out=spare, mode="clip")
         live += spare
 
     def sectors(self, count: int) -> list[np.ndarray]:

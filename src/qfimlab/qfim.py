@@ -27,14 +27,15 @@ input picks one of three routes:
   ``x^2 / (x + 2 (1-x)/d)``: 1 at ``p = 0``, 0 at ``p = 1``. Its ``M + 1``
   state vectors come from ``circuits.statevector_derivatives``, which runs
   them in each gate kernel's eigenframe, a gate being one phase product
-  there; no ``d x d`` array is formed. Any other state vector runs as its
-  density matrix.
-- a density matrix that ``circuits.parity_folds`` accepts: the folded pass
+  there; no ``d x d`` array is formed.
+- an input that ``circuits.parity_folds`` accepts: the folded pass
   (``circuits.parity_folded_sectors``), assembled as one Gram product per
-  sector block.
-- any other density matrix: the dense pass (``circuits.evolve_with_derivatives``,
+  sector block. A state vector ``psi`` with ``psi[::-1] == +-psi`` enters
+  it as itself and runs as ``psi psi†``, with no ``d x d`` array.
+- any other input: the dense pass (``circuits.evolve_with_derivatives``,
   whose stack and scratch take ``2 (M + 1) 16 d^2`` bytes), then
-  :func:`qfim_mixed` on the ``d x d`` output.
+  :func:`qfim_mixed` on the ``d x d`` output. Any other state vector runs as
+  its density matrix ``psi psi†``, by the same rules as a matrix input.
 
 A density matrix always runs the simulation, so passing ``|psi><psi|``
 checks the closed form against it.
@@ -208,8 +209,12 @@ def qfim_of_circuit(
 
     ``state`` is a state vector or a density matrix, and with the circuit's
     noise it picks the route (see the module docstring); every route gives
-    the same matrix up to roundoff. A ``(K, M)`` theta gives the list of K
-    reports, each equal bit for bit to the call with its row.
+    the same matrix up to roundoff. A state vector that
+    ``circuits.parity_folds`` accepts runs the folded pass as itself and
+    gives the report of ``np.outer(psi, psi.conj())`` bit for bit whenever
+    both keep the same rotation step (``circuits._rotation_step``). A
+    ``(K, M)`` theta gives the list of K reports, each equal bit for bit to
+    the call with its row.
     """
     theta = np.asarray(theta, dtype=float)
     noise = circuit.noise
@@ -222,9 +227,11 @@ def qfim_of_circuit(
         return reports if theta.ndim == 2 else reports[0]
     if theta.ndim == 2:
         return [qfim_of_circuit(circuit, row, state, tau_abs, tau_rel) for row in theta]
-    if state.ndim == 1:
+    folds = parity_folds(circuit, state)
+    if state.ndim == 1 and not folds:
         state = np.outer(state, state.conj())
-    if parity_folds(circuit, state):
+        folds = parity_folds(circuit, state)
+    if folds:
         matrix = _block_qfim(_folded_sectors(circuit, theta, state))
         return report_from_matrix(matrix, tau_abs, tau_rel)
     out, derivs = evolve_with_derivatives(circuit, theta, state)

@@ -7,6 +7,8 @@
 - :func:`frobenius_inner`: ``Tr[a† b]``;
 - :func:`herm_exp`: ``exp(-i theta h)`` through a fresh eigendecomposition;
 - :func:`identity_channel`: the one-term Pauli channel that leaves every state;
+- :func:`sector_blocks`: the symmetry-sector blocks of a complex matrix, from
+  the character table itself (the folded pass reads out real pairs instead);
 - :func:`trace_distance`: ``(1/2) ||rho - sigma||_1``.
 """
 
@@ -58,6 +60,27 @@ def herm_exp(h: np.ndarray, theta: float) -> np.ndarray:
 
 def identity_channel(n_qubits: int) -> PauliChannel:
     return PauliChannel([(PauliString.identity(n_qubits), 1.0)])
+
+
+def sector_blocks(sectors, x: np.ndarray) -> list[np.ndarray]:
+    """One ``(count, k, k)`` block stack per sector of ``sectors``, a
+    ``circuits._Sectors``, from the complex ``(count, size)`` entries
+    ``x[:, (r R + r') |G| + u] = A[r, act[r', u]]``: the sums
+    ``sum_u conj(chi(u)) A[r, u r'] / sqrt(|S_r| |S_r'|)``, one product with
+    the ``(|G|, |G|)`` table ``conj(chi(u))``, ``u = P^s R^(g t)``,
+    ``chi = (c, q)`` and ``chi(u) = (-1)^(c s) exp(2 pi i q t / count)``.
+    """
+    width = sectors.act.shape[1]
+    count = width // 2
+    s, t = np.divmod(np.arange(width), count)
+    turn = (2 * np.outer(t, t) + count * np.outer(s, s)) % width
+    x = np.array(x, dtype=complex).reshape(len(x), len(sectors.reps), len(sectors.reps), width)
+    if sectors._scale is not None:
+        x *= sectors._scale
+    sums = (x.reshape(-1, width) @ np.exp(-1j * np.pi * turn / count)).reshape(len(x), -1)
+    blocks = sectors.stacks(np.empty(len(x) * sectors.block_size, dtype=complex), len(x))
+    sectors.write(sums, blocks)
+    return blocks
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

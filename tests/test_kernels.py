@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import herm_exp
+from oracles import herm_exp, sector_blocks
 
 import qfimlab
 from qfimlab import circuits
@@ -32,6 +32,7 @@ from qfimlab.circuits import (
     NoisyCircuit,
     ProductKernel,
     _fold_tables,
+    _rotate,
     _rotation_step,
     _Sectors,
     _WalshFrames,
@@ -45,6 +46,7 @@ from qfimlab.circuits import (
     parity_folded_sectors,
     parity_folds,
     plus_state_density,
+    plus_state_vector,
     statevector_derivatives,
     toy_model,
 )
@@ -343,7 +345,7 @@ def dense_sector_rows(stack, n, g):
     with ``<R^g> x <P>``; equal blocks mean equal matrices."""
     sectors = _Sectors(n, g)
     x = stack[:, sectors.reps[:, None, None], sectors.act].reshape(len(stack), -1)
-    return sector_rows(sectors.blocks(x, np.empty(x.size, dtype=complex)))
+    return sector_rows(sector_blocks(sectors, x))
 
 
 def assert_fold_matches_dense(circ, theta, rho):
@@ -539,6 +541,76 @@ class TestParityFold:
         with pytest.raises(NotHermitianError):
             qfim_of_circuit(circ, theta, rho + 1e-3 * skew)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_vector_entry_matches_density_entry_bit_for_bit(self, rng, monkeypatch, n):
+        # a vector with P psi = +-psi runs the folded pass as itself, with no d x d
+        # array, and gives the report of psi psi† bit for bit
+        d = 2**n
+        ghz = np.zeros(d, dtype=complex)
+        ghz[0], ghz[-1] = 1 / np.sqrt(2), -1 / np.sqrt(2)  # P psi = -psi
+        sym = rng.normal(size=d) + 1j * rng.normal(size=d)
+        sym = sym + sym[::-1]
+        sym /= np.linalg.norm(sym)
+        entered, folded = [], circuits._folded_sectors
+        monkeypatch.setattr(qfimlab.qfim, "_folded_sectors", lambda *a: entered.append(a[2].ndim) or folded(*a))
+        uniform, per_qubit = LocalDepolarizing.uniform(n, 0.05), LocalDepolarizing(tuple(rng.uniform(0, 0.2, n)))
+        for noise in (uniform, per_qubit):
+            circ = hva_tfim(n, 3).with_uniform_noise(noise)
+            theta = rng.uniform(0, 2 * np.pi, circ.n_params)
+            # a random P-symmetric vector turns with no rotation, except at n = 2,
+            # where P-symmetry makes it symmetric under the swap R too
+            for psi, g in ((plus_state_vector(n), 1), (ghz, 1), (sym, 1 if n == 2 else n)):
+                rho = np.outer(psi, psi.conj())
+                assert parity_folds(circ, psi) and parity_folds(circ, rho)
+                assert _rotation_step(circ, psi) == _rotation_step(circ, rho) == (g if noise is uniform else n)
+                entered.clear()
+                got, want = qfim_of_circuit(circ, theta, psi), qfim_of_circuit(circ, theta, rho)
+                assert entered == [1, 2]
+                np.testing.assert_array_equal(got.matrix, want.matrix)
+                np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+                assert got.rank == want.rank
+
+    def test_vector_without_parity_takes_the_dense_path(self, rng, monkeypatch):
+        n, d = 4, 16
+        circ = hva_tfim(n, 2).with_uniform_noise(LocalDepolarizing.uniform(n, 0.05))
+        theta = rng.uniform(0, 2 * np.pi, circ.n_params)
+        monkeypatch.setattr(qfimlab.qfim, "_folded_sectors", lambda *a: pytest.fail("the folded pass ran"))
+        random = rng.normal(size=d) + 1j * rng.normal(size=d)
+        random /= np.linalg.norm(random)
+        near = (random + random[::-1]) / np.linalg.norm(random + random[::-1])
+        near[3] = np.nextafter(near[3].real, np.inf) + 1j * near[3].imag  # one ulp off P-symmetry
+        for psi in (random, near):
+            assert not parity_folds(circ, psi)
+            out, derivs = evolve_with_derivatives(circ, theta, np.outer(psi, psi.conj()))
+            expected = qfim_mixed(out, derivs).matrix
+            got = qfim_of_circuit(circ, theta, psi).matrix
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+            with pytest.raises(ValueError, match="parity"):
+                parity_folded_sectors(circ, theta, psi)
+
+    def test_vector_turned_by_i_keeps_every_rotation(self, rng):
+        # psi[R x] = i psi[x] and P psi = -psi leave psi psi† invariant under R: the
+        # vector keeps g = 1, since a product by i is exact (the entries of psi psi†
+        # need not turn exactly, as each is rounded once)
+        n, d = 4, 16
+        psi = np.zeros(d, dtype=complex)
+        for x, w in zip((0b0001, 0b0011), rng.normal(size=2) + 1j * rng.normal(size=2)):
+            for _ in range(4):
+                psi[x], psi[x ^ (d - 1)] = w, -w
+                x, w = int(_rotate(np.array(x), 1, n)), 1j * w
+        psi /= np.linalg.norm(psi)
+        np.testing.assert_array_equal(psi[_rotate(np.arange(d), 1, n)], 1j * psi)
+        circ = hva_tfim(n, 3).with_uniform_noise(LocalDepolarizing.uniform(n, 0.05))
+        assert parity_folds(circ, psi)
+        assert _rotation_step(circ, psi) == 1
+        theta = rng.uniform(0, 2 * np.pi, circ.n_params)
+        got = sector_rows(parity_folded_sectors(circ, theta, psi))
+        out, derivs = evolve_with_derivatives(circ, theta, np.outer(psi, psi.conj()))
+        assert np.max(np.abs(got - dense_sector_rows(np.stack([out, *derivs]), n, 1))) <= 1e-13
+        expected = qfim_mixed(out, derivs).matrix
+        got = qfim_of_circuit(circ, theta, psi).matrix
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
     def test_spectrum_points_share_one_set_of_fold_tables(self, monkeypatch):
         # the index maps and Walsh factors depend on (n, g) alone: three noisy
         # points build them once, and give the blocks of a run that rebuilds them
@@ -589,7 +661,7 @@ class TestSectors:
             mat = (total + total[::-1, ::-1]) / (2 * n // g)
             sectors = _Sectors(n, g)
             x = mat[sectors.reps[:, None, None], sectors.act].reshape(1, -1)
-            blocks = sectors.blocks(x, np.empty(x.size, dtype=complex))
+            blocks = sector_blocks(sectors, x)
             assert sum(len(b[0]) for b in blocks) == d
             for b in blocks:
                 assert np.max(np.abs(b[0] - dag(b[0]))) <= 1e-12
@@ -633,7 +705,7 @@ class TestSectors:
         got = _Sectors(n, g)
         np.testing.assert_array_equal(got.reps, reps)
         x = mat[got.reps[:, None, None], got.act].reshape(1, -1)
-        blocks = got.blocks(x, np.empty(x.size, dtype=complex))
+        blocks = sector_blocks(got, x)
         assert [len(b[0]) for b in blocks] == [vc.shape[1] for vc in sectors]
         for b, vc in zip(blocks, sectors):
             assert np.max(np.abs(b[0] - dag(vc) @ mat @ vc)) <= 1e-14
@@ -649,7 +721,7 @@ class TestSectors:
         mat = np.zeros((d, d), dtype=complex)
         mat[orbit, orbit] = 1.0
         x_in = mat[sectors.reps[:, None, None], sectors.act].reshape(1, -1)
-        traces = [np.trace(b[0]).real for b in sectors.blocks(x_in, np.empty(x_in.size, dtype=complex))]
+        traces = [np.trace(b[0]).real for b in sector_blocks(sectors, x_in)]
         assert sum(t > 0.5 for t in traces) == len(orbit) < 2 * n
         assert np.allclose(sorted(traces)[-len(orbit):], 1.0, atol=1e-14)
         assert sum(traces) == pytest.approx(len(orbit), abs=1e-13)
@@ -659,7 +731,7 @@ class TestSectors:
         mat = random_p_symmetric(d, rng)
         sectors = _Sectors(n, n)
         x = mat[sectors.reps[:, None, None], sectors.act].reshape(1, -1)
-        even, odd = sectors.blocks(x, np.empty(x.size, dtype=complex))
+        even, odd = sector_blocks(sectors, x)
         np.testing.assert_array_equal(sectors.reps, np.arange(h))
         np.testing.assert_allclose(even[0], mat[:h, :h] + mat[:h, h:][:, ::-1], atol=1e-14)
         np.testing.assert_allclose(odd[0], mat[:h, :h] - mat[:h, h:][:, ::-1], atol=1e-14)
@@ -686,18 +758,38 @@ class TestSectors:
         monkeypatch.setattr(circuits, "_hermitian_within", lambda *a: calls.append(1) or within(*a))
         qfim_of_circuit(circ, rng.uniform(0, 2 * np.pi, circ.n_params), plus_state_density(4))
         assert len(calls) == 1
+        # a state vector needs no Hermiticity check
+        calls.clear()
+        qfim_of_circuit(circ, rng.uniform(0, 2 * np.pi, circ.n_params), plus_state_vector(4))
+        assert calls == []
 
     def test_rotation_step_forms_no_dense_copy(self):
         n = 10
         circ = hva_tfim(n, 1).with_uniform_noise(LocalDepolarizing.uniform(n, 0.05))
         rho = plus_state_density(n)
+        for state in (rho, plus_state_vector(n)):
+            tracemalloc.start()
+            try:
+                assert _rotation_step(circ, state) == 1
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < rho.nbytes / 8
+
+    def test_folded_qfim_from_a_vector_forms_no_dense_matrix(self, rng):
+        # psi psi† alone would take 16 MiB at n = 10; the fold tables are built
+        # by a first call, as every later point of a spectrum finds them
+        n = 10
+        circ = hva_tfim(n, 1).with_uniform_noise(LocalDepolarizing.uniform(n, 0.05))
+        theta, psi = rng.uniform(0, 2 * np.pi, circ.n_params), plus_state_vector(n)
+        qfim_of_circuit(circ, theta, psi)
         tracemalloc.start()
         try:
-            assert _rotation_step(circ, rho) == 1
+            qfim_of_circuit(circ, theta, psi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < rho.nbytes / 8
+        assert peak < 8 * 2**20
 
     def test_folded_qfim_does_not_import_numpy_ma(self):
         # numpy 2.4's np.unique imports numpy.ma unless it returns an inverse, ~10 ms

@@ -126,7 +126,7 @@ def test_readme_bench_recipe_runs(tmp_path):
             [sys.executable, *args, "--n", "3", "--layers", "1", "--repeat", "1", "--out-dir", str(tmp_path)],
             cwd=root, check=True, capture_output=True, timeout=120,
         )
-    rows = json.loads((tmp_path / "BENCH_folded.json").read_text())["rows"]
+    rows = json.loads((tmp_path / "BENCH_vector_entry.json").read_text())["rows"]
     assert [(row["name"], row["n"], row["L"], row["folded"]) for row in rows] == [
         ("parent", 3, 1, True), ("change", 3, 1, True)
     ]

@@ -5,13 +5,17 @@ Usage::
     python tools/bench.py LABEL [--side NAME=SRC ...] [--repeat R] [--n N ...] [--layers L] [--out-dir DIR]
 
 Each point is one ``qfim_of_circuit`` call on ``hva_tfim(n, L)`` under
-uniform local depolarizing noise ``p = 1e-3``, from ``|+><+|^n``, with
+uniform local depolarizing noise ``p = 1e-3``, from the state vector
+``plus_state_vector(n)``, which is what the ``spectrum`` runner passes, with
 theta drawn uniformly from ``[0, 2 pi)`` by ``subkey_rng(42, 0)``: the
 parity-folded route. Every point runs in a child process of its own, with
 one BLAS thread set before numpy is imported, and records the wall time of
 that one call (``wall_s``) and the child's peak resident memory
 (``ru_maxrss_mb``), with the rank and largest eigenvalue as a check that
-both sides computed the same QFIM.
+both sides computed the same QFIM. ``folded`` is
+``parity_folds(circuit, psi)``; a tree whose ``parity_folds`` takes density
+matrices only reads false there, while its ``qfim_of_circuit`` still folds
+``psi psi†``.
 
 Each ``--side NAME=SRC`` names a ``src`` directory that ``qfimlab`` is
 imported from (default: ``change`` = this checkout's), so a parent commit
@@ -23,10 +27,12 @@ go into ``BENCH_<LABEL>.json`` in ``--out-dir`` (the checkout root by
 default); rows of other sides already in the file are kept::
 
     mkdir -p ../parent && git archive <parent> | tar -x -C ../parent
-    python tools/bench.py folded --side parent=../parent/src --side change=src
+    python tools/bench.py vector_entry --side parent=../parent/src --side change=src --n 10 11 12 --repeat 5
 
 The points run one after the other, largest last; one n = 12 run of the
-complex-row pass takes about 1.4 GB and 30-40 s on a 2-core Xeon.
+folded pass from a state vector takes about 0.8 GB and 20 s on a 2-core Xeon.
+At n = 10 single calls spread by about 30% between fresh processes, so
+compare sides there with 5 repeats or more.
 """
 
 from __future__ import annotations
@@ -53,22 +59,22 @@ def child(n: int, layers: int) -> dict:
     import numpy as np
 
     from qfimlab.channels import LocalDepolarizing
-    from qfimlab.circuits import hva_tfim, parity_folds, plus_state_density
+    from qfimlab.circuits import hva_tfim, parity_folds, plus_state_vector
     from qfimlab.qfim import qfim_of_circuit
     from qfimlab.rand import subkey_rng
 
     circuit = hva_tfim(n, layers).with_uniform_noise(LocalDepolarizing.uniform(n, P))
     theta = subkey_rng(SEED, 0).uniform(0.0, 2.0 * np.pi, circuit.n_params)
-    rho = plus_state_density(n)
+    psi = plus_state_vector(n)
     start = time.perf_counter()
-    report = qfim_of_circuit(circuit, theta, rho)
+    report = qfim_of_circuit(circuit, theta, psi)
     wall = time.perf_counter() - start
     return {
         "n": n,
         "L": layers,
         "M": circuit.n_params,
         "p": P,
-        "folded": bool(parity_folds(circuit, rho)),
+        "folded": bool(parity_folds(circuit, psi)),
         "wall_s": wall,
         "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "rank": int(report.rank),
@@ -121,7 +127,8 @@ def main(argv: list[str] | None = None) -> int:
     doc = json.loads(path.read_text()) if path.exists() else {"label": args.label, "rows": []}
     doc["workload"] = (
         "one qfim_of_circuit per run: hva_tfim(n, L), local depolarizing p=1e-3 in every slot, "
-        "|+><+|^n, theta ~ U[0, 2 pi) from subkey_rng(42, 0); one fresh process per run, 1 BLAS thread"
+        "the state vector |+>^n, theta ~ U[0, 2 pi) from subkey_rng(42, 0); one fresh process per run, "
+        "1 BLAS thread"
     )
     doc["environment"] = environment()
     rows = [row for row in doc["rows"] if row["name"] not in sides]
