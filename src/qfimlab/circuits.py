@@ -69,9 +69,11 @@ which shrinks every transform and product 6.4x at n = 8, and ``g = n``, the
 plain fold, when nothing but the identity holds. Its two buffers take at
 most ``2 (M + 1) 8 d^2 / 2`` bytes, and its index tables, which depend on
 ``(n, g)`` only, are built once per pair (:func:`_fold_tables`). It reads the
-rows out as one complex block per sector of the group ``<R^g> x <P>``
-(:class:`_Sectors`), about ``d / (2n/g)`` wide, with no ``(M + 1, d/2, d)``
-array in between. The Ising ansatz on ``|+>^n`` under local depolarizing
+rows out into its spare buffer as one block stack per sector of the group
+``<R^g> x <P>`` (:class:`_Sectors`), about ``d / (2n/g)`` wide and still one
+real per entry, with no ``(M + 1, d/2, d)`` array in between; each stack
+becomes complex (:func:`hermitian_blocks`) only when it is assembled. The
+Ising ansatz on ``|+>^n`` under local depolarizing
 noise folds, as a vector or as a matrix; the toy model, dense generators,
 Pauli, global-depolarizing and composite channels, and asymmetric or
 non-Hermitian inputs do not, and
@@ -506,26 +508,29 @@ def _hermitian_within(rho: np.ndarray, tol: float) -> bool:
 
 def parity_folded_sectors(circuit: NoisyCircuit, theta: np.ndarray, state: np.ndarray) -> list[np.ndarray]:
     """:func:`evolve_with_derivatives` for a circuit and input that
-    :func:`parity_folds` accepts, read out as one ``(M + 1, k, k)`` stack per
-    sector of ``G = <R^g> x <P>`` (see :class:`_Sectors`): row 0 is the output
-    state's block, row ``m + 1`` that of ``d/d theta_m``. The block sizes
-    ``k`` sum to ``d``. A state vector ``psi`` gives the blocks of the pass
-    from ``psi psi†``, bit for bit, without forming that matrix.
+    :func:`parity_folds` accepts, read out as one complex ``(M + 1, k, k)``
+    stack per sector of ``G = <R^g> x <P>`` (see :class:`_Sectors`): row 0 is
+    the output state's block, row ``m + 1`` that of ``d/d theta_m``. The
+    block sizes ``k`` sum to ``d``. A state vector ``psi`` gives the blocks
+    of the pass from ``psi psi†``, bit for bit, without forming that matrix.
 
     The rows travel in the frames of :class:`_WalshFrames`, one real per
     entry and one entry per orbit of the qubit rotation ``R^g`` of
     :func:`_rotation_step`, in two buffers of ``(M + 1) max(|E| d/2, |B| d)``
-    float64 entries (``(M + 1) d^2 / 2`` at ``g = n``); the read-out frees
-    one of them before it allocates the complex blocks. Raises
-    ``ValueError`` when :func:`parity_folds` rejects the input.
+    float64 entries (``(M + 1) d^2 / 2`` at ``g = n``); the read-out writes
+    the blocks, one real per entry, into the spare one, and each stack is
+    made complex by :func:`hermitian_blocks`. Raises ``ValueError`` when
+    :func:`parity_folds` rejects the input.
     """
     if not parity_folds(circuit, state):
         raise ValueError("the circuit or input does not commute with the parity X^n, or the input is not Hermitian")
-    return _folded_sectors(circuit, theta, state)
+    return [hermitian_blocks(r) for r in _folded_sectors(circuit, theta, state)]
 
 
 def _folded_sectors(circuit: NoisyCircuit, theta: np.ndarray, state: np.ndarray) -> list[np.ndarray]:
-    """:func:`parity_folded_sectors` for an input that :func:`parity_folds` has accepted."""
+    """The sector stacks of :func:`parity_folded_sectors` in the pass's one-real
+    form ``Re A + Im A``, views of one buffer, for an input that
+    :func:`parity_folds` has accepted."""
     theta = _check_args(circuit, theta, state, state.ndim)
     frames = _WalshFrames(circuit, state, circuit.n_params + 1)
     frames.enter(state[None])
@@ -610,10 +615,11 @@ class _Sectors:
 
     (Sandvik, arXiv 1101.3281, sec. 4). :meth:`sums` takes the entries
     ``A[r, u r']`` at ``r = reps``, ``u r' = act[r', u]`` as the real pairs of
-    the folded pass and applies one product with the real ``(2|G|, 2|G|)``
-    form of the table ``conj(chi(u))``. At ``g = n`` this is ``{1, P}``: the
-    representatives are all ``k < d/2`` and the two sectors are the blocks of
-    the basis ``|k> +- |d-1-k>``.
+    the folded pass and applies one product with the real ``(2|G|, |G|)``
+    table ``(Re conj(chi(u)); Im conj(chi(u)))``, which gives each block in
+    the pass's one-real form (see :func:`hermitian_blocks`). At ``g = n``
+    this is ``{1, P}``: the representatives are all ``k < d/2`` and the two
+    sectors are the blocks of the basis ``|k> +- |d-1-k>``.
     """
 
     def __init__(self, n: int, g: int):
@@ -629,12 +635,10 @@ class _Sectors:
         turn = (2 * np.outer(t, t) + count * np.outer(s, s)) % (2 * count)
         fixed = stab.astype(int) @ (turn != 0) == 0  # (R, |G|): chi is 1 on S_r
         chars = np.exp(-1j * np.pi * turn / count)
-        # the sums from the pairs (r, r_p) = (Re A + Im A, Re A - Im A) of one
-        # entry A and its conjugate, each sum's real and imaginary part side by side
-        width, (cr, ci) = len(chars), (chars.real / 2, chars.imag / 2)
-        self._pairs = np.empty((2 * width, 2 * width))
-        self._pairs[:width, 0::2], self._pairs[width:, 0::2] = cr - ci, cr + ci
-        self._pairs[:width, 1::2], self._pairs[width:, 1::2] = cr + ci, ci - cr
+        # Re S + Im S of a sum S = sum_u c_u A_u from the pairs (r, r_p) = (Re A + Im A,
+        # Re A - Im A) of each entry A and its conjugate: sum_u Re c_u r_u + Im c_u r_p,u
+        width = len(chars)
+        self._pairs = np.concatenate([chars.real, chars.imag])
         order = np.sqrt(stab.sum(axis=1))
         # 1 / sqrt(|S_r| |S_r'|), or None when every stabilizer is trivial (always at g = n)
         self._scale = None if np.all(order == 1.0) else (1.0 / np.outer(order, order))[:, :, None]
@@ -648,24 +652,26 @@ class _Sectors:
         self.block_size = sum(k * k for _, k in self._keep)
 
     def sums(self, x: np.ndarray, spare: np.ndarray) -> np.ndarray:
-        """``sum_u conj(chi(u)) A[r, u r'] / sqrt(|S_r| |S_r'|)`` at
-        ``(r R + r') |G| + chi``, as ``(count, size)`` complex entries in ``spare``.
+        """``S = sum_u conj(chi(u)) A[r, u r'] / sqrt(|S_r| |S_r'|)`` at
+        ``(r R + r') |G| + chi``, as the ``(count, size)`` reals ``Re S + Im S``
+        in ``spare``: the one-real form of the pass, since the sector blocks
+        are Hermitian and the entry at ``(r', r)`` holds ``conj(S)``.
 
         ``x`` holds, per row, the folded pass's real pairs: ``r`` of the entry
         ``A[r, u r']`` at ``(r R + r') 2|G| + u`` and ``r`` of the entry that
         holds its conjugate ``|G|`` after it. ``spare`` is float64 with
-        ``x.size`` entries or more; ``x`` is scaled in place.
+        ``x.size / 2`` entries or more; ``x`` is scaled in place.
         """
         count, reps = len(x), len(self.reps)
         if self._scale is not None:
             x.reshape(count, reps, reps, -1)[:] *= self._scale
-        y = spare[: x.size].reshape(-1, len(self._pairs))
+        y = spare[: x.size // 2].reshape(-1, self._pairs.shape[1])
         np.matmul(x.reshape(-1, len(self._pairs)), self._pairs, out=y)
-        return y.reshape(count, -1).view(complex)
+        return y.reshape(count, -1)
 
     def stacks(self, flat: np.ndarray, count: int) -> list[np.ndarray]:
         """One ``(count, k, k)`` stack per sector, side by side at the start of
-        the complex ``flat``."""
+        ``flat``."""
         start, stacks = 0, []
         for _, k in self._keep:
             stacks.append(flat[start : start + count * k * k].reshape(count, k, k))
@@ -676,6 +682,17 @@ class _Sectors:
         """Take each sector's block out of :meth:`sums` into its stack in ``blocks``."""
         for (take, _), blk in zip(self._keep, blocks):
             np.take(sums, take, axis=1, out=blk, mode="clip")
+
+
+def hermitian_blocks(r: np.ndarray) -> np.ndarray:
+    """The complex Hermitian ``(count, k, k)`` stack ``A`` whose one-real form is
+    ``r = Re A + Im A`` (so ``r^T = Re A - Im A``):
+    ``A = (r + r^T) / 2 + i (r - r^T) / 2``."""
+    a = np.empty(r.shape, dtype=complex)
+    np.add(r, r.swapaxes(-1, -2), out=a.real)
+    np.subtract(r, r.swapaxes(-1, -2), out=a.imag)
+    a *= 0.5
+    return a
 
 
 class _FoldTables:
@@ -795,9 +812,10 @@ class _WalshFrames:
     entries, ``d^2 / 2`` per row at ``g = n``, which :meth:`enter` allocates;
     each relayout gathers them into the other, and a transform or a gate
     borrows the buffer the rows are not in. The one exit from layout K,
-    :meth:`sectors`, frees the spare buffer, gathers the pairs ``(r, r_p)``
-    of ``A[r, u r']`` for the representatives of :class:`_Sectors` and turns
-    them into one complex block stack per sector of ``G = <R^g> x <P>``.
+    :meth:`sectors`, gathers the pairs ``(r, r_p)`` of ``A[r, u r']`` for
+    the representatives of :class:`_Sectors` and writes them into the spare
+    buffer as one block stack per sector of ``G = <R^g> x <P>``, in the same
+    one-real form, then frees the buffer that held the rows.
     """
 
     def __init__(self, circuit: NoisyCircuit, state: np.ndarray, rows: int):
@@ -854,18 +872,22 @@ class _WalshFrames:
 
     def sectors(self, count: int) -> list[np.ndarray]:
         """Rows ``0..count-1`` as one ``(count, k, k)`` block stack per sector of
-        :class:`_Sectors`; the rows are spent and the buffers released.
+        :class:`_Sectors`, each block in the pass's one-real form
+        ``Re A + Im A`` (:func:`hermitian_blocks` makes it complex); the rows
+        are spent and the buffers released.
 
-        The spare buffer goes first, then the rows go through in groups whose
-        pairs and sums take at most :data:`READOUT_BYTES`.
+        The stacks are written into the spare buffer, which ``sum k^2`` fits
+        row for row (``d^2 / 2`` at ``g = n``), from the rows in groups whose
+        pairs and sums take at most :data:`READOUT_BYTES`; the buffer that
+        held the rows is freed once every stack is written.
         """
         self.move(count, 0)
         t, sec = self._tables, self._tables.sectors
         src = self._rows(count).reshape(count, -1)
+        blocks = sec.stacks(self._bufs[self._hold ^ 1], count)
         self._bufs = None
-        blocks = sec.stacks(np.empty(count * sec.block_size, dtype=complex), count)
-        step = min(count, max(1, READOUT_BYTES // (32 * sec.size)))
-        pairs, sums = np.empty((2, step * 2 * sec.size))
+        step = min(count, max(1, READOUT_BYTES // (24 * sec.size)))
+        pairs, sums = np.empty(step * 2 * sec.size), np.empty(step * sec.size)
         for i in range(0, count, step):
             x = pairs[: (min(i + step, count) - i) * 2 * sec.size].reshape(-1, 2 * sec.size)
             np.take(src[i : i + step], t.gather, axis=1, out=x, mode="clip")
@@ -1080,17 +1102,18 @@ def statevector_derivatives(
 
     The pass always runs a batch: a ``(K, M)`` theta carries an
     ``(M + 1, K, d)`` stack, in which rows ``0..m`` are contiguous, and a
-    spare buffer of the same size, ``2 16 (M + 1) K d`` bytes in one
-    allocation, and returns the ``(K, d)`` states and ``(K, M, d)``
-    derivatives as views of it, row ``k`` equal bit for bit to the call with
-    ``theta[k]``. An ``(M,)`` theta is a batch of one, returned as the state
-    and a list of M derivatives.
+    spare array of the same size, ``2 16 (M + 1) K d`` bytes, and returns the
+    ``(K, d)`` states and ``(K, M, d)`` derivatives as views of the one the
+    rows end in, row ``k`` equal bit for bit to the call with ``theta[k]``;
+    the other is freed on return. An ``(M,)`` theta is a batch of one,
+    returned as the state and a list of M derivatives.
     """
     if circuit.noise is not None:
         raise ValueError("statevector evolution requires a noiseless circuit")
     theta = _check_args(circuit, theta, psi, 1, batched=True)
     thetas = np.atleast_2d(theta)
-    stack, spare = np.empty((2, circuit.n_params + 1, len(thetas), circuit.dim), dtype=complex)
+    stack = np.empty((circuit.n_params + 1, len(thetas), circuit.dim), dtype=complex)
+    spare = np.empty_like(stack)
     stack[0] = psi
     frame = None  # the kernel whose frame the rows are in; None: the computational basis
     for m, angles in enumerate(thetas.T):

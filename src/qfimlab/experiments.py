@@ -344,25 +344,25 @@ def _estimated_bytes(circuit: dict, noise: dict, sweep: dict, workers: int, samp
 
     The largest point once per point that runs at the same time,
     ``min(workers, points)``: a local-depolarizing point with ``p > 0`` runs
-    the parity-folded pass, one sample at a time, charged ``(M + 1) 16 d^2``
-    at the deepest circuit (``M = 2L``): an upper bound, since its two
-    float64 buffers take at most ``2 (M + 1) 8 d^2 / 2`` and its read-out one
-    of them and the complex sector blocks, about ``(M + 1) 12 d^2`` for a
-    circuit with no rotation symmetry (less when the pass keeps one entry
-    per rotation orbit); every other point runs the statevector pass on the
-    :func:`scaling_chunk` samples it runs at once (one for spectrum): its ``(M + 1)`` rows per
-    sample and a spare buffer of the same size, one allocation that the
-    returned states and derivatives keep alive, while the Fubini-Study
-    assembly forms ``M`` projected rows per sample,
-    ``(2 (M + 1) + M) chunk 16 d``, at the depth where that is largest.
+    the parity-folded pass, one sample at a time, charged its two float64
+    buffers for a circuit with no rotation symmetry, ``(M + 1) 8 d^2`` at
+    the deepest circuit (``M = 2L``): its read-out writes the sector blocks
+    into the spare buffer, and the assembly holds that buffer and one
+    sector's complex block, at most as much (a circuit with a rotation
+    symmetry holds less, one entry per rotation orbit). Every other point
+    runs the statevector pass on the :func:`scaling_chunk` samples it runs
+    at once (one for spectrum): its ``(M + 1)`` rows per sample and a spare
+    array of the same size, ``2 (M + 1) chunk 16 d`` at the depth where that
+    is largest; the spare is freed before the Fubini-Study assembly forms
+    its ``M`` projected rows per sample.
     """
     d = 2 ** circuit["n"]
     depths = [2 * level for level in (circuit["L"], *sweep["L"])]
     points = sweep["p"] + [noise["p"]] * len(sweep["L"])  # the L sweep runs at noise.p
     folded = noise["model"] == "local_depolarizing" and any(p > 0.0 for p in points)
     held = min(workers, len(points))
-    vectors = max((3 * m + 2) * scaling_chunk(samples, d, m) * 16 * d for m in depths)
-    return held * max(vectors, (max(depths) + 1) * 16 * d * d if folded else 0)
+    vectors = max(2 * (m + 1) * scaling_chunk(samples, d, m) * 16 * d for m in depths)
+    return held * max(vectors, (max(depths) + 1) * 8 * d * d if folded else 0)
 
 
 def scaling_chunk(samples: int, dim: int, n_params: int) -> int:
@@ -746,8 +746,9 @@ def run_dla(config: ExperimentConfig, workers: int | None = None) -> str:
     Ising ansatz two numbers are reported: the closure of the raw n-qubit
     generators (``dim_full_matrix``, the one closure ``max_dim`` caps), and
     its restriction to the parity-even sector that contains the ansatz's
-    reference input state (``dim``, a quotient of the same closure). The
-    published 3n/2 closed form counts the latter; see the package docs.
+    reference input state (``dim``, a quotient of the same closure), which
+    ``expected`` gives as ``floor(3n/2)`` at every n: the published 3n/2 at
+    even n and ``(3n - 1)/2`` at odd n; see the package docs.
     """
     max_dim = config.options["max_dim"]
     if config.circuit["name"] == "toy":
@@ -762,13 +763,12 @@ def run_dla(config: ExperimentConfig, workers: int | None = None) -> str:
         n = config.circuit["n"]
         full = lie_closure(hva_tfim_pauli_generators(n), max_dim=max_dim)
         sector_dim = parity_sector_dimension(full)
-        expected = 3 * n // 2 if n % 2 == 0 else None
         payload = {
             "circuit": f"hva_tfim(n={n})",
             "dim": sector_dim,
             "dim_full_matrix": full.dim,
-            "expected": expected,
-            "match": None if expected is None else sector_dim == expected,
+            "expected": 3 * n // 2,
+            "match": sector_dim == 3 * n // 2,
         }
     if config.options["print_basis"]:
         # Tr[P e] / 2^n for each basis element e scaled to Re Tr[e† e] = 1

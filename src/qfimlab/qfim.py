@@ -15,8 +15,10 @@ One kernel, :func:`_block_qfim`, assembles every mixed-state QFIM from
 after it: ``eigh`` of row 0, the other rows changed to its eigenbasis in
 place in groups of ``max(1, d^2 // k^2)`` (``d`` the sum of the block sizes,
 so the temporary is at most one ``d x d`` matrix), and one weighted Gram
-product per block. :func:`qfim_mixed` and the closed form pass one block of
-size ``d``, so it goes one row at a time; the folded path one per sector.
+product per block. :func:`qfim_mixed` and the closed form pass one complex
+block of size ``d``, so it goes one row at a time; the folded path one
+float64 block per sector, in the pass's one-real form, which becomes
+complex one sector at a time.
 
 :func:`qfim_of_circuit` is the one way to the QFIM of a circuit, and its
 input picks one of three routes:
@@ -64,6 +66,7 @@ from .circuits import (
     NoisyCircuit,
     _folded_sectors,
     evolve_with_derivatives,
+    hermitian_blocks,
     parity_folds,
     statevector_derivatives,
 )
@@ -161,24 +164,34 @@ def _block_qfim(blocks: Sequence[np.ndarray], x: float = 1.0, shift: float = 0.0
     """``F = sum over blocks of Re(Y Y^H)``, ``Y_i = sqrt(w) * V† d_i V``.
 
     Each ``(M + 1, k, k)`` block holds a state block in row 0, with
-    eigenvalues ``r`` and eigenvectors ``V``, and derivative blocks after it,
-    which are overwritten with the rows ``Y_i``. The pair weights are those of
-    :func:`_mixed_weights`, ``2 / (r_mu + r_nu)`` at the defaults. The product
-    runs on the real view of ``Y`` (``Re(y z^*) = Re y Re z + Im y Im z``), so
-    no conjugated copy is made.
+    eigenvalues ``r`` and eigenvectors ``V``, and derivative blocks after it.
+    A complex block is overwritten with the rows ``Y_i``; a float64 block is
+    the folded pass's one-real form ``Re A + Im A`` and is made complex
+    (``circuits.hermitian_blocks``) only while it is assembled, one block at
+    a time. The pair weights are those of :func:`_mixed_weights`,
+    ``2 / (r_mu + r_nu)`` at the defaults. The product runs on the real view
+    of ``Y`` (``Re(y z^*) = Re y Re z + Im y Im z``), so no conjugated copy is
+    made.
     """
     d = sum(len(block[0]) for block in blocks)
     f = np.zeros((len(blocks[0]) - 1,) * 2)
     for block in blocks:
-        evals, vecs = hermitian_eig(block[0])
-        y, k = block[1:], len(vecs)
-        vh, step = dag(vecs), max(1, d * d // (k * k))
-        for rows in np.split(y, range(step, len(y), step)):
-            np.matmul(vh @ rows, vecs, out=rows)
-        y *= np.sqrt(_mixed_weights(evals, x, shift))
-        flat = y.reshape(len(y), k * k).view(float)
-        f += flat @ flat.T
+        f += _block_gram(block if np.iscomplexobj(block) else hermitian_blocks(block), d, x, shift)
     return f
+
+
+def _block_gram(block: np.ndarray, d: int, x: float, shift: float) -> np.ndarray:
+    """One complex block's term of :func:`_block_qfim`, its rows changing basis
+    in groups of ``max(1, d^2 // k^2)``; a function of its own, so that the
+    block and its views are released before the next block is made complex."""
+    evals, vecs = hermitian_eig(block[0])
+    y, k = block[1:], len(vecs)
+    vh, step = dag(vecs), max(1, d * d // (k * k))
+    for rows in np.split(y, range(step, len(y), step)):
+        np.matmul(vh @ rows, vecs, out=rows)
+    y *= np.sqrt(_mixed_weights(evals, x, shift))
+    flat = y.reshape(len(y), k * k).view(float)
+    return flat @ flat.T
 
 
 def qfim_mixed(

@@ -570,6 +570,14 @@ class TestDlaRunner:
         assert payload["dim"] == expected and payload["match"]
         assert payload["dim_full_matrix"] >= expected
 
+    @pytest.mark.parametrize("n,expected", [(3, 4), (5, 7), (7, 10)])
+    def test_odd_ising_ansatz_matches_floor_of_three_halves_n(self, n, expected):
+        cfg = parse_config(
+            {"experiment": "dla", "circuit": {"name": "hva_tfim", "n": n, "L": 1}}
+        )
+        payload = json.loads(run_dla(cfg))
+        assert (payload["dim"], payload["expected"], payload["match"]) == (expected, expected, True)
+
     def test_basis_printing(self):
         cfg = parse_config(
             {
@@ -730,9 +738,9 @@ def test_malformed_input_rejected_at_parse_time(raw, field, tmp_path):
 def test_memory_check_counts_points_that_run_at_once(monkeypatch, tmp_path, capsys):
     from qfimlab.cli import main
 
-    # 64 MiB: the n=8, L=10 folded point (21 * 16 d^2 = 21 MiB) fits twice, but not
-    # four times
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**14}
+    # 32 MiB: the n=8, L=10 folded point, charged its two float64 buffers
+    # (21 * 8 d^2 = 10.5 MiB), fits twice, but not four times
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**13}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     raw = {"experiment": "spectrum", "circuit": {"name": "hva_tfim", "n": 8, "L": 10},
            "noise": {"model": "local_depolarizing", "p": 0.0},
@@ -752,19 +760,19 @@ def test_memory_check_counts_points_that_run_at_once(monkeypatch, tmp_path, caps
 def test_memory_check_counts_the_samples_that_run_at_once(monkeypatch, tmp_path, capsys):
     from qfimlab.cli import main
 
-    # 1.5 MiB: at n=8, L=10 each sample of a chunk is charged (2 (M + 1) + M) 16 d
-    # = 248 KiB, for its stack of (M + 1) state vectors, the spare buffer of the same
-    # size and the M rows that _fubini_study forms, so 6 samples (1,523,712 B) fit in
-    # one pass and 7 (1,777,664 B) do not
+    # 1.5 MiB: at n=8, L=10 each sample of a chunk is charged 2 (M + 1) 16 d
+    # = 168 KiB, for its stack of (M + 1) state vectors and the spare array of the
+    # same size, which is freed before _fubini_study forms its M rows, so 9 samples
+    # (1,548,288 B) fit in one pass and 10 (1,720,320 B) do not
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 384}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     raw = {"experiment": "scaling", "circuit": {"name": "hva_tfim", "n": 8, "L": 10},
            "noise": {"model": "global_depolarizing", "p": 0.01}, "sweep": {"p": [0.01]},
-           "options": {"samples": 7}}
-    assert scaling_chunk(7, 256, 20) == 7
+           "options": {"samples": 10}}
+    assert scaling_chunk(10, 256, 20) == 10
     with pytest.raises(ConfigError, match="memory"):
         parse_config(raw)
-    assert parse_config({**raw, "options": {"samples": 6}}).options["samples"] == 6
+    assert parse_config({**raw, "options": {"samples": 9}}).options["samples"] == 9
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
     assert main(["scaling", "--config", str(cfg_path)]) == 1
@@ -803,10 +811,22 @@ def test_noiseless_spectrum_at_n14_fits_in_eight_gib(monkeypatch):
     assert parse_config(raw).circuit["n"] == 14
 
 
+def test_local_depolarizing_spectrum_at_n12_fits_in_eight_gib(monkeypatch):
+    # a folded point is charged its two float64 buffers at g = n, (M + 1) 8 d^2:
+    # 5.1 GiB at n=12, L=20, and 20.5 GiB at n=13
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": int(7.8 * 2**30) // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    raw = {"experiment": "spectrum", "circuit": {"name": "hva_tfim", "n": 12, "L": 20},
+           "noise": {"model": "local_depolarizing", "p": 0.0}, "sweep": {"p": [1e-3]}}
+    assert parse_config(raw).circuit["n"] == 12
+    with pytest.raises(ConfigError, match="needs about 20.5 GiB"):
+        parse_config({**raw, "circuit": {"name": "hva_tfim", "n": 13, "L": 20}})
+
+
 def test_statevector_memory_peak_lies_within_the_parse_time_estimate():
-    # one noiseless point of the vector route: its stack of (M + 1) state vectors, the
-    # spare buffer of the same size and the M rows that _fubini_study forms, which
-    # _estimated_bytes charges as (2 (M + 1) + M) 16 d
+    # one noiseless point of the vector route: its stack of (M + 1) state vectors and
+    # the spare array of the same size, which _estimated_bytes charges as
+    # 2 (M + 1) 16 d; the spare is freed before _fubini_study forms its M rows
     raw = {"experiment": "spectrum", "circuit": {"name": "hva_tfim", "n": 10, "L": 10},
            "noise": {"model": "local_depolarizing", "p": 0.0}, "sweep": {"p": [0.0]}}
     cfg = parse_config(raw)

@@ -27,11 +27,13 @@ from qfimlab.channels import (
     superoperator,
 )
 from qfimlab.circuits import (
+    READOUT_BYTES,
     DenseKernel,
     DiagonalKernel,
     NoisyCircuit,
     ProductKernel,
     _fold_tables,
+    _FoldTables,
     _rotate,
     _rotation_step,
     _Sectors,
@@ -41,6 +43,7 @@ from qfimlab.circuits import (
     evolve,
     evolve_with_derivatives,
     gate_kernel,
+    hermitian_blocks,
     hva_tfim,
     hva_tfim_generators,
     parity_folded_sectors,
@@ -392,7 +395,7 @@ class TestParityFold:
             for part in parts:
                 frames.enter(part)
                 op()
-                blocks.append(sector_rows(frames.sectors(count)))
+                blocks.append(sector_rows([hermitian_blocks(r) for r in frames.sectors(count)]))
             return blocks[0] + 1j * blocks[1]
 
         for kernel in circ.kernels:
@@ -726,6 +729,13 @@ class TestSectors:
         assert np.allclose(sorted(traces)[-len(orbit):], 1.0, atol=1e-14)
         assert sum(traces) == pytest.approx(len(orbit), abs=1e-13)
 
+    def test_sector_blocks_fit_in_one_buffer_row(self):
+        # the read-out writes every sector's blocks into the pass's spare buffer
+        for n in range(1, 11):
+            for g in (g for g in range(1, n + 1) if n % g == 0):
+                tables = _FoldTables(n, g)
+                assert tables.sectors.block_size <= max(r * c for r, c in tables.shapes), (n, g)
+
     def test_at_no_rotation_the_sectors_are_the_two_parity_blocks(self, rng):
         n, d, h = 4, 16, 8
         mat = random_p_symmetric(d, rng)
@@ -790,6 +800,25 @@ class TestSectors:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("n, layers", [(8, 10), (10, 20)])
+    def test_read_out_holds_no_more_than_the_pass(self, rng, n, layers):
+        # the sector stacks go into the spare buffer, one real per entry, and each
+        # becomes complex only while it is assembled: a folded QFIM holds its two
+        # pass buffers, the entry's and read-out's temporaries and one complex block
+        circ = hva_tfim(n, layers).with_uniform_noise(LocalDepolarizing.uniform(n, 1e-3))
+        theta, psi = rng.uniform(0, 2 * np.pi, circ.n_params), plus_state_vector(n)
+        qfim_of_circuit(circ, theta, psi)
+        tracemalloc.start()
+        try:
+            qfim_of_circuit(circ, theta, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables, rows = _fold_tables(n, 1), circ.n_params + 1
+        buffers = 2 * rows * max(r * c for r, c in tables.shapes) * 8
+        block = rows * max(k for _, k in tables.sectors._keep) ** 2 * 16
+        assert peak <= buffers + 2 * READOUT_BYTES + block
 
     def test_folded_qfim_does_not_import_numpy_ma(self):
         # numpy 2.4's np.unique imports numpy.ma unless it returns an inverse, ~10 ms

@@ -112,6 +112,18 @@ def test_bench_tool_writes_one_row_per_point(tmp_path):
         assert len(row["wall_s_runs"]) == 2 and row["wall_s"] > 0 and row["ru_maxrss_mb"] > 0
         assert 0 < row["rank"] <= 4 and row["lambda_max"] > 0
     assert doc["rows"][2]["lambda_max"] == doc["rows"][3]["lambda_max"]
+    assert all("traced_peak_mb" not in row for row in doc["rows"])
+    # --traced adds the tracemalloc peak of a second call; other sides' rows stay
+    subprocess.run(
+        [sys.executable, str(root / "tools" / "bench.py"), "smoke", "--side", f"change={root / 'src'}",
+         "--repeat", "1", "--n", "4", "--layers", "2", "--traced", "--out-dir", str(tmp_path)],
+        check=True, capture_output=True, timeout=120,
+    )
+    rows = json.loads((tmp_path / "BENCH_smoke.json").read_text())["rows"]
+    assert [(row["name"], row["n"]) for row in rows] == [("parent", 3), ("parent", 4), ("change", 4)]
+    assert "traced_peak_mb" not in rows[1]
+    assert 0 < rows[2]["traced_peak_mb"] < rows[2]["ru_maxrss_mb"]
+    assert rows[2]["lambda_max"] == doc["rows"][3]["lambda_max"]
 
 
 def test_readme_bench_recipe_runs(tmp_path):
@@ -126,7 +138,8 @@ def test_readme_bench_recipe_runs(tmp_path):
             [sys.executable, *args, "--n", "3", "--layers", "1", "--repeat", "1", "--out-dir", str(tmp_path)],
             cwd=root, check=True, capture_output=True, timeout=120,
         )
-    rows = json.loads((tmp_path / "BENCH_vector_entry.json").read_text())["rows"]
-    assert [(row["name"], row["n"], row["L"], row["folded"]) for row in rows] == [
-        ("parent", 3, 1, True), ("change", 3, 1, True)
-    ]
+        rows = json.loads((tmp_path / f"BENCH_{args[1]}.json").read_text())["rows"]
+        assert [(row["name"], row["n"], row["L"], row["folded"]) for row in rows] == [
+            ("parent", 3, 1, True), ("change", 3, 1, True)
+        ]
+    assert {path.name for path in tmp_path.iterdir()} == {"BENCH_sector_readout.json", "BENCH_vector_entry.json"}
