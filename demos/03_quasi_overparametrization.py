@@ -16,17 +16,17 @@ from qfimlab import (
     LocalDepolarizing,
     effective_dim_d1,
     hva_tfim,
-    plus_state_density,
+    plus_state_vector,
     qfim_of_circuit,
     rng_from_seed,
 )
 
 n, layers = 4, 6
 circuit = hva_tfim(n, layers)
-rho = plus_state_density(n)
+psi = plus_state_vector(n)
 theta = rng_from_seed(42).uniform(0, 2 * np.pi, circuit.n_params)
 
-base = qfim_of_circuit(circuit, theta, rho)
+base = qfim_of_circuit(circuit, theta, psi)
 print(f"Ising ansatz: n={n}, L={layers}, M={circuit.n_params} parameters")
 print(f"noiseless rank: {base.rank} (lambda_max = {base.eigenvalues[0]:.3f})\n")
 
@@ -36,7 +36,7 @@ for p in (0.0, 1e-6, 1e-5, 1e-3, 1e-2, 0.08):
     if p == 0.0:
         rep = base
     else:
-        rep = qfim_of_circuit(circuit.with_uniform_noise(LocalDepolarizing.uniform(n, p)), theta, rho)
+        rep = qfim_of_circuit(circuit.with_uniform_noise(LocalDepolarizing.uniform(n, p)), theta, psi)
     lam = rep.eigenvalues
     top_min, new_max = lam[r0 - 1], lam[r0]
     gap = top_min / new_max if new_max > 0 else float("inf")

@@ -22,7 +22,7 @@ from qfimlab import (
     hva_tfim_pauli_generators,
     lie_closure,
     parity_sector_dimension,
-    plus_state_density,
+    plus_state_vector,
     qfim_of_circuit,
     rng_from_seed,
 )
@@ -55,9 +55,9 @@ banner("The sector dimension caps the noiseless QFIM rank")
 rng = rng_from_seed(5)
 n = 4
 circuit = hva_tfim(n, 6)
-rho = plus_state_density(n)
+psi = plus_state_vector(n)
 sector_dim = dla_dimension(hva_parity_sector_generators(n))
-ranks = [qfim_of_circuit(circuit, rng.uniform(0, 2 * np.pi, circuit.n_params), rho).rank
+ranks = [qfim_of_circuit(circuit, rng.uniform(0, 2 * np.pi, circuit.n_params), psi).rank
          for _ in range(5)]
 print(f"  n={n}, L=6, M={circuit.n_params}: sector dim = {sector_dim}")
 print(f"  noiseless ranks at 5 random points: {ranks}  (all <= {sector_dim})")

@@ -49,12 +49,12 @@ slot and gate at once. The stack and one scratch buffer take
 exists as an independent test oracle only.
 
 Parity folding. With ``P = X^(x)n``, when every gate kernel commutes with
-``P`` (a diagonal ``h`` equal to its own reverse, or a product term that
-commutes with ``X``), the noise is ``None`` or local depolarizing, and the
-input satisfies ``rho == rho[::-1, ::-1]`` and is Hermitian, every state and
-derivative of the pass keeps both properties (:func:`parity_folds`). A state
-vector with ``psi[::-1] == +-psi`` exactly runs as ``psi psi†``, with no
-``d x d`` array: its checks take ``O(d)`` and the pass gathers only the
+``P`` exactly (a diagonal ``h`` equal to its own reverse, or a product term
+that commutes with ``X``), the noise is ``None`` or local depolarizing, and
+the input is a state vector with ``psi[::-1] == +-psi`` exactly, every state
+and derivative of the pass from ``psi psi†`` is P-symmetric and Hermitian
+(:func:`parity_folds`). The vector is the pass's only input: its checks take
+``O(d)``, no ``d x d`` array is formed, and the pass gathers only the
 entries it stores (:meth:`_WalshFrames.enter`).
 :func:`parity_folded_sectors` then carries only the top half rows, in
 Walsh-Hadamard frames (:class:`_WalshFrames`), and since each entry there
@@ -63,7 +63,7 @@ has a partner entry that holds its conjugate, it stores one real per entry,
 derivative seed a rotation of every entry with its partner, and the only
 matmuls are the real Hadamard transforms between frames. It also keeps one
 entry per orbit of the cyclic qubit rotation ``R^g`` that the diagonal
-generators, the noise channel and the input respect exactly
+generators, the noise channel and the vector respect exactly
 (:func:`_rotation_step`): ``g = 1`` for the Ising ring under uniform noise,
 which shrinks every transform and product 6.4x at n = 8, and ``g = n``, the
 plain fold, when nothing but the identity holds. Its two buffers take at
@@ -73,10 +73,9 @@ rows out into its spare buffer as one block stack per sector of the group
 ``<R^g> x <P>`` (:class:`_Sectors`), about ``d / (2n/g)`` wide and still one
 real per entry, with no ``(M + 1, d/2, d)`` array in between; each stack
 becomes complex (:func:`hermitian_blocks`) only when it is assembled. The
-Ising ansatz on ``|+>^n`` under local depolarizing
-noise folds, as a vector or as a matrix; the toy model, dense generators,
-Pauli, global-depolarizing and composite channels, and asymmetric or
-non-Hermitian inputs do not, and
+Ising ansatz on ``|+>^n`` under local depolarizing noise folds; the toy
+model, dense generators, Pauli, global-depolarizing and composite channels,
+vectors with no parity and every density matrix do not, and
 :func:`evolve_with_derivatives` is always the dense pass.
 """
 
@@ -92,7 +91,6 @@ from .dla import PauliSum
 from .exceptions import DimensionMismatchError
 from .linalg import (
     KET_PLUS,
-    TAU_HERM,
     X,
     Y,
     Z,
@@ -103,10 +101,6 @@ from .linalg import (
     hermitian_eig,
     kron,
 )
-
-# A product term counts as commuting with X (ProductKernel.parity_symmetric)
-# when it does to within a few ulps of its largest entry.
-STRUCTURE_ULPS = 8
 
 # The folded pass enters a state vector's rows, and its read-out turns rows
 # into sector blocks, in groups whose temporaries take at most this many bytes
@@ -221,15 +215,14 @@ class ProductKernel(_VectorFrame):
     field ``X``, whose ``W`` is Walsh-Hadamard) both are real matmuls on the
     float view, with no ``kron(W, I_2)`` padding. A product with ``F`` costs
     ``d (dim W_a + dim W_b)`` per row instead of ``d^2``. Commutes with
-    ``P = X^(x)n`` when ``a`` commutes with ``X``, i.e. ``a = a00 I + a01 X``;
-    the parity-folded pass then reads ``a01`` only.
+    ``P = X^(x)n`` when ``a`` commutes with ``X`` exactly, i.e.
+    ``a = a00 I + a01 X``; the parity-folded pass then reads ``a01`` only.
     """
 
     def __init__(self, a: np.ndarray, n_qubits: int):
         eig = hermitian_eig(a)
         self.a = a
-        tol = STRUCTURE_ULPS * np.finfo(float).eps * float(np.max(np.abs(a)))
-        self.parity_symmetric = float(np.max(np.abs(a @ X - X @ a))) <= tol
+        self.parity_symmetric = bool(a[0, 0] == a[1, 1] and a[0, 1] == a[1, 0])
         w_a, w_b = (_kron_power(eig.vectors, k) for k in (n_qubits // 2, n_qubits - n_qubits // 2))
         if not np.any(eig.vectors.imag):
             w_a, w_b = w_a.real, w_b.real
@@ -461,58 +454,36 @@ def evolve_with_derivatives(
 
 
 def parity_folds(circuit: NoisyCircuit, state: np.ndarray) -> bool:
-    """Whether the pass from ``state`` can run on the top half rows only.
+    """Whether the pass from the state vector ``state`` can run on the top
+    half rows only; a density matrix never does.
 
     With ``P = X^(x)n``, this holds when every gate kernel commutes with
     ``P`` (see the kernels' ``parity_symmetric``), the noise is ``None`` or
     :class:`~qfimlab.channels.LocalDepolarizing` (covariant under Pauli
-    conjugation), and the input is one of
-
-    - a density matrix ``rho`` with ``rho == P rho P``, i.e.
-      ``rho == rho[::-1, ::-1]`` exactly, Hermitian within ``TAU_HERM``;
-    - a state vector ``psi`` with ``P psi == +-psi``, i.e. ``psi[::-1]``
-      equal to ``psi`` or to ``-psi`` exactly. It runs as ``psi psi†``,
-      whose entries ``psi[k] conj(psi[l])`` are then P-symmetric exactly and
-      Hermitian to roundoff, so the test takes ``O(d)`` and no ``d x d``
-      array is formed.
-
-    Then every state and derivative of the pass is P-symmetric and Hermitian
-    too, so its bottom half rows are its top half reversed, and the pass
-    holds one real per entry (see :class:`_WalshFrames`).
+    conjugation), and ``P psi == +-psi``, i.e. ``psi[::-1]`` equal to
+    ``psi`` or to ``-psi`` exactly. The vector runs as ``psi psi†``, whose
+    entries ``psi[k] conj(psi[l])`` are then P-symmetric exactly and
+    Hermitian to roundoff, so the test takes ``O(d)``. Every state and
+    derivative of the pass is P-symmetric and Hermitian too, so its bottom
+    half rows are its top half reversed, and the pass holds one real per
+    entry (see :class:`_WalshFrames`).
     """
-    if not (
+    if state.shape != (circuit.dim,) or not (
         all(k.parity_symmetric for k in circuit.kernels)
         and (circuit.noise is None or isinstance(circuit.noise, LocalDepolarizing))
     ):
         return False
-    if state.shape == (circuit.dim,):
-        flipped = state[::-1]
-        return np.array_equal(flipped, state) or np.array_equal(flipped, -state)
-    return (
-        state.shape == (circuit.dim, circuit.dim)
-        and np.array_equal(state, state[::-1, ::-1])
-        and _hermitian_within(state, TAU_HERM)
-    )
-
-
-def _hermitian_within(rho: np.ndarray, tol: float) -> bool:
-    """Whether the top half rows of a P-symmetric ``rho`` lie within ``tol`` of
-    those of ``rho†``, which then holds for all rows; taken over blocks of at
-    most ``2^18`` entries, so that no ``d x d`` temporary is formed."""
-    rows = max(1, 2**18 // len(rho))
-    return all(
-        float(np.max(np.abs(rho[i : i + rows] - rho[:, i : i + rows].conj().T))) <= tol
-        for i in range(0, len(rho) // 2, rows)
-    )
+    flipped = state[::-1]
+    return np.array_equal(flipped, state) or np.array_equal(flipped, -state)
 
 
 def parity_folded_sectors(circuit: NoisyCircuit, theta: np.ndarray, state: np.ndarray) -> list[np.ndarray]:
-    """:func:`evolve_with_derivatives` for a circuit and input that
-    :func:`parity_folds` accepts, read out as one complex ``(M + 1, k, k)``
-    stack per sector of ``G = <R^g> x <P>`` (see :class:`_Sectors`): row 0 is
-    the output state's block, row ``m + 1`` that of ``d/d theta_m``. The
-    block sizes ``k`` sum to ``d``. A state vector ``psi`` gives the blocks
-    of the pass from ``psi psi†``, bit for bit, without forming that matrix.
+    """:func:`evolve_with_derivatives` from ``psi psi†``, for a circuit and
+    state vector ``psi`` that :func:`parity_folds` accepts, read out as one
+    complex ``(M + 1, k, k)`` stack per sector of ``G = <R^g> x <P>`` (see
+    :class:`_Sectors`), with no ``d x d`` array formed: row 0 is the output
+    state's block, row ``m + 1`` that of ``d/d theta_m``. The block sizes
+    ``k`` sum to ``d``.
 
     The rows travel in the frames of :class:`_WalshFrames`, one real per
     entry and one entry per orbit of the qubit rotation ``R^g`` of
@@ -523,7 +494,7 @@ def parity_folded_sectors(circuit: NoisyCircuit, theta: np.ndarray, state: np.nd
     :func:`parity_folds` rejects the input.
     """
     if not parity_folds(circuit, state):
-        raise ValueError("the circuit or input does not commute with the parity X^n, or the input is not Hermitian")
+        raise ValueError("the circuit or input does not commute with the parity X^n, or the input is not a state vector")
     return [hermitian_blocks(r) for r in _folded_sectors(circuit, theta, state)]
 
 
@@ -531,7 +502,7 @@ def _folded_sectors(circuit: NoisyCircuit, theta: np.ndarray, state: np.ndarray)
     """The sector stacks of :func:`parity_folded_sectors` in the pass's one-real
     form ``Re A + Im A``, views of one buffer, for an input that
     :func:`parity_folds` has accepted."""
-    theta = _check_args(circuit, theta, state, state.ndim)
+    theta = _check_args(circuit, theta, state, 1)
     frames = _WalshFrames(circuit, state, circuit.n_params + 1)
     frames.enter(state[None])
     for m in range(circuit.n_params + 1):
@@ -554,33 +525,23 @@ def _rotation_step(circuit: NoisyCircuit, state: np.ndarray) -> int:
 
     That holds when, exactly, every diagonal generator has
     ``h[R^g x] == h[x]``, the noise channel has ``p_j == p_(j+g mod n)``, and
-    the input is invariant: a density matrix has
-    ``rho[R^g k, R^g l] == rho[k, l]``, a state vector
-    ``psi[R^g x] == c psi[x]`` for one ``c`` in ``{1, -1, i, -i}`` (a
-    product by ``c`` is exact, and ``psi psi†`` is then invariant). A product
-    gate is always invariant. The Ising ring with uniform noise on ``|+>^n``
-    gives ``g = 1``; ``g = n``, the identity, always holds.
+    the state vector has ``psi[R^g x] == c psi[x]`` for one ``c`` in
+    ``{1, -1, i, -i}`` (a product by ``c`` is exact, and ``psi psi†`` is then
+    invariant). A product gate is always invariant. The Ising ring with
+    uniform noise on ``|+>^n`` gives ``g = 1``; ``g = n``, the identity,
+    always holds.
     """
     n, d = circuit.n_qubits, circuit.dim
     diagonals = [k.h for k in circuit.kernels if isinstance(k, DiagonalKernel)]
     p = () if circuit.noise is None else circuit.noise.probs
-    if state.ndim == 1:
-
-        def invariant(turn: np.ndarray) -> bool:
-            return any(np.array_equal(state[turn], c * state) for c in (1, -1, 1j, -1j))
-
-    else:
-        # rho is compared in blocks of at most 2^16 entries, so no d x d copy is formed
-        rows = max(1, 2**16 // d)
-        blocks = [slice(i, i + rows) for i in range(0, d, rows)]
-
-        def invariant(turn: np.ndarray) -> bool:
-            return all(np.array_equal(state[np.ix_(turn[b], turn)], state[b]) for b in blocks)
-
     for g in range(1, n):
         if n % g == 0:
             turn = _rotate(np.arange(d), g, n)
-            if all(np.array_equal(h[turn], h) for h in diagonals) and p[g:] + p[:g] == p and invariant(turn):
+            if (
+                all(np.array_equal(h[turn], h) for h in diagonals)
+                and p[g:] + p[:g] == p
+                and any(np.array_equal(state[turn], c * state) for c in (1, -1, 1j, -1j))
+            ):
                 return g
     return n
 
@@ -714,7 +675,6 @@ class _FoldTables:
         b_rows, b_row = np.unique(b_rep, return_inverse=True)
         self.n, self.b = n, full[b_rows]
         self.xor = k[:, None] ^ cols
-        self.enter = k[:, None] * d + self.xor
         # A_F[r, e] = A_K[(R^(g t_e) b_r)', col_e] and A_K[b', c] = A_F[r_b', R^(g t_b') E_c];
         # at g = n the two layouts coincide and a relayout is the identity
         self.relayout = g < n and {
@@ -842,33 +802,24 @@ class _WalshFrames:
         return self._bufs[self._hold ^ spare][: count * r * c].reshape(count, r, c)
 
     def enter(self, states: np.ndarray) -> None:
-        """Load rows ``0..k-1``, frame ``ek``, from a ``(k, d, d)`` stack of
-        P-symmetric Hermitian matrices, or from a ``(k, d)`` stack of state
-        vectors with ``P psi = +-psi`` as their ``psi psi†``.
+        """Load rows ``0..k-1``, frame ``ek``, from a ``(k, d)`` stack of state
+        vectors with ``P psi = +-psi``, as their ``psi psi†``.
 
-        A vector's row is gathered through the column table ``xor``:
+        Each row is gathered through the column table ``xor``:
         ``A[k, e] = psi[k] conj(psi[k ^ e])``, the very product that
         ``np.outer(psi, psi.conj())`` holds there, in groups of rows whose
         complex temporaries take at most :data:`READOUT_BYTES`.
         """
         self.frame, self._hold = 0, 0
         self._bufs = np.empty(self._size), np.empty(self._size)
-        t, live = self._tables, self._rows(len(states))
-        if states.ndim == 2:
-            step = max(1, READOUT_BYTES // (32 * t.xor.shape[1]))
-            for row, psi in zip(live, states):
-                conj = psi.conj()
-                for i in range(0, len(row), step):
-                    k = slice(i, min(i + step, len(row)))
-                    a = psi[k, None] * conj[t.xor[k]]
-                    np.add(a.real, a.imag, out=row[k])
-            return
-        # Re and Im of entry i sit at floats 2i and 2i + 1
-        src = np.asarray(states, dtype=complex).reshape(len(states), -1).view(float)
-        spare = self._rows(len(states), spare=True)
-        np.take(src, 2 * t.enter, axis=1, out=live, mode="clip")
-        np.take(src, 2 * t.enter + 1, axis=1, out=spare, mode="clip")
-        live += spare
+        t = self._tables
+        step = max(1, READOUT_BYTES // (32 * t.xor.shape[1]))
+        for row, psi in zip(self._rows(len(states)), states):
+            conj = psi.conj()
+            for i in range(0, len(row), step):
+                k = slice(i, min(i + step, len(row)))
+                a = psi[k, None] * conj[t.xor[k]]
+                np.add(a.real, a.imag, out=row[k])
 
     def sectors(self, count: int) -> list[np.ndarray]:
         """Rows ``0..count-1`` as one ``(count, k, k)`` block stack per sector of

@@ -30,17 +30,16 @@ input picks one of three routes:
   state vectors come from ``circuits.statevector_derivatives``, which runs
   them in each gate kernel's eigenframe, a gate being one phase product
   there; no ``d x d`` array is formed.
-- an input that ``circuits.parity_folds`` accepts: the folded pass
-  (``circuits.parity_folded_sectors``), assembled as one Gram product per
-  sector block. A state vector ``psi`` with ``psi[::-1] == +-psi`` enters
-  it as itself and runs as ``psi psi†``, with no ``d x d`` array.
-- any other input: the dense pass (``circuits.evolve_with_derivatives``,
-  whose stack and scratch take ``2 (M + 1) 16 d^2`` bytes), then
-  :func:`qfim_mixed` on the ``d x d`` output. Any other state vector runs as
-  its density matrix ``psi psi†``, by the same rules as a matrix input.
+- a state vector that ``circuits.parity_folds`` accepts (``psi[::-1] ==
+  +-psi`` through a circuit and noise that commute with the spin flip): the
+  folded pass (``circuits.parity_folded_sectors``) from ``psi psi†``, with
+  no ``d x d`` array, assembled as one Gram product per sector block.
+- everything else, every density matrix included: the dense pass
+  (``circuits.evolve_with_derivatives``, whose stack and scratch take
+  ``2 (M + 1) 16 d^2`` bytes), then :func:`qfim_mixed` on the ``d x d``
+  output; any other state vector runs as ``psi psi†``.
 
-A density matrix always runs the simulation, so passing ``|psi><psi|``
-checks the closed form against it.
+So passing ``psi psi†`` gives the dense reference for either fast route.
 
 A ``(K, M)`` theta gives a list of K reports, each equal bit for bit to the
 call with its row: the state-vector route runs one batched pass of
@@ -222,12 +221,9 @@ def qfim_of_circuit(
 
     ``state`` is a state vector or a density matrix, and with the circuit's
     noise it picks the route (see the module docstring); every route gives
-    the same matrix up to roundoff. A state vector that
-    ``circuits.parity_folds`` accepts runs the folded pass as itself and
-    gives the report of ``np.outer(psi, psi.conj())`` bit for bit whenever
-    both keep the same rotation step (``circuits._rotation_step``). A
-    ``(K, M)`` theta gives the list of K reports, each equal bit for bit to
-    the call with its row.
+    the same matrix up to roundoff, and a density matrix always runs the
+    dense pass. A ``(K, M)`` theta gives the list of K reports, each equal
+    bit for bit to the call with its row.
     """
     theta = np.asarray(theta, dtype=float)
     noise = circuit.noise
@@ -240,13 +236,10 @@ def qfim_of_circuit(
         return reports if theta.ndim == 2 else reports[0]
     if theta.ndim == 2:
         return [qfim_of_circuit(circuit, row, state, tau_abs, tau_rel) for row in theta]
-    folds = parity_folds(circuit, state)
-    if state.ndim == 1 and not folds:
+    if parity_folds(circuit, state):
+        return report_from_matrix(_block_qfim(_folded_sectors(circuit, theta, state)), tau_abs, tau_rel)
+    if state.ndim == 1:
         state = np.outer(state, state.conj())
-        folds = parity_folds(circuit, state)
-    if folds:
-        matrix = _block_qfim(_folded_sectors(circuit, theta, state))
-        return report_from_matrix(matrix, tau_abs, tau_rel)
     out, derivs = evolve_with_derivatives(circuit, theta, state)
     return qfim_mixed(out, derivs, tau_abs, tau_rel)
 

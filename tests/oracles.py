@@ -7,6 +7,8 @@
 - :func:`frobenius_inner`: ``Tr[a† b]``;
 - :func:`herm_exp`: ``exp(-i theta h)`` through a fresh eigendecomposition;
 - :func:`identity_channel`: the one-term Pauli channel that leaves every state;
+- :func:`load_matrices`: rows of the folded pass from general matrices (the
+  pass itself enters state vectors only);
 - :func:`sector_blocks`: the symmetry-sector blocks of a complex matrix, from
   the character table itself (the folded pass reads out real pairs instead);
 - :func:`trace_distance`: ``(1/2) ||rho - sigma||_1``.
@@ -60,6 +62,17 @@ def herm_exp(h: np.ndarray, theta: float) -> np.ndarray:
 
 def identity_channel(n_qubits: int) -> PauliChannel:
     return PauliChannel([(PauliString.identity(n_qubits), 1.0)])
+
+
+def load_matrices(frames, mats: np.ndarray) -> None:
+    """Load a ``(k, d, d)`` stack of P-symmetric Hermitian matrices as rows
+    ``0..k-1`` of ``frames``, a ``circuits._WalshFrames``, in frame ``ek``:
+    ``A[k, e] = rho[k, k ^ e]`` for ``k < d/2`` and the columns the frames
+    keep, stored as ``Re A + Im A``."""
+    frames.enter(np.zeros(mats.shape[:2], dtype=complex))  # fresh buffers, frame ek
+    xor = frames._tables.xor
+    a = mats[:, np.arange(len(xor))[:, None], xor]
+    np.add(a.real, a.imag, out=frames._rows(len(mats)))
 
 
 def sector_blocks(sectors, x: np.ndarray) -> list[np.ndarray]:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import herm_exp, sector_blocks
+from oracles import herm_exp, load_matrices, sector_blocks
 
 import qfimlab
 from qfimlab import circuits
@@ -67,7 +67,7 @@ from qfimlab.linalg import (
     partial_trace,
     purity,
 )
-from qfimlab.qfim import noisy_qfim_closed_form_global_depol, qfim_mixed, qfim_of_circuit
+from qfimlab.qfim import TAU_RANK_ABS, noisy_qfim_closed_form_global_depol, qfim_mixed, qfim_of_circuit
 from qfimlab.rand import random_density_matrix, random_hermitian, random_unitary
 
 
@@ -351,14 +351,22 @@ def dense_sector_rows(stack, n, g):
     return sector_rows(sector_blocks(sectors, x))
 
 
-def assert_fold_matches_dense(circ, theta, rho):
-    """Folded sector blocks to 1e-13 and the folded QFIM to 1e-12 relative, against the dense pass."""
-    assert parity_folds(circ, rho)
-    out, derivs = evolve_with_derivatives(circ, theta, rho)
-    got = sector_rows(parity_folded_sectors(circ, theta, rho))
-    want = dense_sector_rows(np.stack([out, *derivs]), circ.n_qubits, _rotation_step(circ, rho))
+def random_p_symmetric_vector(d, rng, sign=1):
+    """A random normalized ``psi`` with ``psi[::-1] == sign * psi`` exactly."""
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi = psi + sign * psi[::-1]
+    return psi / np.linalg.norm(psi)
+
+
+def assert_fold_matches_dense(circ, theta, psi):
+    """Folded sector blocks to 1e-13 and the folded QFIM to 1e-12 relative, against
+    the dense pass from ``psi psi†``."""
+    assert parity_folds(circ, psi)
+    out, derivs = evolve_with_derivatives(circ, theta, np.outer(psi, psi.conj()))
+    got = sector_rows(parity_folded_sectors(circ, theta, psi))
+    want = dense_sector_rows(np.stack([out, *derivs]), circ.n_qubits, _rotation_step(circ, psi))
     assert np.max(np.abs(got - want)) <= 1e-13
-    folded, expected = qfim_of_circuit(circ, theta, rho).matrix, qfim_mixed(out, derivs).matrix
+    folded, expected = qfim_of_circuit(circ, theta, psi).matrix, qfim_mixed(out, derivs).matrix
     assert np.max(np.abs(folded - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -385,15 +393,16 @@ class TestParityFold:
         probs[-1] = 0.0
         ch = LocalDepolarizing(tuple(probs))
         circ = hva_tfim(n, 1).with_uniform_noise(ch)
-        frames = _WalshFrames(circ, mats[0], k + 1)
-        g = _rotation_step(circ, mats[0])
-        assert g == n  # random matrices respect no rotation: the sectors are the parity blocks
+        odd = random_p_symmetric_vector(d, rng, sign=-1)
+        frames = _WalshFrames(circ, odd, k + 1)
+        g = _rotation_step(circ, odd)
+        assert g == n  # a random P-odd vector respects no rotation: the sectors are the parity blocks
 
         def through_frames(op, count):
             # rows 0..k-1 hold a part in frame ek, row k takes a seed
             blocks = []
             for part in parts:
-                frames.enter(part)
+                load_matrices(frames, part)
                 op()
                 blocks.append(sector_rows([hermitian_blocks(r) for r in frames.sectors(count)]))
             return blocks[0] + 1j * blocks[1]
@@ -411,18 +420,17 @@ class TestParityFold:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_frame_pass_matches_dense_pass_beyond_the_ising_ring(self, rng, n):
-        # all-to-all ZZ (zero at n = 1) and a scaled field, on a random P-symmetric input
+        # all-to-all ZZ (zero at n = 1) and a scaled field, on random P-even and P-odd vectors
         d = 2**n
         zz = [embed_single_qubit(Z, i, n) @ embed_single_qubit(Z, j, n) for i in range(n) for j in range(i)]
         kernels = (gate_kernel(sum(zz, np.zeros((d, d), dtype=complex))), ProductKernel(0.37 * X, n))
         circ = NoisyCircuit(n, (0, 1, 1, 0, 1, 0) if n >= 2 else (0, 0), kernels)
-        sigma = random_density_matrix(d, rng)
-        rho = (sigma + sigma[::-1, ::-1]) / 2
         probs = rng.uniform(0.0, 0.3, n)
         probs[0] = 0.0
         theta = rng.uniform(0, 2 * np.pi, circ.n_params)
         for noise in (None, LocalDepolarizing(tuple(probs)), LocalDepolarizing.uniform(n, 0.05)):
-            assert_fold_matches_dense(circ.with_uniform_noise(noise), theta, rho)
+            for sign in (1, -1):
+                assert_fold_matches_dense(circ.with_uniform_noise(noise), theta, random_p_symmetric_vector(d, rng, sign))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_folded_qfim_matches_dense(self, rng, n):
@@ -431,41 +439,47 @@ class TestParityFold:
         probs[zero], probs[one] = 0.0, 1.0
         circ = hva_tfim(n, 3).with_uniform_noise(LocalDepolarizing(tuple(probs)))
         theta = rng.uniform(0, 2 * np.pi, circ.n_params)
-        assert_fold_matches_dense(circ, theta, plus_state_density(n))
+        assert_fold_matches_dense(circ, theta, plus_state_vector(n))
 
     def test_folded_pass_holds_half_the_memory(self, rng):
         # the folded pass's stack of M + 1 rotation orbits and its scratch, plus
         # a few d x d temporaries: at most the (M + 1, d/2, d) top rows and scratch
         circ = hva_tfim(6, 5).with_uniform_noise(LocalDepolarizing.uniform(6, 0.05))
         m, d = circ.n_params, circ.dim
-        theta, rho = rng.uniform(0, 2 * np.pi, m), plus_state_density(6)
+        theta, psi = rng.uniform(0, 2 * np.pi, m), plus_state_vector(6)
         tracemalloc.start()
         try:
-            parity_folded_sectors(circ, theta, rho)
+            parity_folded_sectors(circ, theta, psi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 16 * d * d * ((m + 1) + 4)
 
     def test_fallbacks_take_the_dense_path(self, rng):
+        # each circuit, channel or input alone keeps a vector that folds otherwise
+        # out of the fold; the dense pass is checked on the matching matrix
         n = 3
-        tfim, plus = hva_tfim(n, 2), plus_state_density(n)
-        zero = np.zeros((8, 8), dtype=complex)
-        zero[0, 0] = 1.0
+        tfim, plus = hva_tfim(n, 2), plus_state_vector(n)
+        zero = np.zeros(8, dtype=complex)
+        zero[0] = 1.0
         pauli = PauliChannel([(PauliString.identity(n), 0.9), (PauliString.single(n, 1, "Y"), 0.1)])
         dense_gen = build_circuit(n, [random_hermitian(8, rng, traceless=True)], [0, 0])
+        local = LocalDepolarizing.uniform(n, 0.1)
+        assert parity_folds(tfim.with_uniform_noise(local), plus)
+        toy, toy_rho = toy_model()
         cases = [
-            toy_model(),
-            (tfim.with_uniform_noise(pauli), plus),
-            (tfim.with_uniform_noise(GlobalDepolarizing(n, 0.1)), plus),
-            (tfim.with_uniform_noise(LocalDepolarizing.uniform(n, 0.1)), zero),
-            (dense_gen.with_uniform_noise(LocalDepolarizing.uniform(n, 0.1)), plus),
+            (toy, plus_state_vector(1), toy_rho),
+            (tfim.with_uniform_noise(pauli), plus, None),
+            (tfim.with_uniform_noise(GlobalDepolarizing(n, 0.1)), plus, None),
+            (tfim.with_uniform_noise(local), zero, None),
+            (dense_gen.with_uniform_noise(local), plus, None),
         ]
-        for circ, rho in cases:
-            assert not parity_folds(circ, rho)
+        for circ, psi, rho in cases:
+            assert not parity_folds(circ, psi)
             theta = rng.uniform(0, 2 * np.pi, circ.n_params)
             with pytest.raises(ValueError, match="parity"):
-                parity_folded_sectors(circ, theta, rho)
+                parity_folded_sectors(circ, theta, psi)
+            rho = np.outer(psi, psi.conj()) if rho is None else rho
             expected = qfim_mixed(*evolve_with_derivatives(circ, theta, rho)).matrix
             np.testing.assert_array_equal(qfim_of_circuit(circ, theta, rho).matrix, expected)
 
@@ -473,19 +487,19 @@ class TestParityFold:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_uniform_noise_on_the_ring_folds_every_rotation(self, rng, n):
         circ = hva_tfim(n, 3).with_uniform_noise(LocalDepolarizing.uniform(n, 0.07))
-        rho, theta = plus_state_density(n), rng.uniform(0, 2 * np.pi, circ.n_params)
-        assert _rotation_step(circ, rho) == 1
-        assert_fold_matches_dense(circ, theta, rho)
+        psi, theta = plus_state_vector(n), rng.uniform(0, 2 * np.pi, circ.n_params)
+        assert _rotation_step(circ, psi) == 1
+        assert_fold_matches_dense(circ, theta, psi)
         # a real-valued input takes the same pass
-        got = sector_rows(parity_folded_sectors(circ, theta, rho.real))
-        np.testing.assert_array_equal(got, sector_rows(parity_folded_sectors(circ, theta, rho)))
+        got = sector_rows(parity_folded_sectors(circ, theta, psi.real))
+        np.testing.assert_array_equal(got, sector_rows(parity_folded_sectors(circ, theta, psi)))
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_alternating_noise_folds_every_second_rotation(self, rng, n):
         circ = hva_tfim(n, 3).with_uniform_noise(LocalDepolarizing((0.02, 0.11) * (n // 2)))
-        rho = plus_state_density(n)
-        assert _rotation_step(circ, rho) == 2
-        assert_fold_matches_dense(circ, rng.uniform(0, 2 * np.pi, circ.n_params), rho)
+        psi = plus_state_vector(n)
+        assert _rotation_step(circ, psi) == 2
+        assert_fold_matches_dense(circ, rng.uniform(0, 2 * np.pi, circ.n_params), psi)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_rotation_averaged_input_beyond_the_ring(self, rng, n):
@@ -493,35 +507,33 @@ class TestParityFold:
         d = 2**n
         zz = [embed_single_qubit(Z, i, n) @ embed_single_qubit(Z, j, n) for i in range(n) for j in range(i)]
         circ = NoisyCircuit(n, (0, 1, 1, 0, 1, 0), (gate_kernel(sum(zz)), ProductKernel(0.37 * X, n)))
-        a = rng.integers(-3, 4, (d, d)) + 1j * rng.integers(-3, 4, (d, d))
-        sigma = a @ a.conj().T
-        sigma = sigma + sigma[::-1, ::-1]
-        total = sum(turned(sigma, t, n) for t in range(n))
-        rho = total / np.trace(total).real
+        a = rng.integers(-3, 4, d) + 1j * rng.integers(-3, 4, d)
+        a = a + a[::-1]
+        total = sum(a[_rotate(np.arange(d), t, n)] for t in range(n))
+        psi = total / np.linalg.norm(total)
         theta = rng.uniform(0, 2 * np.pi, circ.n_params)
         for noise in (None, LocalDepolarizing.uniform(n, 0.05)):
             noisy = circ.with_uniform_noise(noise)
-            assert _rotation_step(noisy, rho) == 1
-            assert_fold_matches_dense(noisy, theta, rho)
+            assert _rotation_step(noisy, psi) == 1
+            assert_fold_matches_dense(noisy, theta, psi)
 
     def test_broken_symmetries_fold_no_rotation(self, rng):
         n = 6
-        tfim, plus = hva_tfim(n, 3), plus_state_density(n)
+        tfim, plus = hva_tfim(n, 3), plus_state_vector(n)
         uniform = LocalDepolarizing.uniform(n, 0.05)
-        sigma = random_density_matrix(2**n, rng)
         cases = [
             (tfim.with_uniform_noise(LocalDepolarizing(tuple(rng.uniform(0, 0.2, n)))), plus),
             (ring_with_one_bond(n, 1.5).with_uniform_noise(uniform), plus),
-            (tfim.with_uniform_noise(uniform), (sigma + sigma[::-1, ::-1]) / 2),
+            (tfim.with_uniform_noise(uniform), random_p_symmetric_vector(2**n, rng)),
         ]
-        for circ, rho in cases:
-            assert _rotation_step(circ, rho) == n
-            assert_fold_matches_dense(circ, rng.uniform(0, 2 * np.pi, circ.n_params), rho)
+        for circ, psi in cases:
+            assert _rotation_step(circ, psi) == n
+            assert_fold_matches_dense(circ, rng.uniform(0, 2 * np.pi, circ.n_params), psi)
         assert _rotation_step(ring_with_one_bond(n, 1.0).with_uniform_noise(uniform), plus) == 1
 
     def test_non_hermitian_input_takes_the_dense_path(self, rng):
-        # the folded pass holds one real per entry of Hermitian rows: a P-symmetric
-        # input folds only while it is Hermitian within TAU_HERM
+        # a P-symmetric matrix runs the dense pass: its assembly takes an input
+        # just off Hermiticity and refuses one far off
         n, d = 3, 8
         circ = hva_tfim(n, 2).with_uniform_noise(LocalDepolarizing.uniform(n, 0.1))
         sigma = random_density_matrix(d, rng)
@@ -530,14 +542,6 @@ class TestParityFold:
         skew = skew - dag(skew)
         skew /= np.max(np.abs(skew - dag(skew)))  # P-symmetric, deviates from Hermiticity by 1
         theta = rng.uniform(0, 2 * np.pi, circ.n_params)
-        assert parity_folds(circ, rho + 0.5 * TAU_HERM * skew)
-        for scale in (1.2 * TAU_HERM, 1e-3):
-            mixed = rho + scale * skew
-            assert np.array_equal(mixed, mixed[::-1, ::-1])
-            assert not parity_folds(circ, mixed)
-            with pytest.raises(ValueError, match="parity"):
-                parity_folded_sectors(circ, theta, mixed)
-        # the dense pass: its assembly takes the first and refuses the second
         mixed = rho + 1.2 * TAU_HERM * skew
         expected = qfim_mixed(*evolve_with_derivatives(circ, theta, mixed)).matrix
         np.testing.assert_array_equal(qfim_of_circuit(circ, theta, mixed).matrix, expected)
@@ -545,17 +549,15 @@ class TestParityFold:
             qfim_of_circuit(circ, theta, rho + 1e-3 * skew)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
-    def test_vector_entry_matches_density_entry_bit_for_bit(self, rng, monkeypatch, n):
-        # a vector with P psi = +-psi runs the folded pass as itself, with no d x d
-        # array, and gives the report of psi psi† bit for bit
+    def test_density_entry_is_the_dense_reference(self, rng, monkeypatch, n):
+        # a vector with P psi = +-psi runs the folded pass, and its psi psi† the
+        # dense pass, bit for bit: the two agree to roundoff
         d = 2**n
         ghz = np.zeros(d, dtype=complex)
         ghz[0], ghz[-1] = 1 / np.sqrt(2), -1 / np.sqrt(2)  # P psi = -psi
-        sym = rng.normal(size=d) + 1j * rng.normal(size=d)
-        sym = sym + sym[::-1]
-        sym /= np.linalg.norm(sym)
+        sym = random_p_symmetric_vector(d, rng)
         entered, folded = [], circuits._folded_sectors
-        monkeypatch.setattr(qfimlab.qfim, "_folded_sectors", lambda *a: entered.append(a[2].ndim) or folded(*a))
+        monkeypatch.setattr(qfimlab.qfim, "_folded_sectors", lambda *a: entered.append(a[2].shape) or folded(*a))
         uniform, per_qubit = LocalDepolarizing.uniform(n, 0.05), LocalDepolarizing(tuple(rng.uniform(0, 0.2, n)))
         for noise in (uniform, per_qubit):
             circ = hva_tfim(n, 3).with_uniform_noise(noise)
@@ -564,14 +566,18 @@ class TestParityFold:
             # where P-symmetry makes it symmetric under the swap R too
             for psi, g in ((plus_state_vector(n), 1), (ghz, 1), (sym, 1 if n == 2 else n)):
                 rho = np.outer(psi, psi.conj())
-                assert parity_folds(circ, psi) and parity_folds(circ, rho)
-                assert _rotation_step(circ, psi) == _rotation_step(circ, rho) == (g if noise is uniform else n)
+                assert parity_folds(circ, psi) and not parity_folds(circ, rho)
+                assert _rotation_step(circ, psi) == (g if noise is uniform else n)
                 entered.clear()
-                got, want = qfim_of_circuit(circ, theta, psi), qfim_of_circuit(circ, theta, rho)
-                assert entered == [1, 2]
-                np.testing.assert_array_equal(got.matrix, want.matrix)
-                np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
-                assert got.rank == want.rank
+                got, dense = qfim_of_circuit(circ, theta, psi), qfim_of_circuit(circ, theta, rho)
+                assert entered == [(d,)]
+                expected = qfim_mixed(*evolve_with_derivatives(circ, theta, rho))
+                np.testing.assert_array_equal(dense.matrix, expected.matrix)
+                np.testing.assert_array_equal(dense.eigenvalues, expected.eigenvalues)
+                # the floor covers the GHZ state at n = 2, whose QFIM is zero up to roundoff
+                scale = max(float(np.max(np.abs(dense.matrix))), TAU_RANK_ABS)
+                assert np.max(np.abs(got.matrix - dense.matrix)) <= 1e-12 * scale
+                assert got.rank == dense.rank
 
     def test_vector_without_parity_takes_the_dense_path(self, rng, monkeypatch):
         n, d = 4, 16
@@ -590,6 +596,19 @@ class TestParityFold:
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
             with pytest.raises(ValueError, match="parity"):
                 parity_folded_sectors(circ, theta, psi)
+
+    def test_product_term_off_parity_by_one_ulp_takes_the_dense_path(self, rng, monkeypatch):
+        # a product term commutes with X only when it does exactly
+        n = 4
+        a = np.array([[np.nextafter(0.5, 1.0), 1.0], [1.0, 0.5]], dtype=complex)
+        kernels = (hva_tfim(n, 1).kernels[0], ProductKernel(a, n))
+        circ = NoisyCircuit(n, (0, 1) * 2, kernels).with_uniform_noise(LocalDepolarizing.uniform(n, 0.05))
+        assert not circ.kernels[1].parity_symmetric
+        monkeypatch.setattr(qfimlab.qfim, "_folded_sectors", lambda *a: pytest.fail("the folded pass ran"))
+        psi, theta = plus_state_vector(n), rng.uniform(0, 2 * np.pi, circ.n_params)
+        assert not parity_folds(circ, psi)
+        expected = qfim_mixed(*evolve_with_derivatives(circ, theta, np.outer(psi, psi.conj()))).matrix
+        np.testing.assert_array_equal(qfim_of_circuit(circ, theta, psi).matrix, expected)
 
     def test_vector_turned_by_i_keeps_every_rotation(self, rng):
         # psi[R x] = i psi[x] and P psi = -psi leave psi psi† invariant under R: the
@@ -751,12 +770,12 @@ class TestSectors:
         # orbits and the assembly reads its blocks straight from them
         circ = hva_tfim(8, 5).with_uniform_noise(LocalDepolarizing.uniform(8, 0.05))
         m, d = circ.n_params, circ.dim
-        theta, rho = rng.uniform(0, 2 * np.pi, m), plus_state_density(8)
-        assert _rotation_step(circ, rho) == 1
-        qfim_of_circuit(circ, theta, rho)
+        theta, psi = rng.uniform(0, 2 * np.pi, m), plus_state_vector(8)
+        assert _rotation_step(circ, psi) == 1
+        qfim_of_circuit(circ, theta, psi)
         tracemalloc.start()
         try:
-            qfim_of_circuit(circ, theta, rho)
+            qfim_of_circuit(circ, theta, psi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -764,27 +783,27 @@ class TestSectors:
 
     def test_folded_qfim_checks_its_input_once(self, rng, monkeypatch):
         circ = hva_tfim(4, 2).with_uniform_noise(LocalDepolarizing.uniform(4, 0.05))
-        calls, within = [], circuits._hermitian_within
-        monkeypatch.setattr(circuits, "_hermitian_within", lambda *a: calls.append(1) or within(*a))
-        qfim_of_circuit(circ, rng.uniform(0, 2 * np.pi, circ.n_params), plus_state_density(4))
-        assert len(calls) == 1
-        # a state vector needs no Hermiticity check
-        calls.clear()
+        calls = []
+        monkeypatch.setattr(qfimlab.qfim, "parity_folds", lambda *a: calls.append(a[1].shape) or parity_folds(*a))
         qfim_of_circuit(circ, rng.uniform(0, 2 * np.pi, circ.n_params), plus_state_vector(4))
-        assert calls == []
+        assert calls == [(16,)]
+        # a density matrix runs the dense pass, and a vector that does not fold
+        # is not checked again as its psi psi†
+        calls.clear()
+        qfim_of_circuit(circ, rng.uniform(0, 2 * np.pi, circ.n_params), plus_state_density(4))
+        qfim_of_circuit(circ, rng.uniform(0, 2 * np.pi, circ.n_params), np.eye(16)[0])
+        assert calls == [(16, 16), (16,)]
 
     def test_rotation_step_forms_no_dense_copy(self):
         n = 10
         circ = hva_tfim(n, 1).with_uniform_noise(LocalDepolarizing.uniform(n, 0.05))
-        rho = plus_state_density(n)
-        for state in (rho, plus_state_vector(n)):
-            tracemalloc.start()
-            try:
-                assert _rotation_step(circ, state) == 1
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < rho.nbytes / 8
+        tracemalloc.start()
+        try:
+            assert _rotation_step(circ, plus_state_vector(n)) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * circ.dim**2 / 8  # an eighth of one d x d complex matrix
 
     def test_folded_qfim_from_a_vector_forms_no_dense_matrix(self, rng):
         # psi psi† alone would take 16 MiB at n = 10; the fold tables are built
@@ -825,12 +844,12 @@ class TestSectors:
         code = (
             "import sys\n"
             "from qfimlab.channels import LocalDepolarizing\n"
-            "from qfimlab.circuits import hva_tfim, parity_folds, plus_state_density\n"
+            "from qfimlab.circuits import hva_tfim, parity_folds, plus_state_vector\n"
             "from qfimlab.qfim import qfim_of_circuit\n"
             "circ = hva_tfim(4, 2).with_uniform_noise(LocalDepolarizing.uniform(4, 0.05))\n"
-            "rho = plus_state_density(4)\n"
-            "assert parity_folds(circ, rho)\n"
-            "qfim_of_circuit(circ, [0.1, 0.2, 0.3, 0.4], rho)\n"
+            "psi = plus_state_vector(4)\n"
+            "assert parity_folds(circ, psi)\n"
+            "qfim_of_circuit(circ, [0.1, 0.2, 0.3, 0.4], psi)\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         src = str(Path(qfimlab.__file__).resolve().parents[1])
@@ -858,14 +877,14 @@ class TestSlotSchedule:
         d = 2**n
         tfim = hva_tfim(n, 3)
         theta = rng.uniform(0, 2 * np.pi, tfim.n_params)
-        plus, mixed = plus_state_density(n), random_density_matrix(d, rng)
-        assert not parity_folds(tfim, mixed)
+        plus, mixed = plus_state_vector(n), random_density_matrix(d, rng)
         for p in (1e-5, 1e-2, 0.3):
             for ch in (LocalDepolarizing.uniform(n, p), LocalDepolarizing(tuple(rng.uniform(0, p, n)))):
                 circ = tfim.with_uniform_noise(ch)
                 ref = tfim.with_uniform_noise(CompositeChannel([ch]))
+                assert parity_folds(circ, plus) and not parity_folds(ref, plus)
                 # folded path on |+>^n against the dense pass of the reference
-                ref_out, ref_derivs = evolve_with_derivatives(ref, theta, plus)
+                ref_out, ref_derivs = evolve_with_derivatives(ref, theta, np.outer(plus, plus.conj()))
                 dense = dense_sector_rows(np.stack([ref_out, *ref_derivs]), n, _rotation_step(circ, plus))
                 assert_rows_close(sector_rows(parity_folded_sectors(circ, theta, plus)), dense, 1e-12)
                 expected = qfim_mixed(ref_out, ref_derivs).matrix
@@ -888,7 +907,7 @@ class TestSlotSchedule:
         apply, depolarize = LocalDepolarizing._apply_batch, _WalshFrames.depolarize
         monkeypatch.setattr(LocalDepolarizing, "_apply_batch", lambda ch, *a: calls.append(ch) or apply(ch, *a))
         monkeypatch.setattr(_WalshFrames, "depolarize", lambda f, k, ch: calls.append(ch) or depolarize(f, k, ch))
-        plus = plus_state_density(n)
+        plus = plus_state_vector(n)
         for run, rho in ((evolve, mixed), (evolve_with_derivatives, mixed), (parity_folded_sectors, plus)):
             calls.clear()
             run(circ, theta, rho)

@@ -217,8 +217,8 @@ class TestClosedFormGlobalDepol:
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_global_depol_pure_path_matches_dense(rng, n):
-    # a state vector picks the closed form (noiseless, global depolarizing) or runs
-    # as |psi><psi| (local depolarizing); a density matrix always runs the simulation
+    # a state vector picks the closed form (noiseless, global depolarizing) or the
+    # folded pass (local depolarizing); a density matrix always runs the dense pass
     circ = hva_tfim(n, 3)
     theta = rng.uniform(0, 2 * np.pi, circ.n_params)
     psi = plus_state_vector(n)
@@ -238,12 +238,12 @@ def test_global_depol_pure_path_matches_dense(rng, n):
 
 @pytest.mark.parametrize("route", ["noiseless", "global_depolarizing", "folded", "dense"])
 def test_batched_theta_gives_each_single_report_bit_for_bit(rng, route):
-    # the vector routes run one batched pass; the density routes run row by row
+    # the statevector routes run one batched pass; the folded and dense routes run row by row
     if route == "dense":
         circ, state = toy_model()
     elif route == "folded":
         circ = hva_tfim(4, 3).with_uniform_noise(LocalDepolarizing.uniform(4, 0.02))
-        state = plus_state_density(4)
+        state = plus_state_vector(4)
     else:
         channel = GlobalDepolarizing(4, 0.05) if route == "global_depolarizing" else None
         circ, state = hva_tfim(4, 3).with_uniform_noise(channel), plus_state_vector(4)

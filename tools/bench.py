@@ -13,8 +13,9 @@ one BLAS thread set before numpy is imported, and records the wall time of
 that one call (``wall_s``) and the child's peak resident memory
 (``ru_maxrss_mb``), with the rank and largest eigenvalue as a check that
 both sides computed the same QFIM. ``folded`` is
-``parity_folds(circuit, psi)``; a tree whose ``parity_folds`` takes density
-matrices only reads false there, while its ``qfim_of_circuit`` still folds
+``parity_folds(circuit, psi)``, whether the vector takes the folded route,
+whose only input is a state vector; a tree from before the pass took state
+vectors reads false there, while its ``qfim_of_circuit`` still folded
 ``psi psi†``. With ``--traced`` the child then makes a second, untimed
 call under ``tracemalloc`` and records its peak (``traced_peak_mb``): the
 arrays' own peak, which unlike ``ru_maxrss`` does not move with the size of
