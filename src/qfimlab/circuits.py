@@ -66,17 +66,20 @@ entry per orbit of the cyclic qubit rotation ``R^g`` that the diagonal
 generators, the noise channel and the vector respect exactly
 (:func:`_rotation_step`): ``g = 1`` for the Ising ring under uniform noise,
 which shrinks every transform and product 6.4x at n = 8, and ``g = n``, the
-plain fold, when nothing but the identity holds. Its two buffers take at
-most ``2 (M + 1) 8 d^2 / 2`` bytes, and its index tables, which depend on
-``(n, g)`` only, are built once per pair (:func:`_fold_tables`). It reads the
-rows out into its spare buffer as one block stack per sector of the group
-``<R^g> x <P>`` (:class:`_Sectors`), about ``d / (2n/g)`` wide and still one
-real per entry, with no ``(M + 1, d/2, d)`` array in between; each stack
-becomes complex (:func:`hermitian_blocks`) only when it is assembled. The
-Ising ansatz on ``|+>^n`` under local depolarizing noise folds; the toy
-model, dense generators, Pauli, global-depolarizing and composite channels,
-vectors with no parity and every density matrix do not, and
-:func:`evolve_with_derivatives` is always the dense pass.
+plain fold, when nothing but the identity holds. Its rows live in one
+buffer of at most ``(M + 1) 8 d^2 / 2`` bytes, each in a slot of its own,
+and every transform, relayout and gate works through a scratch of whole
+rows no larger than :data:`SCRATCH_BYTES` (:func:`fold_bytes`); its index
+tables, which depend on ``(n, g)`` only, are built once per pair
+(:func:`_fold_tables`). It reads each row out into its own slot as one block
+per sector of the group ``<R^g> x <P>`` (:class:`_Sectors`), about
+``d / (2n/g)`` wide and still one real per entry, so each sector's stack is
+a row-strided view of the buffer, with no ``(M + 1, d/2, d)`` array in
+between; each stack becomes complex (:func:`hermitian_blocks`) only when it
+is assembled. The Ising ansatz on ``|+>^n`` under local depolarizing noise
+folds; the toy model, dense generators, Pauli, global-depolarizing and
+composite channels, vectors with no parity and every density matrix do
+not, and :func:`evolve_with_derivatives` is always the dense pass.
 """
 
 from __future__ import annotations
@@ -102,11 +105,27 @@ from .linalg import (
     kron,
 )
 
-# The folded pass enters a state vector's rows, and its read-out turns rows
-# into sector blocks, in groups whose temporaries take at most this many bytes
-# (one row at least): few enough numpy calls at small n, and a temporary far
-# below the buffers and blocks at n >= 11.
-READOUT_BYTES = 2**20
+# The folded pass enters a state vector's rows in groups whose complex
+# temporaries take at most this many bytes (one row at least).
+ENTRY_BYTES = 2**20
+
+# The folded pass runs each Walsh transform, relayout and gate partner gather
+# on groups of whole rows through one scratch array of at most this many bytes
+# (one row at least): the Ising ring's M = 40 rows go in one group up to n = 9,
+# and from n = 10 the scratch is smaller than the buffer it serves.
+SCRATCH_BYTES = 2**23
+
+
+def fold_bytes(rows: int, stride: int, sums: int) -> tuple[int, int, int]:
+    """The arrays of a folded pass over ``rows`` rows of ``stride`` float64
+    entries, whose read-out forms ``sums`` character sums per row, in bytes:
+    the buffer; the scratch, of whole rows, at most :data:`SCRATCH_BYTES` but
+    one row at least and no more rows than the buffer; and one row's read-out
+    pairs and sums, which are allocated after the scratch is freed.
+    :class:`_WalshFrames` allocates these, and the parse-time memory check
+    charges them, and the assembly after them."""
+    row = 8 * stride
+    return rows * row, min(rows, max(1, SCRATCH_BYTES // row)) * row, 24 * sums
 
 
 class _VectorFrame:
@@ -487,11 +506,12 @@ def parity_folded_sectors(circuit: NoisyCircuit, theta: np.ndarray, state: np.nd
 
     The rows travel in the frames of :class:`_WalshFrames`, one real per
     entry and one entry per orbit of the qubit rotation ``R^g`` of
-    :func:`_rotation_step`, in two buffers of ``(M + 1) max(|E| d/2, |B| d)``
-    float64 entries (``(M + 1) d^2 / 2`` at ``g = n``); the read-out writes
-    the blocks, one real per entry, into the spare one, and each stack is
-    made complex by :func:`hermitian_blocks`. Raises ``ValueError`` when
-    :func:`parity_folds` rejects the input.
+    :func:`_rotation_step`, in one buffer of ``M + 1`` slots of
+    ``max(|E| d/2, |B| d)`` float64 entries (``(M + 1) d^2 / 2`` at
+    ``g = n``); the read-out writes each row's blocks, one real per entry,
+    into that row's own slot, so each stack is a row-strided view of the
+    buffer, made complex by :func:`hermitian_blocks`. Raises ``ValueError``
+    when :func:`parity_folds` rejects the input.
     """
     if not parity_folds(circuit, state):
         raise ValueError("the circuit or input does not commute with the parity X^n, or the input is not a state vector")
@@ -605,12 +625,15 @@ class _Sectors:
         self._scale = None if np.all(order == 1.0) else (1.0 / np.outer(order, order))[:, :, None]
         reps = len(self.reps)
         self.size = reps * reps * width
-        self._keep = []
+        # each sector's block size, and where its block's entries sit among the sums
+        self.sizes, take = [], []
         for chi in range(width):
             sel = np.flatnonzero(fixed[:, chi])
             if len(sel):
-                self._keep.append(((sel[:, None] * reps + sel) * width + chi, len(sel)))
-        self.block_size = sum(k * k for _, k in self._keep)
+                self.sizes.append(len(sel))
+                take.append(((sel[:, None] * reps + sel) * width + chi).reshape(-1))
+        self._take = np.concatenate(take)
+        self.block_size = len(self._take)
 
     def sums(self, x: np.ndarray, spare: np.ndarray) -> np.ndarray:
         """``S = sum_u conj(chi(u)) A[r, u r'] / sqrt(|S_r| |S_r'|)`` at
@@ -630,19 +653,17 @@ class _Sectors:
         np.matmul(x.reshape(-1, len(self._pairs)), self._pairs, out=y)
         return y.reshape(count, -1)
 
-    def stacks(self, flat: np.ndarray, count: int) -> list[np.ndarray]:
-        """One ``(count, k, k)`` stack per sector, side by side at the start of
-        ``flat``."""
-        start, stacks = 0, []
-        for _, k in self._keep:
-            stacks.append(flat[start : start + count * k * k].reshape(count, k, k))
-            start += count * k * k
-        return stacks
+    def stacks(self, rows: np.ndarray) -> list[np.ndarray]:
+        """One ``(count, k, k)`` stack per sector, as views of the ``(count, w)``
+        ``rows`` (``w >= block_size``) that :meth:`write` filled: row ``i`` of a
+        stack is that sector's block in row ``i``."""
+        ends = np.cumsum([0, *(k * k for k in self.sizes)])
+        return [rows[:, a:b].reshape(len(rows), k, k) for a, b, k in zip(ends, ends[1:], self.sizes)]
 
-    def write(self, sums: np.ndarray, blocks: list[np.ndarray]) -> None:
-        """Take each sector's block out of :meth:`sums` into its stack in ``blocks``."""
-        for (take, _), blk in zip(self._keep, blocks):
-            np.take(sums, take, axis=1, out=blk, mode="clip")
+    def write(self, sums: np.ndarray, rows: np.ndarray) -> None:
+        """Every sector's block of each row of :meth:`sums`, side by side at the
+        start of that row of ``rows``, with one ``take``."""
+        np.take(sums, self._take, axis=1, out=rows[:, : self.block_size], mode="clip")
 
 
 def hermitian_blocks(r: np.ndarray) -> np.ndarray:
@@ -676,17 +697,26 @@ class _FoldTables:
         self.n, self.b = n, full[b_rows]
         self.xor = k[:, None] ^ cols
         # A_F[r, e] = A_K[(R^(g t_e) b_r)', col_e] and A_K[b', c] = A_F[r_b', R^(g t_b') E_c];
-        # at g = n the two layouts coincide and a relayout is the identity
+        # at g = n the two layouts coincide and a relayout is the identity. A row sits at
+        # the start of a slot of `stride` entries in either layout (layout F fills it: as
+        # many rotation orbits have even weight as odd, or more), and the relayout and
+        # partner maps run over a whole slot, their tails reading entry 0, so that
+        # np.take, which copies a strided source or target whole, gathers whole slots
+        self.stride = max(h * len(cols), len(self.b) * d)
+
+        def slot(m: np.ndarray) -> np.ndarray:
+            return np.pad(m.reshape(-1), (0, self.stride - m.size))
+
         self.relayout = g < n and {
-            1: (_rotate(self.b[:, None], g * e_turn, n) & (h - 1)) * len(cols) + col,
-            -1: b_row[:, None] * d + _rotate(cols, g * b_turn[:, None], n),
+            1: slot((_rotate(self.b[:, None], g * e_turn, n) & (h - 1)) * len(cols) + col),
+            -1: slot(b_row[:, None] * d + _rotate(cols, g * b_turn[:, None], n)),
         }
         # where each row keeps the conjugate of an entry: A_K[k ^ e, e] of A_K[k, e] in
         # frame ek, read at its complement past d/2, and A_F[b, f ^ b] of A_F[b, f] in fb
         conj_row = np.where(self.xor < h, self.xor, self.xor ^ (d - 1))
         self.partners = (
-            (conj_row * len(cols) + np.arange(len(cols))).reshape(-1),
-            (np.arange(len(self.b))[:, None] * d + (e ^ self.b[:, None])).reshape(-1),
+            slot(conj_row * len(cols) + np.arange(len(cols))),
+            slot(np.arange(len(self.b))[:, None] * d + (e ^ self.b[:, None])),
         )
         # s = sum_j b_j (-1)^f_j in frame fb, as an index into its levels -n..n
         s = np.bitwise_count(self.b)[:, None].astype(np.intp) - 2 * np.bitwise_count(self.b[:, None] & e)
@@ -768,14 +798,22 @@ class _WalshFrames:
     tables and Walsh factors depend on ``(n, g)`` only (:class:`_FoldTables`).
 
     A transform is two real matmuls with half-register factors. The rows
-    live in one of two equal float64 buffers of ``rows * max(|E| d/2, |B| d)``
-    entries, ``d^2 / 2`` per row at ``g = n``, which :meth:`enter` allocates;
-    each relayout gathers them into the other, and a transform or a gate
-    borrows the buffer the rows are not in. The one exit from layout K,
-    :meth:`sectors`, gathers the pairs ``(r, r_p)`` of ``A[r, u r']`` for
-    the representatives of :class:`_Sectors` and writes them into the spare
-    buffer as one block stack per sector of ``G = <R^g> x <P>``, in the same
-    one-real form, then frees the buffer that held the rows.
+    live in one float64 buffer of ``rows`` slots, each of
+    ``max(|E| d/2, |B| d)`` entries (``d^2 / 2`` at ``g = n``), which
+    :meth:`enter` allocates; a row sits at the start of its slot in either
+    layout, so no layout change moves it. Each noise slot or gate runs on
+    groups of whole rows through one scratch array (:func:`fold_bytes`),
+    each group taken through every frame change and then the operation
+    before the next (:meth:`move`): a transform's first product goes into
+    the scratch and its second back, a relayout gathers the slots into the
+    scratch or back, a gate gathers the partners into whichever of the two
+    the rows are not in, and the operation writes its result into the
+    slots, so no group is copied back. The one exit from layout K,
+    :meth:`sectors`, frees the scratch and reads the rows out one at a
+    time: it gathers the pairs ``(r, r_p)`` of ``A[r, u r']`` for the
+    representatives of :class:`_Sectors`, forms their character sums, and
+    writes every sector's block of that row, in the same one-real form,
+    into the row's own slot.
     """
 
     def __init__(self, circuit: NoisyCircuit, state: np.ndarray, rows: int):
@@ -792,14 +830,18 @@ class _WalshFrames:
             else:
                 levels = 2.0 * kernel.a[0, 1].real * t.s_levels
                 self._phases[kernel] = (3, levels, t.s_index, t.partners[1])
-        self.frame, self._hold, self._bufs = 0, 0, None
-        self._size = rows * max(r * c for r, c in t.shapes)
+        self.frame, self._buf, self._scratch = 0, None, None
+        self._bytes = fold_bytes(rows, t.stride, t.sectors.size)
 
-    def _rows(self, count: int, spare: bool = False) -> np.ndarray:
-        """The first ``count`` rows in the current layout: in the buffer that
-        holds them, or, with ``spare``, in the other one."""
+    def _rows(self, count: int) -> np.ndarray:
+        """The first ``count`` rows in the current layout, each at the start of its slot."""
         r, c = self._tables.shapes[self.frame >= 2]
-        return self._bufs[self._hold ^ spare][: count * r * c].reshape(count, r, c)
+        return self._buf[:count, : r * c].reshape(count, r, c)
+
+    def _groups(self, count: int) -> list[slice]:
+        """Rows ``0..count-1`` in groups whose slots fit the scratch."""
+        step = len(self._scratch) // self._tables.stride
+        return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
     def enter(self, states: np.ndarray) -> None:
         """Load rows ``0..k-1``, frame ``ek``, from a ``(k, d)`` stack of state
@@ -808,89 +850,111 @@ class _WalshFrames:
         Each row is gathered through the column table ``xor``:
         ``A[k, e] = psi[k] conj(psi[k ^ e])``, the very product that
         ``np.outer(psi, psi.conj())`` holds there, in groups of rows whose
-        complex temporaries take at most :data:`READOUT_BYTES`.
+        complex temporaries take at most :data:`ENTRY_BYTES`. The scratch is
+        allocated once they are freed.
         """
-        self.frame, self._hold = 0, 0
-        self._bufs = np.empty(self._size), np.empty(self._size)
-        t = self._tables
-        step = max(1, READOUT_BYTES // (32 * t.xor.shape[1]))
+        t, (buffer, scratch, _) = self._tables, self._bytes
+        self.frame, self._scratch = 0, None
+        self._buf = np.empty(buffer // 8).reshape(-1, t.stride)
+        step = max(1, ENTRY_BYTES // (32 * t.xor.shape[1]))
         for row, psi in zip(self._rows(len(states)), states):
             conj = psi.conj()
             for i in range(0, len(row), step):
                 k = slice(i, min(i + step, len(row)))
                 a = psi[k, None] * conj[t.xor[k]]
                 np.add(a.real, a.imag, out=row[k])
+        self._scratch = np.empty(scratch // 8)
 
     def sectors(self, count: int) -> list[np.ndarray]:
         """Rows ``0..count-1`` as one ``(count, k, k)`` block stack per sector of
         :class:`_Sectors`, each block in the pass's one-real form
         ``Re A + Im A`` (:func:`hermitian_blocks` makes it complex); the rows
-        are spent and the buffers released.
+        are spent.
 
-        The stacks are written into the spare buffer, which ``sum k^2`` fits
-        row for row (``d^2 / 2`` at ``g = n``), from the rows in groups whose
-        pairs and sums take at most :data:`READOUT_BYTES`; the buffer that
-        held the rows is freed once every stack is written.
+        The scratch is freed first. Each row's pairs are then gathered and its
+        sums formed in temporaries of one row, and all of its sector blocks
+        written with one ``take`` into the row's own slot, which
+        ``sum k^2`` fits (``d^2 / 2`` at ``g = n``): every stack is a
+        row-strided view of the buffer, which lives as long as they do.
         """
         self.move(count, 0)
         t, sec = self._tables, self._tables.sectors
-        src = self._rows(count).reshape(count, -1)
-        blocks = sec.stacks(self._bufs[self._hold ^ 1], count)
-        self._bufs = None
-        step = min(count, max(1, READOUT_BYTES // (24 * sec.size)))
-        pairs, sums = np.empty(step * 2 * sec.size), np.empty(step * sec.size)
-        for i in range(0, count, step):
-            x = pairs[: (min(i + step, count) - i) * 2 * sec.size].reshape(-1, 2 * sec.size)
-            np.take(src[i : i + step], t.gather, axis=1, out=x, mode="clip")
-            sec.write(sec.sums(x, sums), [b[i : i + step] for b in blocks])
-        return blocks
+        src, slots = self._rows(count).reshape(count, -1), self._buf[:count]
+        self._buf = self._scratch = None
+        pairs, sums = np.empty((1, 2 * sec.size)), np.empty(sec.size)
+        for row, slot in zip(src, slots):
+            np.take(row, t.gather, out=pairs[0], mode="clip")
+            sec.write(sec.sums(pairs, sums), slot[None])
+        return sec.stacks(slots)
 
-    def move(self, count: int, frame: int) -> None:
-        """Bring rows ``0..count-1`` into ``frame``: 0 ``ek``, 1 ``eb(K)``, 2 ``eb(F)``, 3 ``fb``."""
-        t = self._tables
+    def move(self, count: int, frame: int, finish=None) -> None:
+        """Bring rows ``0..count-1`` into ``frame`` (0 ``ek``, 1 ``eb(K)``,
+        2 ``eb(F)``, 3 ``fb``), then apply ``finish`` to them.
+
+        Each group of rows goes the whole way before the next: every
+        relayout gathers its slots into the scratch or back, and each
+        transform's first product goes across and its second back, so the
+        rows end in the slots or in the scratch. ``finish(here, there, slots)``
+        gets the group's ``(k, stride)`` rows where they are, the other
+        ``(k, stride)`` array and the slots, and leaves the result in the
+        slots; by default the rows are copied back there.
+        """
+        t, edges = self._tables, []
         while self.frame != frame:
             step = 1 if frame > self.frame else -1
-            edge = min(self.frame, self.frame + step)  # 0: the bits of k, 1: relayout, 2: the bits of e
-            x = self._rows(count)
+            edges.append((min(self.frame, self.frame + step), step))  # 0: the bits of k, 1: relayout, 2: the bits of e
             self.frame += step
-            if edge == 1:
-                if t.relayout:
-                    out = self._rows(count, spare=True)
-                    np.take(x.reshape(count, -1), t.relayout[step], axis=1, out=out, mode="clip")
-                    self._hold ^= 1
-                continue
-            k, r, c = x.shape
-            y = self._rows(count, spare=True)
-            a, b = t.walsh[edge // 2]
-            if edge == 0:
-                np.matmul(a, x.reshape(k, len(a), -1), out=y.reshape(k, len(a), -1))
-                np.matmul(b, y.reshape(k * len(a), len(b), c), out=x.reshape(k * len(a), len(b), c))
-            else:
-                np.matmul(x.reshape(-1, len(b)), b, out=y.reshape(-1, len(b)))
-                np.matmul(a, y.reshape(k * r, len(a), len(b)), out=x.reshape(k * r, len(a), len(b)))
+        for part in self._groups(count):
+            slots = here = self._buf[part]
+            there = self._scratch[: here.size].reshape(here.shape)
+            for edge, step in edges:
+                if edge == 1:
+                    if t.relayout:
+                        np.take(here, t.relayout[step], axis=1, out=there, mode="clip")
+                        here, there = there, here
+                    continue
+                (r, c), (a, b) = t.shapes[edge // 2], t.walsh[edge // 2]
+                k, x, y = len(here), here[:, : r * c], there[:, : r * c]
+                if edge == 0:
+                    np.matmul(a, x.reshape(k, len(a), -1), out=y.reshape(k, len(a), -1))
+                    np.matmul(b, y.reshape(k, len(a), len(b), c), out=x.reshape(k, len(a), len(b), c))
+                else:
+                    np.matmul(x.reshape(-1, len(b)), b, out=y.reshape(-1, len(b)))
+                    np.matmul(a, y.reshape(k, r, len(a), len(b)), out=x.reshape(k, r, len(a), len(b)))
+            if finish is not None:
+                finish(here, there, slots)
+            elif here is not slots:
+                slots[:] = here
 
     def depolarize(self, count: int, channel: LocalDepolarizing) -> None:
         """Apply ``channel``, the circuit's noise, whose decay table :meth:`__init__` built,
         to rows ``0..count-1``, in frame ``eb(F)``."""
-        self.move(count, 2)
-        live = self._rows(count)
-        live *= self._decay
+        decay = self._decay.reshape(-1)
+
+        def finish(here, there, slots):
+            np.multiply(here[:, : len(decay)], decay, out=slots[:, : len(decay)])
+
+        self.move(count, 2, finish)
 
     def gate(self, count: int, kernel: GateKernel, theta: float) -> None:
         """Conjugate rows ``0..count-1`` by the gate, then write its seed
         ``-i [H, row 0]`` into row ``count``."""
         frame, levels, index, partner = self._phases[kernel]
-        self.move(count, frame)
-        rows = self._rows(count + 1).reshape(count + 1, -1)
-        live, seed = rows[:count], rows[count]
-        pair = self._rows(count, spare=True).reshape(count, -1)
-        np.take(live, partner, axis=1, out=pair, mode="clip")
         angles = theta * levels
-        live *= np.take(np.cos(angles), index)
-        pair *= np.take(np.sin(angles), index)
-        live += pair
-        np.take(live[0], partner, out=seed, mode="clip")
-        seed *= np.take(levels, index)
+        cos, sin = np.take(np.cos(angles), index), np.take(np.sin(angles), index)
+        w = len(index)
+
+        def finish(here, there, slots):
+            np.take(here, partner, axis=1, out=there, mode="clip")
+            live, pair = here[:, :w], there[:, :w]
+            live *= cos
+            pair *= sin
+            np.add(live, pair, out=slots[:, :w])
+
+        self.move(count, frame, finish)
+        seed = self._buf[count]
+        np.take(self._buf[0], partner, out=seed, mode="clip")
+        seed[:w] *= np.take(levels, index)
 
 
 def derivative_fd(

@@ -26,7 +26,6 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import verify as verify_mod
 from .channels import (
     Channel,
     CompositeChannel,
@@ -42,6 +41,7 @@ from .circuits import (
     NoisyCircuit,
     bloch_coords,
     evolve,
+    fold_bytes,
     hva_tfim,
     hva_tfim_pauli_generators,
     plus_state_vector,
@@ -343,18 +343,21 @@ def _estimated_bytes(circuit: dict, noise: dict, sweep: dict, workers: int, samp
     """Bytes a spectrum or scaling run of the Ising ansatz holds at once.
 
     The largest point once per point that runs at the same time,
-    ``min(workers, points)``: a local-depolarizing point with ``p > 0`` runs
-    the parity-folded pass, one sample at a time, charged its two float64
-    buffers for a circuit with no rotation symmetry, ``(M + 1) 8 d^2`` at
-    the deepest circuit (``M = 2L``): its read-out writes the sector blocks
-    into the spare buffer, and the assembly holds that buffer and one
-    sector's complex block, at most as much (a circuit with a rotation
-    symmetry holds less, one entry per rotation orbit). Every other point
-    runs the statevector pass on the :func:`scaling_chunk` samples it runs
-    at once (one for spectrum): its ``(M + 1)`` rows per sample and a spare
-    array of the same size, ``2 (M + 1) chunk 16 d`` at the depth where that
-    is largest; the spare is freed before the Fubini-Study assembly forms
-    its ``M`` projected rows per sample.
+    ``min(workers, points)``. A local-depolarizing point with ``p > 0`` runs
+    the parity-folded pass, one sample at a time, and is charged for a
+    circuit with no rotation symmetry (``g = n``) at the deepest circuit
+    (``M = 2L``): the pass's buffer from :func:`~qfimlab.circuits.fold_bytes`,
+    ``(M + 1) 4 d^2`` bytes, beside the largest of three: the pass's
+    scratch, one row's read-out pairs and sums, and the assembly, which makes
+    one parity block's stack complex, ``(M + 1) 4 d^2`` bytes, beside that
+    block's eigenvectors, their adjoint, its group product and its pair
+    weights, at most ``32 d^2``. A circuit with a rotation symmetry holds
+    less, one entry per rotation orbit. Every
+    other point runs the statevector pass on the :func:`scaling_chunk`
+    samples it runs at once (one for spectrum): its ``(M + 1)`` rows per
+    sample and a spare array of the same size, ``2 (M + 1) chunk 16 d`` at
+    the depth where that is largest; the spare is freed before the
+    Fubini-Study assembly forms its ``M`` projected rows per sample.
     """
     d = 2 ** circuit["n"]
     depths = [2 * level for level in (circuit["L"], *sweep["L"])]
@@ -362,7 +365,11 @@ def _estimated_bytes(circuit: dict, noise: dict, sweep: dict, workers: int, samp
     folded = noise["model"] == "local_depolarizing" and any(p > 0.0 for p in points)
     held = min(workers, len(points))
     vectors = max(2 * (m + 1) * scaling_chunk(samples, d, m) * 16 * d for m in depths)
-    return held * max(vectors, (max(depths) + 1) * 8 * d * d if folded else 0)
+    if not folded:
+        return held * vectors
+    rows = max(depths) + 1
+    buffer, scratch, readout = fold_bytes(rows, d * d // 2, d * d // 2)
+    return held * max(vectors, buffer + max(scratch, readout, rows * 4 * d * d + 32 * d * d))
 
 
 def scaling_chunk(samples: int, dim: int, n_params: int) -> int:
@@ -730,9 +737,11 @@ def run_scaling(config: ExperimentConfig, workers: int | None = None) -> str:
 
 def run_verify(config: ExperimentConfig, workers: int | None = None) -> str:
     """Numerical certificate suite as a JSON report with an ``all_passed`` flag."""
+    from . import verify  # only a verify run loads the suite
+
     seed = config.theta["seed"]
     tau_abs, tau_rel = config.rank_tolerances
-    results = verify_mod.run_suite(
+    results = verify.run_suite(
         seed, **config.options, tau_abs=tau_abs, tau_rel=tau_rel, workers=workers
     )
     payload = {"seed": seed, "checks": results, "all_passed": all(c["passed"] for c in results)}

@@ -11,7 +11,6 @@ without importing ``numpy.random``.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -98,6 +97,8 @@ def map_tasks(fn: Callable, args: Sequence, workers: int | None) -> list:
     """Run tasks (optionally in threads); results keep submission order."""
     if workers is None or workers <= 1 or len(args) <= 1:
         return [fn(a) for a in args]
+    from concurrent.futures import ThreadPoolExecutor  # loaded only when tasks run on threads
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args))
 

@@ -91,9 +91,9 @@ def sector_blocks(sectors, x: np.ndarray) -> list[np.ndarray]:
     if sectors._scale is not None:
         x *= sectors._scale
     sums = (x.reshape(-1, width) @ np.exp(-1j * np.pi * turn / count)).reshape(len(x), -1)
-    blocks = sectors.stacks(np.empty(len(x) * sectors.block_size, dtype=complex), len(x))
-    sectors.write(sums, blocks)
-    return blocks
+    rows = np.empty((len(x), sectors.block_size), dtype=complex)
+    sectors.write(sums, rows)
+    return sectors.stacks(rows)
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

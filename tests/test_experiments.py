@@ -11,6 +11,7 @@ import pytest
 from qfimlab.channels import GlobalDepolarizing, LocalDepolarizing, PauliChannel
 from qfimlab.circuits import (
     TOY_THETAS,
+    _rotation_step,
     evolve,
     hva_parity_sector_generators,
     hva_tfim,
@@ -738,8 +739,9 @@ def test_malformed_input_rejected_at_parse_time(raw, field, tmp_path):
 def test_memory_check_counts_points_that_run_at_once(monkeypatch, tmp_path, capsys):
     from qfimlab.cli import main
 
-    # 32 MiB: the n=8, L=10 folded point, charged its two float64 buffers
-    # (21 * 8 d^2 = 10.5 MiB), fits twice, but not four times
+    # 32 MiB: the n=8, L=10 folded point, charged its float64 buffer beside the
+    # assembly's complex parity block and temporaries (21 * 8 d^2 + 32 d^2 = 12.5 MiB),
+    # fits twice, but not four times
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**13}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     raw = {"experiment": "spectrum", "circuit": {"name": "hva_tfim", "n": 8, "L": 10},
@@ -812,15 +814,37 @@ def test_noiseless_spectrum_at_n14_fits_in_eight_gib(monkeypatch):
 
 
 def test_local_depolarizing_spectrum_at_n12_fits_in_eight_gib(monkeypatch):
-    # a folded point is charged its two float64 buffers at g = n, (M + 1) 8 d^2:
-    # 5.1 GiB at n=12, L=20, and 20.5 GiB at n=13
+    # a folded point is charged at g = n its float64 buffer, (M + 1) 4 d^2, beside the
+    # assembly's complex parity block, as much again, and its temporaries, 32 d^2:
+    # 5.6 GiB at n=12, L=20, and 22.5 GiB at n=13
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": int(7.8 * 2**30) // 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     raw = {"experiment": "spectrum", "circuit": {"name": "hva_tfim", "n": 12, "L": 20},
            "noise": {"model": "local_depolarizing", "p": 0.0}, "sweep": {"p": [1e-3]}}
     assert parse_config(raw).circuit["n"] == 12
-    with pytest.raises(ConfigError, match="needs about 20.5 GiB"):
+    with pytest.raises(ConfigError, match="needs about 22.5 GiB"):
         parse_config({**raw, "circuit": {"name": "hva_tfim", "n": 13, "L": 20}})
+
+
+def test_folded_memory_peak_lies_within_the_parse_time_estimate():
+    # a folded point with no rotation symmetry (g = n), the case the estimate charges:
+    # one buffer, then the assembly's complex parity block and temporaries beside it
+    raw = {"experiment": "spectrum", "circuit": {"name": "hva_tfim", "n": 8, "L": 10},
+           "noise": {"model": "local_depolarizing", "p": 0.0}, "sweep": {"p": [1e-3]}}
+    cfg = parse_config(raw)
+    estimate = _estimated_bytes(cfg.circuit, cfg.noise, cfg.sweep, 1)
+    noise = LocalDepolarizing(tuple(np.linspace(1e-3, 2e-3, 8)))
+    circuit, psi = hva_tfim(8, 10).with_uniform_noise(noise), plus_state_vector(8)
+    theta = np.random.default_rng(42).uniform(0, 2 * np.pi, circuit.n_params)
+    assert _rotation_step(circuit, psi) == 8
+    qfim_of_circuit(circuit, theta, psi)  # the fold tables, which a spectrum's points share
+    tracemalloc.start()
+    try:
+        qfim_of_circuit(circuit, theta, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.9 * estimate <= peak <= estimate
 
 
 def test_statevector_memory_peak_lies_within_the_parse_time_estimate():

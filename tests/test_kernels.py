@@ -27,12 +27,12 @@ from qfimlab.channels import (
     superoperator,
 )
 from qfimlab.circuits import (
-    READOUT_BYTES,
     DenseKernel,
     DiagonalKernel,
     NoisyCircuit,
     ProductKernel,
     _fold_tables,
+    _folded_sectors,
     _FoldTables,
     _rotate,
     _rotation_step,
@@ -42,6 +42,7 @@ from qfimlab.circuits import (
     build_circuit,
     evolve,
     evolve_with_derivatives,
+    fold_bytes,
     gate_kernel,
     hermitian_blocks,
     hva_tfim,
@@ -749,11 +750,12 @@ class TestSectors:
         assert sum(traces) == pytest.approx(len(orbit), abs=1e-13)
 
     def test_sector_blocks_fit_in_one_buffer_row(self):
-        # the read-out writes every sector's blocks into the pass's spare buffer
+        # the read-out writes each row's sector blocks into that row's own slot
         for n in range(1, 11):
             for g in (g for g in range(1, n + 1) if n % g == 0):
                 tables = _FoldTables(n, g)
-                assert tables.sectors.block_size <= max(r * c for r, c in tables.shapes), (n, g)
+                assert tables.stride == max(r * c for r, c in tables.shapes), (n, g)
+                assert tables.sectors.block_size <= tables.stride, (n, g)
 
     def test_at_no_rotation_the_sectors_are_the_two_parity_blocks(self, rng):
         n, d, h = 4, 16, 8
@@ -822,9 +824,10 @@ class TestSectors:
 
     @pytest.mark.parametrize("n, layers", [(8, 10), (10, 20)])
     def test_read_out_holds_no_more_than_the_pass(self, rng, n, layers):
-        # the sector stacks go into the spare buffer, one real per entry, and each
-        # becomes complex only while it is assembled: a folded QFIM holds its two
-        # pass buffers, the entry's and read-out's temporaries and one complex block
+        # the rows live in one buffer, the pass works through a scratch of whole rows,
+        # the read-out writes each row's sector blocks, one real per entry, into its
+        # own slot through one row's pairs and sums, and each stack becomes complex
+        # only while it is assembled
         circ = hva_tfim(n, layers).with_uniform_noise(LocalDepolarizing.uniform(n, 1e-3))
         theta, psi = rng.uniform(0, 2 * np.pi, circ.n_params), plus_state_vector(n)
         qfim_of_circuit(circ, theta, psi)
@@ -835,9 +838,50 @@ class TestSectors:
         finally:
             tracemalloc.stop()
         tables, rows = _fold_tables(n, 1), circ.n_params + 1
-        buffers = 2 * rows * max(r * c for r, c in tables.shapes) * 8
-        block = rows * max(k for _, k in tables.sectors._keep) ** 2 * 16
-        assert peak <= buffers + 2 * READOUT_BYTES + block
+        buffer, scratch, readout = fold_bytes(rows, max(r * c for r, c in tables.shapes), tables.sectors.size)
+        block = rows * max(tables.sectors.sizes) ** 2 * 16
+        assert peak <= buffer + scratch + readout + block
+
+    def test_pass_and_read_out_hold_one_buffer(self, rng):
+        # at n = 10 the scratch is smaller than the buffer, and neither the pass nor
+        # the read-out holds a second array of the buffer's size
+        n = 10
+        circ = hva_tfim(n, 20).with_uniform_noise(LocalDepolarizing.uniform(n, 1e-3))
+        theta, psi = rng.uniform(0, 2 * np.pi, circ.n_params), plus_state_vector(n)
+        _folded_sectors(circ, theta, psi)
+        tables = _fold_tables(n, 1)
+        buffer, scratch, _ = fold_bytes(circ.n_params + 1, tables.stride, tables.sectors.size)
+        assert scratch < buffer
+        tracemalloc.start()
+        try:
+            stacks = _folded_sectors(circ, theta, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * buffer
+        # every sector stack is a view of the one buffer
+        assert all(s.base is stacks[0].base for s in stacks) and stacks[0].base.nbytes == buffer
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("scratch_rows", [1, 3])
+    def test_scratch_groups_give_the_one_group_stacks_bit_for_bit(self, rng, monkeypatch, n, scratch_rows):
+        tfim, psi = hva_tfim(n, 3), plus_state_vector(n)
+        theta = rng.uniform(0, 2 * np.pi, tfim.n_params)
+        rows = tfim.n_params + 1
+        for noise, g in ((LocalDepolarizing.uniform(n, 0.02), 1), (LocalDepolarizing(tuple(rng.uniform(0, 0.1, n))), n)):
+            circ = tfim.with_uniform_noise(noise)
+            assert _rotation_step(circ, psi) == g
+            tables = _fold_tables(n, g)
+            buffer, scratch, _ = fold_bytes(rows, tables.stride, tables.sectors.size)
+            assert scratch == buffer  # every row in one group
+            whole = _folded_sectors(circ, theta, psi)
+            monkeypatch.setattr(circuits, "SCRATCH_BYTES", scratch_rows * 8 * tables.stride)
+            assert fold_bytes(rows, tables.stride, tables.sectors.size)[1] == scratch_rows * 8 * tables.stride
+            grouped = _folded_sectors(circ, theta, psi)
+            monkeypatch.undo()
+            assert len(grouped) == len(whole)
+            for a, b in zip(grouped, whole):
+                np.testing.assert_array_equal(a, b)
 
     def test_folded_qfim_does_not_import_numpy_ma(self):
         # numpy 2.4's np.unique imports numpy.ma unless it returns an inverse, ~10 ms

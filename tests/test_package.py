@@ -47,6 +47,21 @@ def test_spectrum_and_scaling_draw_theta_without_numpy_random():
     assert out.split() == ["False"]
 
 
+def test_runners_load_neither_the_verify_suite_nor_a_thread_pool():
+    # a run loads verify only to run the suite, and concurrent.futures only for threads
+    code = (
+        "import sys\n"
+        "from qfimlab.experiments import RUNNERS\n"
+        "print('qfimlab.verify' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+    )
+    src = str(Path(qfimlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, timeout=60
+    ).stdout
+    assert out.split() == ["False", "False"]
+
+
 def test_benchmark_hooks_resolve(monkeypatch):
     # perfbench imports these names and its tracer patches them; resolve them
     # without Tracer.install, which would patch qfimlab for the whole process
@@ -113,17 +128,21 @@ def test_bench_tool_writes_one_row_per_point(tmp_path):
         assert 0 < row["rank"] <= 4 and row["lambda_max"] > 0
     assert doc["rows"][2]["lambda_max"] == doc["rows"][3]["lambda_max"]
     assert all("traced_peak_mb" not in row for row in doc["rows"])
-    # --traced adds the tracemalloc peak of a second call; other sides' rows stay
+    assert all("wall_s_warm" not in row for row in doc["rows"])
+    # --traced adds the tracemalloc peak of a second call and --calls the median of
+    # the warm calls; only the rows of the side and point that run again are replaced
     subprocess.run(
         [sys.executable, str(root / "tools" / "bench.py"), "smoke", "--side", f"change={root / 'src'}",
-         "--repeat", "1", "--n", "4", "--layers", "2", "--traced", "--out-dir", str(tmp_path)],
+         "--repeat", "1", "--n", "4", "--layers", "2", "--traced", "--calls", "3", "--out-dir", str(tmp_path)],
         check=True, capture_output=True, timeout=120,
     )
     rows = json.loads((tmp_path / "BENCH_smoke.json").read_text())["rows"]
-    assert [(row["name"], row["n"]) for row in rows] == [("parent", 3), ("parent", 4), ("change", 4)]
-    assert "traced_peak_mb" not in rows[1]
-    assert 0 < rows[2]["traced_peak_mb"] < rows[2]["ru_maxrss_mb"]
-    assert rows[2]["lambda_max"] == doc["rows"][3]["lambda_max"]
+    assert [(row["name"], row["n"]) for row in rows] == [("parent", 3), ("change", 3), ("parent", 4), ("change", 4)]
+    assert rows[:3] == doc["rows"][:3]
+    assert "traced_peak_mb" not in rows[2]
+    assert 0 < rows[3]["traced_peak_mb"] < rows[3]["ru_maxrss_mb"]
+    assert rows[3]["lambda_max"] == doc["rows"][3]["lambda_max"]
+    assert rows[3]["wall_s_warm"] > 0 and len(rows[3]["wall_s_warm_runs"]) == 1
 
 
 def test_readme_bench_recipe_runs(tmp_path):
@@ -142,4 +161,6 @@ def test_readme_bench_recipe_runs(tmp_path):
         assert [(row["name"], row["n"], row["L"], row["folded"]) for row in rows] == [
             ("parent", 3, 1, True), ("change", 3, 1, True)
         ]
-    assert {path.name for path in tmp_path.iterdir()} == {"BENCH_sector_readout.json", "BENCH_vector_entry.json"}
+    assert {path.name for path in tmp_path.iterdir()} == {
+        "BENCH_one_buffer.json", "BENCH_sector_readout.json", "BENCH_vector_entry.json"
+    }

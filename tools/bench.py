@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/bench.py LABEL [--side NAME=SRC ...] [--repeat R] [--n N ...] [--layers L] [--traced] [--out-dir DIR]
+    python tools/bench.py LABEL [--side NAME=SRC ...] [--repeat R] [--n N ...] [--layers L] [--calls C] [--traced] [--out-dir DIR]
 
 Each point is one ``qfim_of_circuit`` call on ``hva_tfim(n, L)`` under
 uniform local depolarizing noise ``p = 1e-3``, from the state vector
@@ -20,26 +20,32 @@ vectors reads false there, while its ``qfim_of_circuit`` still folded
 call under ``tracemalloc`` and records its peak (``traced_peak_mb``): the
 arrays' own peak, which unlike ``ru_maxrss`` does not move with the size of
 the interpreter, its modules or the shared libraries; ``wall_s`` and
-``ru_maxrss_mb`` stay those of the first call.
+``ru_maxrss_mb`` stay those of the first call. With ``--calls C`` (default
+1) the child makes C timed calls: ``wall_s`` stays the first, cold call,
+which builds the fold tables, and for C > 1 ``wall_s_warm`` is the median
+of calls 2..C, which find them built, as every later point of a
+``spectrum`` run does.
 
 Each ``--side NAME=SRC`` names a ``src`` directory that ``qfimlab`` is
 imported from (default: ``change`` = this checkout's), so a parent commit
 is timed from a copy of its tree. Every point runs ``--repeat`` times per
 side (default 3), the sides alternating their order from one repeat to
 the next, and gives one row per side: the median ``wall_s`` with every
-run's time in ``wall_s_runs``, and the largest ``ru_maxrss_mb`` (and
+run's time in ``wall_s_runs``, the median ``wall_s_warm`` with every run's
+in ``wall_s_warm_runs`` (for C > 1), and the largest ``ru_maxrss_mb`` (and
 ``traced_peak_mb``). The rows go into ``BENCH_<LABEL>.json`` in
-``--out-dir`` (the checkout root by default); rows of other sides already
-in the file are kept::
+``--out-dir`` (the checkout root by default); rows already in the file are
+kept unless this run makes a row of the same side, n and L::
 
     mkdir -p ../parent && git archive <parent> | tar -x -C ../parent
-    python tools/bench.py sector_readout --side parent=../parent/src --side change=src --n 10 11 12 --repeat 5 --traced
+    python tools/bench.py one_buffer --side parent=../parent/src --side change=src --n 11 12 --repeat 5 --traced
 
 The points run one after the other, largest last; one n = 12 run of the
-folded pass from a state vector takes about 0.6 GB and 20 s on a 2-core Xeon
-(``--traced`` adds a second call, of about the same time).
-At n = 10 single calls spread by about 30% between fresh processes, so
-compare sides there with 5 repeats or more.
+folded pass from a state vector takes about 0.4 GB and 15 s on a 2-core
+Xeon (``--traced`` adds a second call, of about the same time). At n = 10
+single cold calls spread by about 30% between fresh processes, so compare
+sides there on ``wall_s_warm`` with ``--calls 10``, or on ``wall_s`` with 5
+repeats or more.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 P, SEED = 1e-3, 42
 
 
-def child(n: int, layers: int, traced: bool = False) -> dict:
+def child(n: int, layers: int, traced: bool = False, calls: int = 1) -> dict:
     """One point, in this process: numpy must not have been imported yet."""
     import resource
     import time
@@ -89,6 +95,14 @@ def child(n: int, layers: int, traced: bool = False) -> dict:
         "lambda_max": float(report.eigenvalues[0]),
         "numpy": np.__version__,
     }
+    warm = []
+    for _ in range(calls - 1):
+        del report
+        start = time.perf_counter()
+        report = qfim_of_circuit(circuit, theta, psi)
+        warm.append(time.perf_counter() - start)
+    if warm:
+        row["wall_s_warm"] = statistics.median(warm)
     if traced:
         del report
         tracemalloc.start()
@@ -98,11 +112,12 @@ def child(n: int, layers: int, traced: bool = False) -> dict:
     return row
 
 
-def run_point(src: Path, n: int, layers: int, traced: bool = False) -> dict:
+def run_point(src: Path, n: int, layers: int, traced: bool = False, calls: int = 1) -> dict:
     """:func:`child` in a fresh interpreter that imports ``qfimlab`` from ``src``."""
     env = {**os.environ, **dict.fromkeys(BLAS_VARS, "1"), "PYTHONPATH": str(src)}
     out = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--child", str(n), str(layers), *(["--traced"] if traced else [])],
+        [sys.executable, str(Path(__file__).resolve()), "--child", str(n), str(layers), str(calls),
+         *(["--traced"] if traced else [])],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(out.stdout.splitlines()[-1])
@@ -130,6 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--n", type=int, nargs="+", default=[8, 10, 11, 12])
     parser.add_argument("--layers", type=int, default=20)
+    parser.add_argument("--calls", type=int, default=1)
     parser.add_argument("--traced", action="store_true")
     parser.add_argument("--out-dir", type=Path, default=ROOT)
     args = parser.parse_args(argv)
@@ -137,8 +153,8 @@ def main(argv: list[str] | None = None) -> int:
     for name, src in sides.items():
         if not (Path(src) / "qfimlab").is_dir():
             parser.error(f"side {name}: no qfimlab package under {src}")
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
+    if args.repeat < 1 or args.calls < 1:
+        parser.error("--repeat and --calls must be at least 1")
     path = args.out_dir / f"BENCH_{args.label}.json"
     doc = json.loads(path.read_text()) if path.exists() else {"label": args.label, "rows": []}
     doc["workload"] = (
@@ -147,15 +163,19 @@ def main(argv: list[str] | None = None) -> int:
         "1 BLAS thread"
     )
     doc["environment"] = environment()
-    rows = [row for row in doc["rows"] if row["name"] not in sides]
+    made = {(name, n, args.layers) for name in sides for n in args.n}
+    rows = [row for row in doc["rows"] if (row["name"], row["n"], row["L"]) not in made]
     for n in args.n:
         runs = {name: [] for name in sides}
         for r in range(args.repeat):
             for name in list(sides)[:: -1 if r % 2 else 1]:
-                runs[name].append(run_point(Path(sides[name]).resolve(), n, args.layers, args.traced))
+                runs[name].append(run_point(Path(sides[name]).resolve(), n, args.layers, args.traced, args.calls))
         for name, done in runs.items():
             walls = [run["wall_s"] for run in done]
             row = {"name": name, **done[0], "wall_s": statistics.median(walls), "wall_s_runs": walls}
+            if args.calls > 1:
+                warm = [run["wall_s_warm"] for run in done]
+                row.update(wall_s_warm=statistics.median(warm), wall_s_warm_runs=warm)
             row["ru_maxrss_mb"] = max(run["ru_maxrss_mb"] for run in done)
             if args.traced:
                 row["traced_peak_mb"] = max(run["traced_peak_mb"] for run in done)
@@ -170,6 +190,6 @@ if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
         for var in BLAS_VARS:
             os.environ[var] = "1"
-        print(json.dumps(child(int(sys.argv[2]), int(sys.argv[3]), sys.argv[4:5] == ["--traced"])))
+        print(json.dumps(child(int(sys.argv[2]), int(sys.argv[3]), sys.argv[5:6] == ["--traced"], int(sys.argv[4]))))
     else:
         sys.exit(main())
