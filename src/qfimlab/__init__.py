@@ -1,5 +1,6 @@
 """Noisy parametrized quantum circuits, their quantum Fisher information
-matrices, and dynamical Lie algebras, on dense density matrices.
+matrices, and dynamical Lie algebras, on state vectors, parity-folded sectors
+or dense density matrices, as the input and the noise allow.
 
 The package is organized as:
 
@@ -17,8 +18,10 @@ The package is organized as:
   distances and relative entropy.
 - ``rand``: seeded Philox substreams (one per task) and their vectorized uniform
   draws, the bounded task map, and random operators and states.
-- ``experiments``: JSON-configured, seeded experiment harness with CSV/JSON
-  emission, plus the numerical verification suite (``verify``).
+- ``experiments``: JSON-configured, seeded experiment harness; runners return
+  data, rendered once as CSV or JSON.
+- ``verify``: the numerical verification suite that the ``verify`` experiment runs.
+- ``cli``: the ``qfimlab`` command, which runs one experiment from a config file.
 """
 
 from .channels import (

@@ -8,10 +8,9 @@ to apply concurrently.
 Each channel class implements one batched kernel, ``_apply_batch``, that
 overwrites a ``(k, d, d)`` complex stack with the channel applied to every
 matrix in it, using a same-shape scratch buffer instead of allocating.
-Circuit propagation calls it directly on buffers it owns;
-:meth:`Channel.apply_batch` is the checked entry point for other callers, and
-:meth:`Channel.apply` wraps a single matrix in a stack of one and returns a
-new array.
+Circuit propagation calls it directly on buffers it owns, and
+:meth:`Channel.apply`, the checked entry point for other callers, wraps a
+single matrix in a stack of one and returns a new array.
 """
 
 from __future__ import annotations
@@ -115,22 +114,6 @@ class Channel:
         stack = np.array(mat, dtype=complex)[None]
         self._apply_batch(stack, np.empty_like(stack))
         return stack[0]
-
-    def apply_batch(self, stack: np.ndarray, scratch: np.ndarray) -> None:
-        """Apply the channel in place to every matrix of a ``(k, d, d)`` stack.
-
-        ``stack`` must be a C-contiguous complex array; ``scratch`` is a
-        buffer of the same shape and dtype whose contents are overwritten.
-        """
-        if stack.shape[1:] != (self.dim, self.dim) or scratch.shape != stack.shape:
-            raise DimensionMismatchError(
-                f"channel on {self.n_qubits} qubits cannot act on stack {stack.shape} "
-                f"with scratch {scratch.shape}"
-            )
-        for buf in (stack, scratch):
-            if buf.dtype != complex or not buf.flags.c_contiguous:
-                raise ValueError("stack and scratch must be C-contiguous complex arrays")
-        self._apply_batch(stack, scratch)
 
     def _apply_batch(self, stack: np.ndarray, scratch: np.ndarray) -> None:
         raise NotImplementedError

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .exceptions import ConfigError, QfimlabError
-from .experiments import EXPERIMENTS, RUNNERS, parse_config
+from .experiments import DATA_RUNNERS, EXPERIMENTS, parse_config, render
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,24 +44,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        raw = json.loads(Path(args.config).read_text())
+        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 1
 
-    if args.seed is not None:
-        raw = dict(raw)
-        theta = dict(raw.get("theta", {}))
-        theta.pop("values", None)
-        theta["seed"] = args.seed
-        raw["theta"] = theta
+    theta = raw.get("theta", {}) if isinstance(raw, dict) else None
+    if args.seed is not None and isinstance(theta, dict):  # else parse_config reports the section
+        theta = {key: value for key, value in theta.items() if key != "values"}
+        raw = {**raw, "theta": {**theta, "seed": args.seed}}
 
     try:
         config = parse_config(raw, args.experiment, args.workers)
-        text = RUNNERS[config.experiment](config, workers=args.workers)
+        result = DATA_RUNNERS[config.experiment](config, workers=args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -69,23 +67,19 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    failed = False
     if config.experiment == "verify":
-        payload = json.loads(text)
-        failed = not payload["all_passed"]
-        for check in payload["checks"]:
+        for check in result["checks"]:
             status = "PASS" if check["passed"] else "FAIL"
             print(f"[{status}] {check['name']}: margin={check['margin']:.3e} "
                   f"tol={check['tolerance']}")
     elif config.experiment == "dla":
-        payload = json.loads(text)
-        line = f"dim = {payload['dim']}"
-        if "dim_full_matrix" in payload:
-            line += f" (unrestricted matrix closure: {payload['dim_full_matrix']})"
-        if payload.get("expected") is not None:
-            line += f"; expected {payload['expected']}: {'ok' if payload['match'] else 'MISMATCH'}"
+        line = f"dim = {result['dim']}"
+        if "dim_full_matrix" in result:
+            line += f" (unrestricted matrix closure: {result['dim_full_matrix']})"
+        line += f"; expected {result['expected']}: {'ok' if result['match'] else 'MISMATCH'}"
         print(line)
 
+    text = render(config, result)
     out_path = args.out or config.output["path"]
     if out_path:
         try:
@@ -97,7 +91,7 @@ def main(argv=None) -> int:
     elif config.experiment not in ("verify", "dla"):
         sys.stdout.write(text)
 
-    return 2 if failed else 0
+    return 2 if config.experiment == "verify" and not result["all_passed"] else 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ output. The theta draws of ``spectrum`` and ``scaling`` come from one
 vectorized :func:`~qfimlab.rand.subkey_uniform` evaluation, without
 ``numpy.random``. CSV files carry a versioned schema comment line and
 print floats with 17 significant digits; JSON reports echo the config along
-with a SHA-256 hash of its canonical form.
+with a SHA-256 hash of its canonical form. Runners return data, a
+:class:`Table` or a report dict, and :func:`render` alone makes it text.
 """
 
 from __future__ import annotations
@@ -284,8 +285,8 @@ def parse_config(raw: dict, experiment: str | None = None, workers: int | None =
     if output["format"] not in contract.formats:
         allowed = " or ".join(map(repr, contract.formats))
         raise ConfigError(f"output.format: {exp} writes {allowed}, got {output['format']!r}")
-    if output["path"] is not None and not isinstance(output["path"], str):
-        raise ConfigError(f"output.path must be a string, got {output['path']!r}")
+    if output["path"] is not None and (not isinstance(output["path"], str) or "\0" in output["path"]):
+        raise ConfigError(f"output.path must be a string with no NUL character, got {output['path']!r}")
 
     options = raw.get("options", {})
     _check_keys(options, f"options ({exp})", set(contract.options))
@@ -526,6 +527,20 @@ def rows_to_csv(experiment: str, columns: Sequence[str], blocks: Sequence[Sequen
     return "\n".join([head, ",".join(columns), *texts, ""])  # "": the final newline, in the one join
 
 
+class Table(NamedTuple):
+    """A table runner's result: its columns and its blocks of rows (see :func:`rows_to_csv`)."""
+
+    columns: Sequence[str]
+    blocks: Sequence[Sequence[Any]]
+
+
+def render(config: ExperimentConfig, result: Table | dict) -> str:
+    """A runner's output text: a report dict by :func:`report_to_json`, a table by :func:`emit_table`."""
+    if isinstance(result, dict):
+        return report_to_json(config, result)
+    return emit_table(config, *result)
+
+
 def emit_table(config: ExperimentConfig, columns: Sequence[str], blocks: Sequence[Sequence[Any]]) -> str:
     """Render a result table, given as blocks of rows (see :func:`rows_to_csv`),
     as CSV (default) or JSON per ``output.format``; JSON lists every row."""
@@ -558,7 +573,7 @@ def report_to_json(config: ExperimentConfig, payload: dict) -> str:
 TRAJECTORY_COLUMNS = ("gate_index", "step", "x", "y", "z", "purity", "label")
 
 
-def run_trajectory(config: ExperimentConfig, workers: int | None = None) -> str:
+def run_trajectory(config: ExperimentConfig, workers: int | None = None) -> Table:
     """Bloch trajectories for the toy model: gate-by-gate paths for the three
     canonical parameter points, plus paths along every QFIM eigenvector.
 
@@ -609,7 +624,7 @@ def run_trajectory(config: ExperimentConfig, workers: int | None = None) -> str:
         return blocks
 
     groups = map_tasks(label_rows, list(TOY_THETAS.items()), workers)
-    return emit_table(config, TRAJECTORY_COLUMNS, [block for group in groups for block in group])
+    return Table(TRAJECTORY_COLUMNS, [block for group in groups for block in group])
 
 
 def _scan_directions(matrix: np.ndarray) -> np.ndarray:
@@ -624,7 +639,7 @@ def _scan_directions(matrix: np.ndarray) -> np.ndarray:
 EIG_VS_P_COLUMNS = ("label", "p", "eig_index", "eigenvalue", "rank")
 
 
-def run_eig_vs_p(config: ExperimentConfig, workers: int | None = None) -> str:
+def run_eig_vs_p(config: ExperimentConfig, workers: int | None = None) -> Table:
     """Toy-model QFIM spectrum on a noise-probability grid, per parameter point."""
     base, rho = toy_model()
     tau_abs, tau_rel = config.rank_tolerances
@@ -636,7 +651,7 @@ def run_eig_vs_p(config: ExperimentConfig, workers: int | None = None) -> str:
         return (label, p, range(len(report.eigenvalues)), report.eigenvalues, report.rank)
 
     tasks = [(label, theta, p) for label, theta in TOY_THETAS.items() for p in config.sweep["p"]]
-    return emit_table(config, EIG_VS_P_COLUMNS, map_tasks(one_point, tasks, workers))
+    return Table(EIG_VS_P_COLUMNS, map_tasks(one_point, tasks, workers))
 
 
 def _with_noise(circuit: NoisyCircuit, noise: dict, p: float) -> NoisyCircuit:
@@ -651,11 +666,11 @@ def _epsilon_column(epsilon: float) -> str:
     return f"d1_eps_{epsilon:g}"
 
 
-def run_spectrum(config: ExperimentConfig, workers: int | None = None) -> str:
+def run_spectrum(config: ExperimentConfig, workers: int | None = None) -> Table:
     """Full QFIM spectrum of the Ising ansatz at fixed theta across noise levels.
 
-    Emits the noiseless rank, the symmetric-sector algebra dimension, and one
-    capacity column per configured epsilon.
+    Its rows hold the noiseless rank, the symmetric-sector algebra dimension,
+    and one capacity column per configured epsilon.
     """
     epsilons = config.options["epsilons"]
     n, layers = config.circuit["n"], config.circuit["L"]
@@ -680,7 +695,7 @@ def run_spectrum(config: ExperimentConfig, workers: int | None = None) -> str:
         return (n, layers, circuit.n_params, p, range(len(eigs)), eigs,
                 report.rank, noiseless.rank, dim_g, *counts)
 
-    return emit_table(config, columns, map_tasks(one_p, config.sweep["p"], workers))
+    return Table(columns, map_tasks(one_p, config.sweep["p"], workers))
 
 
 SCALING_COLUMNS = (
@@ -689,7 +704,7 @@ SCALING_COLUMNS = (
 )
 
 
-def run_scaling(config: ExperimentConfig, workers: int | None = None) -> str:
+def run_scaling(config: ExperimentConfig, workers: int | None = None) -> Table:
     """Average QFIM entry/eigenvalue magnitudes along depth and noise sweeps.
 
     One sweep varies L at the noise config's fixed p, the other varies p at
@@ -732,11 +747,11 @@ def run_scaling(config: ExperimentConfig, workers: int | None = None) -> str:
             float(np.mean(eigs)), float(np.std(eigs)),
         )
 
-    return emit_table(config, SCALING_COLUMNS, map_tasks(one_coord, list(zip(tasks, draws)), workers))
+    return Table(SCALING_COLUMNS, map_tasks(one_coord, list(zip(tasks, draws)), workers))
 
 
-def run_verify(config: ExperimentConfig, workers: int | None = None) -> str:
-    """Numerical certificate suite as a JSON report with an ``all_passed`` flag."""
+def run_verify(config: ExperimentConfig, workers: int | None = None) -> dict:
+    """Numerical certificate suite: its ``checks`` and an ``all_passed`` flag."""
     from . import verify  # only a verify run loads the suite
 
     seed = config.theta["seed"]
@@ -744,11 +759,10 @@ def run_verify(config: ExperimentConfig, workers: int | None = None) -> str:
     results = verify.run_suite(
         seed, **config.options, tau_abs=tau_abs, tau_rel=tau_rel, workers=workers
     )
-    payload = {"seed": seed, "checks": results, "all_passed": all(c["passed"] for c in results)}
-    return report_to_json(config, payload)
+    return {"seed": seed, "checks": results, "all_passed": all(c["passed"] for c in results)}
 
 
-def run_dla(config: ExperimentConfig, workers: int | None = None) -> str:
+def run_dla(config: ExperimentConfig, workers: int | None = None) -> dict:
     """Lie-algebra dimension report for the configured circuit.
 
     The generators are Pauli sums, so no ``2^n`` matrix is formed. For the
@@ -762,12 +776,7 @@ def run_dla(config: ExperimentConfig, workers: int | None = None) -> str:
     max_dim = config.options["max_dim"]
     if config.circuit["name"] == "toy":
         full = lie_closure([PauliSum.from_matrix(g) for g in TOY_GENERATORS], max_dim=max_dim)
-        payload = {
-            "circuit": "toy",
-            "dim": full.dim,
-            "expected": 3,
-            "match": full.dim == 3,
-        }
+        payload = {"circuit": "toy", "dim": full.dim, "expected": 3, "match": full.dim == 3}
     else:
         n = config.circuit["n"]
         full = lie_closure(hva_tfim_pauli_generators(n), max_dim=max_dim)
@@ -786,10 +795,11 @@ def run_dla(config: ExperimentConfig, workers: int | None = None) -> str:
             {label: [c.real * scale, c.imag * scale] for label, c in e.labels().items()}
             for e in full.elements
         ]
-    return report_to_json(config, payload)
+    return payload
 
 
-RUNNERS: dict[str, Callable] = {
+# Each experiment's runner, ``(config, workers) -> Table | dict``.
+DATA_RUNNERS: dict[str, Callable] = {
     "trajectory": run_trajectory,
     "eig_vs_p": run_eig_vs_p,
     "spectrum": run_spectrum,
@@ -797,3 +807,12 @@ RUNNERS: dict[str, Callable] = {
     "verify": run_verify,
     "dla": run_dla,
 }
+
+
+def _rendered(run: Callable) -> Callable[..., str]:
+    """``run`` followed by :func:`render`, a module global looked up at each call:
+    the runner ``(config, workers) -> str`` that gives the output text."""
+    return lambda config, workers=None: render(config, run(config, workers))
+
+
+RUNNERS: dict[str, Callable[..., str]] = {name: _rendered(run) for name, run in DATA_RUNNERS.items()}

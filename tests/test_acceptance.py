@@ -38,7 +38,7 @@ from qfimlab.circuits import (
     toy_model,
 )
 from qfimlab.dla import dla_dimension
-from qfimlab.experiments import parse_config, run_scaling, run_spectrum
+from qfimlab.experiments import RUNNERS, parse_config
 from qfimlab.qfim import (
     TAU_RANK_ABS,
     TAU_RANK_REL,
@@ -174,7 +174,7 @@ def _spectrum_values(p_values, n=4, layers=6):
             "sweep": {"p": p_values},
         }
     )
-    text = run_spectrum(cfg)
+    text = RUNNERS["spectrum"](cfg)
     lines = text.strip().split("\n")
     header = lines[1].split(",")
     rows = [line.split(",") for line in lines[2:]]
@@ -242,7 +242,7 @@ def test_criterion_12_scaling_slope_and_runtime():
             "options": {"samples": 10},
         }
     )
-    text = run_scaling(cfg)
+    text = RUNNERS["scaling"](cfg)
     elapsed = time.monotonic() - start
     lines = text.strip().split("\n")
     header = lines[1].split(",")

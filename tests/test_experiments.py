@@ -24,6 +24,7 @@ from qfimlab.exceptions import CapExceededError, ConfigError
 from qfimlab.experiments import (
     CSV_SCHEMA_VERSION,
     MAX_EIGVEC_SPAN,
+    RUNNERS,
     TRAJECTORY_COLUMNS,
     TRAJECTORY_ROW_BYTES,
     _csv_cell,
@@ -34,13 +35,10 @@ from qfimlab.experiments import (
     config_hash,
     emit_table,
     parse_config,
+    render,
     report_to_json,
     rows_to_csv,
     run_dla,
-    run_eig_vs_p,
-    run_scaling,
-    run_spectrum,
-    run_trajectory,
     run_verify,
     scaling_chunk,
 )
@@ -127,20 +125,20 @@ class TestConfigValidation:
 
 
 DETERMINISM_CONFIGS = {
-    "eig_vs_p": (run_eig_vs_p, {
+    "eig_vs_p": (RUNNERS["eig_vs_p"], {
         "experiment": "eig_vs_p",
         "noise": {"model": "bit_flip", "p": 0.1},
         "sweep": {"p": [0.001, 0.01, 0.1, 0.3]},
     }),
     # local depolarizing points take the parity-folded pass
-    "spectrum": (run_spectrum, {
+    "spectrum": (RUNNERS["spectrum"], {
         "experiment": "spectrum",
         "circuit": {"name": "hva_tfim", "n": 4, "L": 3},
         "noise": {"model": "local_depolarizing", "p": 0.0},
         "sweep": {"p": [0.01, 0.1]},
     }),
     # state vectors: one batched statevector pass per coordinate
-    "scaling_global_depol": (run_scaling, {
+    "scaling_global_depol": (RUNNERS["scaling"], {
         "experiment": "scaling",
         "circuit": {"name": "hva_tfim", "n": 4, "L": 2},
         "noise": {"model": "global_depolarizing", "p": 0.05},
@@ -148,7 +146,7 @@ DETERMINISM_CONFIGS = {
         "options": {"samples": 3},
     }),
     # p > 0: the parity-folded pass, one sample at a time
-    "scaling_local_depol": (run_scaling, {
+    "scaling_local_depol": (RUNNERS["scaling"], {
         "experiment": "scaling",
         "circuit": {"name": "hva_tfim", "n": 4, "L": 2},
         "noise": {"model": "local_depolarizing", "p": 0.02},
@@ -185,7 +183,7 @@ class TestDeterminism:
                 "sweep": {"p": [0.1]},
             }
         )
-        header, rows = parse_csv(run_eig_vs_p(cfg))
+        header, rows = parse_csv(RUNNERS["eig_vs_p"](cfg))
         assert rows[0][header.index("p")] == "0.10000000000000001"
 
 
@@ -251,7 +249,7 @@ class TestTrajectory:
 
     def test_schema_and_labels(self):
         cfg = self.base_config({"model": "none"})
-        header, rows = parse_csv(run_trajectory(cfg))
+        header, rows = parse_csv(RUNNERS["trajectory"](cfg))
         assert header == ["gate_index", "step", "x", "y", "z", "purity", "label"]
         labels = {r[-1] for r in rows}
         assert {"theta1", "theta2", "theta3", "theta3/eig0", "theta3/eig3"} <= labels
@@ -259,7 +257,7 @@ class TestTrajectory:
     def test_zero_eigenvalue_direction_is_locally_flat(self):
         # flat to second order: with a small span every point coincides
         cfg = self.base_config({"model": "none"}, eigvec_span=5e-5)
-        header, rows = parse_csv(run_trajectory(cfg))
+        header, rows = parse_csv(RUNNERS["trajectory"](cfg))
         ix, iy, iz = header.index("x"), header.index("y"), header.index("z")
         for label in ("theta3/eig2", "theta3/eig3"):  # zero-eigenvalue directions
             pts = np.array(
@@ -269,7 +267,7 @@ class TestTrajectory:
 
     def test_noiseless_eigvec_paths_have_constant_purity(self):
         cfg = self.base_config({"model": "none"}, eigvec_span=1.0)
-        header, rows = parse_csv(run_trajectory(cfg))
+        header, rows = parse_csv(RUNNERS["trajectory"](cfg))
         ip = header.index("purity")
         for label in ("theta3/eig0", "theta3/eig1", "theta3/eig2", "theta3/eig3"):
             purities = [float(r[ip]) for r in rows if r[-1] == label]
@@ -277,7 +275,7 @@ class TestTrajectory:
 
     def test_noisy_paths_change_purity(self):
         cfg = self.base_config({"model": "bit_flip", "p": 0.1}, eigvec_span=1.0)
-        header, rows = parse_csv(run_trajectory(cfg))
+        header, rows = parse_csv(RUNNERS["trajectory"](cfg))
         ip = header.index("purity")
         ranges = []
         for k in range(4):
@@ -289,12 +287,12 @@ class TestTrajectory:
     def test_batched_rows_equal_the_per_state_loop_byte_for_byte(self, noise):
         cfg = self.base_config(noise, steps_per_gate=20, eigvec_steps=10)
         expected = rows_to_csv("trajectory", TRAJECTORY_COLUMNS, reference_trajectory_rows(cfg))
-        assert run_trajectory(cfg) == expected
+        assert RUNNERS["trajectory"](cfg) == expected
 
     @pytest.mark.parametrize("noise", TOY_NOISE_CONFIGS[:2], ids=lambda n: n["model"])
     def test_eigenvectors_returned_negated_give_the_same_rows(self, noise, monkeypatch):
         cfg = self.base_config(noise)
-        expected = run_trajectory(cfg)
+        expected = RUNNERS["trajectory"](cfg)
         eigh, calls = np.linalg.eigh, []
 
         def negated(a):
@@ -303,7 +301,7 @@ class TestTrajectory:
             return values, -vectors
 
         monkeypatch.setattr(np.linalg, "eigh", negated)
-        assert run_trajectory(cfg) == expected
+        assert RUNNERS["trajectory"](cfg) == expected
         assert calls.count((4, 4)) == len(TOY_THETAS)
 
     def test_scan_directions_make_the_largest_component_positive(self, rng, monkeypatch):
@@ -319,7 +317,7 @@ class TestTrajectory:
 
     def test_gate_by_gate_rows_present(self):
         cfg = self.base_config({"model": "none"})
-        header, rows = parse_csv(run_trajectory(cfg))
+        header, rows = parse_csv(RUNNERS["trajectory"](cfg))
         gate_rows = [r for r in rows if r[-1] == "theta2"]
         # 1 input row + 4 gates x 9 steps + 1 terminal row
         assert len(gate_rows) == 1 + 4 * 9 + 1
@@ -334,7 +332,7 @@ class TestEigVsP:
                 "sweep": {"p": grid},
             }
         )
-        return parse_csv(run_eig_vs_p(cfg))
+        return parse_csv(RUNNERS["eig_vs_p"](cfg))
 
     def test_theta1_single_nonzero_eigenvalue(self):
         header, rows = self.run([0.001, 0.01, 0.1, 0.3])
@@ -384,13 +382,13 @@ class TestSpectrum:
         )
 
     def test_global_depol_preserves_rank(self):
-        header, rows = parse_csv(run_spectrum(self.run_cfg("global_depolarizing", [0.05, 0.3], n=3, L=2)))
+        header, rows = parse_csv(RUNNERS["spectrum"](self.run_cfg("global_depolarizing", [0.05, 0.3], n=3, L=2)))
         ir, irn = header.index("rank"), header.index("rank_noiseless")
         for r in rows:
             assert r[ir] == r[irn]
 
     def test_local_depol_turns_on_all_eigenvalues(self):
-        header, rows = parse_csv(run_spectrum(self.run_cfg("local_depolarizing", [1e-3])))
+        header, rows = parse_csv(RUNNERS["spectrum"](self.run_cfg("local_depolarizing", [1e-3])))
         ie = header.index("eigenvalue")
         ir = header.index("rank")
         values = [float(r[ie]) for r in rows]
@@ -399,7 +397,7 @@ class TestSpectrum:
         assert all(int(r[ir]) == 12 for r in rows)
 
     def test_quasi_regime_gap(self):
-        header, rows = parse_csv(run_spectrum(self.run_cfg("local_depolarizing", [1e-5])))
+        header, rows = parse_csv(RUNNERS["spectrum"](self.run_cfg("local_depolarizing", [1e-5])))
         ie, irn = header.index("eigenvalue"), header.index("rank_noiseless")
         values = sorted((float(r[ie]) for r in rows), reverse=True)
         r0 = int(rows[0][irn])
@@ -407,7 +405,7 @@ class TestSpectrum:
 
     def test_epsilon_columns(self):
         header, rows = parse_csv(
-            run_spectrum(self.run_cfg("local_depolarizing", [1e-5], epsilons=[1e-2, 1e-12]))
+            RUNNERS["spectrum"](self.run_cfg("local_depolarizing", [1e-5], epsilons=[1e-2, 1e-12]))
         )
         assert "d1_eps_0.01" in header and "d1_eps_1e-12" in header
         r0 = int(rows[0][header.index("rank_noiseless")])
@@ -415,7 +413,7 @@ class TestSpectrum:
         assert int(rows[0][header.index("d1_eps_1e-12")]) == 12
 
     def test_rank_bounded_by_sector_algebra_noiseless(self):
-        header, rows = parse_csv(run_spectrum(self.run_cfg("global_depolarizing", [0.1])))
+        header, rows = parse_csv(RUNNERS["spectrum"](self.run_cfg("global_depolarizing", [0.1])))
         irn, im, ig = header.index("rank_noiseless"), header.index("M"), header.index("dim_g")
         for r in rows:
             assert int(r[irn]) <= min(int(r[im]), int(r[ig]))
@@ -434,7 +432,7 @@ class TestScaling:
                 "options": {"samples": 2},
             }
         )
-        header, rows = parse_csv(run_scaling(cfg))
+        header, rows = parse_csv(RUNNERS["scaling"](cfg))
         ip, ime = header.index("p"), header.index("mean_eigenvalue")
         p0_row = [r for r in rows if float(r[ip]) == 0.0][0]
         # recompute without any noise machinery
@@ -459,7 +457,7 @@ class TestScaling:
                 "options": {"samples": 2},
             }
         )
-        header, rows = parse_csv(run_scaling(cfg))
+        header, rows = parse_csv(RUNNERS["scaling"](cfg))
         assert [r[header.index("M")] for r in rows] == ["2", "4", "6"]
 
 
@@ -494,9 +492,9 @@ class TestVerifyRunner:
                             "decomposition_trials": 5},
             }
         )
-        payload = json.loads(run_verify(cfg))
+        payload = run_verify(cfg)
         assert payload["all_passed"]
-        assert payload["config_sha256"]
+        assert json.loads(render(cfg, payload))["config_sha256"] == config_hash(cfg.raw)
         assert all("margin" in c for c in payload["checks"])
 
     def test_heavy_pauli_weights_at_70_trials(self):
@@ -510,7 +508,7 @@ class TestVerifyRunner:
                             "decomposition_trials": 3},
             }
         )
-        assert json.loads(run_verify(cfg))["all_passed"]
+        assert run_verify(cfg)["all_passed"]
 
     def test_strict_fixed_point_mode(self):
         # opt-in: restricts sampled Pauli channels to strictly contracting
@@ -523,7 +521,7 @@ class TestVerifyRunner:
                             "decomposition_trials": 3, "strict_pauli_fixed_point": True},
             }
         )
-        assert json.loads(run_verify(cfg))["all_passed"]
+        assert run_verify(cfg)["all_passed"]
 
     def test_worker_count_leaves_report_unchanged(self):
         # each check runs on its own [seed, index] substream, and the rows keep
@@ -536,7 +534,7 @@ class TestVerifyRunner:
                             "decomposition_trials": 2},
             }
         )
-        assert run_verify(cfg, workers=1) == run_verify(cfg, workers=3)
+        assert RUNNERS["verify"](cfg, workers=1) == RUNNERS["verify"](cfg, workers=3)
 
     def test_adversarial_rank_tolerance_reported(self):
         cfg = parse_config(
@@ -548,7 +546,7 @@ class TestVerifyRunner:
                             "decomposition_trials": 3},
             }
         )
-        payload = json.loads(run_verify(cfg))
+        payload = run_verify(cfg)
         rank_checks = [
             c for c in payload["checks"] if "rank" in c["name"] and not c["passed"]
         ]
@@ -559,7 +557,7 @@ class TestVerifyRunner:
 class TestDlaRunner:
     def test_toy(self):
         cfg = parse_config({"experiment": "dla", "circuit": {"name": "toy"}})
-        payload = json.loads(run_dla(cfg))
+        payload = run_dla(cfg)
         assert payload["dim"] == 3 and payload["match"]
 
     @pytest.mark.parametrize("n,expected", [(2, 3), (6, 9)])
@@ -567,7 +565,7 @@ class TestDlaRunner:
         cfg = parse_config(
             {"experiment": "dla", "circuit": {"name": "hva_tfim", "n": n, "L": 1}}
         )
-        payload = json.loads(run_dla(cfg))
+        payload = run_dla(cfg)
         assert payload["dim"] == expected and payload["match"]
         assert payload["dim_full_matrix"] >= expected
 
@@ -576,7 +574,7 @@ class TestDlaRunner:
         cfg = parse_config(
             {"experiment": "dla", "circuit": {"name": "hva_tfim", "n": n, "L": 1}}
         )
-        payload = json.loads(run_dla(cfg))
+        payload = run_dla(cfg)
         assert (payload["dim"], payload["expected"], payload["match"]) == (expected, expected, True)
 
     def test_basis_printing(self):
@@ -587,7 +585,7 @@ class TestDlaRunner:
                 "options": {"print_basis": True},
             }
         )
-        payload = json.loads(run_dla(cfg))
+        payload = run_dla(cfg)
         assert len(payload["basis_pauli_expansion"]) == 3
 
 
@@ -718,6 +716,8 @@ _SPECTRUM_N4 = {"circuit": {"name": "hva_tfim", "n": 4, "L": 1},
          "memory"),
         ({"experiment": "trajectory", "options": {"eigvec_steps": 2, "steps_per_gate": 10**12}},
          "memory"),
+        # a NUL byte, which no file name can hold: the write failed after the whole run
+        ({"experiment": "dla", "circuit": {"name": "toy"}, "output": {"path": "out\0.json"}}, "output.path"),
     ],
 )
 def test_malformed_input_rejected_at_parse_time(raw, field, tmp_path):
@@ -873,7 +873,7 @@ def test_trajectory_memory_per_row_stays_under_the_parse_time_bound(fmt):
     cfg = parse_config(raw)
     tracemalloc.start()
     try:
-        run_trajectory(cfg, workers=1)
+        RUNNERS["trajectory"](cfg, workers=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -890,7 +890,7 @@ def test_csv_trajectory_holds_at_most_256_bytes_per_row(steps, eig_steps):
     cfg = parse_config(raw)
     tracemalloc.start()
     try:
-        run_trajectory(cfg, workers=1)
+        RUNNERS["trajectory"](cfg, workers=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1008,6 +1008,21 @@ def test_json_table_from_blocks_equals_the_row_wise_payload():
     assert emit_table(cfg, columns, blocks) == expected
 
 
+def test_runners_look_the_renderer_up_when_called(monkeypatch):
+    # a wrapper bound over emit_table after import, as a tracer binds one, sees each table
+    # once; a report dict does not pass through it
+    import qfimlab.experiments as experiments
+
+    emit, calls = experiments.emit_table, []
+    monkeypatch.setattr(experiments, "emit_table", lambda *args: calls.append(args[1]) or emit(*args))
+    table = parse_config({"experiment": "eig_vs_p", "noise": {"model": "bit_flip", "p": 0.1},
+                          "sweep": {"p": [0.1]}})
+    assert RUNNERS["eig_vs_p"](table) == emit(table, *experiments.run_eig_vs_p(table))
+    report = parse_config({"experiment": "dla", "circuit": {"name": "toy"}})
+    assert RUNNERS["dla"](report) == report_to_json(report, run_dla(report))
+    assert calls == [experiments.EIG_VS_P_COLUMNS]
+
+
 def test_verify_options_default_to_the_documented_values():
     assert parse_config({"experiment": "verify"}).options == {
         "trials": 20, "entropy_trials": 100, "delta_trials": 100,
@@ -1114,6 +1129,59 @@ class TestCli:
             )
         )
         assert main(["verify", "--config", str(cfg_path)]) == 0
+
+    def test_dla_prints_its_dimension_line(self, capsys):
+        from qfimlab.cli import main
+
+        path = Path(__file__).resolve().parents[1] / "demos" / "configs" / "dla_ising.json"
+        assert main(["dla", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == "dim = 9 (unrestricted matrix closure: 17); expected 9: ok\n"
+
+    def test_verify_prints_one_line_per_check(self, tmp_path, capsys):
+        from qfimlab.cli import main
+
+        cfg_path, out = tmp_path / "verify.json", tmp_path / "report.json"
+        cfg_path.write_text(json.dumps({
+            "experiment": "verify",
+            "options": {"trials": 3, "entropy_trials": 5, "delta_trials": 3, "decomposition_trials": 2},
+        }))
+        assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        lines = [f"[PASS] {c['name']}: margin={c['margin']:.3e} tol={c['tolerance']}" for c in checks]
+        assert capsys.readouterr().out == "\n".join([*lines, f"wrote {out}", ""])
+
+    def test_failed_verify_check_exits_2(self, tmp_path, capsys, monkeypatch):
+        from qfimlab import verify
+        from qfimlab.cli import main
+
+        failing = {"name": "fake", "passed": False, "margin": 1.0, "tolerance": 0.5, "details": ""}
+        monkeypatch.setattr(verify, "run_suite", lambda *args, **kwargs: [failing])
+        cfg_path = tmp_path / "verify.json"
+        cfg_path.write_text(json.dumps({"experiment": "verify"}))
+        assert main(["verify", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().out == "[FAIL] fake: margin=1.000e+00 tol=0.5\n"
+
+    @pytest.mark.parametrize("data", [b'{"experiment": "dla", "circuit": {"name": "t\xf6y"}}', b"[" * 200_000],
+                             ids=["not_utf8", "nested_too_deeply"])
+    def test_unreadable_config_exits_1(self, data, tmp_path, capsys):
+        from qfimlab.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(data)
+        assert main(["dla", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: config is not valid JSON: ")
+
+    @pytest.mark.parametrize("raw, message", [
+        ([1, 2], "config must be an object, got list"),
+        ({"experiment": "dla", "theta": [1]}, "theta must be an object, got list"),
+    ], ids=["config_not_an_object", "theta_not_an_object"])
+    def test_seed_override_leaves_a_malformed_section_to_the_parser(self, raw, message, tmp_path, capsys):
+        from qfimlab.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["dla", "--config", str(cfg_path), "--seed", "3"]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_seed_override(self, tmp_path):
         from qfimlab.cli import main

@@ -54,8 +54,8 @@ from qfimlab.circuits import (
     statevector_derivatives,
     toy_model,
 )
-from qfimlab.exceptions import DimensionMismatchError, NotHermitianError
-from qfimlab.experiments import parse_config, run_spectrum
+from qfimlab.exceptions import NotHermitianError
+from qfimlab.experiments import RUNNERS, parse_config
 from qfimlab.linalg import (
     I2,
     TAU_HERM,
@@ -282,7 +282,7 @@ class TestBatchedChannels:
         for ch in channels:
             expected = np.stack([ch.apply(m) for m in stack])
             got = stack.copy()
-            ch.apply_batch(got, np.empty_like(got))
+            ch._apply_batch(got, np.empty_like(got))
             assert np.max(np.abs(got - expected)) <= 1e-14, type(ch).__name__
 
     def test_apply_never_mutates_or_returns_input(self, rng):
@@ -294,13 +294,6 @@ class TestBatchedChannels:
             assert not np.shares_memory(out, mat)
             np.testing.assert_array_equal(mat, before)
 
-    def test_batch_rejects_bad_buffers(self):
-        ch = GlobalDepolarizing(1, 0.1)
-        stack = np.zeros((2, 2, 2), dtype=complex)
-        with pytest.raises(DimensionMismatchError):
-            ch.apply_batch(stack, np.zeros((1, 2, 2), dtype=complex))
-        with pytest.raises(ValueError, match="contiguous complex"):
-            ch.apply_batch(stack.real.copy(), np.zeros((2, 2, 2)))
 
 
 class TestForwardModeDerivatives:
@@ -657,7 +650,7 @@ class TestParityFold:
                 return blocks
 
             monkeypatch.setattr(qfimlab.qfim, "_folded_sectors", folded)
-            return run_spectrum(config), seen
+            return RUNNERS["spectrum"](config), seen
 
         _fold_tables.cache_clear()
         text, shared = run(clear=False)

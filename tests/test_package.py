@@ -81,7 +81,7 @@ def test_benchmark_hooks_resolve(monkeypatch):
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
-    from qfimlab.experiments import parse_config, run_trajectory
+    from qfimlab.experiments import RUNNERS, parse_config
 
     root = Path(__file__).resolve().parents[1]
     config = root / "demos" / "configs" / "trajectory_bitflip.json"
@@ -92,7 +92,7 @@ def test_python_dash_m_runs_the_cli(tmp_path):
         [sys.executable, "-m", "qfimlab", "trajectory", "--config", str(config), "--out", str(out)],
         check=True, capture_output=True, env=env, timeout=120,
     )
-    assert out.read_bytes() == run_trajectory(parse_config(json.loads(config.read_text()))).encode()
+    assert out.read_bytes() == RUNNERS["trajectory"](parse_config(json.loads(config.read_text()))).encode()
 
 
 def test_output_diff_counts_changed_cells_and_relative_float_changes(monkeypatch):

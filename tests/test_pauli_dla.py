@@ -1,6 +1,5 @@
 """Lie closure over sparse Pauli sums, checked against the dense closure."""
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -191,7 +190,7 @@ class TestDlaRunnerAtScale:
         cfg = parse_config({"experiment": "dla", "circuit": {"name": "hva_tfim", "n": 20, "L": 1}})
         tracemalloc.start()
         try:
-            payload = json.loads(run_dla(cfg))
+            payload = run_dla(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
