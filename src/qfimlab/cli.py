@@ -2,13 +2,16 @@
 
 Exit codes: 0 on success, 1 on usage and configuration errors and
 unreadable or unwritable files, 2 when the verify suite reports a failed
-check.
+check. An output path that is a directory, or whose parent is not one, is
+refused before the experiment runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -41,6 +44,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unwritable(path: Path) -> OSError | None:
+    """The error a write to ``path`` is sure to meet, known before any run: the
+    path is a directory, or its parent is not one."""
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    else:
+        return None
+    return OSError(code, os.strerror(code), str(path))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -59,6 +74,11 @@ def main(argv=None) -> int:
 
     try:
         config = parse_config(raw, args.experiment, args.workers)
+        out_path = args.out or config.output["path"]
+        refused = out_path and _unwritable(Path(out_path))
+        if refused:  # the write's own handler below still covers a later failure
+            print(f"error: cannot write output: {refused}", file=sys.stderr)
+            return 1
         result = DATA_RUNNERS[config.experiment](config, workers=args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -80,7 +100,6 @@ def main(argv=None) -> int:
         print(line)
 
     text = render(config, result)
-    out_path = args.out or config.output["path"]
     if out_path:
         try:
             Path(out_path).write_text(text)

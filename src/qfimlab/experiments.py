@@ -11,7 +11,8 @@ output. The theta draws of ``spectrum`` and ``scaling`` come from one
 vectorized :func:`~qfimlab.rand.subkey_uniform` evaluation, without
 ``numpy.random``. CSV files carry a versioned schema comment line and
 print floats with 17 significant digits; JSON reports echo the config along
-with a SHA-256 hash of its canonical form. Runners return data, a
+with a SHA-256 hash of its canonical form. Both formats carry the schema
+version of their experiment's contract. Runners return data, a
 :class:`Table` or a report dict, and :func:`render` alone makes it text.
 """
 
@@ -54,6 +55,7 @@ from .linalg import purity
 from .qfim import TAU_RANK_ABS, TAU_RANK_REL, effective_dim_d1, qfim_of_circuit
 from .rand import SUBKEY_RANGE, map_tasks, subkey_rng, subkey_uniform  # subkey_rng is re-exported
 
+# The output schema version of every experiment whose contract names no other.
 CSV_SCHEMA_VERSION = 1
 # The largest |angle| a config gives, in radians: every theta.values entry and
 # the trajectory's options.eigvec_span. Angles this large still resolve about
@@ -81,6 +83,7 @@ class Contract(NamedTuple):
     options: dict  # every option with its default; the default's type is the option's
     formats: tuple[str, ...]  # the output formats it writes; the first is the default
     seed: int = 0  # theta.seed when the config gives no theta
+    schema: int = CSV_SCHEMA_VERSION  # the version of its CSV and JSON output
 
 
 NOISE_MODELS = ("none", "bit_flip", "global_depolarizing", "local_depolarizing", "pauli", "composite")
@@ -91,6 +94,7 @@ CONTRACTS = {
     "trajectory": Contract(
         ("toy",), "toy", NOISE_MODELS, (),
         {"steps_per_gate": 100, "eigvec_span": 1.0, "eigvec_steps": 100}, _TABLE,
+        schema=2,  # 2: only the eigenvectors the rank resolves are scanned
     ),
     "eig_vs_p": Contract(("toy",), "toy", ("bit_flip", *_DEPOLARIZING), ("p",), {}, _TABLE),
     "spectrum": Contract(("hva_tfim",), None, _DEPOLARIZING, ("p",), {"epsilons": []}, _TABLE),
@@ -323,7 +327,7 @@ def parse_config(raw: dict, experiment: str | None = None, workers: int | None =
         _check_memory(f"{exp} at n={circuit['n']}", need)
     if exp == "trajectory":
         # per parameter point: the input and final states, then steps + 1 per gate and
-        # eigvec_steps + 1 per QFIM eigenvector, one eigenvector per gate
+        # eigvec_steps + 1 per QFIM eigenvector, at most one eigenvector per gate
         m = len(TOY_THETAS["theta1"])
         rows = len(TOY_THETAS) * (2 + m * (options["steps_per_gate"] + options["eigvec_steps"] + 2))
         _check_memory(f"trajectory with {rows} rows", rows * TRAJECTORY_ROW_BYTES)
@@ -510,6 +514,13 @@ def _csv_block(block: Sequence[Any]) -> str | None:
     return "\n".join(map(fmt.__mod__, rows)) if not values or any(map(len, values)) else None
 
 
+def schema_version(experiment: str) -> int:
+    """The output schema version of ``experiment``: its contract's, and
+    :data:`CSV_SCHEMA_VERSION` for a name with no contract."""
+    contract = CONTRACTS.get(experiment)
+    return contract.schema if contract else CSV_SCHEMA_VERSION
+
+
 def rows_to_csv(experiment: str, columns: Sequence[str], blocks: Sequence[Sequence[Any]]) -> str:
     """Render blocks of rows with the versioned schema comment, each cell of
     each row of :func:`block_rows` as :func:`_csv_cell` renders it.
@@ -522,7 +533,7 @@ def rows_to_csv(experiment: str, columns: Sequence[str], blocks: Sequence[Sequen
     distinct value (by bit pattern, :func:`_float_texts`), gathered back to
     its rows, and any other cell by cell.
     """
-    head = f"# qfimlab csv schema={CSV_SCHEMA_VERSION} experiment={experiment}"
+    head = f"# qfimlab csv schema={schema_version(experiment)} experiment={experiment}"
     texts = [text for text in map(_csv_block, blocks) if text is not None]
     return "\n".join([head, ",".join(columns), *texts, ""])  # "": the final newline, in the one join
 
@@ -557,7 +568,7 @@ def config_hash(raw: dict) -> str:
 
 def report_to_json(config: ExperimentConfig, payload: dict) -> str:
     doc = {
-        "schema": f"qfimlab-report-v{CSV_SCHEMA_VERSION}",
+        "schema": f"qfimlab-report-v{schema_version(config.experiment)}",
         "experiment": config.experiment,
         "config": config.raw,
         "config_sha256": config_hash(config.raw),
@@ -575,7 +586,8 @@ TRAJECTORY_COLUMNS = ("gate_index", "step", "x", "y", "z", "purity", "label")
 
 def run_trajectory(config: ExperimentConfig, workers: int | None = None) -> Table:
     """Bloch trajectories for the toy model: gate-by-gate paths for the three
-    canonical parameter points, plus paths along every QFIM eigenvector.
+    canonical parameter points, plus paths along each QFIM eigenvector that
+    the rank resolves.
 
     Gate-by-gate rows: ``gate_index = 0, step = 0`` is the raw input;
     ``(m, s)`` for ``m in 1..M`` is the state after noise slot ``m`` and gate
@@ -585,9 +597,11 @@ def run_trajectory(config: ExperimentConfig, workers: int | None = None) -> Tabl
     ``<point>/eig<k>`` (k sorted by descending eigenvalue), ``gate_index = k``
     and ``step`` scanning the perturbation ``t`` across
     ``[-eigvec_span, eigvec_span]`` along the eigenvector signed by
-    :func:`_scan_directions`. That pins the path of a nondegenerate
-    eigenvalue; paths in a degenerate subspace, such as the zero-eigenvalue
-    one, still depend on the basis that ``np.linalg.eigh`` returns.
+    :func:`_scan_directions`, which pins the path of a nondegenerate
+    eigenvalue. Only ``k < rank`` is scanned, the rank taken at
+    ``config.rank_tolerances``: a direction of the null space does not move
+    the state to first order, and ``np.linalg.eigh`` returns an arbitrary
+    basis of it, so its path would be neither informative nor reproducible.
 
     Each gate's ``steps + 1`` partial angles run as one stacked
     :meth:`~qfimlab.circuits.NoisyCircuit.gate_step`, and each eigenvector's
@@ -619,7 +633,7 @@ def run_trajectory(config: ExperimentConfig, workers: int | None = None) -> Tabl
         blocks.append(path_rows(noise(state)[None], circuit.n_params + 1, label))
 
         report = qfim_of_circuit(circuit, theta, rho, tau_abs, tau_rel)
-        for k, v in enumerate(_scan_directions(report.matrix)):
+        for k, v in enumerate(_scan_directions(report.matrix)[: report.rank]):
             blocks.append(path_rows(evolve(circuit, theta + ts[:, None] * v, rho), k, f"{label}/eig{k}"))
         return blocks
 

@@ -12,6 +12,7 @@ from qfimlab.channels import GlobalDepolarizing, LocalDepolarizing, PauliChannel
 from qfimlab.circuits import (
     TOY_THETAS,
     _rotation_step,
+    bloch_coords,
     evolve,
     hva_parity_sector_generators,
     hva_tfim,
@@ -22,11 +23,13 @@ from qfimlab.circuits import (
 from qfimlab.dla import dla_dimension
 from qfimlab.exceptions import CapExceededError, ConfigError
 from qfimlab.experiments import (
+    CONTRACTS,
     CSV_SCHEMA_VERSION,
     MAX_EIGVEC_SPAN,
     RUNNERS,
     TRAJECTORY_COLUMNS,
     TRAJECTORY_ROW_BYTES,
+    Table,
     _csv_cell,
     _estimated_bytes,
     _scan_directions,
@@ -191,7 +194,7 @@ def reference_trajectory_rows(config):
     """The per-state loop that ``run_trajectory`` batches: one ``gate_step``
     or ``evolve`` call, and one Bloch vector and purity, per row. It checks
     the batching, not the eigenvectors' signs, so it scans the same
-    ``_scan_directions``."""
+    ``_scan_directions``, those the rank resolves."""
     steps, eig_steps = config.options["steps_per_gate"], config.options["eigvec_steps"]
     span = config.options["eigvec_span"]
     base, rho = toy_model()
@@ -213,7 +216,7 @@ def reference_trajectory_rows(config):
             state = circuit.gate_step(m, theta[m], state)
         emit(noise(state), circuit.n_params + 1, 0, label)
         report = qfim_of_circuit(circuit, theta, rho, *config.rank_tolerances)
-        for k, v in enumerate(_scan_directions(report.matrix)):
+        for k, v in enumerate(_scan_directions(report.matrix)[: report.rank]):
             for s in range(eig_steps + 1):
                 t = -span + 2.0 * span * s / eig_steps
                 emit(evolve(circuit, theta + t * v, rho), k, s, f"{label}/eig{k}")
@@ -236,40 +239,59 @@ TOY_NOISE_CONFIGS = [
 ]
 
 
+def scanned_labels(config) -> set[str]:
+    """The ``<point>/eig<k>`` labels a trajectory run scans: ``k`` below the
+    point's QFIM rank at the config's rank tolerances."""
+    base, rho = toy_model()
+    circuit = base.with_uniform_noise(channel_from_config(config.noise, 1))
+    ranks = {point: qfim_of_circuit(circuit, theta, rho, *config.rank_tolerances).rank
+             for point, theta in TOY_THETAS.items()}
+    return {f"{point}/eig{k}" for point, rank in ranks.items() for k in range(rank)}
+
+
 class TestTrajectory:
-    def base_config(self, noise, **options):
-        return parse_config(
-            {
-                "experiment": "trajectory",
-                "circuit": {"name": "toy"},
-                "noise": noise,
-                "options": {"steps_per_gate": 8, "eigvec_steps": 8, **options},
-            }
-        )
+    def base_config(self, noise, tolerances=None, **options):
+        raw = {
+            "experiment": "trajectory",
+            "circuit": {"name": "toy"},
+            "noise": noise,
+            "options": {"steps_per_gate": 8, "eigvec_steps": 8, **options},
+        }
+        return parse_config(raw if tolerances is None else {**raw, "tolerances": tolerances})
 
     def test_schema_and_labels(self):
-        cfg = self.base_config({"model": "none"})
-        header, rows = parse_csv(RUNNERS["trajectory"](cfg))
-        assert header == ["gate_index", "step", "x", "y", "z", "purity", "label"]
-        labels = {r[-1] for r in rows}
-        assert {"theta1", "theta2", "theta3", "theta3/eig0", "theta3/eig3"} <= labels
+        # the last case counts a positive roundoff eigenvalue in the rank, so it scans more directions
+        cases = [(noise, None) for noise in TOY_NOISE_CONFIGS]
+        cases.append(({"model": "bit_flip", "p": 0.1}, {"rank_abs": 0, "rank_rel": 0}))
+        for noise, tolerances in cases:
+            cfg = self.base_config(noise, tolerances)
+            text = RUNNERS["trajectory"](cfg)
+            assert text.startswith("# qfimlab csv schema=2 experiment=trajectory\n")
+            header, rows = parse_csv(text)
+            assert header == ["gate_index", "step", "x", "y", "z", "purity", "label"]
+            labels = {r[-1] for r in rows}
+            assert {"theta1", "theta2", "theta3"} <= labels
+            assert {label for label in labels if "/eig" in label} == scanned_labels(cfg)
 
     def test_zero_eigenvalue_direction_is_locally_flat(self):
         # flat to second order: with a small span every point coincides
-        cfg = self.base_config({"model": "none"}, eigvec_span=5e-5)
-        header, rows = parse_csv(RUNNERS["trajectory"](cfg))
-        ix, iy, iz = header.index("x"), header.index("y"), header.index("z")
-        for label in ("theta3/eig2", "theta3/eig3"):  # zero-eigenvalue directions
-            pts = np.array(
-                [[float(r[ix]), float(r[iy]), float(r[iz])] for r in rows if r[-1] == label]
-            )
+        circuit, rho = toy_model()
+        theta = TOY_THETAS["theta3"]
+        report = qfim_of_circuit(circuit, theta, rho)
+        null = _scan_directions(report.matrix)[report.rank :]  # zero-eigenvalue directions
+        assert len(null) == 2
+        ts = np.linspace(-5e-5, 5e-5, 9)
+        for v in null:
+            pts = np.stack(bloch_coords(evolve(circuit, theta + ts[:, None] * v, rho)), axis=1)
             assert np.max(np.abs(pts - pts[0])) <= 1e-9
 
     def test_noiseless_eigvec_paths_have_constant_purity(self):
         cfg = self.base_config({"model": "none"}, eigvec_span=1.0)
         header, rows = parse_csv(RUNNERS["trajectory"](cfg))
         ip = header.index("purity")
-        for label in ("theta3/eig0", "theta3/eig1", "theta3/eig2", "theta3/eig3"):
+        labels = {r[-1] for r in rows if "/eig" in r[-1]}
+        assert labels
+        for label in labels:
             purities = [float(r[ip]) for r in rows if r[-1] == label]
             assert max(purities) - min(purities) <= 1e-9
 
@@ -277,9 +299,11 @@ class TestTrajectory:
         cfg = self.base_config({"model": "bit_flip", "p": 0.1}, eigvec_span=1.0)
         header, rows = parse_csv(RUNNERS["trajectory"](cfg))
         ip = header.index("purity")
+        labels = {r[-1] for r in rows if r[-1].startswith("theta3/eig")}
+        assert labels
         ranges = []
-        for k in range(4):
-            purities = [float(r[ip]) for r in rows if r[-1] == f"theta3/eig{k}"]
+        for label in labels:
+            purities = [float(r[ip]) for r in rows if r[-1] == label]
             ranges.append(max(purities) - min(purities))
         assert max(ranges) > 1e-4
 
@@ -1008,6 +1032,27 @@ def test_json_table_from_blocks_equals_the_row_wise_payload():
     assert emit_table(cfg, columns, blocks) == expected
 
 
+@pytest.mark.parametrize("raw, version", [
+    ({"experiment": "trajectory"}, 2),
+    ({"experiment": "eig_vs_p", **_TOY, "sweep": {"p": [0.1]}}, 1),
+    ({"experiment": "spectrum", **_ISING}, 1),
+    ({"experiment": "scaling", **_ISING}, 1),
+    ({"experiment": "verify"}, 1),
+    ({"experiment": "dla", "circuit": {"name": "toy"}}, 1),
+], ids=lambda v: v["experiment"] if isinstance(v, dict) else str(v))
+def test_each_experiment_writes_its_schema_version_in_both_formats(raw, version):
+    experiment = raw["experiment"]
+    table = "csv" in CONTRACTS[experiment].formats
+    for fmt in CONTRACTS[experiment].formats:
+        cfg = parse_config({**raw, "output": {"format": fmt}})
+        text = render(cfg, Table(("a",), [(1,)]) if table else {})
+        if fmt == "csv":
+            assert text.startswith(f"# qfimlab csv schema={version} experiment={experiment}\n")
+        else:
+            assert json.loads(text)["schema"] == f"qfimlab-report-v{version}"
+    assert CONTRACTS[experiment].schema == version
+
+
 def test_runners_look_the_renderer_up_when_called(monkeypatch):
     # a wrapper bound over emit_table after import, as a tracer binds one, sees each table
     # once; a report dict does not pass through it
@@ -1105,14 +1150,34 @@ class TestCli:
 
         assert main(["dla", "--config", "/nonexistent/cfg.json"]) == 1
 
-    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, monkeypatch):
+        from qfimlab import experiments
         from qfimlab.cli import main
+
+        def never(config, workers=None):
+            raise AssertionError("the runner ran before the output path was checked")
+
+        monkeypatch.setitem(experiments.DATA_RUNNERS, "dla", never)  # refused before the run
+        (tmp_path / "file").write_text("")
+        cfg_path = tmp_path / "cfg.json"
+        for out in (tmp_path / "missing" / "out.json", tmp_path / "file" / "out.json", tmp_path):
+            cfg_path.write_text(json.dumps({"experiment": "dla", "circuit": {"name": "toy"},
+                                            "output": {"path": str(out)}}))
+            for flags in ([], ["--out", str(out)]):
+                assert main(["dla", "--config", str(cfg_path), *flags]) == 1
+                assert capsys.readouterr().err.startswith("error: cannot write output: [Errno ")
+
+    def test_a_write_that_fails_after_the_run_still_exits_1(self, tmp_path, capsys, monkeypatch):
+        from qfimlab.cli import main
+
+        def refuse(self, text):
+            raise PermissionError(13, "Permission denied", str(self))
 
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"experiment": "dla", "circuit": {"name": "toy"}}))
-        for out in (tmp_path / "missing" / "out.json", tmp_path):
-            assert main(["dla", "--config", str(cfg_path), "--out", str(out)]) == 1
-            assert "cannot write output" in capsys.readouterr().err
+        monkeypatch.setattr(Path, "write_text", refuse)
+        assert main(["dla", "--config", str(cfg_path), "--out", str(tmp_path / "out.json")]) == 1
+        assert "error: cannot write output: [Errno 13] Permission denied" in capsys.readouterr().err
 
     def test_verify_exit_codes(self, tmp_path):
         from qfimlab.cli import main

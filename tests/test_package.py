@@ -148,8 +148,8 @@ def test_bench_tool_writes_one_row_per_point(tmp_path):
 def test_readme_bench_recipe_runs(tmp_path):
     # the README's tools/bench.py lines at a tiny point, the parent copy replaced by this checkout
     root = Path(__file__).resolve().parents[1]
-    lines = [line.split() for line in (root / "README.md").read_text().splitlines()
-             if line.strip().startswith("python tools/bench.py")]
+    text = (root / "README.md").read_text().replace("\\\n", " ")  # a recipe may continue on a second line
+    lines = [line.split() for line in text.splitlines() if line.strip().startswith("python tools/bench.py")]
     assert lines
     for _, *args in lines:
         args = [arg.replace("../parent/src", str(root / "src")) for arg in args]
@@ -158,9 +158,11 @@ def test_readme_bench_recipe_runs(tmp_path):
             cwd=root, check=True, capture_output=True, timeout=120,
         )
         rows = json.loads((tmp_path / f"BENCH_{args[1]}.json").read_text())["rows"]
-        assert [(row["name"], row["n"], row["L"], row["folded"]) for row in rows] == [
-            ("parent", 3, 1, True), ("change", 3, 1, True)
-        ]
+        configs = [args[i + 1] for i, arg in enumerate(args) if arg == "--config"]
+        configs = [(side, config) for config in configs for side in ("parent", "change")]
+        assert [(row["name"], row["n"], row["L"], row["folded"]) if "n" in row else (row["name"], row["config"])
+                for row in rows] == [("parent", 3, 1, True), ("change", 3, 1, True), *configs]
     assert {path.name for path in tmp_path.iterdir()} == {
-        "BENCH_one_buffer.json", "BENCH_sector_readout.json", "BENCH_vector_entry.json"
+        "BENCH_one_buffer.json", "BENCH_sector_readout.json", "BENCH_vector_entry.json",
+        "BENCH_trajectory_rank.json",
     }
