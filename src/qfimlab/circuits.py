@@ -44,8 +44,7 @@ that gate; :func:`evolve_with_derivatives` carries the state and all M
 derivatives as rows of one ``(M + 1, d, d)`` stack, seeds row ``m + 1`` with
 ``-i [H_m, rho_m]``, i.e. ``-i (lambda_a - lambda_b) ⊙ F† rho_m F``, in the
 same kernel call as gate ``m``, and sends the live rows through every later
-slot and gate at once. The stack and one scratch buffer take
-``2 (M + 1) 16 d^2`` bytes. The central finite difference ``derivative_fd``
+slot and gate at once. The central finite difference ``derivative_fd``
 exists as an independent test oracle only.
 
 Parity folding. With ``P = X^(x)n``, when every gate kernel commutes with
@@ -67,24 +66,24 @@ generators, the noise channel and the vector respect exactly
 (:func:`_rotation_step`): ``g = 1`` for the Ising ring under uniform noise,
 which shrinks every transform and product 6.4x at n = 8, and ``g = n``, the
 plain fold, when nothing but the identity holds. Its rows live in one
-buffer of at most ``(M + 1) 8 d^2 / 2`` bytes, each in a slot of its own,
-and every transform, relayout and gate works through a scratch of whole
-rows no larger than :data:`SCRATCH_BYTES` (:func:`fold_bytes`); its index
-tables, which depend on ``(n, g)`` only, are built once per pair
-(:func:`_fold_tables`). It reads each row out into its own slot as one block
-per sector of the group ``<R^g> x <P>`` (:class:`_Sectors`), about
-``d / (2n/g)`` wide and still one real per entry, so each sector's stack is
-a row-strided view of the buffer, with no ``(M + 1, d/2, d)`` array in
-between; each stack becomes complex (:func:`hermitian_blocks`) only when it
-is assembled. The Ising ansatz on ``|+>^n`` under local depolarizing noise
-folds; the toy model, dense generators, Pauli, global-depolarizing and
-composite channels, vectors with no parity and every density matrix do
-not, and :func:`evolve_with_derivatives` is always the dense pass.
+buffer, a slot each, and every transform, relayout and gate works through a
+scratch of whole rows: :func:`fold_bytes` states their bytes, for the pass
+and the parse-time memory check alike. Its index tables, which depend on
+``(n, g)`` only, are built once per pair (:func:`_fold_tables`). It reads
+each row out into its own slot as one block per sector of the group
+``<R^g> x <P>`` (:class:`_Sectors`), about ``d / (2n/g)`` wide and still one
+real per entry, so each sector's stack is a row-strided view of the
+buffer, assembled in that form (``qfim._block_qfim``). The Ising ansatz on
+``|+>^n`` under local depolarizing noise folds; the toy model, dense
+generators, Pauli, global-depolarizing and composite channels, vectors
+with no parity and every density matrix do not, and
+:func:`evolve_with_derivatives` is always the dense pass.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -116,16 +115,32 @@ ENTRY_BYTES = 2**20
 SCRATCH_BYTES = 2**23
 
 
-def fold_bytes(rows: int, stride: int, sums: int) -> tuple[int, int, int]:
-    """The arrays of a folded pass over ``rows`` rows of ``stride`` float64
-    entries, whose read-out forms ``sums`` character sums per row, in bytes:
-    the buffer; the scratch, of whole rows, at most :data:`SCRATCH_BYTES` but
-    one row at least and no more rows than the buffer; and one row's read-out
-    pairs and sums, which are allocated after the scratch is freed.
-    :class:`_WalshFrames` allocates these, and the parse-time memory check
-    charges them, and the assembly after them."""
+def fold_plan(n: int, g: int) -> tuple[int, int, list[int]]:
+    """A row slot's float64 entries ``max(|E| d/2, |B| d)``, the orbit count ``R``
+    of ``G = <R^g> x <P>`` and the nonempty sector sizes of a folded pass
+    (:class:`_WalshFrames`, :class:`_Sectors`), by Burnside's lemma with no
+    table: ``R^(g t)`` has ``c = gcd(g t, n)`` qubit cycles and fixes ``2^c``
+    states, ``2^(c-1)`` of even weight if the cycles are odd; ``P R^(g t)``
+    fixes ``2^c`` if they are even, else none."""
+    d, count = 2**n, n // g
+    cycles = [math.gcd(g * t, n) for t in range(count)]
+    turns, flips = [2**c for c in cycles], [2**c if n // c % 2 == 0 else 0 for c in cycles]
+    # a sector's size is its character's multiplicity, chi = c count + q on u = s count + t
+    wave = np.cos(2 * np.pi * np.outer(range(count), range(count)) / count)
+    sizes = np.rint(np.array([np.add(turns, flips), np.subtract(turns, flips)], float) @ wave / (2 * count))
+    stride = max(d // 2 * sum(turns) // count, sum(t if f else t // 2 for t, f in zip(turns, flips)) // count * d)
+    return stride, sum(turns + flips) // (2 * count), [int(k) for k in sizes.flat if k]
+
+
+def fold_bytes(n: int, g: int, rows: int) -> tuple[int, int, int, int]:
+    """The bytes of a folded pass over ``rows`` rows (:func:`fold_plan`): the
+    buffer; the scratch, at most :data:`SCRATCH_BYTES` of whole slots but one
+    at least; one row's read-out pairs and sums, after the scratch is freed;
+    and five slot-sized tables (decay, phase index, a gate's cosines, sines and
+    seed weights). :class:`_WalshFrames` allocates these."""
+    stride, reps, _ = fold_plan(n, g)
     row = 8 * stride
-    return rows * row, min(rows, max(1, SCRATCH_BYTES // row)) * row, 24 * sums
+    return rows * row, min(rows, max(1, SCRATCH_BYTES // row)) * row, 24 * reps * reps * 2 * n // g, 5 * row
 
 
 class _VectorFrame:
@@ -504,14 +519,10 @@ def parity_folded_sectors(circuit: NoisyCircuit, theta: np.ndarray, state: np.nd
     state's block, row ``m + 1`` that of ``d/d theta_m``. The block sizes
     ``k`` sum to ``d``.
 
-    The rows travel in the frames of :class:`_WalshFrames`, one real per
-    entry and one entry per orbit of the qubit rotation ``R^g`` of
-    :func:`_rotation_step`, in one buffer of ``M + 1`` slots of
-    ``max(|E| d/2, |B| d)`` float64 entries (``(M + 1) d^2 / 2`` at
-    ``g = n``); the read-out writes each row's blocks, one real per entry,
-    into that row's own slot, so each stack is a row-strided view of the
-    buffer, made complex by :func:`hermitian_blocks`. Raises ``ValueError``
-    when :func:`parity_folds` rejects the input.
+    The rows travel in the frames of :class:`_WalshFrames`, and each stack
+    is read out in their one-real form and made complex by
+    :func:`hermitian_blocks`. Raises ``ValueError`` when
+    :func:`parity_folds` rejects the input.
     """
     if not parity_folds(circuit, state):
         raise ValueError("the circuit or input does not commute with the parity X^n, or the input is not a state vector")
@@ -694,7 +705,7 @@ class _FoldTables:
         full = k | (np.bitwise_count(k) & 1).astype(k.dtype) << (n - 1)  # b of each b'
         b_rep, b_turn = _orbits(full, g, n, h - 1)
         b_rows, b_row = np.unique(b_rep, return_inverse=True)
-        self.n, self.b = n, full[b_rows]
+        self.n, self.g, self.b = n, g, full[b_rows]
         self.xor = k[:, None] ^ cols
         # A_F[r, e] = A_K[(R^(g t_e) b_r)', col_e] and A_K[b', c] = A_F[r_b', R^(g t_b') E_c];
         # at g = n the two layouts coincide and a relayout is the identity. A row sits at
@@ -702,7 +713,7 @@ class _FoldTables:
         # many rotation orbits have even weight as odd, or more), and the relayout and
         # partner maps run over a whole slot, their tails reading entry 0, so that
         # np.take, which copies a strided source or target whole, gathers whole slots
-        self.stride = max(h * len(cols), len(self.b) * d)
+        self.stride = fold_plan(n, g)[0]
 
         def slot(m: np.ndarray) -> np.ndarray:
             return np.pad(m.reshape(-1), (0, self.stride - m.size))
@@ -798,22 +809,12 @@ class _WalshFrames:
     tables and Walsh factors depend on ``(n, g)`` only (:class:`_FoldTables`).
 
     A transform is two real matmuls with half-register factors. The rows
-    live in one float64 buffer of ``rows`` slots, each of
-    ``max(|E| d/2, |B| d)`` entries (``d^2 / 2`` at ``g = n``), which
+    live in one float64 buffer of ``rows`` slots (:func:`fold_plan`), which
     :meth:`enter` allocates; a row sits at the start of its slot in either
-    layout, so no layout change moves it. Each noise slot or gate runs on
-    groups of whole rows through one scratch array (:func:`fold_bytes`),
-    each group taken through every frame change and then the operation
-    before the next (:meth:`move`): a transform's first product goes into
-    the scratch and its second back, a relayout gathers the slots into the
-    scratch or back, a gate gathers the partners into whichever of the two
-    the rows are not in, and the operation writes its result into the
-    slots, so no group is copied back. The one exit from layout K,
-    :meth:`sectors`, frees the scratch and reads the rows out one at a
-    time: it gathers the pairs ``(r, r_p)`` of ``A[r, u r']`` for the
-    representatives of :class:`_Sectors`, forms their character sums, and
-    writes every sector's block of that row, in the same one-real form,
-    into the row's own slot.
+    layout, so no layout change moves it. Each noise slot or gate takes
+    groups of whole rows through one scratch array (:func:`fold_bytes`) and
+    every frame change before the next group (:meth:`move`); the one exit
+    from layout K, :meth:`sectors`, reads each row out into its own slot.
     """
 
     def __init__(self, circuit: NoisyCircuit, state: np.ndarray, rows: int):
@@ -831,7 +832,7 @@ class _WalshFrames:
                 levels = 2.0 * kernel.a[0, 1].real * t.s_levels
                 self._phases[kernel] = (3, levels, t.s_index, t.partners[1])
         self.frame, self._buf, self._scratch = 0, None, None
-        self._bytes = fold_bytes(rows, t.stride, t.sectors.size)
+        self._bytes = fold_bytes(t.n, t.g, rows)
 
     def _rows(self, count: int) -> np.ndarray:
         """The first ``count`` rows in the current layout, each at the start of its slot."""
@@ -853,7 +854,7 @@ class _WalshFrames:
         complex temporaries take at most :data:`ENTRY_BYTES`. The scratch is
         allocated once they are freed.
         """
-        t, (buffer, scratch, _) = self._tables, self._bytes
+        t, (buffer, scratch, _, _) = self._tables, self._bytes
         self.frame, self._scratch = 0, None
         self._buf = np.empty(buffer // 8).reshape(-1, t.stride)
         step = max(1, ENTRY_BYTES // (32 * t.xor.shape[1]))
@@ -873,8 +874,7 @@ class _WalshFrames:
 
         The scratch is freed first. Each row's pairs are then gathered and its
         sums formed in temporaries of one row, and all of its sector blocks
-        written with one ``take`` into the row's own slot, which
-        ``sum k^2`` fits (``d^2 / 2`` at ``g = n``): every stack is a
+        written with one ``take`` into the row's own slot: every stack is a
         row-strided view of the buffer, which lives as long as they do.
         """
         self.move(count, 0)

@@ -413,8 +413,8 @@ def lie_closure(generators, max_dim: int | None = None) -> LieBasis:
         raise ValueError("max_dim must be at least 1")
 
     # Orthonormal real views of the elements, one row each, in the top-left
-    # corner of a zero buffer that doubles its rows or columns when full; a
-    # row that brings new strings widens the corner.
+    # corner of a zero buffer that doubles its rows when they are full and its
+    # columns when a row is wider; a row that brings new strings widens the corner.
     buffer = rows = np.zeros((0, 0))
     elements: list = []
 
@@ -434,7 +434,8 @@ def lie_closure(generators, max_dim: int | None = None) -> LieBasis:
             raise CapExceededError(f"Lie closure exceeded the dimension cap {cap}", partial_dim=k)
         r /= norm
         if k == buffer.shape[0] or len(r) > buffer.shape[1]:
-            grown = np.zeros((max(2 * buffer.shape[0], k + 1), max(2 * buffer.shape[1], len(r))))
+            (height, width), w = buffer.shape, len(r)
+            grown = np.zeros((height if k < height else max(2 * k, 1), width if w <= width else max(2 * width, w)))
             grown[:k, : rows.shape[1]] = rows
             buffer = grown
         buffer[k, : len(r)] = r

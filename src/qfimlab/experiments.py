@@ -43,7 +43,6 @@ from .circuits import (
     NoisyCircuit,
     bloch_coords,
     evolve,
-    fold_bytes,
     hva_tfim,
     hva_tfim_pauli_generators,
     plus_state_vector,
@@ -52,7 +51,7 @@ from .circuits import (
 from .dla import PauliSum, lie_closure, parity_sector_dimension
 from .exceptions import ConfigError
 from .linalg import purity
-from .qfim import TAU_RANK_ABS, TAU_RANK_REL, effective_dim_d1, qfim_of_circuit
+from .qfim import TAU_RANK_ABS, TAU_RANK_REL, effective_dim_d1, folded_bytes, qfim_of_circuit
 from .rand import SUBKEY_RANGE, map_tasks, subkey_rng, subkey_uniform  # subkey_rng is re-exported
 
 # The output schema version of every experiment whose contract names no other.
@@ -208,10 +207,10 @@ def parse_config(raw: dict, experiment: str | None = None, workers: int | None =
     subcommand) must agree with the config's own ``experiment`` tag when both
     are present. No circuit, channel or state is built here; a ``spectrum``,
     ``scaling`` or ``trajectory`` run whose estimated memory exceeds the
-    machine's physical memory is refused here too, before anything is
-    allocated; for ``spectrum`` and ``scaling``, up to ``workers`` points
-    (``None`` is serial) are counted as held at once. A ``workers`` count
-    below 1 is a config error.
+    machine's physical memory is refused here too, from counts alone
+    (:func:`~qfimlab.circuits.fold_plan` counts orbits); for ``spectrum`` and
+    ``scaling``, up to ``workers`` points (``None`` is serial) are counted as
+    held at once. A ``workers`` count below 1 is a config error.
     """
     if workers is not None and workers < 1:
         raise ConfigError(f"workers must be at least 1 (or None for serial), got {workers}")
@@ -345,24 +344,12 @@ def _check_memory(what: str, need: int) -> None:
 
 
 def _estimated_bytes(circuit: dict, noise: dict, sweep: dict, workers: int, samples: int = 1) -> int:
-    """Bytes a spectrum or scaling run of the Ising ansatz holds at once.
-
-    The largest point once per point that runs at the same time,
-    ``min(workers, points)``. A local-depolarizing point with ``p > 0`` runs
-    the parity-folded pass, one sample at a time, and is charged for a
-    circuit with no rotation symmetry (``g = n``) at the deepest circuit
-    (``M = 2L``): the pass's buffer from :func:`~qfimlab.circuits.fold_bytes`,
-    ``(M + 1) 4 d^2`` bytes, beside the largest of three: the pass's
-    scratch, one row's read-out pairs and sums, and the assembly, which makes
-    one parity block's stack complex, ``(M + 1) 4 d^2`` bytes, beside that
-    block's eigenvectors, their adjoint, its group product and its pair
-    weights, at most ``32 d^2``. A circuit with a rotation symmetry holds
-    less, one entry per rotation orbit. Every
-    other point runs the statevector pass on the :func:`scaling_chunk`
-    samples it runs at once (one for spectrum): its ``(M + 1)`` rows per
-    sample and a spare array of the same size, ``2 (M + 1) chunk 16 d`` at
-    the depth where that is largest; the spare is freed before the
-    Fubini-Study assembly forms its ``M`` projected rows per sample.
+    """Bytes a spectrum or scaling run of the Ising ansatz holds at once: its
+    largest point (``M = 2L`` deepest) once per point run at the same time.
+    A local-depolarizing point with ``p > 0`` is charged
+    :func:`~qfimlab.qfim.folded_bytes` at ``g = 1``, the Ising ring's rotation
+    step under uniform noise on ``|+>^n``; any other point the stack and spare
+    array of ``circuits.statevector_derivatives`` on its :func:`scaling_chunk`.
     """
     d = 2 ** circuit["n"]
     depths = [2 * level for level in (circuit["L"], *sweep["L"])]
@@ -370,11 +357,7 @@ def _estimated_bytes(circuit: dict, noise: dict, sweep: dict, workers: int, samp
     folded = noise["model"] == "local_depolarizing" and any(p > 0.0 for p in points)
     held = min(workers, len(points))
     vectors = max(2 * (m + 1) * scaling_chunk(samples, d, m) * 16 * d for m in depths)
-    if not folded:
-        return held * vectors
-    rows = max(depths) + 1
-    buffer, scratch, readout = fold_bytes(rows, d * d // 2, d * d // 2)
-    return held * max(vectors, buffer + max(scratch, readout, rows * 4 * d * d + 32 * d * d))
+    return held * max(vectors, folded_bytes(circuit["n"], 1, max(depths) + 1) if folded else 0)
 
 
 def scaling_chunk(samples: int, dim: int, n_params: int) -> int:

@@ -11,14 +11,13 @@ expected to be exact (see ``circuits``); finite differences would pollute
 rank decisions near the tolerance.
 
 One kernel, :func:`_block_qfim`, assembles every mixed-state QFIM from
-``(M + 1, k, k)`` blocks, the state's block in row 0 and the derivatives'
-after it: ``eigh`` of row 0, the other rows changed to its eigenbasis in
-place in groups of ``max(1, d^2 // k^2)`` (``d`` the sum of the block sizes,
-so the temporary is at most one ``d x d`` matrix), and one weighted Gram
-product per block. :func:`qfim_mixed` and the closed form pass one complex
-block of size ``d``, so it goes one row at a time; the folded path one
-float64 block per sector, in the pass's one-real form, which becomes
-complex one sector at a time.
+float64 ``(M + 1, k, k)`` blocks in the one-real form ``Re A + Im A``, the
+state's block in row 0 and the derivatives' after it: ``eigh`` of row 0,
+the other rows made complex, changed to its eigenbasis and written back in
+groups of ``max(1, d^2 // k^2)`` (``d`` the sum of the block sizes), and one
+real Gram product per block. :func:`qfim_mixed` and the closed form pass
+one block of size ``d`` after the state's Hermiticity check, the folded
+path one per sector; :func:`folded_bytes` states that path's memory.
 
 :func:`qfim_of_circuit` is the one way to the QFIM of a circuit, and its
 input picks one of three routes:
@@ -35,9 +34,8 @@ input picks one of three routes:
   folded pass (``circuits.parity_folded_sectors``) from ``psi psi†``, with
   no ``d x d`` array, assembled as one Gram product per sector block.
 - everything else, every density matrix included: the dense pass
-  (``circuits.evolve_with_derivatives``, whose stack and scratch take
-  ``2 (M + 1) 16 d^2`` bytes), then :func:`qfim_mixed` on the ``d x d``
-  output; any other state vector runs as ``psi psi†``.
+  (``circuits.evolve_with_derivatives``), then :func:`qfim_mixed` on the
+  ``d x d`` output; any other state vector runs as ``psi psi†``.
 
 So passing ``psi psi†`` gives the dense reference for either fast route.
 
@@ -65,12 +63,14 @@ from .circuits import (
     NoisyCircuit,
     _folded_sectors,
     evolve_with_derivatives,
+    fold_bytes,
+    fold_plan,
     hermitian_blocks,
     parity_folds,
     statevector_derivatives,
 )
 from .exceptions import DimensionMismatchError
-from .linalg import TAU_SPEC, dag, hermitian_eig
+from .linalg import TAU_SPEC, check_hermitian, dag, hermitian_eig
 
 TAU_RANK_ABS = 1e-12
 TAU_RANK_REL = 1e-10
@@ -140,7 +140,7 @@ def _fubini_study(states: np.ndarray, derivs: np.ndarray) -> np.ndarray:
     their ``(K, M, d)`` derivatives, as one Gram product ``F = 4 Re(Y Y^H)`` per row.
 
     Rows are ``Y_i = d_i psi - psi <psi|d_i psi>``; the product runs on the
-    real view of ``Y``, as in :func:`_block_qfim`. Every state's norm is checked.
+    real view of ``Y``. Every state's norm is checked.
     """
     nrm = np.linalg.norm(states, axis=-1)
     off = np.abs(nrm - 1.0) > 1e-9
@@ -160,37 +160,54 @@ def _mixed_weights(evals: np.ndarray, x: float, shift: float) -> np.ndarray:
 
 
 def _block_qfim(blocks: Sequence[np.ndarray], x: float = 1.0, shift: float = 0.0) -> np.ndarray:
-    """``F = sum over blocks of Re(Y Y^H)``, ``Y_i = sqrt(w) * V† d_i V``.
+    """``F = sum over blocks of Re Tr(Y_i Y_j)``, ``Y_i = sqrt(w) * V† d_i V``.
 
-    Each ``(M + 1, k, k)`` block holds a state block in row 0, with
-    eigenvalues ``r`` and eigenvectors ``V``, and derivative blocks after it.
-    A complex block is overwritten with the rows ``Y_i``; a float64 block is
-    the folded pass's one-real form ``Re A + Im A`` and is made complex
-    (``circuits.hermitian_blocks``) only while it is assembled, one block at
-    a time. The pair weights are those of :func:`_mixed_weights`,
-    ``2 / (r_mu + r_nu)`` at the defaults. The product runs on the real view
-    of ``Y`` (``Re(y z^*) = Re y Re z + Im y Im z``), so no conjugated copy is
-    made.
-    """
+    Each float64 ``(M + 1, k, k)`` block holds Hermitian ``A`` as ``Re A + Im A``
+    (``circuits.hermitian_blocks``): a state block in row 0, with eigenvalues ``r``
+    and eigenvectors ``V``, then derivative blocks, overwritten with the ``Y_i`` in
+    that form; ``w`` is :func:`_mixed_weights`, ``2 / (r_mu + r_nu)`` at the
+    defaults. As ``Re Y`` is symmetric and ``Im Y`` antisymmetric, the dot product
+    of two one-real rows is ``Re Tr(Y_i Y_j)``."""
     d = sum(len(block[0]) for block in blocks)
-    f = np.zeros((len(blocks[0]) - 1,) * 2)
-    for block in blocks:
-        f += _block_gram(block if np.iscomplexobj(block) else hermitian_blocks(block), d, x, shift)
-    return f
+    return sum(_block_gram(block, d, x, shift) for block in blocks)
+
+
+def _row_group(k: int, d: int) -> int:
+    """How many rows of a ``k``-wide block :func:`_block_gram` makes complex at once: one ``d x d`` matrix's worth."""
+    return max(1, d * d // (k * k))
 
 
 def _block_gram(block: np.ndarray, d: int, x: float, shift: float) -> np.ndarray:
-    """One complex block's term of :func:`_block_qfim`, its rows changing basis
-    in groups of ``max(1, d^2 // k^2)``; a function of its own, so that the
-    block and its views are released before the next block is made complex."""
-    evals, vecs = hermitian_eig(block[0])
+    """One block's term of :func:`_block_qfim`: row 0 made complex for its eigenbasis
+    (Hermitian by construction), then each :func:`_row_group` of the other rows made
+    complex, changed to that basis, weighted and written back in one-real form."""
+    evals, vecs = np.linalg.eigh(hermitian_blocks(block[0]))
     y, k = block[1:], len(vecs)
-    vh, step = dag(vecs), max(1, d * d // (k * k))
+    vh, root, step = dag(vecs), np.sqrt(_mixed_weights(evals, x, shift)), _row_group(k, d)
     for rows in np.split(y, range(step, len(y), step)):
-        np.matmul(vh @ rows, vecs, out=rows)
-    y *= np.sqrt(_mixed_weights(evals, x, shift))
-    flat = y.reshape(len(y), k * k).view(float)
+        a = hermitian_blocks(rows)
+        np.matmul(vh @ a, vecs, out=a)
+        a *= root
+        np.add(a.real, a.imag, out=rows)
+    flat = y.reshape(len(y), k * k)
     return flat @ flat.T
+
+
+def folded_bytes(n: int, g: int, rows: int) -> int:
+    """Most bytes the folded route holds, ``rows = M + 1``, rotation step ``g``: the pass
+    (``circuits.fold_bytes``), then the largest sector's two complex row groups and ``eigh``."""
+    k, d = max(fold_plan(n, g)[2]), 2**n
+    return sum(fold_bytes(n, g, rows)) + (32 * min(rows - 1, _row_group(k, d)) + 48) * k * k
+
+
+def _one_real(rho: np.ndarray, derivs: Sequence[np.ndarray]) -> np.ndarray:
+    """``rho`` and its derivatives as one block of :func:`_block_qfim`, whose form
+    holds Hermitian matrices only: ``rho`` is checked first (``TAU_HERM``)."""
+    check_hermitian(np.asarray(rho))
+    block = np.empty((len(derivs) + 1, *np.shape(rho)))
+    for row, a in zip(block, (rho, *derivs)):
+        np.add(np.real(a), np.imag(a), out=row)
+    return block
 
 
 def qfim_mixed(
@@ -200,8 +217,7 @@ def qfim_mixed(
     tau_rel: float = TAU_RANK_REL,
 ) -> QfimReport:
     """Mixed-state QFIM from the eigenbasis matrix-element form."""
-    block = np.array([rho, *derivs], dtype=complex)
-    return report_from_matrix(_block_qfim([block]), tau_abs, tau_rel)
+    return report_from_matrix(_block_qfim([_one_real(rho, derivs)]), tau_abs, tau_rel)
 
 
 def _global_depol_survival(p: float, n_gates: int) -> float:
@@ -262,8 +278,7 @@ def noisy_qfim_closed_form_global_depol(
     Returns the raw matrix; wrap with :func:`report_from_matrix` if needed.
     """
     x = _global_depol_survival(p, n_gates)
-    block = np.array([rho_noiseless, *derivs_noiseless], dtype=complex)
-    return _block_qfim([block], x, 2.0 * (1.0 - x) / len(rho_noiseless))
+    return _block_qfim([_one_real(rho_noiseless, derivs_noiseless)], x, 2.0 * (1.0 - x) / len(rho_noiseless))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Lie-closure computation and algebra dimensions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from dla_reference import ResidualBasis
@@ -56,6 +58,21 @@ class TestLieClosure:
         with pytest.raises(CapExceededError) as info:
             lie_closure(gens, max_dim=5)
         assert info.value.partial_dim == 5
+
+    def test_dense_closure_holds_a_few_bases(self, rng):
+        # the basis buffer doubles its rows when they are full and its columns when a
+        # row is wider, one axis at a time; doubling both at once peaked at 321 MiB
+        # here, 322 times the basis. What is left is the basis, its buffer and one
+        # turn's commutators with their stacked factors, each about the basis's size
+        gens = [random_hermitian(16, rng, traceless=True) for _ in range(2)]
+        tracemalloc.start()
+        try:
+            basis = lie_closure(gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.dim == 255
+        assert peak < 8 * sum(e.nbytes for e in basis.elements)
 
     def test_generic_generators_fill_su_d(self, rng):
         gens = [random_hermitian(4, rng, traceless=True) for _ in range(2)]

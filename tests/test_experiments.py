@@ -46,7 +46,7 @@ from qfimlab.experiments import (
     scaling_chunk,
 )
 from qfimlab.linalg import X, Y, Z
-from qfimlab.qfim import qfim_of_circuit
+from qfimlab.qfim import folded_bytes, qfim_of_circuit
 from qfimlab.rand import subkey_rng, subkey_uniform
 
 
@@ -763,10 +763,11 @@ def test_malformed_input_rejected_at_parse_time(raw, field, tmp_path):
 def test_memory_check_counts_points_that_run_at_once(monkeypatch, tmp_path, capsys):
     from qfimlab.cli import main
 
-    # 32 MiB: the n=8, L=10 folded point, charged its float64 buffer beside the
-    # assembly's complex parity block and temporaries (21 * 8 d^2 + 32 d^2 = 12.5 MiB),
-    # fits twice, but not four times
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**13}
+    # 6 MiB: the n=8, L=10 folded point, charged what qfim.folded_bytes reports at
+    # g = 1 (its pass's buffer, scratch, read-out and tables, and the assembly of its
+    # largest sector: 2,353,920 B = 2.24 MiB), fits twice, but not four times
+    assert folded_bytes(8, 1, 21) == 2_353_920
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 6 * 2**8}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     raw = {"experiment": "spectrum", "circuit": {"name": "hva_tfim", "n": 8, "L": 10},
            "noise": {"model": "local_depolarizing", "p": 0.0},
@@ -838,37 +839,50 @@ def test_noiseless_spectrum_at_n14_fits_in_eight_gib(monkeypatch):
 
 
 def test_local_depolarizing_spectrum_at_n12_fits_in_eight_gib(monkeypatch):
-    # a folded point is charged at g = n its float64 buffer, (M + 1) 4 d^2, beside the
-    # assembly's complex parity block, as much again, and its temporaries, 32 d^2:
-    # 5.6 GiB at n=12, L=20, and 22.5 GiB at n=13
+    # a folded point is charged at g = 1, the rotation step of the Ising ring under
+    # uniform noise on |+>^n: 0.32 GiB at n=12, L=20, 1.09 at n=13, 4.08 at n=14 and
+    # 14.9 GiB at n=15, which is refused before anything run-sized is allocated
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": int(7.8 * 2**30) // 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     raw = {"experiment": "spectrum", "circuit": {"name": "hva_tfim", "n": 12, "L": 20},
            "noise": {"model": "local_depolarizing", "p": 0.0}, "sweep": {"p": [1e-3]}}
-    assert parse_config(raw).circuit["n"] == 12
-    with pytest.raises(ConfigError, match="needs about 22.5 GiB"):
-        parse_config({**raw, "circuit": {"name": "hva_tfim", "n": 13, "L": 20}})
-
-
-def test_folded_memory_peak_lies_within_the_parse_time_estimate():
-    # a folded point with no rotation symmetry (g = n), the case the estimate charges:
-    # one buffer, then the assembly's complex parity block and temporaries beside it
-    raw = {"experiment": "spectrum", "circuit": {"name": "hva_tfim", "n": 8, "L": 10},
-           "noise": {"model": "local_depolarizing", "p": 0.0}, "sweep": {"p": [1e-3]}}
-    cfg = parse_config(raw)
-    estimate = _estimated_bytes(cfg.circuit, cfg.noise, cfg.sweep, 1)
-    noise = LocalDepolarizing(tuple(np.linspace(1e-3, 2e-3, 8)))
-    circuit, psi = hva_tfim(8, 10).with_uniform_noise(noise), plus_state_vector(8)
-    theta = np.random.default_rng(42).uniform(0, 2 * np.pi, circuit.n_params)
-    assert _rotation_step(circuit, psi) == 8
-    qfim_of_circuit(circuit, theta, psi)  # the fold tables, which a spectrum's points share
+    for n in (12, 13, 14):
+        assert parse_config({**raw, "circuit": {"name": "hva_tfim", "n": n, "L": 20}}).circuit["n"] == n
     tracemalloc.start()
     try:
-        qfim_of_circuit(circuit, theta, psi)
+        with pytest.raises(ConfigError, match="needs about 14.9 GiB"):
+            parse_config({**raw, "circuit": {"name": "hva_tfim", "n": 15, "L": 20}})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0.9 * estimate <= peak <= estimate
+    assert peak <= 2**20
+
+
+def test_folded_memory_peak_lies_within_the_parse_time_estimate():
+    # one folded point holds at most what qfim.folded_bytes reports, and at least
+    # two thirds of it, once the fold tables that a spectrum's points share are
+    # built: a config's point at g = 1, as the parse-time estimate charges it, and
+    # a point with per-qubit p at g = n
+    for n, layers in ((8, 10), (10, 8)):
+        raw = {"experiment": "spectrum", "circuit": {"name": "hva_tfim", "n": n, "L": layers},
+               "noise": {"model": "local_depolarizing", "p": 0.0}, "sweep": {"p": [1e-3]}}
+        cfg = parse_config(raw)
+        circuit, psi = hva_tfim(n, layers), plus_state_vector(n)
+        theta = np.random.default_rng(42).uniform(0, 2 * np.pi, circuit.n_params)
+        for noise, g, estimate in (
+            (LocalDepolarizing.uniform(n, 1e-3), 1, _estimated_bytes(cfg.circuit, cfg.noise, cfg.sweep, 1)),
+            (LocalDepolarizing(tuple(np.linspace(1e-3, 2e-3, n))), n, folded_bytes(n, n, circuit.n_params + 1)),
+        ):
+            noisy = circuit.with_uniform_noise(noise)
+            assert _rotation_step(noisy, psi) == g
+            qfim_of_circuit(noisy, theta, psi)
+            tracemalloc.start()
+            try:
+                qfim_of_circuit(noisy, theta, psi)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert estimate / 1.5 <= peak <= estimate, (n, g)
 
 
 def test_statevector_memory_peak_lies_within_the_parse_time_estimate():
@@ -914,11 +928,11 @@ def test_csv_trajectory_holds_at_most_256_bytes_per_row(steps, eig_steps):
     cfg = parse_config(raw)
     tracemalloc.start()
     try:
-        RUNNERS["trajectory"](cfg, workers=1)
+        text = RUNNERS["trajectory"](cfg, workers=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rows = 3 * (2 + 4 * (steps + 1) + 4 * (eig_steps + 1))  # 1,230 and 24,030 rows
+    rows = text.count("\n") - 2  # the rows written: every line but the schema line and the header
     assert peak <= 256 * rows
 
 

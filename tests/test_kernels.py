@@ -43,6 +43,7 @@ from qfimlab.circuits import (
     evolve,
     evolve_with_derivatives,
     fold_bytes,
+    fold_plan,
     gate_kernel,
     hermitian_blocks,
     hva_tfim,
@@ -743,12 +744,14 @@ class TestSectors:
         assert sum(traces) == pytest.approx(len(orbit), abs=1e-13)
 
     def test_sector_blocks_fit_in_one_buffer_row(self):
-        # the read-out writes each row's sector blocks into that row's own slot
+        # the read-out writes each row's sector blocks into that row's own slot; the
+        # slot, orbit count and sector sizes that fold_plan counts are those of the tables
         for n in range(1, 11):
             for g in (g for g in range(1, n + 1) if n % g == 0):
                 tables = _FoldTables(n, g)
                 assert tables.stride == max(r * c for r, c in tables.shapes), (n, g)
                 assert tables.sectors.block_size <= tables.stride, (n, g)
+                assert fold_plan(n, g) == (tables.stride, len(tables.sectors.reps), tables.sectors.sizes), (n, g)
 
     def test_at_no_rotation_the_sectors_are_the_two_parity_blocks(self, rng):
         n, d, h = 4, 16, 8
@@ -819,8 +822,8 @@ class TestSectors:
     def test_read_out_holds_no_more_than_the_pass(self, rng, n, layers):
         # the rows live in one buffer, the pass works through a scratch of whole rows,
         # the read-out writes each row's sector blocks, one real per entry, into its
-        # own slot through one row's pairs and sums, and each stack becomes complex
-        # only while it is assembled
+        # own slot through one row's pairs and sums, and the assembly makes one row
+        # group complex at a time
         circ = hva_tfim(n, layers).with_uniform_noise(LocalDepolarizing.uniform(n, 1e-3))
         theta, psi = rng.uniform(0, 2 * np.pi, circ.n_params), plus_state_vector(n)
         qfim_of_circuit(circ, theta, psi)
@@ -831,7 +834,7 @@ class TestSectors:
         finally:
             tracemalloc.stop()
         tables, rows = _fold_tables(n, 1), circ.n_params + 1
-        buffer, scratch, readout = fold_bytes(rows, max(r * c for r, c in tables.shapes), tables.sectors.size)
+        buffer, scratch, readout, _ = fold_bytes(n, 1, rows)
         block = rows * max(tables.sectors.sizes) ** 2 * 16
         assert peak <= buffer + scratch + readout + block
 
@@ -842,8 +845,7 @@ class TestSectors:
         circ = hva_tfim(n, 20).with_uniform_noise(LocalDepolarizing.uniform(n, 1e-3))
         theta, psi = rng.uniform(0, 2 * np.pi, circ.n_params), plus_state_vector(n)
         _folded_sectors(circ, theta, psi)
-        tables = _fold_tables(n, 1)
-        buffer, scratch, _ = fold_bytes(circ.n_params + 1, tables.stride, tables.sectors.size)
+        buffer, scratch, _, _ = fold_bytes(n, 1, circ.n_params + 1)
         assert scratch < buffer
         tracemalloc.start()
         try:
@@ -865,11 +867,11 @@ class TestSectors:
             circ = tfim.with_uniform_noise(noise)
             assert _rotation_step(circ, psi) == g
             tables = _fold_tables(n, g)
-            buffer, scratch, _ = fold_bytes(rows, tables.stride, tables.sectors.size)
+            buffer, scratch, _, _ = fold_bytes(n, g, rows)
             assert scratch == buffer  # every row in one group
             whole = _folded_sectors(circ, theta, psi)
             monkeypatch.setattr(circuits, "SCRATCH_BYTES", scratch_rows * 8 * tables.stride)
-            assert fold_bytes(rows, tables.stride, tables.sectors.size)[1] == scratch_rows * 8 * tables.stride
+            assert fold_bytes(n, g, rows)[1] == scratch_rows * 8 * tables.stride
             grouped = _folded_sectors(circ, theta, psi)
             monkeypatch.undo()
             assert len(grouped) == len(whole)

@@ -126,6 +126,7 @@ def test_bench_tool_writes_one_row_per_point(tmp_path):
         assert (row["L"], row["M"], row["p"], row["folded"]) == (2, 4, 1e-3, True)
         assert len(row["wall_s_runs"]) == 2 and row["wall_s"] > 0 and row["ru_maxrss_mb"] > 0
         assert 0 < row["rank"] <= 4 and row["lambda_max"] > 0
+        assert row["estimate_mb"] > 0  # what parse_config charges the point's spectrum config
     assert doc["rows"][2]["lambda_max"] == doc["rows"][3]["lambda_max"]
     assert all("traced_peak_mb" not in row for row in doc["rows"])
     assert all("wall_s_warm" not in row for row in doc["rows"])
@@ -164,5 +165,5 @@ def test_readme_bench_recipe_runs(tmp_path):
                 for row in rows] == [("parent", 3, 1, True), ("change", 3, 1, True), *configs]
     assert {path.name for path in tmp_path.iterdir()} == {
         "BENCH_one_buffer.json", "BENCH_sector_readout.json", "BENCH_vector_entry.json",
-        "BENCH_trajectory_rank.json",
+        "BENCH_trajectory_rank.json", "BENCH_memory_plan.json",
     }

@@ -21,7 +21,9 @@ vectors reads false there, while its ``qfim_of_circuit`` still folded
 call under ``tracemalloc`` and records its peak (``traced_peak_mb``): the
 arrays' own peak, which unlike ``ru_maxrss`` does not move with the size of
 the interpreter, its modules or the shared libraries; ``wall_s`` and
-``ru_maxrss_mb`` stay those of the first call. With ``--calls C`` (default
+``ru_maxrss_mb`` stay those of the first call. Beside them, ``estimate_mb``
+is what ``parse_config``'s memory check charges the ``spectrum`` config of
+that one point (``experiments._estimated_bytes``). With ``--calls C`` (default
 1) the child makes C timed calls: ``wall_s`` stays the first, cold call,
 which builds the fold tables, and for C > 1 ``wall_s_warm`` is the median
 of calls 2..C, which find them built, as every later point of a
@@ -31,12 +33,14 @@ Each ``--config PATH`` (repeatable) adds one runner-level point: the child
 parses the config with ``theta.seed`` 42 and no ``output.path``, and times
 ``RUNNERS[experiment](config, workers=1)``, the text the CLI would write,
 with the same ``wall_s``, ``wall_s_warm``, ``ru_maxrss_mb`` and
-``traced_peak_mb`` as above. Its row holds the config's path (relative to
-this checkout when inside it), ``output_rows`` (the data lines of a
-CSV, the ``rows`` of a JSON table, null for a report) and the ``sha256`` of
-its text, which every run of one side must repeat. Both sides read the
-same config file. Without ``--config`` the QFIM points run at ``--n``
-(default 8 10 11 12); with it, only the ``--n`` given.
+``traced_peak_mb`` as above, and ``estimate_mb``, what ``parse_config``'s
+memory check charged the config (null when it charges none). Its row holds
+the config's path (relative to this checkout when inside it),
+``output_rows`` (the data lines of a CSV, the ``rows`` of a JSON table,
+null for a report) and the ``sha256`` of its text, which every run of one
+side must repeat. Both sides read the same config file. Without
+``--config`` the QFIM points run at ``--n`` (default 8 10 11 12); with it,
+only the ``--n`` given.
 
 Each ``--side NAME=SRC`` names a ``src`` directory that ``qfimlab`` is
 imported from (default: ``change`` = this checkout's), so a parent commit
@@ -122,9 +126,13 @@ def child(n: int, layers: int, traced: bool = False, calls: int = 1) -> dict:
 
     from qfimlab.channels import LocalDepolarizing
     from qfimlab.circuits import hva_tfim, parity_folds, plus_state_vector
+    from qfimlab.experiments import _estimated_bytes
     from qfimlab.qfim import qfim_of_circuit
     from qfimlab.rand import subkey_rng
 
+    # what parse_config charges the spectrum config of this one point
+    estimate = _estimated_bytes({"name": "hva_tfim", "n": n, "L": layers}, {"model": "local_depolarizing", "p": 0.0},
+                                {"p": [P], "L": []}, 1)
     circuit = hva_tfim(n, layers).with_uniform_noise(LocalDepolarizing.uniform(n, P))
     theta = subkey_rng(SEED, 0).uniform(0.0, 2.0 * np.pi, circuit.n_params)
     psi = plus_state_vector(n)
@@ -136,6 +144,7 @@ def child(n: int, layers: int, traced: bool = False, calls: int = 1) -> dict:
         "p": P,
         "folded": bool(parity_folds(circuit, psi)),
         **timing,
+        "estimate_mb": estimate / 2**20,
         "rank": int(report.rank),
         "lambda_max": float(report.eigenvalues[0]),
         "numpy": np.__version__,
@@ -146,12 +155,18 @@ def config_child(path: str, traced: bool = False, calls: int = 1) -> dict:
     """One runner-level point, in this process: numpy must not have been imported yet."""
     import numpy as np
 
+    from qfimlab import experiments
     from qfimlab.experiments import RUNNERS, parse_config
 
     raw = json.loads(Path(path).read_text())
     raw["theta"] = {"seed": SEED}
     raw["output"] = {k: v for k, v in raw.get("output", {}).items() if k != "path"}
-    config = parse_config(raw, workers=1)
+    charged, check = [], experiments._check_memory
+    experiments._check_memory = lambda what, need: charged.append(need) or check(what, need)
+    try:
+        config = parse_config(raw, workers=1)
+    finally:
+        experiments._check_memory = check
     timing, text = measure(lambda: RUNNERS[config.experiment](config, workers=1), calls, traced)
     if text.startswith("# qfimlab csv"):
         rows = text.count("\n") - 2  # the schema line and the column header
@@ -161,6 +176,7 @@ def config_child(path: str, traced: bool = False, calls: int = 1) -> dict:
     return {
         "experiment": config.experiment,
         **timing,
+        "estimate_mb": charged[0] / 2**20 if charged else None,
         "output_rows": rows,
         "sha256": hashlib.sha256(text.encode()).hexdigest(),
         "numpy": np.__version__,
