@@ -11,15 +11,19 @@ product ``Re <a, b>``, in one of two coordinate systems:
   ``Re Tr[a† b] / 2^n`` (a single string has norm 1 at every n) and no
   ``2^n``-sized array is ever formed.
 
-Starting from the orthonormalized ``i G``, each element is commuted with every
-element before it, all of them in one batch; a candidate joins the basis when
-its residual after projection exceeds ``TAU_INDEP``. See :func:`lie_closure`
-for why this terminates with a closed span.
+Starting from the orthonormalized ``i G``, each element is commuted with the
+generators, all of them in one batch; a candidate joins the basis when its
+residual after projection exceeds ``TAU_INDEP``. The algebra generated by a
+set is the smallest space that holds the set and is mapped into itself by
+the adjoint action of each of its members, so brackets with the generators
+alone reach all of it. See :func:`lie_closure` for why this terminates with
+that span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,12 +36,6 @@ TAU_INDEP = 1e-8
 # roundoff; they are left out of the element used in commutators, so that
 # they cannot seed strings outside the algebra's support.
 _CHOP = 1e-12
-# Bytes of pairwise arrays that one batch of brackets forms at once: a turn's
-# earlier elements go in chunks, about 32 bytes per pair of Pauli terms or
-# 64 d^2 bytes per dense element, as many as fit and at least one. Every
-# turn of the Ising closure up to n=20, and of su(8) from two random
-# 3-qubit generators, is one chunk.
-BRACKET_BATCH_BYTES = 2**23
 
 
 @dataclass(frozen=True)
@@ -133,24 +131,21 @@ def _signs(k: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _string_keys(bits: np.ndarray) -> np.ndarray:
-    """``(K, W)`` integer keys of the strings in ``bits``: each row's bits packed, the first
-    the most significant, into ``W = ceil(2n / 64)`` uint64 words. Comparing keys word by
-    word orders strings as their bit rows do, at any n, and the key of a product
-    ``X^(a1^a2) Z^(b1^b2)`` is the XOR of its factors' keys."""
+    """``(K, W)`` keys of the strings in ``bits``: each row's bits packed, the first the
+    most significant, into ``W = ceil(2n / 64)`` 8-byte words that keep the packed byte
+    order. The key of a product ``X^(a1^a2) Z^(b1^b2)`` is the XOR of its factors'
+    keys, and :func:`_sortable` orders keys as their bit rows are ordered, at any n."""
     packed = np.packbits(bits, axis=1)
     words = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
     words[:, : packed.shape[1]] = packed
-    return words.view(">u8").astype(np.uint64)
+    return words.view(np.uint64)
 
 
-def _string_groups(keys: np.ndarray) -> np.ndarray:
-    """Index of each row's string among the distinct rows of ``keys``, numbered in sorted
-    order; one ``np.unique`` per key word."""
-    _, group = np.unique(keys[:, 0], return_inverse=True)
-    for w in range(1, keys.shape[1]):
-        _, word = np.unique(keys[:, w], return_inverse=True)
-        _, group = np.unique(group * len(keys) + word, return_inverse=True)
-    return group
+def _sortable(keys: np.ndarray) -> np.ndarray:
+    """The rows of ``keys`` as void scalars: ``np.sort``, ``np.unique`` and
+    ``np.searchsorted`` compare them byte by byte, that is, as big-endian words."""
+    keys = np.ascontiguousarray(keys)
+    return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
 
 
 def _sums(index: np.ndarray, coeffs: np.ndarray, size: int) -> np.ndarray:
@@ -161,17 +156,27 @@ def _sums(index: np.ndarray, coeffs: np.ndarray, size: int) -> np.ndarray:
 def _merged(bits: np.ndarray, coeffs: np.ndarray) -> PauliSum:
     """Pauli sum with the coefficients of repeated strings added up; exact zeros dropped.
     Strings come out in sorted order."""
-    group = _string_groups(_string_keys(bits))
-    size = group.max(initial=-1) + 1
-    summed = _sums(group, coeffs, size)
-    row = np.empty(size, dtype=np.intp)
-    row[group] = np.arange(len(group))
+    _, first, group = np.unique(_sortable(_string_keys(bits)), return_index=True, return_inverse=True)
+    summed = _sums(group, coeffs, len(first))
     keep = summed != 0
-    return PauliSum(bits[row[keep]], summed[keep])
+    return PauliSum(bits[first[keep]], summed[keep])
 
 
-def _anticommuting_pairs(bits: np.ndarray, coeffs: np.ndarray, b: PauliSum):
-    """``(i, j, c)``: every pair of a row ``bits[i]`` and a term ``j`` of ``b`` whose strings
+class _Terms(NamedTuple):
+    """The terms of a list of Pauli sums, stacked in order."""
+
+    bits: np.ndarray
+    keys: np.ndarray  # of each term's string, from _string_keys
+    x: np.ndarray  # the X half of the bits, as floats
+    z: np.ndarray  # the Z half of the bits, as floats
+    coeffs: np.ndarray
+    owner: np.ndarray  # index of the sum that holds each term
+    ends: np.ndarray  # one past the last term of each sum
+
+
+def _anticommuting_pairs(x: np.ndarray, z: np.ndarray, coeffs: np.ndarray, b: PauliSum):
+    """``(i, j, c)``: every pair of a term ``i``, with X bits ``x[i]``, Z bits ``z[i]``
+    (as floats) and coefficient ``coeffs[i]``, and a term ``j`` of ``b`` whose strings
     anticommute, in row-major order, and the coefficient ``c`` of their commutator.
 
     Strings ``P1 = X^a1 Z^b1`` and ``P2 = X^a2 Z^b2`` anticommute when
@@ -181,9 +186,9 @@ def _anticommuting_pairs(bits: np.ndarray, coeffs: np.ndarray, b: PauliSum):
     floating point.
     """
     n = b.n_qubits
-    fa, fb = bits.astype(float), b.bits.astype(float)
-    sign_dot = fa[:, n:] @ fb[:, :n].T
-    dot = fa[:, :n] @ fb[:, n:].T
+    fb = b.bits.astype(float)
+    sign_dot = z @ fb[:, :n].T
+    dot = x @ fb[:, n:].T
     dot += sign_dot
     pairs = np.flatnonzero(dot.astype(np.int64) & 1)
     i, j = np.divmod(pairs, len(b.coeffs))
@@ -198,20 +203,8 @@ def pauli_commutator(a: PauliSum, b: PauliSum) -> PauliSum:
     if a.n_qubits != b.n_qubits:
         raise DimensionMismatchError(f"Pauli sums on {a.n_qubits} and {b.n_qubits} qubits")
     columns = _StringColumns(a.n_qubits, np.result_type(a.bits, b.bits))
-    (coeffs,), _ = columns.brackets([a], b)
+    (coeffs,), _ = columns.brackets(columns.stack([a]), 1, b)
     return PauliSum(columns.rows, coeffs)
-
-
-def _chunks(costs: np.ndarray):
-    """Consecutive ``(lo, hi)`` ranges of items whose costs add up to at most
-    :data:`BRACKET_BATCH_BYTES`, and at least one item each."""
-    ends = np.cumsum(costs)
-    lo = 0
-    while lo < len(ends):
-        spent = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, spent + BRACKET_BATCH_BYTES, side="right")))
-        yield lo, hi
-        lo = hi
 
 
 class _MatrixCoordinates:
@@ -232,88 +225,99 @@ class _MatrixCoordinates:
     def element(self, v: np.ndarray) -> np.ndarray:
         return v.reshape(self.d, self.d)
 
-    def brackets(self, earlier: list, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened ``[e_j, b]`` for every ``e_j`` in ``earlier``, one row each, from
-        stacked commutators; every row is ``d^2`` wide."""
-        out = np.concatenate(
-            [
-                commutator(np.stack(earlier[lo:hi]), b).reshape(hi - lo, -1)
-                for lo, hi in _chunks(np.full(len(earlier), 64 * self.d**2))
-            ]
-        )
-        return out, np.full(len(earlier), out.shape[1])
+    def stack(self, elements: list) -> np.ndarray:
+        """``elements`` stacked once, for every turn that brackets with them."""
+        return np.stack(elements)
+
+    def brackets(self, gens: np.ndarray, m: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flattened ``[g_j, b]`` for each of the first ``m`` matrices ``g_j`` of the stack
+        ``gens``, one row each, from stacked commutators; every row is ``d^2`` wide."""
+        out = commutator(gens[:m], b).reshape(m, -1)
+        return out, np.full(m, out.shape[1])
 
 
 class _StringColumns:
     """One coordinate per Pauli string, columns added as strings appear."""
 
     def __init__(self, n_qubits: int, dtype=np.uint8):
-        # the string of each column, as bits and as its integer key
+        # the string of each column; the columns' sortable keys in sorted order, and
+        # the column of each
         self.rows = np.zeros((0, 2 * n_qubits), dtype=dtype)
-        self.keys = _string_keys(self.rows)
+        self.index = _sortable(_string_keys(self.rows))
+        self.order = np.zeros(0, dtype=np.intp)
 
-    def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(group, col)``: groups number the distinct strings of the columns and of
-        ``keys``; ``group[k]`` is that of row ``k``, ``col[g]`` the column of group ``g``,
-        or -1."""
-        known = len(self.keys)
-        group = _string_groups(np.concatenate([self.keys, keys]))
-        col = np.full(group.max(initial=-1) + 1, -1)
-        col[group[:known]] = np.arange(known)
-        return group[known:], col
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The column of the string of each sortable key, or -1."""
+        if not len(self.index):
+            return np.full(len(keys), -1)
+        at = np.minimum(np.searchsorted(self.index, keys), len(self.index) - 1)
+        return np.where(self.index[at] == keys, self.order[at], -1)
 
-    def _append(self, col: np.ndarray, groups: np.ndarray, bits: np.ndarray, keys: np.ndarray) -> None:
-        """New columns for ``groups``, in that order, whose strings are ``bits``, ``keys``."""
-        col[groups] = len(self.keys) + np.arange(len(groups))
+    def _append(self, bits: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """New columns, in row order, for the distinct new strings ``bits`` with the
+        sortable ``keys``; returns their indices."""
+        cols = len(self.rows) + np.arange(len(keys))
+        by_key = np.argsort(keys, kind="stable")
+        at = np.searchsorted(self.index, keys[by_key])
+        self.index = np.insert(self.index, at, keys[by_key])
+        self.order = np.insert(self.order, at, cols[by_key])
         self.rows = np.concatenate([self.rows, bits])
-        self.keys = np.concatenate([self.keys, keys])
+        return cols
 
     def vector(self, s: PauliSum) -> np.ndarray:
         """Coordinates of a sum of distinct strings; new ones get columns in row order."""
-        keys = _string_keys(s.bits)
-        group, col = self._lookup(keys)
-        new = np.flatnonzero(col[group] < 0)
-        self._append(col, group[new], s.bits[new], keys[new])
-        v = np.zeros(len(self.keys), dtype=complex)
-        v[col[group]] = s.coeffs
+        keys = _sortable(_string_keys(s.bits))
+        col = self._lookup(keys)
+        new = np.flatnonzero(col < 0)
+        col[new] = self._append(s.bits[new], keys[new])
+        v = np.zeros(len(self.rows), dtype=complex)
+        v[col] = s.coeffs
         return v
 
-    def brackets(self, earlier: list, b: PauliSum) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates of ``[e_j, b]`` for every ``e_j`` in ``earlier``, one row each, and
-        the width each row had when it was the only one.
+    def stack(self, sums: list) -> _Terms:
+        """The terms of ``sums`` stacked once, for every turn that brackets with them."""
+        bits = np.concatenate([s.bits for s in sums])
+        sizes = [len(s.coeffs) for s in sums]
+        fa, n = bits.astype(float), bits.shape[1] // 2
+        return _Terms(
+            bits,
+            _string_keys(bits),
+            np.ascontiguousarray(fa[:, :n]),
+            np.ascontiguousarray(fa[:, n:]),
+            np.concatenate([s.coeffs for s in sums]),
+            np.repeat(np.arange(len(sums)), sizes),
+            np.cumsum(sizes),
+        )
 
-        The terms of all earlier elements are stacked, commuted with ``b`` at
-        once, and added up by (element, string) in pair order. A string gets a
-        column when some element first gives it a nonzero coefficient, so the
-        columns come in the order one-at-a-time brackets add them, and row ``j``
-        was then as wide as the columns used by rows ``0..j``.
+    def brackets(self, gens: _Terms, m: int, b: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates of ``[g_j, b]`` for each of the first ``m`` sums ``g_j`` stacked in
+        ``gens``, one row each, and the width each row had when it was the only one.
+
+        Their terms are commuted with ``b`` at once and added up by (sum, string)
+        in pair order. A string gets a column when some row first gives it a
+        nonzero coefficient, so the columns come in the order one-at-a-time
+        brackets add them, and row ``j`` was then as wide as the columns used by
+        rows ``0..j``. Only this turn's distinct strings are looked up in the
+        sorted keys of the columns.
         """
-        sizes = np.array([len(e.coeffs) for e in earlier])
-        before = len(self.keys)
-        used = np.empty(len(earlier), dtype=np.intp)
-        parts = []
-        for lo, hi in _chunks(32 * sizes * len(b.coeffs)):
-            bits = np.concatenate([e.bits for e in earlier[lo:hi]])
-            i, j, c = _anticommuting_pairs(bits, np.concatenate([e.coeffs for e in earlier[lo:hi]]), b)
-            keys = _string_keys(bits)[i] ^ _string_keys(b.bits)[j]
-            group, col = self._lookup(keys)
-            owner = np.repeat(np.arange(hi - lo), sizes[lo:hi])[i]
-            summed = _sums(owner * len(col) + group, c, (hi - lo) * len(col)).reshape(hi - lo, len(col))
-            hit = summed != 0
-            # strings met first here, ordered by the first element that gives them
-            new = np.flatnonzero((col < 0) & hit.any(axis=0))
-            new = new[np.argsort(hit[:, new].argmax(axis=0), kind="stable")]
-            pair = np.empty(len(col), dtype=np.intp)
-            pair[group] = np.arange(len(group))
-            pair = pair[new]
-            self._append(col, new, bits[i[pair]] ^ b.bits[j[pair]], keys[pair])
-            seen = col >= 0
-            parts.append((lo, hi, col[seen], summed[:, seen]))
-            used[lo:hi] = np.max(np.where(hit[:, seen], col[seen] + 1, 0), axis=1, initial=before)
-        out = np.zeros((len(earlier), len(self.keys)), dtype=complex)
-        for lo, hi, cols, values in parts:
-            out[lo:hi, cols] = values
-        return out, np.maximum.accumulate(used)
+        t = gens.ends[m - 1]
+        i, j, c = _anticommuting_pairs(gens.x[:t], gens.z[:t], gens.coeffs[:t], b)
+        keys = _sortable(gens.keys[i] ^ _string_keys(b.bits)[j])
+        strings, pair, string = np.unique(keys, return_index=True, return_inverse=True)
+        summed = _sums(gens.owner[i] * len(strings) + string, c, m * len(strings)).reshape(m, -1)
+        hit = summed != 0
+        col = self._lookup(strings)
+        # strings met first here, given columns in the order of the first row that gives them
+        fresh = np.flatnonzero((col < 0) & hit.any(axis=0))
+        first = hit[:, fresh].argmax(axis=0)
+        fresh = fresh[np.argsort(first, kind="stable")]
+        before = len(self.rows)
+        if len(fresh):
+            col[fresh] = self._append(gens.bits[i[pair[fresh]]] ^ b.bits[j[pair[fresh]]], strings[fresh])
+        seen = col >= 0
+        out = np.zeros((m, len(self.rows)), dtype=complex)
+        out[:, col[seen]] = summed[:, seen]
+        return out, before + np.cumsum(np.bincount(first, minlength=m))
 
 
 class _PauliCoordinates(_StringColumns):
@@ -380,24 +384,34 @@ def lie_closure(generators, max_dim: int | None = None) -> LieBasis:
     subalgebra); hitting the cap raises :class:`CapExceededError` with the
     partial dimension attached.
 
-    Elements are processed in the order they join the basis, and element i,
-    on its turn, is commuted with every element before it. So each pair is
-    commuted once, on the turn of the later one, whether that element was a
-    generator or joined while earlier ones were processed; the loop ends when
-    every element has had its turn. A rejected candidate had a residual of
-    at most ``TAU_INDEP`` against the basis at that time, and residuals only
-    shrink as the basis grows, so at the end every pairwise commutator lies
-    in the span within ``TAU_INDEP``: the span is closed, and no certificate
-    pass is needed.
+    Elements are processed in the order they join the basis. The first k are
+    the generators that joined it, orthonormalized, and element i, on its
+    turn, is commuted with the generator elements ``e_0 .. e_{min(i,k)-1}``:
+    each pair of generator elements once, on the turn of the later one, and
+    every later element with all k. The loop ends when every element has had
+    its turn. That is enough: the algebra generated by a set S is spanned by
+    the right-nested brackets ``[s_1, [s_2, .., [s_{r-1}, s_r]]]`` of its
+    members (by the Jacobi identity), so it is the smallest space that holds
+    S and is mapped into itself by ``ad_s`` for every s in S. Each element is
+    such a bracket or a combination of them, and a rejected candidate had a
+    residual of at most ``TAU_INDEP`` against the basis at that time, which
+    only shrinks as the basis grows. So at the end the span holds the
+    generators and ``[e_j, e]`` lies in it within ``TAU_INDEP`` for every
+    generator element ``e_j`` and element ``e``: the span is the algebra.
+    ``TAU_INDEP`` certifies only these [generator, element] brackets; the
+    bracket of two other elements follows by the Jacobi identity, within a
+    roundoff that the tests bound at 1e-7.
 
     Each turn runs as one batch: one ``brackets`` call gives the coordinates
-    of ``[e_j, e_i]`` for every ``j < i`` at once, and one Gram-Schmidt pass
-    of all of them against the basis as the turn began screens them. Only the
-    candidates whose screened residual exceeds ``TAU_INDEP`` then go, in
-    order, through the sequential two-pass test, each at the width it would
-    have had on its own. A larger orthonormal basis leaves no larger residual,
-    so the screen drops only candidates the sequential test would drop, and
-    the basis comes out as if every pair were taken one at a time.
+    of ``[e_j, e_i]`` for every ``j < min(i, k)`` at once, from the
+    generators' terms or matrices stacked once for all turns, and one
+    Gram-Schmidt pass of all of them against the basis as the turn began
+    screens them. Only the candidates whose screened residual exceeds
+    ``TAU_INDEP`` then go, in order, through the sequential two-pass test,
+    each at the width it would have had on its own. A larger orthonormal
+    basis leaves no larger residual, so the screen drops only candidates the
+    sequential test would drop, and the basis comes out as if every pair were
+    taken one at a time.
     """
     gens = list(generators)
     if not gens:
@@ -444,9 +458,13 @@ def lie_closure(generators, max_dim: int | None = None) -> LieBasis:
 
     for g in coords.skew_gens:
         try_add(coords.vector(g))
+    if not elements:
+        return LieBasis(())
+    k = len(elements)
+    stacked = coords.stack(elements)
     i = 1
     while i < len(elements):
-        vecs, widths = coords.brackets(elements[:i], elements[i])
+        vecs, widths = coords.brackets(stacked, min(i, k), elements[i])
         # first pass against the basis as the turn began; a larger basis leaves less
         screen = vecs.view(np.float64).copy()
         w = rows.shape[1]
@@ -489,7 +507,7 @@ def parity_sector_dimension(basis: LieBasis) -> int:
     # one representative per pair: the string whose alpha has qubit 0 clear
     bits[:, :n] ^= bits[:, :1]
     keep = bits.any(axis=1)
-    cols = _string_groups(_string_keys(bits[keep]))
-    quotient = np.zeros((len(elements), cols.max(initial=-1) + 1), dtype=complex)
+    strings, cols = np.unique(_sortable(_string_keys(bits[keep])), return_inverse=True)
+    quotient = np.zeros((len(elements), len(strings)), dtype=complex)
     np.add.at(quotient, (owner[keep], cols), coeffs[keep])
     return int(np.linalg.matrix_rank(np.hstack([quotient.real, quotient.imag]), tol=TAU_INDEP))

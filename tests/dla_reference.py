@@ -3,8 +3,13 @@
 - :func:`per_pair_closure` takes the closure one pair at a time: each pair
   is commuted by :func:`pair_commutator`, which merges repeated strings
   through ``np.unique`` over packed-byte keys, and its strings get columns
-  through a dict, one at a time. This is the loop that ``lie_closure`` batches,
-  so the two must give the same elements bit for bit.
+  through a dict, one at a time. Turn i brackets element i with the
+  generators that joined the basis, as ``lie_closure`` does; this is the loop
+  that ``lie_closure`` batches, so the two must give the same elements bit
+  for bit.
+- :func:`all_pairs_closure` is the same loop with every pair of elements
+  bracketed, whatever the generators: an oracle for the span that does not
+  rest on the generators alone reaching the whole algebra.
 - :class:`ResidualBasis` measures how far a matrix lies from the span of a
   basis of dense matrices.
 """
@@ -56,7 +61,21 @@ def pair_commutator(a: PauliSum, b: PauliSum) -> PauliSum:
 
 
 def per_pair_closure(generators, max_dim: int | None = None) -> LieBasis:
-    """``lie_closure`` with one commutator and one independence test per pair."""
+    """``lie_closure`` with one commutator and one independence test per pair: turn i
+    brackets element i with each of the first ``min(i, k)`` elements, the k generators
+    that joined the basis."""
+    return _closure(generators, max_dim, lambda i, k: range(min(i, k)))
+
+
+def all_pairs_closure(generators, max_dim: int | None = None) -> LieBasis:
+    """The one-pair-at-a-time closure in which turn i brackets element i with every
+    element before it."""
+    return _closure(generators, max_dim, lambda i, k: range(i))
+
+
+def _closure(generators, max_dim, partners) -> LieBasis:
+    """Closure whose turn i brackets element i with the elements ``partners(i, k)``, k
+    the number of generators that joined the basis."""
     gens = list(generators)
     if isinstance(gens[0], PauliSum):
         gens = [merged(np.asarray(g.bits, np.uint8), np.asarray(g.coeffs, complex)) for g in gens]
@@ -125,9 +144,10 @@ def per_pair_closure(generators, max_dim: int | None = None) -> LieBasis:
 
     for g in skew_gens:
         try_add(vector(g))
+    k = len(elements)
     i = 1
     while i < len(elements):
-        for j in range(i):
+        for j in partners(i, k):
             try_add(bracket(elements[j], elements[i]))
         i += 1
     return LieBasis(tuple(elements))

@@ -62,8 +62,8 @@ class TestLieClosure:
     def test_dense_closure_holds_a_few_bases(self, rng):
         # the basis buffer doubles its rows when they are full and its columns when a
         # row is wider, one axis at a time; doubling both at once peaked at 321 MiB
-        # here, 322 times the basis. What is left is the basis, its buffer and one
-        # turn's commutators with their stacked factors, each about the basis's size
+        # here, 322 times the basis. A turn brackets with the two generators only, so
+        # what is left is the basis and its buffer, about twice the basis
         gens = [random_hermitian(16, rng, traceless=True) for _ in range(2)]
         tracemalloc.start()
         try:
@@ -72,7 +72,7 @@ class TestLieClosure:
         finally:
             tracemalloc.stop()
         assert basis.dim == 255
-        assert peak < 8 * sum(e.nbytes for e in basis.elements)
+        assert peak < 3 * sum(e.nbytes for e in basis.elements)
 
     def test_generic_generators_fill_su_d(self, rng):
         gens = [random_hermitian(4, rng, traceless=True) for _ in range(2)]

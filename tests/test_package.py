@@ -165,5 +165,5 @@ def test_readme_bench_recipe_runs(tmp_path):
                 for row in rows] == [("parent", 3, 1, True), ("change", 3, 1, True), *configs]
     assert {path.name for path in tmp_path.iterdir()} == {
         "BENCH_one_buffer.json", "BENCH_sector_readout.json", "BENCH_vector_entry.json",
-        "BENCH_trajectory_rank.json", "BENCH_memory_plan.json",
+        "BENCH_trajectory_rank.json", "BENCH_memory_plan.json", "BENCH_closure.json",
     }

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dla_reference import ResidualBasis, merged, pair_commutator, per_pair_closure
+from dla_reference import ResidualBasis, all_pairs_closure, merged, pair_commutator, per_pair_closure
 
 from qfimlab.channels import PauliString
 from qfimlab.circuits import (
@@ -99,12 +99,14 @@ class TestPauliClosure:
         assert parity_sector_dimension(full) == dla_dimension(hva_parity_sector_generators(n))
 
     def test_basis_orthonormal_and_closed(self):
-        n = 4
-        mats = [e.materialize() / 2 ** (n / 2) for e in lie_closure(hva_tfim_pauli_generators(n)).elements]
-        gram = np.array([[np.vdot(a, b).real for b in mats] for a in mats])
-        assert np.max(np.abs(gram - np.eye(len(mats)))) <= 1e-9
-        dense = ResidualBasis(tuple(mats))
-        assert max(dense.project_residual(commutator(a, b)) for a in mats for b in mats) <= 1e-7
+        # turns bracket with the generators only, so closure under the other brackets
+        # is not certified by TAU_INDEP; it is checked here
+        for n in (4, 6):
+            mats = [e.materialize() / 2 ** (n / 2) for e in lie_closure(hva_tfim_pauli_generators(n)).elements]
+            gram = np.array([[np.vdot(a, b).real for b in mats] for a in mats])
+            assert np.max(np.abs(gram - np.eye(len(mats)))) <= 1e-9
+            dense = ResidualBasis(tuple(mats))
+            assert max(dense.project_residual(commutator(a, b)) for a in mats for b in mats) <= 1e-7
 
     def test_generic_generators_match_dense(self, rng):
         gens = [random_hermitian(4, rng, traceless=True) for _ in range(2)]
@@ -145,9 +147,9 @@ def _assert_same_elements(got, want):
 
 
 class TestBatchedTurnsMatchPerPairClosure:
-    """Each turn brackets all earlier elements at once and screens the candidates
-    against the basis as the turn began; the elements must still come out as the
-    one-pair-at-a-time loop of ``dla_reference`` gives them, bit for bit."""
+    """Each turn brackets its element with the generators at once and screens the
+    candidates against the basis as the turn began; the elements must still come out
+    as the one-pair-at-a-time loop of ``dla_reference`` gives them, bit for bit."""
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_ising_generators(self, n):
@@ -170,8 +172,19 @@ class TestBatchedTurnsMatchPerPairClosure:
         for gens in ([repeated], [repeated, x0], [x0, repeated]):
             _assert_same_elements(lie_closure(gens), per_pair_closure(gens))
 
+    def test_keys_of_two_words(self):
+        # 2n = 66 bits take two 64-bit key words
+        n = 33
+        gens = hva_tfim_pauli_generators(n)
+        got = lie_closure(gens)
+        _assert_same_elements(got, per_pair_closure(gens))
+        payload = run_dla(parse_config({"experiment": "dla", "circuit": {"name": "hva_tfim", "n": n, "L": 1}}))
+        assert payload["dim_full_matrix"] == got.dim == 3 * n - 1 == 98
+        assert payload["dim"] == parity_sector_dimension(got) == 3 * n // 2 == 49
+
     def test_cap_hit_in_the_middle_of_a_turn(self):
-        # at n=6 the sixth element comes from the second pair of the third turn
+        # at n=6 the two generators join first, and the sixth element comes from the
+        # third turn's second pair: the fourth element bracketed with the second generator
         partial = []
         for closure in (lie_closure, per_pair_closure):
             with pytest.raises(CapExceededError) as info:
@@ -183,6 +196,47 @@ class TestBatchedTurnsMatchPerPairClosure:
         # the quotient's string key must not lose or merge strings at any size
         for n in range(2, 21):
             assert parity_sector_dimension(lie_closure(hva_tfim_pauli_generators(n))) == 3 * n // 2
+
+
+def _coefficient_rows(*bases) -> list[np.ndarray]:
+    """Real views of each basis's elements, one row each, over coordinates shared by all:
+    the entries of dense matrices, or one column per Pauli string met in any basis."""
+    if not isinstance(bases[0].elements[0], PauliSum):
+        return [np.array([e.ravel() for e in basis.elements]).view(np.float64) for basis in bases]
+    column: dict[bytes, int] = {}
+    for e in (e for basis in bases for e in basis.elements):
+        for row in e.bits:
+            column.setdefault(row.tobytes(), len(column))
+    out = []
+    for basis in bases:
+        rows = np.zeros((basis.dim, len(column)), dtype=complex)
+        for k, e in enumerate(basis.elements):
+            rows[k, [column[row.tobytes()] for row in e.bits]] = e.coeffs
+        out.append(rows.view(np.float64))
+    return out
+
+
+def test_generator_turns_span_the_all_pairs_closure(rng):
+    # turns bracket each element with the generators only; the closure that brackets
+    # every pair must span the same algebra
+    dense = [random_hermitian(8, rng, traceless=True) for _ in range(2)]
+    repeated, _, x0 = _repeated_string_generators()
+    for gens in [
+        *(hva_tfim_pauli_generators(n) for n in range(2, 9)),
+        TOY_GENERATORS,
+        [PauliSum.from_matrix(g) for g in TOY_GENERATORS],
+        dense,
+        [PauliSum.from_matrix(g) for g in dense],
+        [repeated],
+        [repeated, x0],
+        [x0, repeated],
+    ]:
+        got, want = lie_closure(gens), all_pairs_closure(gens)
+        assert got.dim == want.dim
+        for r, rows in [_coefficient_rows(got, want), _coefficient_rows(want, got)]:
+            for _ in range(2):
+                r -= (r @ rows.T) @ rows
+            assert np.max(np.linalg.norm(r, axis=1)) <= 1e-10
 
 
 class TestDlaRunnerAtScale:
